@@ -182,7 +182,7 @@ def _ppf_rows(p_r, a_r, p_j, a_j):
     d = p_j - p_r
     norm = np.linalg.norm(d, axis=-1)
     if np.any(norm < _COINCIDENT_TOL):
-        bad = np.unravel_index(int(np.argmin(norm)), norm.shape)
+        bad = tuple(int(i) for i in np.unravel_index(int(np.argmin(norm)), norm.shape))
         raise CoincidentPointError(f"coincident pair at index {bad}")
     dhat = d / norm[..., None]
     c1 = np.clip(np.einsum("...d,...d->...", a_r, dhat), -1.0, 1.0)
@@ -242,23 +242,40 @@ def sipf_field(
     return out
 
 
-def detect_axis_alignment(p_r, frame_r, shadow_point, shadow_frame) -> float:
+def _row_dot(a, b):
+    """Dot products over the last axis, through the same BLAS route as a 1-D ``a @ b``."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def detect_axis_alignment(p_r, frame_r, shadow_point, shadow_frame):
     """Score in [0, 1] for the shadow-on-primary-axis degeneracy.
 
     Product of |cos| between the shadow displacement and the primary axis and
-    |cos| between the two primary axes; 1 means fully degenerate.
+    |cos| between the two primary axes; 1 means fully degenerate.  Takes one
+    point, (3,) positions and 3 x 3 frames, and returns a float; or N points,
+    (N, 3) positions and (N, 3, 3) frames, and returns an (N,) array.
     """
     p_r = np.asarray(p_r, dtype=np.float64)
     shadow_point = np.asarray(shadow_point, dtype=np.float64)
-    a_r = frame_axes(frame_r)[0]
-    a_s = frame_axes(shadow_frame)[0]
+    if p_r.ndim == 1:
+        a_r = frame_axes(frame_r)[0]
+        a_s = frame_axes(shadow_frame)[0]
+    else:
+        a_r = np.asarray(frame_r, dtype=np.float64)[..., 0, :]
+        a_s = np.asarray(shadow_frame, dtype=np.float64)[..., 0, :]
+    if not (p_r.shape == shadow_point.shape == a_r.shape == a_s.shape and p_r.shape[-1] == 3):
+        raise InvalidInputError(
+            f"points {p_r.shape} and {shadow_point.shape} do not match frames "
+            f"with primary axes {a_r.shape} and {a_s.shape}"
+        )
     d = shadow_point - p_r
-    norm = np.linalg.norm(d)
-    if norm < _COINCIDENT_TOL:
+    norm = np.sqrt(_row_dot(d, d))
+    if np.any(norm < _COINCIDENT_TOL):
         raise CoincidentPointError("shadow coincides with the point")
-    c_disp = abs(float(a_r @ d)) / norm
-    c_axes = abs(float(a_r @ a_s))
-    return float(min(1.0, c_disp) * min(1.0, c_axes))
+    c_disp = np.minimum(1.0, np.abs(_row_dot(a_r, d)) / norm)
+    c_axes = np.minimum(1.0, np.abs(_row_dot(a_r, a_s)))
+    score = c_disp * c_axes
+    return float(score) if score.ndim == 0 else score
 
 
 def detect_local_coincidence(r_g: Rotation3, r_j: Rotation3) -> float:

@@ -147,7 +147,8 @@ class LayerActivation:
 
 
 def _leaky(x):
-    return np.where(x > 0.0, x, LEAKY_SLOPE * x)
+    # Equal bit for bit to where(x > 0, x, slope * x), signed zeros and NaN included.
+    return np.maximum(x, LEAKY_SLOPE * x)
 
 
 def _leaky_grad(x):
@@ -155,9 +156,40 @@ def _leaky_grad(x):
 
 
 def _softmax_rows(scores):
-    m = scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row softmax over the last axis, computed in place in ``scores``."""
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
+
+
+def _rows(a):
+    """(N, k, m) -> (N k, m), so per-row products run as one GEMM."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _kernel_mlp(p, layer):
+    """Pre-activation, hidden layer and kernel weights for an (N, k, 8) pose stack."""
+    n, k, _ = p.shape
+    pre = _rows(p) @ layer.mlp_w1
+    pre += layer.mlp_b1
+    hidden = _leaky(pre)
+    kernel = hidden @ layer.mlp_w2
+    kernel += layer.mlp_b2
+    h, c = layer.mlp_w2.shape
+    return pre.reshape(n, k, h), hidden.reshape(n, k, h), kernel.reshape(n, k, c)
+
+
+def _attend(kernel, xn):
+    """Row-stochastic attention, values and attended output, batched over reference rows."""
+    scores = kernel @ xn.transpose(0, 2, 1)
+    scores /= np.sqrt(kernel.shape[-1])
+    if not np.all(np.isfinite(scores)):
+        bad = int(np.nonzero(~np.isfinite(scores).all(axis=(1, 2)))[0][0])
+        raise NumericError(f"non-finite attention scores at reference row {bad}")
+    attn = _softmax_rows(scores)
+    values = kernel * xn
+    return attn, values, attn @ values
 
 
 def _ensure_batched(arr, ndim, name):
@@ -174,8 +206,7 @@ def kernel_weights(pose_stack, layer: RIAttnLayer) -> np.ndarray:
     p, squeeze = _ensure_batched(pose_stack, 2, "pose_stack")
     if p.shape[-1] != 8:
         raise InvalidArgumentError(f"pose stack rows must be 8-dim, got {p.shape[-1]}")
-    hidden = _leaky(p @ layer.mlp_w1 + layer.mlp_b1)
-    out = hidden @ layer.mlp_w2 + layer.mlp_b2
+    out = _kernel_mlp(p, layer)[2]
     return out[0] if squeeze else out
 
 
@@ -185,13 +216,7 @@ def ri_attention(kernel, neighbor_features) -> np.ndarray:
     x, _ = _ensure_batched(neighbor_features, 2, "neighbor_features")
     if w.shape != x.shape:
         raise InvalidArgumentError(f"kernel shape {w.shape} != features shape {x.shape}")
-    c_in = w.shape[-1]
-    scores = np.einsum("nkc,nmc->nkm", w, x) / np.sqrt(c_in)
-    if not np.all(np.isfinite(scores)):
-        bad = int(np.nonzero(~np.isfinite(scores).all(axis=(1, 2)))[0][0])
-        raise NumericError(f"non-finite attention scores at reference row {bad}")
-    attn = _softmax_rows(scores)
-    out = np.einsum("nkm,nmc->nkc", attn, w * x)
+    out = _attend(w, x)[2]
     return out[0] if squeeze else out
 
 
@@ -225,17 +250,11 @@ def layer_forward(
         raise InvalidArgumentError(f"features must be ({n}, {layer.c_in}), got {x.shape}")
     if idx.shape != (n, k):
         raise InvalidArgumentError(f"neighbor_idx must be ({n}, {k}), got {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise InvalidArgumentError(f"neighbor_idx entries must lie in [0, {n})")
     xn = x[idx]
-    mlp_pre = p @ layer.mlp_w1 + layer.mlp_b1
-    hidden = _leaky(mlp_pre)
-    kernel = hidden @ layer.mlp_w2 + layer.mlp_b2
-    scores = np.einsum("nkc,nmc->nkm", kernel, xn) / np.sqrt(layer.c_in)
-    if not np.all(np.isfinite(scores)):
-        bad = int(np.nonzero(~np.isfinite(scores).all(axis=(1, 2)))[0][0])
-        raise NumericError(f"non-finite attention scores at reference row {bad}")
-    attn = _softmax_rows(scores)
-    values = kernel * xn
-    attn_out = np.einsum("nkm,nmc->nkc", attn, values)
+    mlp_pre, hidden, kernel = _kernel_mlp(p, layer)
+    attn, values, attn_out = _attend(kernel, xn)
     argmax = attn_out.argmax(axis=1)
     x_hat = np.take_along_axis(attn_out, argmax[:, None, :], axis=1)[:, 0, :]
     fused_input = np.concatenate([x_hat - x, x], axis=1)
@@ -279,8 +298,12 @@ def backward(
 ) -> tuple[LayerGradients, np.ndarray]:
     """Parameter gradients and input-feature gradients for one recorded pass.
 
-    Feature gradients are scatter-accumulated in fixed index order, so the
-    result does not depend on evaluation parallelism.
+    The feature gradient sums, for each point, the neighbor-row gradients of
+    every reference row that lists it as a neighbor.  Each channel is one
+    ``np.bincount`` over the neighbor indices in row-major (reference, slot)
+    order, added onto the point's own fused-map gradient.  The summation order
+    is fixed by the neighbor graph alone, so the result is bitwise repeatable
+    across runs.
     """
     d_out = np.asarray(d_output, dtype=np.float64)
     n, k, c = act.neighbor_features.shape
@@ -293,22 +316,28 @@ def backward(
     d_x = d_fused[:, c:] - d_xhat
     d_attn_out = np.zeros_like(act.attn_out)
     np.put_along_axis(d_attn_out, act.argmax[:, None, :], d_xhat[:, None, :], axis=1)
-    d_attn = np.einsum("nkc,nmc->nkm", d_attn_out, act.values)
-    d_values = np.einsum("nkm,nkc->nmc", act.attention, d_attn_out)
+    d_values = act.attention.transpose(0, 2, 1) @ d_attn_out
     d_kernel = d_values * act.neighbor_features
     d_xn = d_values * act.kernel
-    inner = (d_attn * act.attention).sum(axis=-1, keepdims=True)
-    d_scores = (d_attn - inner) * act.attention
+    # Softmax backward, in place: d_scores = (d_attn - <d_attn, attn>) * attn.
+    d_scores = d_attn_out @ act.values.transpose(0, 2, 1)
+    d_scores -= (d_scores * act.attention).sum(axis=-1, keepdims=True)
+    d_scores *= act.attention
     scale = 1.0 / np.sqrt(c)
-    d_kernel += np.einsum("nkm,nmc->nkc", d_scores, act.neighbor_features) * scale
-    d_xn += np.einsum("nkm,nkc->nmc", d_scores, act.kernel) * scale
-    g_mlp_w2 = np.einsum("nkh,nkc->hc", act.mlp_hidden, d_kernel)
-    g_mlp_b2 = d_kernel.sum(axis=(0, 1))
-    d_hidden = d_kernel @ layer.mlp_w2.T
-    d_pre = d_hidden * _leaky_grad(act.mlp_pre)
-    g_mlp_w1 = np.einsum("nkp,nkh->ph", act.pose_stack, d_pre)
-    g_mlp_b1 = d_pre.sum(axis=(0, 1))
-    np.add.at(d_x, act.neighbor_idx, d_xn)
+    d_kernel += (d_scores @ act.neighbor_features) * scale
+    d_xn += (d_scores.transpose(0, 2, 1) @ act.kernel) * scale
+    del d_scores  # free the (N, k, k) block before the MLP backward allocates
+    d_kernel = _rows(d_kernel)
+    g_mlp_w2 = _rows(act.mlp_hidden).T @ d_kernel
+    g_mlp_b2 = d_kernel.sum(axis=0)
+    d_pre = d_kernel @ layer.mlp_w2.T
+    d_pre *= _leaky_grad(_rows(act.mlp_pre))
+    g_mlp_w1 = _rows(act.pose_stack).T @ d_pre
+    g_mlp_b1 = d_pre.sum(axis=0)
+    nbr = act.neighbor_idx.ravel()
+    d_xn = _rows(d_xn)
+    for ch in range(c):
+        d_x[:, ch] += np.bincount(nbr, weights=d_xn[:, ch], minlength=n)
     grads = LayerGradients(
         mlp_w1=g_mlp_w1,
         mlp_b1=g_mlp_b1,

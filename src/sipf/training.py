@@ -370,15 +370,9 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
         )
 
         # Degeneracy audit for the epoch's rotation.
-        for ci in range(len(clouds)):
-            sh = shadows[ci]
-            scores = [
-                detect_axis_alignment(
-                    clouds[ci].points[i], frames[ci][i], sh.points[i], sh.frames[i]
-                )
-                for i in range(len(clouds[ci]))
-            ]
-            result.b1_max_score = max(result.b1_max_score, max(scores))
+        for cloud, f, sh in zip(clouds, frames, shadows):
+            scores = detect_axis_alignment(cloud.points, f, sh.points, sh.frames)
+            result.b1_max_score = max(result.b1_max_score, float(scores.max()))
         if symmetry is not None:
             dist = detect_local_coincidence(rot, symmetry)
             result.b2_min_distance_rad = min(result.b2_min_distance_rad, dist)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from sipf.descriptors import COINCIDENT_DISTANCE_FLOOR
+from sipf.errors import CoincidentPointError
 from sipf.geometry import PointCloud, random_rotation
 
 
@@ -13,6 +15,17 @@ def brute_force_knn(points: np.ndarray, k: int) -> np.ndarray:
         d[i] = np.inf
         out[i] = np.lexsort((np.arange(n), d))[:k]
     return out
+
+
+def scalar_axis_alignment(p_r, frame_r, shadow_point, shadow_frame) -> float:
+    """One-point transcription of the B1 score: |cos(a_r, d)| * |cos(a_r, a_s)|, each capped at 1."""
+    a_r = np.asarray(frame_r, dtype=np.float64)[0]
+    a_s = np.asarray(shadow_frame, dtype=np.float64)[0]
+    d = np.asarray(shadow_point, dtype=np.float64) - np.asarray(p_r, dtype=np.float64)
+    norm = np.linalg.norm(d)
+    if norm < COINCIDENT_DISTANCE_FLOOR:
+        raise CoincidentPointError("shadow coincides with the point")
+    return min(1.0, abs(float(a_r @ d)) / norm) * min(1.0, abs(float(a_r @ a_s)))
 
 
 def random_cloud(rng: np.random.Generator, n: int, with_normals: bool = False) -> PointCloud:

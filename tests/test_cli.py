@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -12,6 +13,9 @@ from sipf.cli import (
     main,
 )
 from sipf.errors import InvalidInputError
+
+# SHA-256 of the features CSV for the grid in test_golden_csv_bytes.
+GOLDEN_FEATURES_SHA256 = "5cd1c552c9fde81cbd41f4c3de3d75e19c34499a944eacad7690c5cb30eb601f"
 
 TOY_CLOUD = "0 0 1\n1 0 1\n0 1 1\n0.2 0.3 1.4\n1.1 0.9 0.6\n"
 
@@ -119,6 +123,30 @@ class TestFeatures:
         out = tmp_path / "n.csv"
         assert main(["features", "--input", str(path), "--k", "2", "--out", str(out)]) == EXIT_OK
         assert len(out.read_text().strip().split("\n")) == 9  # header + 4*2 rows
+
+    def test_golden_csv_bytes(self, tmp_path, capsys):
+        # A 5 x 5 grid lifted by integer patterns, with tilted normals.  Every
+        # input value is an exact ratio of small integers, so the file text is
+        # the same on every platform.  The hash pins the CSV bytes, number
+        # formatting included; it was computed with numpy 2.4 on x86-64.
+        rows = []
+        for i in range(5):
+            for j in range(5):
+                z = ((3 * i + 2 * j * j) % 7) / 10
+                normal = f"{(i + 2 * j) % 5 - 2} {(2 * i + j) % 3 - 1} 4"
+                rows.append(f"{(i + 1) / 4!r} {(j + 1) / 4 + i / 16!r} {z!r} {normal}")
+        path = tmp_path / "golden.xyz"
+        path.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "golden.csv"
+        code = main([
+            "features", "--input", str(path), "--k", "6",
+            "--rotation=0.8,0.36,0.48,0", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        data = out.read_bytes()
+        assert data.count(b"\n") == 1 + 25 * 6
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_FEATURES_SHA256
 
     def test_malformed_input_names_line(self, tmp_path, capsys):
         path = tmp_path / "bad.xyz"

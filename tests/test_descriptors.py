@@ -16,7 +16,7 @@ from sipf.descriptors import (
     sipf_stack,
     sippf,
 )
-from sipf.errors import CoincidentPointError, InvalidArgumentError
+from sipf.errors import CoincidentPointError, InvalidArgumentError, InvalidInputError
 from sipf.geometry import (
     PointCloud,
     Rotation3,
@@ -30,7 +30,7 @@ from sipf.geometry import (
 from sipf.lrf import FRAME_MODE_BARYCENTER, build_all_lrfs, build_lrf
 from sipf.training import make_wingtip_dataset
 
-from conftest import mirrored_blob_cloud, random_cloud, random_frames
+from conftest import mirrored_blob_cloud, random_cloud, random_frames, scalar_axis_alignment
 
 
 def _unit(v):
@@ -257,6 +257,18 @@ class TestSipfStack:
         with pytest.raises(InvalidArgumentError):
             sipf_field(cloud, frames, graph, shadow, mask="bogus")
 
+    def test_coincident_pair_message_prints_plain_ints(self, rng):
+        cloud = random_cloud(rng, 8)
+        pts = cloud.points.copy()
+        pts[7] = pts[5]
+        cloud = PointCloud(points=pts)
+        graph = knn_graph(cloud, 2)
+        frames = random_frames(rng, 8)
+        shadow = shadow_of(cloud, frames, random_rotation(rng))
+        with pytest.raises(CoincidentPointError) as excinfo:
+            sipf_field(cloud, frames, graph, shadow)
+        assert str(excinfo.value) == "coincident pair at index (5, 0)"
+
 
 class TestDegeneracyDetectors:
     def test_axis_alignment_extremes(self):
@@ -274,6 +286,38 @@ class TestDegeneracyDetectors:
             expected = abs(f_r[0] @ d) / np.linalg.norm(d) * abs(f_r[0] @ f_s[0])
             got = detect_axis_alignment(p, f_r, s, f_s)
             assert abs(got - min(1.0, expected)) < 1e-12
+
+    def test_axis_alignment_batch_matches_scalar_oracle(self, rng):
+        n = 200
+        p = rng.standard_normal((n, 3))
+        f_r = random_frames(rng, n)
+        f_s = random_frames(rng, n)
+        s = p + rng.standard_normal((n, 3))
+        # Fully degenerate rows: shadow on the primary axis, axes shared.
+        s[:3] = p[:3] + 2.0 * f_r[:3, 0]
+        f_s[:3] = f_r[:3]
+        got = detect_axis_alignment(p, f_r, s, f_s)
+        assert got.shape == (n,)
+        expected = np.array([scalar_axis_alignment(p[i], f_r[i], s[i], f_s[i]) for i in range(n)])
+        assert np.abs(got - expected).max() <= 1e-15
+        assert np.abs(got[:3] - 1.0).max() <= 1e-15
+        single = [detect_axis_alignment(p[i], f_r[i], s[i], f_s[i]) for i in range(n)]
+        assert all(isinstance(v, float) for v in single)
+        assert np.array_equal(np.array(single), got)
+
+    def test_axis_alignment_batch_rejects_coincident_shadow(self, rng):
+        p = rng.standard_normal((5, 3))
+        frames = random_frames(rng, 5)
+        s = p + 1.0
+        s[3] = p[3]
+        with pytest.raises(CoincidentPointError):
+            detect_axis_alignment(p, frames, s, frames)
+
+    def test_axis_alignment_shape_mismatch(self, rng):
+        p = rng.standard_normal((5, 3))
+        frames = random_frames(rng, 4)
+        with pytest.raises(InvalidInputError):
+            detect_axis_alignment(p, frames, p + 1.0, frames)
 
     def test_local_coincidence_zero_and_pi(self, rng):
         rot = random_rotation(rng)

@@ -286,6 +286,144 @@ class TestBackward:
         run_gradcheck(rng, n=8, k=3, c_in=3, hidden=4, c_out=4)
 
 
+def einsum_layer_forward(layer, pose, feats, idx):
+    """Independent einsum transcription of the layer; returns output and intermediates."""
+    xn = feats[idx]
+    pre = np.einsum("nkp,ph->nkh", pose, layer.mlp_w1) + layer.mlp_b1
+    hidden = np.where(pre > 0.0, pre, LEAKY_SLOPE * pre)
+    kernel = np.einsum("nkh,hc->nkc", hidden, layer.mlp_w2) + layer.mlp_b2
+    scores = np.einsum("nkc,nmc->nkm", kernel, xn) / np.sqrt(layer.c_in)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    values = kernel * xn
+    attn_out = np.einsum("nkm,nmc->nkc", attn, values)
+    argmax = attn_out.argmax(axis=1)
+    x_hat = attn_out.max(axis=1)
+    fused_input = np.concatenate([x_hat - feats, feats], axis=1)
+    out = np.einsum("ni,io->no", fused_input, layer.fuse_w) + layer.fuse_b
+    inter = {
+        "pose_stack": pose, "features": feats, "neighbor_features": xn, "neighbor_idx": idx,
+        "mlp_pre": pre, "mlp_hidden": hidden, "kernel": kernel, "attention": attn,
+        "values": values, "attn_out": attn_out, "argmax": argmax, "aggregated": x_hat,
+        "fused_input": fused_input, "output": out,
+    }
+    return out, inter
+
+
+def einsum_backward(layer, d_out, inter):
+    """Reverse mode of einsum_layer_forward; the feature scatter is an explicit edge loop."""
+    n, k, c = inter["neighbor_features"].shape
+    attn, kernel, xn = inter["attention"], inter["kernel"], inter["neighbor_features"]
+    grads = {
+        "fuse_w": np.einsum("ni,no->io", inter["fused_input"], d_out),
+        "fuse_b": d_out.sum(axis=0),
+    }
+    d_fused = np.einsum("no,io->ni", d_out, layer.fuse_w)
+    d_xhat = d_fused[:, :c]
+    d_x = d_fused[:, c:] - d_xhat
+    d_attn_out = np.zeros((n, k, c))
+    for r in range(n):
+        for ch in range(c):
+            d_attn_out[r, inter["argmax"][r, ch], ch] = d_xhat[r, ch]
+    d_attn = np.einsum("nkc,nmc->nkm", d_attn_out, inter["values"])
+    d_values = np.einsum("nkm,nkc->nmc", attn, d_attn_out)
+    d_scores = (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True)) * attn / np.sqrt(c)
+    d_kernel = d_values * xn + np.einsum("nkm,nmc->nkc", d_scores, xn)
+    d_xn = d_values * kernel + np.einsum("nkm,nkc->nmc", d_scores, kernel)
+    grads["mlp_w2"] = np.einsum("nkh,nkc->hc", inter["mlp_hidden"], d_kernel)
+    grads["mlp_b2"] = d_kernel.sum(axis=(0, 1))
+    d_pre = np.einsum("nkc,hc->nkh", d_kernel, layer.mlp_w2)
+    d_pre = d_pre * np.where(inter["mlp_pre"] > 0.0, 1.0, LEAKY_SLOPE)
+    grads["mlp_w1"] = np.einsum("nkp,nkh->ph", inter["pose_stack"], d_pre)
+    grads["mlp_b1"] = d_pre.sum(axis=(0, 1))
+    for r in range(n):
+        for s in range(k):
+            d_x[inter["neighbor_idx"][r, s]] += d_xn[r, s]
+    return grads, d_x
+
+
+def _random_layer(rng, c_in, hidden, c_out):
+    # Fan-in scaled weights as in RIAttnLayer.init, plus non-zero biases so
+    # every parameter path carries signal.
+    return RIAttnLayer(
+        c_in=c_in,
+        c_out=c_out,
+        mlp_w1=rng.standard_normal((8, hidden)) / np.sqrt(8.0),
+        mlp_b1=0.1 * rng.standard_normal(hidden),
+        mlp_w2=rng.standard_normal((hidden, c_in)) / np.sqrt(hidden),
+        mlp_b2=0.1 * rng.standard_normal(c_in),
+        fuse_w=rng.standard_normal((2 * c_in, c_out)) / np.sqrt(2.0 * c_in),
+        fuse_b=0.1 * rng.standard_normal(c_out),
+    )
+
+
+class TestEinsumOracle:
+    @pytest.mark.parametrize(
+        "n, k, c_in, hidden, c_out",
+        [
+            (1, 1, 1, 1, 1),
+            (1, 4, 3, 2, 5),
+            (6, 1, 2, 3, 4),
+            (7, 3, 1, 4, 2),
+            (9, 5, 4, 4, 4),
+            (12, 6, 5, 3, 7),
+            (20, 8, 16, 16, 16),
+        ],
+    )
+    def test_forward_and_backward_match(self, n, k, c_in, hidden, c_out):
+        rng = np.random.default_rng([n, k, c_in, hidden, c_out])
+        layer = _random_layer(rng, c_in, hidden, c_out)
+        pose = rng.standard_normal((n, k, 8))
+        feats = rng.standard_normal((n, c_in))
+        # Random neighbor lists repeat points, so the feature scatter accumulates.
+        idx = rng.integers(0, n, (n, k))
+        d_out = rng.standard_normal((n, c_out))
+
+        out, act = layer_forward(layer, pose, feats, idx)
+        ref_out, inter = einsum_layer_forward(layer, pose, feats, idx)
+        assert np.abs(out - ref_out).max() <= 1e-12
+        for name, ref in inter.items():
+            got = getattr(act, name)
+            assert got.shape == ref.shape, name
+            if name in ("neighbor_idx", "argmax"):
+                assert np.array_equal(got, ref), name
+            else:
+                assert np.abs(got - ref).max() <= 1e-12, name
+
+        grads, d_x = backward(layer, d_out, act)
+        ref_grads, ref_d_x = einsum_backward(layer, d_out, inter)
+        assert d_x.shape == (n, c_in)
+        assert np.abs(d_x - ref_d_x).max() <= 1e-12
+        for name, ref in ref_grads.items():
+            got = grads.as_dict()[name]
+            assert got.shape == ref.shape, name
+            assert np.abs(got - ref).max() <= 1e-12, name
+
+    def test_backward_repeats_bitwise_and_keeps_the_record(self, rng):
+        layer = _random_layer(rng, 4, 5, 3)
+        idx = rng.integers(0, 10, (10, 6))
+        out, act = layer_forward(layer, rng.standard_normal((10, 6, 8)), rng.standard_normal((10, 4)), idx)
+        before = {name: np.copy(v) for name, v in vars(act).items()}
+        d_out = rng.standard_normal(out.shape)
+        first = backward(layer, d_out, act)
+        second = backward(layer, d_out, act)
+        for name, value in vars(act).items():
+            assert np.array_equal(value, before[name]), name
+        assert np.array_equal(first[1], second[1])
+        for name, value in first[0].as_dict().items():
+            assert np.array_equal(value, second[0].as_dict()[name]), name
+
+    def test_neighbor_index_out_of_range_rejected(self, rng):
+        layer = _random_layer(rng, 2, 2, 2)
+        pose = rng.standard_normal((3, 2, 8))
+        feats = rng.standard_normal((3, 2))
+        for bad in (-1, 3):
+            idx = np.zeros((3, 2), dtype=np.int64)
+            idx[1, 1] = bad
+            with pytest.raises(InvalidArgumentError):
+                layer_forward(layer, pose, feats, idx)
+
+
 def build_gradcheck_problem(rng, n, k, c_in, hidden, c_out):
     cloud = random_cloud(rng, n)
     graph = knn_graph(cloud, k)

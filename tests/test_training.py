@@ -5,15 +5,19 @@ import pytest
 
 from sipf.descriptors import MASK_PPF
 from sipf.errors import InvalidArgumentError
-from sipf.geometry import knn_graph
+from sipf.geometry import UnitQuaternion, knn_graph, quat_to_matrix
 from sipf.lrf import FRAME_MODE_BARYCENTER, build_all_lrfs
 from sipf.descriptors import shadow_of, sipf_field
 from sipf.training import (
+    DEFAULT_N_CLOUDS,
+    DEFAULT_POINTS_PER_CLOUD,
     ToyTaskConfig,
     make_wingtip_dataset,
     metrics_to_jsonl,
     train_toy,
 )
+
+from conftest import scalar_axis_alignment
 
 
 def kabsch_residual(a, b):
@@ -148,6 +152,25 @@ class TestTrainToy:
         result = train_toy(dataset, self._short_config())
         assert 0.0 <= result.b1_max_score <= 1.0
         assert 0.0 <= result.b2_min_distance_rad <= np.pi
+
+    def test_audit_matches_per_point_oracle_on_demo_dataset(self):
+        # Recompute every epoch's B1 scores point by point from the logged
+        # rotation; the run maximum must match the vectorised audit's.
+        dataset = make_wingtip_dataset(DEFAULT_N_CLOUDS, DEFAULT_POINTS_PER_CLOUD, 0.0, 100)
+        config = self._short_config()
+        result = train_toy(dataset, config)
+        expected = 0.0
+        for entry in result.metrics:
+            rot = quat_to_matrix(UnitQuaternion(*entry["rg_quaternion"]))
+            for cloud in dataset.clouds:
+                frames = build_all_lrfs(cloud, knn_graph(cloud, config.k), FRAME_MODE_BARYCENTER)
+                shadow = shadow_of(cloud, frames, rot)
+                for i in range(len(cloud)):
+                    score = scalar_axis_alignment(
+                        cloud.points[i], frames[i], shadow.points[i], shadow.frames[i]
+                    )
+                    expected = max(expected, score)
+        assert abs(result.b1_max_score - expected) <= 1e-15
 
     def test_empty_dataset_rejected(self):
         dataset = make_wingtip_dataset(1, 32, 0.0, 100)
