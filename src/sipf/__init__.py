@@ -28,12 +28,8 @@ from .descriptors import (
     ShadowCloud,
     detect_axis_alignment,
     detect_local_coincidence,
-    ppf,
     shadow_of,
-    sipf,
     sipf_field,
-    sipf_stack,
-    sippf,
 )
 from .errors import (
     CoincidentPointError,
@@ -69,11 +65,7 @@ from .lrf import (
 from .riattn import (
     RIAttnLayer,
     backward,
-    kernel_weights,
     layer_forward,
-    reversed_edgeconv,
-    ri_attention,
-    riattnconv_forward,
     total_loss,
 )
 from .training import ToyTaskConfig, make_wingtip_dataset, train_toy

@@ -12,10 +12,10 @@ output re-parses to bitwise-identical doubles.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,14 @@ from .errors import (
     SamplerStallError,
     SipfError,
 )
-from .geometry import PointCloud, UnitQuaternion, knn_graph, quat_to_matrix, random_rotation
+from .geometry import (
+    PointCloud,
+    UnitQuaternion,
+    apply_rotation,
+    knn_graph,
+    quat_to_matrix,
+    random_rotation,
+)
 from .lrf import FRAME_MODE_BARYCENTER, FRAME_MODE_NORMAL, try_build_all_lrfs
 from .training import (
     DEFAULT_N_CLOUDS,
@@ -50,7 +57,7 @@ from .training import (
     train_toy,
 )
 
-__all__ = ["main", "RunConfig", "load_config"]
+__all__ = ["main", "load_config"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -63,43 +70,10 @@ DEMO_PPF_CEILING = 0.60
 _DATASET_SEED_OFFSET = 1000
 
 
-@dataclass
-class RunConfig:
-    k: int = 20
-    delta: float = 0.8
-    descriptor_mask: str = MASK_SIPF
-    seed: int = 0
-    epochs: int = 200
-    learning_rate: float = 0.15
-    quadrature_order: int = bingham.DEFAULT_QUADRATURE_ORDER
-    bingham_loss_kind: str = bingham.LOSS_ENTROPY
-
-
-_CONFIG_FIELDS = {
-    "k": (int, lambda v: v >= 1, ">= 1"),
-    "delta": ((int, float), lambda v: v >= 0, ">= 0"),
-    "descriptor_mask": (str, lambda v: v in DESCRIPTOR_MASKS, f"one of {DESCRIPTOR_MASKS}"),
-    "seed": (int, lambda v: True, "an integer"),
-    "epochs": (int, lambda v: v >= 1, ">= 1"),
-    "learning_rate": ((int, float), lambda v: v > 0, "> 0"),
-    "quadrature_order": (
-        int,
-        lambda v: v >= bingham.MIN_QUADRATURE_ORDER,
-        f">= {bingham.MIN_QUADRATURE_ORDER}",
-    ),
-    "bingham_loss_kind": (
-        str,
-        lambda v: v in bingham.BINGHAM_LOSS_KINDS,
-        f"one of {bingham.BINGHAM_LOSS_KINDS}",
-    ),
-}
-
-
-def load_config(path: str | None) -> RunConfig:
+def load_config(path: str | None) -> ToyTaskConfig:
     """Parse and validate a config file; unknown keys and bad values fail fast."""
-    config = RunConfig()
     if path is None:
-        return config
+        return ToyTaskConfig()
     try:
         with open(path, "r") as handle:
             raw = json.load(handle)
@@ -109,28 +83,23 @@ def load_config(path: str | None) -> RunConfig:
         raise InvalidInputError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InvalidInputError("config root must be a JSON object")
-    for key, value in raw.items():
-        if key not in _CONFIG_FIELDS:
+    known = {f.name for f in dataclasses.fields(ToyTaskConfig)}
+    for key in raw:
+        if key not in known:
             raise InvalidInputError(f"unknown config key {key!r}")
-        types, check, hint = _CONFIG_FIELDS[key]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise InvalidInputError(f"config field {key!r} has wrong type {type(value).__name__}")
-        if not check(value):
-            raise InvalidInputError(f"config field {key!r} must be {hint}, got {value!r}")
-        setattr(config, key, value)
-    return config
+    try:
+        return ToyTaskConfig(**raw)
+    except InvalidArgumentError as exc:
+        raise InvalidInputError(f"config field {exc}") from exc
 
 
-def _apply_overrides(config: RunConfig, args) -> RunConfig:
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    if getattr(args, "k", None) is not None:
-        if args.k < 1:
-            raise InvalidArgumentError("--k must be >= 1")
-        config.k = args.k
-    if getattr(args, "mask", None) is not None:
-        config.descriptor_mask = args.mask
-    return config
+def _apply_overrides(config: ToyTaskConfig, args) -> ToyTaskConfig:
+    overrides = {
+        "seed": getattr(args, "seed", None),
+        "k": getattr(args, "k", None),
+        "descriptor_mask": getattr(args, "mask", None),
+    }
+    return dataclasses.replace(config, **{n: v for n, v in overrides.items() if v is not None})
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -206,13 +175,8 @@ def cmd_features(args) -> int:
 
 def _rotate_field_inputs(cloud, frames, shadow, rotation):
     m = rotation.matrix
-    cloud_r = PointCloud(
-        points=cloud.points @ m,
-        normals=None if cloud.normals is None else cloud.normals @ m,
-    )
-    frames_r = frames @ m
     shadow_r = ShadowCloud(points=shadow.points @ m, frames=shadow.frames @ m, rotation=shadow.rotation)
-    return cloud_r, frames_r, shadow_r
+    return apply_rotation(cloud, rotation), frames @ m, shadow_r
 
 
 def cmd_verify_invariance(args) -> int:
@@ -260,7 +224,7 @@ def cmd_verify_invariance(args) -> int:
     return EXIT_OK if passed else EXIT_INVARIANCE
 
 
-def _bingham_seed_from_args(args, config: RunConfig):
+def _bingham_seed_from_args(args, config: ToyTaskConfig):
     if (args.z1 is None) != (args.z2 is None):
         raise InvalidArgumentError("--z1 and --z2 must be given together")
     if args.z1 is not None:
@@ -309,24 +273,14 @@ def cmd_bingham(args) -> int:
     return EXIT_OK
 
 
-def _run_toy(config: RunConfig, mask: str):
+def _run_toy(config: ToyTaskConfig, mask: str):
     dataset = make_wingtip_dataset(
         n_clouds=DEFAULT_N_CLOUDS,
         points_per_cloud=DEFAULT_POINTS_PER_CLOUD,
         noise_sigma=0.0,
         seed=config.seed + _DATASET_SEED_OFFSET,
     )
-    toy = ToyTaskConfig(
-        epochs=config.epochs,
-        learning_rate=config.learning_rate,
-        k=config.k,
-        delta=config.delta,
-        descriptor_mask=mask,
-        seed=config.seed,
-        bingham_loss_kind=config.bingham_loss_kind,
-        quadrature_order=config.quadrature_order,
-    )
-    return train_toy(dataset, toy)
+    return train_toy(dataset, dataclasses.replace(config, descriptor_mask=mask))
 
 
 def cmd_demo_wingtip(args) -> int:
@@ -414,7 +368,6 @@ def _build_parser() -> argparse.ArgumentParser:
         bp = bsub.add_parser(name, help=help_text)
         bp.add_argument("--config", default=None)
         bp.add_argument("--seed", type=int, default=None)
-        bp.add_argument("--k", type=int, default=None, help=argparse.SUPPRESS)
         bp.add_argument("--z1", default=None, help="explicit 4-dim seed a,b,c,d")
         bp.add_argument("--z2", default=None, help="explicit 3-dim seed a,b,c")
         bp.add_argument("--out", default=None)

@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import CoincidentPointError, InvalidArgumentError, InvalidInputError
 from .geometry import NeighborGraph, PointCloud, Rotation3
-from .lrf import frame_axes
 
 __all__ = [
     "MASK_SIPF",
@@ -37,11 +36,7 @@ __all__ = [
     "B2_DISTANCE_THRESHOLD_RAD",
     "COINCIDENT_DISTANCE_FLOOR",
     "ShadowCloud",
-    "ppf",
     "shadow_of",
-    "sippf",
-    "sipf",
-    "sipf_stack",
     "sipf_field",
     "detect_axis_alignment",
     "detect_local_coincidence",
@@ -99,82 +94,6 @@ def shadow_of(cloud: PointCloud, frames: np.ndarray, rotation: Rotation3) -> Sha
         )
     m = rotation.matrix
     return ShadowCloud(points=cloud.points @ m, frames=frames @ m, rotation=rotation)
-
-
-def ppf(p_r, frame_r, p_j, frame_j) -> np.ndarray:
-    """4-vector (distance, three angle cosines) for one directed pair."""
-    p_r = np.asarray(p_r, dtype=np.float64)
-    p_j = np.asarray(p_j, dtype=np.float64)
-    a_r = frame_axes(frame_r)[0]
-    a_j = frame_axes(frame_j)[0]
-    d = p_j - p_r
-    norm = np.linalg.norm(d)
-    if norm < _COINCIDENT_TOL:
-        raise CoincidentPointError(f"pair distance {norm:.3e} below tolerance")
-    dhat = d / norm
-    return np.array(
-        [
-            norm,
-            np.clip(a_r @ dhat, -1.0, 1.0),
-            np.clip(a_j @ dhat, -1.0, 1.0),
-            np.clip(a_r @ a_j, -1.0, 1.0),
-        ]
-    )
-
-
-def sippf(p_r, frame_r, p_j, frame_j, shadow_point, shadow_frame) -> np.ndarray:
-    """Unit direction of the pair-feature difference against the shadow.
-
-    Returns the exact zero vector when the difference norm is below 1e-12;
-    this configuration is reachable (shadow on the primary axis) and carries
-    no directional information.
-    """
-    diff = ppf(p_r, frame_r, shadow_point, shadow_frame) - ppf(
-        p_j, frame_j, shadow_point, shadow_frame
-    )
-    norm = np.linalg.norm(diff)
-    if norm < _ZERO_DIFF_TOL:
-        return np.zeros(4)
-    return diff / norm
-
-
-def sipf(p_r, frame_r, p_j, frame_j, shadow_point, shadow_frame) -> np.ndarray:
-    """8-vector: plain pair block followed by the shadow-informed block."""
-    return np.concatenate(
-        [
-            ppf(p_r, frame_r, p_j, frame_j),
-            sippf(p_r, frame_r, p_j, frame_j, shadow_point, shadow_frame),
-        ]
-    )
-
-
-def sipf_stack(
-    cloud: PointCloud,
-    frames: np.ndarray,
-    graph: NeighborGraph,
-    shadow: ShadowCloud,
-    r: int,
-) -> np.ndarray:
-    """k x 8 descriptor stack for reference point r, rows in graph order."""
-    if not 0 <= r < len(cloud):
-        raise InvalidArgumentError(f"reference index {r} out of range")
-    frames = np.asarray(frames, dtype=np.float64)
-    rows = []
-    for j in graph.indices[r]:
-        try:
-            rows.append(
-                sipf(
-                    cloud.points[r],
-                    frames[r],
-                    cloud.points[j],
-                    frames[j],
-                    shadow.points[r],
-                    shadow.frames[r],
-                )
-            )
-        except CoincidentPointError as exc:
-            raise CoincidentPointError(f"pair ({r}, {int(j)}): {exc}") from exc
-    return np.stack(rows)
 
 
 def _ppf_rows(p_r, a_r, p_j, a_j):
@@ -257,17 +176,19 @@ def detect_axis_alignment(p_r, frame_r, shadow_point, shadow_frame):
     """
     p_r = np.asarray(p_r, dtype=np.float64)
     shadow_point = np.asarray(shadow_point, dtype=np.float64)
-    if p_r.ndim == 1:
-        a_r = frame_axes(frame_r)[0]
-        a_s = frame_axes(shadow_frame)[0]
-    else:
-        a_r = np.asarray(frame_r, dtype=np.float64)[..., 0, :]
-        a_s = np.asarray(shadow_frame, dtype=np.float64)[..., 0, :]
-    if not (p_r.shape == shadow_point.shape == a_r.shape == a_s.shape and p_r.shape[-1] == 3):
+    frame_r = np.asarray(frame_r, dtype=np.float64)
+    shadow_frame = np.asarray(shadow_frame, dtype=np.float64)
+    if not (
+        p_r.shape == shadow_point.shape
+        and p_r.shape[-1:] == (3,)
+        and frame_r.shape == shadow_frame.shape == p_r.shape + (3,)
+    ):
         raise InvalidInputError(
-            f"points {p_r.shape} and {shadow_point.shape} do not match frames "
-            f"with primary axes {a_r.shape} and {a_s.shape}"
+            f"points {p_r.shape} and {shadow_point.shape} do not match "
+            f"frames {frame_r.shape} and {shadow_frame.shape}"
         )
+    a_r = frame_r[..., 0, :]
+    a_s = shadow_frame[..., 0, :]
     d = shadow_point - p_r
     norm = np.sqrt(_row_dot(d, d))
     if np.any(norm < _COINCIDENT_TOL):

@@ -62,16 +62,6 @@ class LocalFrame:
         return self.axes[0]
 
 
-def frame_axes(frame) -> np.ndarray:
-    """Coerce a LocalFrame or raw 3x3 row-stack to an ndarray of axes."""
-    if isinstance(frame, LocalFrame):
-        return frame.axes
-    a = np.asarray(frame, dtype=np.float64)
-    if a.shape != (3, 3):
-        raise InvalidInputError(f"frame must be 3x3, got {a.shape}")
-    return a
-
-
 def barycenter_axis(cloud: PointCloud, graph: NeighborGraph, i: int) -> np.ndarray:
     """Vector from point i to the barycenter of its k neighbors."""
     if not 0 <= i < len(cloud):

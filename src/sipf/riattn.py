@@ -26,20 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .descriptors import MASK_SIPF, ShadowCloud, sipf_field
 from .errors import InvalidArgumentError, NumericError
-from .geometry import NeighborGraph, PointCloud
 
 __all__ = [
     "LEAKY_SLOPE",
     "RIAttnLayer",
-    "LayerGradients",
     "LayerActivation",
-    "kernel_weights",
-    "ri_attention",
-    "reversed_edgeconv",
     "layer_forward",
-    "riattnconv_forward",
     "backward",
     "total_loss",
     "total_loss_gradients",
@@ -107,26 +100,6 @@ class RIAttnLayer:
 
 
 @dataclass
-class LayerGradients:
-    mlp_w1: np.ndarray
-    mlp_b1: np.ndarray
-    mlp_w2: np.ndarray
-    mlp_b2: np.ndarray
-    fuse_w: np.ndarray
-    fuse_b: np.ndarray
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        return {
-            "mlp_w1": self.mlp_w1,
-            "mlp_b1": self.mlp_b1,
-            "mlp_w2": self.mlp_w2,
-            "mlp_b2": self.mlp_b2,
-            "fuse_w": self.fuse_w,
-            "fuse_b": self.fuse_b,
-        }
-
-
-@dataclass
 class LayerActivation:
     """Everything the backward pass needs, batched over reference points."""
 
@@ -168,71 +141,6 @@ def _rows(a):
     return a.reshape(-1, a.shape[-1])
 
 
-def _kernel_mlp(p, layer):
-    """Pre-activation, hidden layer and kernel weights for an (N, k, 8) pose stack."""
-    n, k, _ = p.shape
-    pre = _rows(p) @ layer.mlp_w1
-    pre += layer.mlp_b1
-    hidden = _leaky(pre)
-    kernel = hidden @ layer.mlp_w2
-    kernel += layer.mlp_b2
-    h, c = layer.mlp_w2.shape
-    return pre.reshape(n, k, h), hidden.reshape(n, k, h), kernel.reshape(n, k, c)
-
-
-def _attend(kernel, xn):
-    """Row-stochastic attention, values and attended output, batched over reference rows."""
-    scores = kernel @ xn.transpose(0, 2, 1)
-    scores /= np.sqrt(kernel.shape[-1])
-    if not np.all(np.isfinite(scores)):
-        bad = int(np.nonzero(~np.isfinite(scores).all(axis=(1, 2)))[0][0])
-        raise NumericError(f"non-finite attention scores at reference row {bad}")
-    attn = _softmax_rows(scores)
-    values = kernel * xn
-    return attn, values, attn @ values
-
-
-def _ensure_batched(arr, ndim, name):
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim == ndim:
-        return arr[None, ...], True
-    if arr.ndim == ndim + 1:
-        return arr, False
-    raise InvalidArgumentError(f"{name} must have {ndim} or {ndim + 1} dims, got {arr.ndim}")
-
-
-def kernel_weights(pose_stack, layer: RIAttnLayer) -> np.ndarray:
-    """Kernel MLP applied per descriptor row; accepts (k, 8) or (N, k, 8)."""
-    p, squeeze = _ensure_batched(pose_stack, 2, "pose_stack")
-    if p.shape[-1] != 8:
-        raise InvalidArgumentError(f"pose stack rows must be 8-dim, got {p.shape[-1]}")
-    out = _kernel_mlp(p, layer)[2]
-    return out[0] if squeeze else out
-
-
-def ri_attention(kernel, neighbor_features) -> np.ndarray:
-    """Scaled dot-product attention with Q = kernel, K = features, V = kernel * features."""
-    w, squeeze = _ensure_batched(kernel, 2, "kernel")
-    x, _ = _ensure_batched(neighbor_features, 2, "neighbor_features")
-    if w.shape != x.shape:
-        raise InvalidArgumentError(f"kernel shape {w.shape} != features shape {x.shape}")
-    out = _attend(w, x)[2]
-    return out[0] if squeeze else out
-
-
-def reversed_edgeconv(attn_out, x_r, layer: RIAttnLayer) -> np.ndarray:
-    """Columnwise max over neighbors, then fuse (x_hat - x_r) ++ x_r."""
-    o, squeeze = _ensure_batched(attn_out, 2, "attn_out")
-    x = np.asarray(x_r, dtype=np.float64)
-    if squeeze:
-        x = x[None, :]
-    if x.shape != (o.shape[0], o.shape[2]):
-        raise InvalidArgumentError(f"x_r shape {x.shape} incompatible with attn_out {o.shape}")
-    x_hat = o.max(axis=1)
-    fused = np.concatenate([x_hat - x, x], axis=1) @ layer.fuse_w + layer.fuse_b
-    return fused[0] if squeeze else fused
-
-
 def layer_forward(
     layer: RIAttnLayer,
     pose_field: np.ndarray,
@@ -253,8 +161,25 @@ def layer_forward(
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise InvalidArgumentError(f"neighbor_idx entries must lie in [0, {n})")
     xn = x[idx]
-    mlp_pre, hidden, kernel = _kernel_mlp(p, layer)
-    attn, values, attn_out = _attend(kernel, xn)
+    # Kernel MLP as flat GEMMs over all (reference, slot) rows, biases added in place.
+    h = layer.mlp_w1.shape[1]
+    mlp_pre = _rows(p) @ layer.mlp_w1
+    mlp_pre += layer.mlp_b1
+    hidden = _leaky(mlp_pre)
+    kernel = hidden @ layer.mlp_w2
+    kernel += layer.mlp_b2
+    mlp_pre = mlp_pre.reshape(n, k, h)
+    hidden = hidden.reshape(n, k, h)
+    kernel = kernel.reshape(n, k, layer.c_in)
+    # Attention, batched over reference rows.
+    scores = kernel @ xn.transpose(0, 2, 1)
+    scores /= np.sqrt(layer.c_in)
+    if not np.all(np.isfinite(scores)):
+        bad = int(np.nonzero(~np.isfinite(scores).all(axis=(1, 2)))[0][0])
+        raise NumericError(f"non-finite attention scores at reference row {bad}")
+    attn = _softmax_rows(scores)
+    values = kernel * xn
+    attn_out = attn @ values
     argmax = attn_out.argmax(axis=1)
     x_hat = np.take_along_axis(attn_out, argmax[:, None, :], axis=1)[:, 0, :]
     fused_input = np.concatenate([x_hat - x, x], axis=1)
@@ -278,25 +203,11 @@ def layer_forward(
     return out, act
 
 
-def riattnconv_forward(
-    cloud: PointCloud,
-    frames: np.ndarray,
-    graph: NeighborGraph,
-    shadow: ShadowCloud,
-    features: np.ndarray,
-    layer: RIAttnLayer,
-    mask: str = MASK_SIPF,
-) -> np.ndarray:
-    """Descriptor extraction plus one attention-convolution pass."""
-    pose = sipf_field(cloud, frames, graph, shadow, mask=mask)
-    out, _ = layer_forward(layer, pose, features, graph.indices)
-    return out
-
-
 def backward(
     layer: RIAttnLayer, d_output: np.ndarray, act: LayerActivation
-) -> tuple[LayerGradients, np.ndarray]:
-    """Parameter gradients and input-feature gradients for one recorded pass.
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Parameter gradients, keyed like ``layer.parameters()``, and input-feature
+    gradients for one recorded pass.
 
     The feature gradient sums, for each point, the neighbor-row gradients of
     every reference row that lists it as a neighbor.  Each channel is one
@@ -338,14 +249,14 @@ def backward(
     d_xn = _rows(d_xn)
     for ch in range(c):
         d_x[:, ch] += np.bincount(nbr, weights=d_xn[:, ch], minlength=n)
-    grads = LayerGradients(
-        mlp_w1=g_mlp_w1,
-        mlp_b1=g_mlp_b1,
-        mlp_w2=g_mlp_w2,
-        mlp_b2=g_mlp_b2,
-        fuse_w=g_fuse_w,
-        fuse_b=g_fuse_b,
-    )
+    grads = {
+        "mlp_w1": g_mlp_w1,
+        "mlp_b1": g_mlp_b1,
+        "mlp_w2": g_mlp_w2,
+        "mlp_b2": g_mlp_b2,
+        "fuse_w": g_fuse_w,
+        "fuse_b": g_fuse_b,
+    }
     return grads, d_x
 
 

@@ -22,6 +22,7 @@ shadow-relative distances pairwise equal.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,7 @@ __all__ = [
 
 # Trainer-internal defaults for the wing-tip demonstration.
 DEFAULT_HIDDEN_DIM = 16
+DEFAULT_BATCH_SIZE = 2
 DEFAULT_N_CLOUDS = 4
 DEFAULT_POINTS_PER_CLOUD = 64
 WING_FRACTION = 0.75
@@ -70,55 +72,55 @@ _IDENTITY_GUARD_TOL = 1e-9
 _IDENTITY_PERTURB = 1e-3
 
 
-@dataclass
-class ToyTaskConfig:
-    """Knobs of the toy training run; defaults mirror the demo configuration.
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
-    ``lr_schedule`` offers the cosine decay used by full-scale training as an
-    option; the toy default stays constant so determinism bugs are easier to
-    bisect.  ``dropout`` is a placeholder and only 0.0 is accepted.
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+# field -> (accepts the value, requirement named in the error)
+_CONFIG_RULES = {
+    "epochs": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "learning_rate": (lambda v: _is_real(v) and v > 0, "a number > 0"),
+    "k": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "delta": (lambda v: _is_real(v) and v >= 0, "a number >= 0"),
+    "descriptor_mask": (lambda v: v in DESCRIPTOR_MASKS, f"one of {DESCRIPTOR_MASKS}"),
+    "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "bingham_loss_kind": (
+        lambda v: v in bingham.BINGHAM_LOSS_KINDS,
+        f"one of {bingham.BINGHAM_LOSS_KINDS}",
+    ),
+    "quadrature_order": (
+        lambda v: _is_int(v) and v >= bingham.MIN_QUADRATURE_ORDER,
+        f"an integer >= {bingham.MIN_QUADRATURE_ORDER}",
+    ),
+}
+
+
+@dataclass(frozen=True)
+class ToyTaskConfig:
+    """The run configuration shared by the library and the CLI; defaults mirror the demo.
+
+    Its fields are exactly the keys of the JSON config file.  Every value is
+    checked on construction, ``dataclasses.replace`` included.
     """
 
     epochs: int = 200
     learning_rate: float = 0.15
-    batch_size: int = 2
     k: int = 20
     delta: float = 0.8
     descriptor_mask: str = MASK_SIPF
     seed: int = 0
-    hidden_dim: int = DEFAULT_HIDDEN_DIM
     bingham_loss_kind: str = bingham.LOSS_ENTROPY
     quadrature_order: int = bingham.DEFAULT_QUADRATURE_ORDER
-    lr_schedule: str = "constant"
-    dropout: float = 0.0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise InvalidArgumentError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise InvalidArgumentError("learning_rate must be positive")
-        if self.batch_size < 1:
-            raise InvalidArgumentError("batch_size must be >= 1")
-        if self.k < 1:
-            raise InvalidArgumentError("k must be >= 1")
-        if self.delta < 0:
-            raise InvalidArgumentError("delta must be >= 0")
-        if self.descriptor_mask not in DESCRIPTOR_MASKS:
-            raise InvalidArgumentError(f"unknown descriptor mask {self.descriptor_mask!r}")
-        if self.hidden_dim < 1:
-            raise InvalidArgumentError("hidden_dim must be >= 1")
-        if self.bingham_loss_kind not in bingham.BINGHAM_LOSS_KINDS:
-            raise InvalidArgumentError(f"unknown bingham loss kind {self.bingham_loss_kind!r}")
-        if self.lr_schedule not in ("constant", "cosine"):
-            raise InvalidArgumentError(f"unknown lr schedule {self.lr_schedule!r}")
-        if self.dropout != 0.0:
-            raise InvalidArgumentError("dropout is a placeholder; only 0.0 is supported")
-
-    def epoch_learning_rate(self, epoch: int) -> float:
-        """Learning rate for a 1-based epoch under the configured schedule."""
-        if self.lr_schedule == "constant":
-            return self.learning_rate
-        return self.learning_rate * 0.5 * (1.0 + np.cos(np.pi * (epoch - 1) / self.epochs))
+        for name, (accepts, requirement) in _CONFIG_RULES.items():
+            value = getattr(self, name)
+            if not accepts(value):
+                raise InvalidArgumentError(f"{name} must be {requirement}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -246,6 +248,24 @@ def _forward_cloud(layers, head, pose, feats, idx, labels):
     return loss, acc, acts, g_w, g_b, d_feats
 
 
+def _cloud_gradients(layers, acts, g_w, g_b, d_feats):
+    """Every parameter gradient of one cloud, keyed like :func:`_named_parameters`."""
+    grads = {"head.weight": g_w, "head.bias": g_b}
+    d_x = d_feats
+    for i in reversed(range(len(layers))):
+        layer_grads, d_x = backward(layers[i], d_x, acts[i])
+        grads.update((f"layer{i}.{name}", g) for name, g in layer_grads.items())
+    return grads
+
+
+def _named_parameters(layers, head):
+    """The head and layer parameter arrays under one name each; updates act in place."""
+    params = {"head.weight": head.weight, "head.bias": head.bias}
+    for i, layer in enumerate(layers):
+        params.update((f"layer{i}.{name}", p) for name, p in layer.parameters().items())
+    return params
+
+
 def _sample_rotation(seed_z1, seed_z2, rng):
     params = bingham.BinghamParams(V=bingham.birdal_V(seed_z1), lambdas=bingham.lambda_from(seed_z2))
     q = bingham.sample(params, rng, 1)[0]
@@ -272,9 +292,10 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
     feats0 = [input_descriptor(c, f) for c, f in zip(clouds, frames)]
 
     c_in = 3
-    hid = config.hidden_dim
+    hid = DEFAULT_HIDDEN_DIM
     layers = [RIAttnLayer.init(c_in, hid, rng), RIAttnLayer.init(hid, hid, rng)]
     head = ClassifierHead.init(hid, rng)
+    params = _named_parameters(layers, head)
 
     z1 = rng.standard_normal(4)
     z2 = _Z2_INIT_LOC + _Z2_INIT_SCALE * rng.standard_normal(3)
@@ -296,11 +317,11 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
             for c, f, g, s in zip(clouds, frames, graphs, shadows)
         ]
 
-        for start in range(0, len(clouds), config.batch_size):
-            batch = order[start : start + config.batch_size]
+        for start in range(0, len(clouds), DEFAULT_BATCH_SIZE):
+            batch = order[start : start + DEFAULT_BATCH_SIZE]
             batch_loss = 0.0
             batch_points = 0
-            grad_sum = None
+            grad_sum = {}
             for ci in batch:
                 loss, _, acts, g_w, g_b, d_feats = _forward_cloud(
                     layers, head, fields[ci], feats0[ci], graphs[ci].indices, labels[ci]
@@ -308,21 +329,12 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
                 weight = len(labels[ci])
                 batch_loss += loss * weight
                 batch_points += weight
-                layer_grads = []
-                d_x = d_feats
-                for layer, act in zip(reversed(layers), reversed(acts)):
-                    grads, d_x = backward(layer, d_x, act)
-                    layer_grads.append(grads)
-                layer_grads.reverse()
-                flat = [g_w, g_b]
-                for grads in layer_grads:
-                    flat.extend(grads.as_dict().values())
-                flat = [g * weight for g in flat]
-                grad_sum = flat if grad_sum is None else [a + b for a, b in zip(grad_sum, flat)]
+                for name, g in _cloud_gradients(layers, acts, g_w, g_b, d_feats).items():
+                    g = g * weight
+                    grad_sum[name] = grad_sum[name] + g if name in grad_sum else g
             task_loss = batch_loss / batch_points
             if not np.isfinite(task_loss):
                 raise NumericError(f"non-finite task loss at epoch {epoch}, batch {start}")
-            grad_sum = [g / batch_points for g in grad_sum]
 
             seed_now = bingham.BinghamSeed(z1, z2)
             b_loss, _, d_z2 = bingham.bingham_loss_and_seed_gradient(
@@ -330,15 +342,9 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
             )
             d_task, d_bingham = total_loss_gradients(task_loss, b_loss, config.delta)
 
-            lr = config.epoch_learning_rate(epoch)
-            head.weight -= lr * d_task * grad_sum[0]
-            head.bias -= lr * d_task * grad_sum[1]
-            pos = 2
-            for layer in layers:
-                params = layer.parameters()
-                for name in params:
-                    params[name] -= lr * d_task * grad_sum[pos]
-                    pos += 1
+            lr = config.learning_rate
+            for name, p in params.items():
+                p -= lr * d_task * (grad_sum[name] / batch_points)
             z2 = z2 - lr * d_bingham * d_z2
 
         # Epoch metrics on the full dataset with the epoch's rotation.

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from sipf.descriptors import COINCIDENT_DISTANCE_FLOOR
-from sipf.errors import CoincidentPointError
-from sipf.geometry import PointCloud, random_rotation
+from sipf.descriptors import COINCIDENT_DISTANCE_FLOOR, MASK_SIPF, ShadowCloud, sipf_field
+from sipf.errors import CoincidentPointError, InvalidArgumentError
+from sipf.geometry import NeighborGraph, PointCloud, Rotation3, random_rotation
 
 
 def brute_force_knn(points: np.ndarray, k: int) -> np.ndarray:
@@ -26,6 +26,106 @@ def scalar_axis_alignment(p_r, frame_r, shadow_point, shadow_frame) -> float:
     if norm < COINCIDENT_DISTANCE_FLOOR:
         raise CoincidentPointError("shadow coincides with the point")
     return min(1.0, abs(float(a_r @ d)) / norm) * min(1.0, abs(float(a_r @ a_s)))
+
+
+# One-pair oracles of the descriptor that sipf_field computes for a whole cloud.
+
+
+def ppf(p_r, frame_r, p_j, frame_j) -> np.ndarray:
+    """4-vector (distance, three angle cosines) for one directed pair."""
+    p_r = np.asarray(p_r, dtype=np.float64)
+    p_j = np.asarray(p_j, dtype=np.float64)
+    a_r = np.asarray(frame_r, dtype=np.float64)[0]
+    a_j = np.asarray(frame_j, dtype=np.float64)[0]
+    d = p_j - p_r
+    norm = np.linalg.norm(d)
+    if norm < COINCIDENT_DISTANCE_FLOOR:
+        raise CoincidentPointError(f"pair distance {norm:.3e} below tolerance")
+    dhat = d / norm
+    return np.array(
+        [
+            norm,
+            np.clip(a_r @ dhat, -1.0, 1.0),
+            np.clip(a_j @ dhat, -1.0, 1.0),
+            np.clip(a_r @ a_j, -1.0, 1.0),
+        ]
+    )
+
+
+def sippf(p_r, frame_r, p_j, frame_j, shadow_point, shadow_frame) -> np.ndarray:
+    """Unit direction of the pair-feature difference against the shadow.
+
+    Returns the exact zero vector when the difference norm is below 1e-12;
+    this configuration is reachable (shadow on the primary axis) and carries
+    no directional information.
+    """
+    diff = ppf(p_r, frame_r, shadow_point, shadow_frame) - ppf(
+        p_j, frame_j, shadow_point, shadow_frame
+    )
+    norm = np.linalg.norm(diff)
+    if norm < 1e-12:
+        return np.zeros(4)
+    return diff / norm
+
+
+def sipf(p_r, frame_r, p_j, frame_j, shadow_point, shadow_frame) -> np.ndarray:
+    """8-vector: plain pair block followed by the shadow-informed block."""
+    return np.concatenate(
+        [
+            ppf(p_r, frame_r, p_j, frame_j),
+            sippf(p_r, frame_r, p_j, frame_j, shadow_point, shadow_frame),
+        ]
+    )
+
+
+def sipf_stack(
+    cloud: PointCloud,
+    frames: np.ndarray,
+    graph: NeighborGraph,
+    shadow: ShadowCloud,
+    r: int,
+) -> np.ndarray:
+    """k x 8 descriptor stack for reference point r, rows in graph order."""
+    if not 0 <= r < len(cloud):
+        raise InvalidArgumentError(f"reference index {r} out of range")
+    frames = np.asarray(frames, dtype=np.float64)
+    rows = []
+    for j in graph.indices[r]:
+        try:
+            rows.append(
+                sipf(
+                    cloud.points[r],
+                    frames[r],
+                    cloud.points[j],
+                    frames[j],
+                    shadow.points[r],
+                    shadow.frames[r],
+                )
+            )
+        except CoincidentPointError as exc:
+            raise CoincidentPointError(f"pair ({r}, {int(j)}): {exc}") from exc
+    return np.stack(rows)
+
+
+def pair_rows(p_r, frame_r, neighbors, shadow_point, shadow_frame, mask=MASK_SIPF) -> np.ndarray:
+    """Production descriptor rows of one reference point against chosen neighbors.
+
+    Runs ``sipf_field`` on the cloud (p_r, *neighbor points) with row 0
+    listing the neighbors in order and every other row marked invalid, so
+    only the reference row is computed.  The shadow point and frame are free
+    inputs, not the image of p_r under a rotation.
+    """
+    points = np.array([p_r, *(p for p, _ in neighbors)], dtype=np.float64)
+    frames = np.array([frame_r, *(f for _, f in neighbors)], dtype=np.float64)
+    n, k = len(points), len(neighbors)
+    graph = NeighborGraph(k=k, indices=[list(range(1, n))] + [[0] * k] * k)
+    shadow = ShadowCloud(
+        points=np.tile(np.asarray(shadow_point, dtype=np.float64), (n, 1)),
+        frames=np.tile(np.asarray(shadow_frame, dtype=np.float64), (n, 1, 1)),
+        rotation=Rotation3(np.eye(3)),
+    )
+    valid = np.arange(n) == 0
+    return sipf_field(PointCloud(points=points), frames, graph, shadow, mask=mask, valid=valid)[0]
 
 
 def random_cloud(rng: np.random.Generator, n: int, with_normals: bool = False) -> PointCloud:

@@ -10,21 +10,14 @@ import time
 import numpy as np
 
 from sipf import bingham
-from sipf.cli import RunConfig, load_config, main
-from sipf.descriptors import (
-    MASK_SIPF,
-    ShadowCloud,
-    ppf,
-    shadow_of,
-    sipf,
-    sipf_field,
-    sippf,
-)
+from sipf.cli import load_config, main
+from sipf.descriptors import MASK_SIPF, ShadowCloud, shadow_of, sipf_field
 from sipf.geometry import PointCloud, Rotation3, knn_graph, random_rotation
 from sipf.lrf import FRAME_MODE_BARYCENTER, build_all_lrfs, build_lrf, input_descriptor
 from sipf.riattn import RIAttnLayer, layer_forward, total_loss
+from sipf.training import ToyTaskConfig
 
-from conftest import mirrored_blob_cloud, random_cloud, random_frames
+from conftest import mirrored_blob_cloud, pair_rows, random_cloud, random_frames
 from test_descriptors import circle_ambiguous_pair
 from test_riattn import run_gradcheck
 
@@ -80,11 +73,10 @@ class TestCriterion1RotationInvariance:
 class TestCriterion2CircleAmbiguity:
     def test_equal_ppf_separated_sipf(self):
         p_r, f_r, p_j, f_j, p_j2, f_j2, _ = circle_ambiguous_pair()
-        ppf_gap = np.abs(ppf(p_r, f_r, p_j, f_j) - ppf(p_r, f_r, p_j2, f_j2)).max()
         shadow_p = p_r + np.array([0.4, -0.7, 0.25])
         shadow_f = build_lrf([-0.3, 0.8, 0.52], [1.0, 0.0, 0.0]).axes
-        a = sipf(p_r, f_r, p_j, f_j, shadow_p, shadow_f)
-        b = sipf(p_r, f_r, p_j2, f_j2, shadow_p, shadow_f)
+        a, b = pair_rows(p_r, f_r, [(p_j, f_j), (p_j2, f_j2)], shadow_p, shadow_f)
+        ppf_gap = np.abs(a[:4] - b[:4]).max()
         separation = np.linalg.norm(a - b)
         assert ppf_gap < 1e-12
         assert separation > 1e-3
@@ -95,9 +87,8 @@ class TestCriterion3DegeneracyRegressions:
     def test_b1_axis_alignment_collapse(self):
         p_r, f_r, p_j, f_j, p_j2, f_j2, axis = circle_ambiguous_pair()
         shadow_p = p_r + 0.6 * axis
-        a = sippf(p_r, f_r, p_j, f_j, shadow_p, f_r)
-        b = sippf(p_r, f_r, p_j2, f_j2, shadow_p, f_r)
-        separation = np.linalg.norm(a - b)
+        a, b = pair_rows(p_r, f_r, [(p_j, f_j), (p_j2, f_j2)], shadow_p, f_r)
+        separation = np.linalg.norm(a[4:] - b[4:])
         assert separation < 1e-6
         _report(3, "B.1 shadow-axis alignment", f"shadow-block separation {separation:.2e}")
 
@@ -212,7 +203,7 @@ class TestCriterion8LossIdentity:
             for delta in np.linspace(0.0, 2.0, 21):
                 worst = max(worst, abs(total_loss(t, 0.1 * t, delta) - t))
         assert worst <= 2.1e-6  # the 1e-12 smoothing floor contributes delta * 1e-6
-        assert RunConfig().delta == 0.8
+        assert ToyTaskConfig().delta == 0.8
         config_path = tmp_path / "config.json"
         config_path.write_text('{"delta": 0.8}')
         assert load_config(str(config_path)).delta == 0.8

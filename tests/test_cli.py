@@ -8,11 +8,13 @@ from sipf.cli import (
     EXIT_INVARIANCE,
     EXIT_OK,
     EXIT_VALIDATION,
-    RunConfig,
     load_config,
     main,
 )
 from sipf.errors import InvalidInputError
+from sipf.training import ToyTaskConfig
+
+from conftest import sipf_stack
 
 # SHA-256 of the features CSV for the grid in test_golden_csv_bytes.
 GOLDEN_FEATURES_SHA256 = "5cd1c552c9fde81cbd41f4c3de3d75e19c34499a944eacad7690c5cb30eb601f"
@@ -36,7 +38,7 @@ def fast_config(tmp_path):
 
 class TestConfig:
     def test_defaults(self):
-        config = RunConfig()
+        config = ToyTaskConfig()
         assert config.k == 20
         assert config.delta == 0.8
         assert config.descriptor_mask == "sipf"
@@ -62,6 +64,20 @@ class TestConfig:
         with pytest.raises(InvalidInputError):
             load_config(str(path))
 
+    def test_negative_seed_flag_is_a_validation_error(self, cloud_file, capsys):
+        assert main(["features", "--input", cloud_file, "--seed", "-1"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be")
+        assert "Traceback" not in err
+
+    def test_negative_config_seed_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text('{"seed": -3}')
+        with pytest.raises(InvalidInputError):
+            load_config(str(path))
+        assert main(["bingham", "mode", "--config", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: config field seed must be")
+
     def test_bad_json_exit_code(self, tmp_path, cloud_file, capsys):
         path = tmp_path / "c.json"
         path.write_text("{nope")
@@ -82,7 +98,7 @@ class TestFeatures:
 
         from sipf.cli import _seeded_shadow_rotation
         from sipf.cloudio import load_cloud
-        from sipf.descriptors import shadow_of, sipf_field, sipf_stack
+        from sipf.descriptors import shadow_of, sipf_field
         from sipf.geometry import knn_graph
         from sipf.lrf import FRAME_MODE_BARYCENTER, build_all_lrfs
 
@@ -248,6 +264,13 @@ class TestBingham:
 
     def test_lonely_z1_invalid(self):
         assert main(["bingham", "mode", "--z1", "1,0,0,0"]) == EXIT_VALIDATION
+
+    def test_k_flag_is_a_usage_error(self, capsys):
+        # The bingham commands build no neighbor graph, so they take no --k.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bingham", "mode", "--k", "5"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --k 5" in capsys.readouterr().err
 
     def test_numeric_failure_exit_code(self, capsys):
         # Concentration so extreme the quadrature underflows to zero mass.

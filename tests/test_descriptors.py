@@ -9,12 +9,8 @@ from sipf.descriptors import (
     MASK_SIPF_NO_DIRECTION,
     detect_axis_alignment,
     detect_local_coincidence,
-    ppf,
     shadow_of,
-    sipf,
     sipf_field,
-    sipf_stack,
-    sippf,
 )
 from sipf.errors import CoincidentPointError, InvalidArgumentError, InvalidInputError
 from sipf.geometry import (
@@ -30,7 +26,17 @@ from sipf.geometry import (
 from sipf.lrf import FRAME_MODE_BARYCENTER, build_all_lrfs, build_lrf
 from sipf.training import make_wingtip_dataset
 
-from conftest import mirrored_blob_cloud, random_cloud, random_frames, scalar_axis_alignment
+from conftest import (
+    mirrored_blob_cloud,
+    pair_rows,
+    ppf,
+    random_cloud,
+    random_frames,
+    scalar_axis_alignment,
+    sipf,
+    sipf_stack,
+    sippf,
+)
 
 
 def _unit(v):
@@ -58,6 +64,21 @@ def circle_ambiguous_pair(azimuth=1.1):
     return p_r, frame_r, p_j, frame_j, p_j2, frame_j2, axis
 
 
+def field_ppf(p_r, f_r, p_j, f_j):
+    """Plain pair block of sipf_field for one pair; the plain mask never reads the shadow."""
+    return pair_rows(p_r, f_r, [(p_j, f_j)], np.asarray(p_r, dtype=float) + 1.0, f_r, mask=MASK_PPF)[0, :4]
+
+
+def field_sippf(p_r, f_r, p_j, f_j, shadow_p, shadow_f):
+    """Shadow-informed block of sipf_field for one pair."""
+    return pair_rows(p_r, f_r, [(p_j, f_j)], shadow_p, shadow_f)[0, 4:]
+
+
+def field_sipf(p_r, f_r, p_j, f_j, shadow_p, shadow_f):
+    """Full 8-dim sipf_field row for one pair."""
+    return pair_rows(p_r, f_r, [(p_j, f_j)], shadow_p, shadow_f)[0]
+
+
 def transcription_sippf(p_r, a_r, p_j, a_j, p_s, a_s):
     """Independent component-by-component transcription of the defining formula."""
 
@@ -74,24 +95,24 @@ def transcription_sippf(p_r, a_r, p_j, a_j, p_s, a_s):
 class TestPpf:
     def test_all_aligned(self):
         f_r = build_lrf([1, 0, 0], [0, 1, 0]).axes
-        out = ppf([0, 0, 0], f_r, [2, 0, 0], f_r)
+        out = field_ppf([0, 0, 0], f_r, [2, 0, 0], f_r)
         assert np.allclose(out, [2, 1, 1, 1], atol=1e-15)
 
     def test_orthogonal_axes(self):
         f_r = build_lrf([1, 0, 0], [0, 1, 0]).axes
         f_j = build_lrf([0, 1, 0], [0, 0, 1]).axes
-        out = ppf([0, 0, 0], f_r, [2, 0, 0], f_j)
+        out = field_ppf([0, 0, 0], f_r, [2, 0, 0], f_j)
         assert np.allclose(out, [2, 1, 0, 0], atol=1e-15)
 
     def test_coincident_points(self):
         f = np.eye(3)
         with pytest.raises(CoincidentPointError):
-            ppf([1, 2, 3], f, [1, 2, 3], f)
+            field_ppf([1, 2, 3], f, [1, 2, 3], f)
 
     def test_circle_ambiguity(self):
         p_r, f_r, p_j, f_j, p_j2, f_j2, _ = circle_ambiguous_pair()
-        a = ppf(p_r, f_r, p_j, f_j)
-        b = ppf(p_r, f_r, p_j2, f_j2)
+        a = field_ppf(p_r, f_r, p_j, f_j)
+        b = field_ppf(p_r, f_r, p_j2, f_j2)
         assert not np.allclose(p_j, p_j2)
         assert np.abs(a - b).max() < 1e-12
 
@@ -100,8 +121,8 @@ class TestPpf:
             p_r, p_j = rng.standard_normal(3), rng.standard_normal(3)
             f_r, f_j = random_frames(rng, 2)
             rot = random_rotation(rng).matrix
-            a = ppf(p_r, f_r, p_j, f_j)
-            b = ppf(p_r @ rot, f_r @ rot, p_j @ rot, f_j @ rot)
+            a = field_ppf(p_r, f_r, p_j, f_j)
+            b = field_ppf(p_r @ rot, f_r @ rot, p_j @ rot, f_j @ rot)
             assert np.abs(a - b).max() < 1e-12
 
 
@@ -132,14 +153,14 @@ class TestShadowOf:
 class TestSippf:
     def test_zero_for_symmetric_configuration(self):
         frame = build_lrf([0, 1, 0], [0, 0, 1]).axes
-        out = sippf([1, 0, 0], frame, [-1, 0, 0], frame, [0, 1, 0], frame)
+        out = field_sippf([1, 0, 0], frame, [-1, 0, 0], frame, [0, 1, 0], frame)
         assert np.array_equal(out, np.zeros(4))
 
     def test_norm_is_zero_or_one(self, rng):
         for _ in range(300):
             pts = rng.standard_normal((3, 3))
             f = random_frames(rng, 3)
-            out = sippf(pts[0], f[0], pts[1], f[1], pts[2], f[2])
+            out = field_sippf(pts[0], f[0], pts[1], f[1], pts[2], f[2])
             n = np.linalg.norm(out)
             assert n == 0.0 or abs(n - 1.0) < 1e-9
 
@@ -147,32 +168,35 @@ class TestSippf:
         for _ in range(200):
             pts = rng.standard_normal((3, 3))
             f = random_frames(rng, 3)
-            ours = sippf(pts[0], f[0], pts[1], f[1], pts[2], f[2])
+            ours = field_sippf(pts[0], f[0], pts[1], f[1], pts[2], f[2])
             ref = transcription_sippf(pts[0], f[0][0], pts[1], f[1][0], pts[2], f[2][0])
             assert np.abs(ours - ref).max() < 1e-12
 
     def test_coincident_shadow(self):
         f = np.eye(3)
         with pytest.raises(CoincidentPointError):
-            sippf([1, 0, 0], f, [0, 1, 0], f, [1, 0, 0], f)
+            field_sippf([1, 0, 0], f, [0, 1, 0], f, [1, 0, 0], f)
 
 
 class TestSipf:
     def test_concatenation(self, rng):
         pts = rng.standard_normal((3, 3))
         f = random_frames(rng, 3)
-        full = sipf(pts[0], f[0], pts[1], f[1], pts[2], f[2])
-        assert np.array_equal(full[:4], ppf(pts[0], f[0], pts[1], f[1]))
-        assert np.array_equal(full[4:], sippf(pts[0], f[0], pts[1], f[1], pts[2], f[2]))
+        full = field_sipf(pts[0], f[0], pts[1], f[1], pts[2], f[2])
+        assert np.array_equal(full[:4], field_ppf(pts[0], f[0], pts[1], f[1]))
+        oracle = sipf(pts[0], f[0], pts[1], f[1], pts[2], f[2])
+        assert np.array_equal(oracle[:4], ppf(pts[0], f[0], pts[1], f[1]))
+        assert np.array_equal(oracle[4:], sippf(pts[0], f[0], pts[1], f[1], pts[2], f[2]))
+        assert np.abs(full - oracle).max() < 1e-12
 
     def test_joint_rotation_invariance(self, rng):
         worst = 0.0
         for _ in range(300):
             pts = rng.standard_normal((3, 3))
             f = random_frames(rng, 3)
-            base = sipf(pts[0], f[0], pts[1], f[1], pts[2], f[2])
+            base = field_sipf(pts[0], f[0], pts[1], f[1], pts[2], f[2])
             rot = random_rotation(rng).matrix
-            moved = sipf(
+            moved = field_sipf(
                 pts[0] @ rot, f[0] @ rot, pts[1] @ rot, f[1] @ rot, pts[2] @ rot, f[2] @ rot
             )
             worst = max(worst, np.abs(base - moved).max())
@@ -182,8 +206,8 @@ class TestSipf:
         p_r, f_r, p_j, f_j, p_j2, f_j2, _ = circle_ambiguous_pair()
         shadow_p = p_r + np.array([0.4, -0.7, 0.25])
         shadow_f = build_lrf([-0.3, 0.8, 0.52], [1, 0, 0]).axes
-        a = sipf(p_r, f_r, p_j, f_j, shadow_p, shadow_f)
-        b = sipf(p_r, f_r, p_j2, f_j2, shadow_p, shadow_f)
+        a = field_sipf(p_r, f_r, p_j, f_j, shadow_p, shadow_f)
+        b = field_sipf(p_r, f_r, p_j2, f_j2, shadow_p, shadow_f)
         assert np.abs(a[:4] - b[:4]).max() < 1e-12  # plain block still ambiguous
         assert np.abs(a[4:] - b[4:]).max() > 1e-3   # shadow block separates
 
@@ -192,8 +216,8 @@ class TestSipf:
         # axes: the shadow block is identical for both ambiguous neighbors.
         p_r, f_r, p_j, f_j, p_j2, f_j2, axis = circle_ambiguous_pair()
         shadow_p = p_r + 0.6 * axis
-        a = sipf(p_r, f_r, p_j, f_j, shadow_p, f_r)
-        b = sipf(p_r, f_r, p_j2, f_j2, shadow_p, f_r)
+        a = field_sipf(p_r, f_r, p_j, f_j, shadow_p, f_r)
+        b = field_sipf(p_r, f_r, p_j2, f_j2, shadow_p, f_r)
         assert np.abs(a[4:] - b[4:]).max() < 1e-6
 
 
@@ -203,25 +227,29 @@ class TestSipfStack:
         graph = knn_graph(cloud, 1)
         frames = random_frames(rng, 6)
         shadow = shadow_of(cloud, frames, random_rotation(rng))
+        field = sipf_field(cloud, frames, graph, shadow)
         stack = sipf_stack(cloud, frames, graph, shadow, 2)
         j = graph.indices[2][0]
         direct = sipf(
             cloud.points[2], frames[2], cloud.points[j], frames[j], shadow.points[2], shadow.frames[2]
         )
         assert np.array_equal(stack, direct[None, :])
+        assert np.abs(field[2] - direct[None, :]).max() < 1e-12
 
     def test_rows_follow_graph_order(self, rng):
         cloud = random_cloud(rng, 12)
         graph = knn_graph(cloud, 4)
         frames = random_frames(rng, 12)
         shadow = shadow_of(cloud, frames, random_rotation(rng))
+        field = sipf_field(cloud, frames, graph, shadow)
         stack = sipf_stack(cloud, frames, graph, shadow, 0)
-        for row, j in zip(stack, graph.indices[0]):
+        for col, j in enumerate(graph.indices[0]):
             direct = sipf(
                 cloud.points[0], frames[0], cloud.points[j], frames[j],
                 shadow.points[0], shadow.frames[0],
             )
-            assert np.array_equal(row, direct)
+            assert np.array_equal(stack[col], direct)
+            assert np.abs(field[0, col] - direct).max() < 1e-12
 
     def test_error_carries_pair_context(self, rng):
         cloud = random_cloud(rng, 6)
@@ -229,6 +257,9 @@ class TestSipfStack:
         frames = random_frames(rng, 6)
         # Identity-rotation shadow coincides with every source point.
         shadow = shadow_of(cloud, frames, quat_to_matrix(UnitQuaternion(1, 0, 0, 0)))
+        with pytest.raises(CoincidentPointError) as excinfo:
+            sipf_field(cloud, frames, graph, shadow)
+        assert str(excinfo.value).startswith("coincident pair at index (")
         with pytest.raises(CoincidentPointError) as excinfo:
             sipf_stack(cloud, frames, graph, shadow, 3)
         assert "(3," in str(excinfo.value)
@@ -342,8 +373,8 @@ class TestB1Regression:
         seps = []
         for beta in np.linspace(0.0, np.pi / 2, 12):
             shadow_p = p_r + 0.6 * (np.cos(beta) * axis + np.sin(beta) * side)
-            a = sippf(p_r, f_r, p_j, f_j, shadow_p, f_r)
-            b = sippf(p_r, f_r, p_j2, f_j2, shadow_p, f_r)
+            a = field_sippf(p_r, f_r, p_j, f_j, shadow_p, f_r)
+            b = field_sippf(p_r, f_r, p_j2, f_j2, shadow_p, f_r)
             seps.append(np.linalg.norm(a - b))
         assert seps[0] < 1e-6
         assert all(seps[i] <= seps[i + 1] + 1e-9 for i in range(len(seps) - 1))
@@ -396,6 +427,6 @@ def test_sippf_norm_never_intermediate(seed):
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((3, 3)) * rng.uniform(0.1, 10)
     frames = random_frames(rng, 3)
-    out = sippf(pts[0], frames[0], pts[1], frames[1], pts[2], frames[2])
+    out = field_sippf(pts[0], frames[0], pts[1], frames[1], pts[2], frames[2])
     n = np.linalg.norm(out)
     assert n == 0.0 or abs(n - 1.0) < 1e-9

@@ -6,17 +6,13 @@ from hypothesis import strategies as st
 from sipf import bingham
 from sipf.descriptors import MASK_PPF, MASK_SIPF, shadow_of, sipf_field
 from sipf.errors import InvalidArgumentError, NumericError
-from sipf.geometry import PointCloud, knn_graph, random_rotation, rotation_from_axis_angle
+from sipf.geometry import PointCloud, apply_rotation, knn_graph, random_rotation, rotation_from_axis_angle
 from sipf.lrf import FRAME_MODE_BARYCENTER, build_all_lrfs, input_descriptor
 from sipf.riattn import (
     LEAKY_SLOPE,
     RIAttnLayer,
     backward,
-    kernel_weights,
     layer_forward,
-    reversed_edgeconv,
-    ri_attention,
-    riattnconv_forward,
     total_loss,
     total_loss_gradients,
 )
@@ -50,16 +46,52 @@ def _random_instance(rng, n=10, k=4, c_in=3, c_out=5):
     return cloud, graph, frames, shadow, pose, feats, layer
 
 
+def _encode(cloud, frames, graph, shadow, feats, layer, mask=MASK_SIPF):
+    """Descriptor field plus one layer pass, as a library caller composes them."""
+    pose = sipf_field(cloud, frames, graph, shadow, mask=mask)
+    out, _ = layer_forward(layer, pose, feats, graph.indices)
+    return out
+
+
+def _one_stack(layer, pose_stack, neighbor_features, x_r=None):
+    """layer_forward on a single reference row (point 0) with its k x 8 stack.
+
+    Point 0's neighbors are points 1..k, whose features are the given rows;
+    the other rows of the cloud only list point 0 and are not inspected.
+    """
+    pose_stack = np.asarray(pose_stack, dtype=float)
+    xn = np.asarray(neighbor_features, dtype=float)
+    k = len(pose_stack)
+    x_r = np.zeros(xn.shape[1]) if x_r is None else np.asarray(x_r, dtype=float)
+    feats = np.vstack([x_r, xn])
+    pose = np.tile(pose_stack, (k + 1, 1, 1))
+    idx = np.array([np.arange(1, k + 1)] + [[0] * k] * k)
+    out, act = layer_forward(layer, pose, feats, idx)
+    return out[0], act
+
+
+def _row_oracle(layer, pose_stack, xn, x_r):
+    """Per-reference composition of the published formula in plain numpy."""
+    hidden = pose_stack @ layer.mlp_w1 + layer.mlp_b1
+    hidden = np.where(hidden > 0, hidden, LEAKY_SLOPE * hidden)
+    w = hidden @ layer.mlp_w2 + layer.mlp_b2
+    scores = w @ xn.T / np.sqrt(layer.c_in)
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    attn_out = (e / e.sum(axis=1, keepdims=True)) @ (w * xn)
+    return np.concatenate([attn_out.max(axis=0) - x_r, x_r]) @ layer.fuse_w + layer.fuse_b
+
+
 class TestKernelWeights:
     def test_zero_parameters_zero_output(self, rng):
         layer = _zero_layer(3, 4)
-        pose = rng.standard_normal((5, 8))
-        assert np.array_equal(kernel_weights(pose, layer), np.zeros((5, 3)))
+        _, act = _one_stack(layer, rng.standard_normal((5, 8)), rng.standard_normal((5, 3)))
+        assert np.array_equal(act.kernel, np.zeros((6, 5, 3)))
 
     def test_k1_equals_vector_mlp(self, rng):
         layer = RIAttnLayer.init(3, 4, rng)
         row = rng.standard_normal(8)
-        single = kernel_weights(row[None, :], layer)[0]
+        _, act = _one_stack(layer, row[None, :], rng.standard_normal((1, 3)))
+        single = act.kernel[0, 0]
         hidden = row @ layer.mlp_w1 + layer.mlp_b1
         hidden = np.where(hidden > 0, hidden, LEAKY_SLOPE * hidden)
         expected = hidden @ layer.mlp_w2 + layer.mlp_b2
@@ -68,72 +100,83 @@ class TestKernelWeights:
     def test_matches_row_loop_oracle(self, rng):
         layer = RIAttnLayer.init(4, 4, rng)
         pose = rng.standard_normal((7, 8))
-        out = kernel_weights(pose, layer)
+        _, act = _one_stack(layer, pose, rng.standard_normal((7, 4)))
         for i, row in enumerate(pose):
-            assert np.abs(out[i] - kernel_weights(row[None, :], layer)[0]).max() < 1e-14
+            _, single = _one_stack(layer, row[None, :], rng.standard_normal((1, 4)))
+            assert np.abs(act.kernel[0, i] - single.kernel[0, 0]).max() < 1e-14
 
     def test_shape_mismatch(self, rng):
         layer = RIAttnLayer.init(3, 4, rng)
         with pytest.raises(InvalidArgumentError):
-            kernel_weights(rng.standard_normal((5, 7)), layer)
+            _one_stack(layer, rng.standard_normal((5, 7)), rng.standard_normal((5, 3)))
 
 
 class TestRiAttention:
     def test_k1_is_hadamard(self, rng):
-        w = rng.standard_normal((1, 4))
-        x = rng.standard_normal((1, 4))
-        assert np.abs(ri_attention(w, x) - w * x).max() < 1e-15
+        layer = RIAttnLayer.init(4, 2, rng)
+        _, act = _one_stack(layer, rng.standard_normal((1, 8)), rng.standard_normal((1, 4)))
+        w, x = act.kernel[0], act.neighbor_features[0]
+        assert np.abs(act.attn_out[0] - w * x).max() < 1e-15
 
     def test_identical_rows_identical_output(self, rng):
-        w = np.tile(rng.standard_normal(3), (5, 1))
-        x = np.tile(rng.standard_normal(3), (5, 1))
-        out = ri_attention(w, x)
+        layer = RIAttnLayer.init(3, 2, rng)
+        pose = np.tile(rng.standard_normal(8), (5, 1))
+        xn = np.tile(rng.standard_normal(3), (5, 1))
+        _, act = _one_stack(layer, pose, xn)
+        out = act.attn_out[0]
         assert np.abs(out - out[0]).max() < 1e-15
 
     def test_matches_dense_oracle(self, rng):
         k, c = 6, 4
-        w = rng.standard_normal((k, c))
-        x = rng.standard_normal((k, c))
+        layer = RIAttnLayer.init(c, 2, rng)
+        _, act = _one_stack(layer, rng.standard_normal((k, 8)), rng.standard_normal((k, c)))
+        w, x = act.kernel[0], act.neighbor_features[0]
         scores = w @ x.T / np.sqrt(c)
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         attn = e / e.sum(axis=1, keepdims=True)
         expected = attn @ (w * x)
-        assert np.abs(ri_attention(w, x) - expected).max() < 1e-12
+        assert np.abs(act.attn_out[0] - expected).max() < 1e-12
 
     def test_non_finite_scores(self, rng):
-        w = rng.standard_normal((3, 2))
+        layer = RIAttnLayer.init(2, 2, rng)
         x = rng.standard_normal((3, 2))
         x[1, 0] = np.inf
         with pytest.raises(NumericError):
-            ri_attention(w, x)
+            _one_stack(layer, rng.standard_normal((3, 8)), x)
 
 
 class TestReversedEdgeConv:
     def test_identity_fusion_exposes_concatenation(self, rng):
         c = 3
-        layer = _zero_layer(c, 2 * c)
+        layer = RIAttnLayer.init(c, 2 * c, rng)
         layer.fuse_w = np.eye(2 * c)
-        attn_out = rng.standard_normal((4, c))
+        layer.fuse_b = np.zeros(2 * c)
         x_r = rng.standard_normal(c)
-        out = reversed_edgeconv(attn_out, x_r, layer)
-        expected = np.concatenate([attn_out.max(axis=0) - x_r, x_r])
+        out, act = _one_stack(layer, rng.standard_normal((4, 8)), rng.standard_normal((4, c)), x_r)
+        expected = np.concatenate([act.attn_out[0].max(axis=0) - x_r, x_r])
+        assert np.array_equal(act.aggregated[0], act.attn_out[0].max(axis=0))
         assert np.abs(out - expected).max() < 1e-15
 
     def test_rows_equal_reference_zeroes_first_block(self, rng):
+        # Constant kernel weights of one and every neighbor feature equal to
+        # x_r: each attention row is a convex mix of copies of x_r.
         c = 4
         layer = _zero_layer(c, 2 * c)
+        layer.mlp_b2 = np.ones(c)
         layer.fuse_w = np.eye(2 * c)
         x_r = rng.standard_normal(c)
-        out = reversed_edgeconv(np.tile(x_r, (5, 1)), x_r, layer)
+        out, act = _one_stack(layer, rng.standard_normal((5, 8)), np.tile(x_r, (5, 1)), x_r)
+        assert np.abs(act.attn_out[0] - x_r).max() < 1e-15
         assert np.abs(out[:c]).max() < 1e-15
         assert np.abs(out[c:] - x_r).max() < 1e-15
 
     def test_matches_dense_oracle(self, rng):
         layer = RIAttnLayer.init(3, 5, rng)
-        attn_out = rng.standard_normal((6, 3))
         x_r = rng.standard_normal(3)
+        out, act = _one_stack(layer, rng.standard_normal((6, 8)), rng.standard_normal((6, 3)), x_r)
+        attn_out = act.attn_out[0]
         expected = np.concatenate([attn_out.max(axis=0) - x_r, x_r]) @ layer.fuse_w + layer.fuse_b
-        assert np.abs(reversed_edgeconv(attn_out, x_r, layer) - expected).max() < 1e-14
+        assert np.abs(out - expected).max() < 1e-14
 
 
 class TestLayerForward:
@@ -141,9 +184,7 @@ class TestLayerForward:
         _, graph, _, _, pose, feats, layer = _random_instance(rng)
         out, act = layer_forward(layer, pose, feats, graph.indices)
         for r in range(len(feats)):
-            w = kernel_weights(pose[r], layer)
-            attn = ri_attention(w, feats[graph.indices[r]])
-            expected = reversed_edgeconv(attn, feats[r], layer)
+            expected = _row_oracle(layer, pose[r], feats[graph.indices[r]], feats[r])
             assert np.abs(out[r] - expected).max() < 1e-12
 
     def test_attention_rows_sum_to_one(self, rng):
@@ -155,14 +196,13 @@ class TestLayerForward:
         worst = 0.0
         for _ in range(30):
             cloud, graph, frames, shadow, pose, feats, layer = _random_instance(rng)
-            base = riattnconv_forward(cloud, frames, graph, shadow, feats, layer)
-            rot = random_rotation(rng).matrix
-            cloud_r = PointCloud(points=cloud.points @ rot)
-            frames_r = frames @ rot
+            base = _encode(cloud, frames, graph, shadow, feats, layer)
+            rot = random_rotation(rng)
+            m = rot.matrix
             shadow_r = type(shadow)(
-                points=shadow.points @ rot, frames=shadow.frames @ rot, rotation=shadow.rotation
+                points=shadow.points @ m, frames=shadow.frames @ m, rotation=shadow.rotation
             )
-            moved = riattnconv_forward(cloud_r, frames_r, graph, shadow_r, feats, layer)
+            moved = _encode(apply_rotation(cloud, rot), frames @ m, graph, shadow_r, feats, layer)
             worst = max(worst, np.abs(moved - base).max())
         assert worst < 1e-8
 
@@ -176,8 +216,8 @@ class TestLayerForward:
         half = len(cloud) // 2
         generic = random_rotation(rng)
         shadow = shadow_of(cloud, frames, generic)
-        plain_out = riattnconv_forward(cloud, frames, graph, shadow, feats, layer, mask=MASK_PPF)
-        full_out = riattnconv_forward(cloud, frames, graph, shadow, feats, layer, mask=MASK_SIPF)
+        plain_out = _encode(cloud, frames, graph, shadow, feats, layer, mask=MASK_PPF)
+        full_out = _encode(cloud, frames, graph, shadow, feats, layer, mask=MASK_SIPF)
         assert np.abs(plain_out[:half] - plain_out[half:]).max() < 1e-9
         assert np.abs(full_out[:half] - full_out[half:]).max() > 1e-3
 
@@ -223,7 +263,7 @@ class TestGoldenTinyInstance:
         frames = np.stack([f0, f1])
         graph = knn_graph(cloud, 1)
         shadow = shadow_of(cloud, frames, rot)
-        out = riattnconv_forward(cloud, frames, graph, shadow, feats, layer)
+        out = _encode(cloud, frames, graph, shadow, feats, layer)
 
         m = rot.matrix
         expected = []
@@ -267,10 +307,8 @@ class TestBackward:
         out, act = layer_forward(layer, pose, feats, graph.indices)
         grads, _ = backward(layer, np.ones_like(out), act)
         # Zero fusion weights cut every path into the attention block.
-        assert np.array_equal(grads.mlp_w1, np.zeros_like(grads.mlp_w1))
-        assert np.array_equal(grads.mlp_b1, np.zeros_like(grads.mlp_b1))
-        assert np.array_equal(grads.mlp_w2, np.zeros_like(grads.mlp_w2))
-        assert np.array_equal(grads.mlp_b2, np.zeros_like(grads.mlp_b2))
+        for name in ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"):
+            assert np.array_equal(grads[name], np.zeros_like(grads[name])), name
 
     def test_max_tie_routes_to_lowest_index(self, rng):
         # Identical pose rows and neighbor features make all attention-output
@@ -395,7 +433,7 @@ class TestEinsumOracle:
         assert d_x.shape == (n, c_in)
         assert np.abs(d_x - ref_d_x).max() <= 1e-12
         for name, ref in ref_grads.items():
-            got = grads.as_dict()[name]
+            got = grads[name]
             assert got.shape == ref.shape, name
             assert np.abs(got - ref).max() <= 1e-12, name
 
@@ -410,8 +448,9 @@ class TestEinsumOracle:
         for name, value in vars(act).items():
             assert np.array_equal(value, before[name]), name
         assert np.array_equal(first[1], second[1])
-        for name, value in first[0].as_dict().items():
-            assert np.array_equal(value, second[0].as_dict()[name]), name
+        assert list(first[0]) == list(layer.parameters())
+        for name, value in first[0].items():
+            assert np.array_equal(value, second[0][name]), name
 
     def test_neighbor_index_out_of_range_rejected(self, rng):
         layer = _random_layer(rng, 2, 2, 2)
@@ -463,7 +502,7 @@ def build_gradcheck_problem(rng, n, k, c_in, hidden, c_out):
         d_x = d_feats
         for li in (1, 0):
             layer_grads, d_x = backward(layers[li], d_x, acts[li])
-            for name, val in layer_grads.as_dict().items():
+            for name, val in layer_grads.items():
                 grads[f"layer{li}.{name}"] = d_task * val
         grads["seed.z1"] = d_bingham * d_z1
         grads["seed.z2"] = d_bingham * d_z2

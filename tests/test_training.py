@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from sipf import bingham
 from sipf.descriptors import MASK_PPF
 from sipf.errors import InvalidArgumentError
 from sipf.geometry import UnitQuaternion, knn_graph, quat_to_matrix
@@ -89,22 +91,30 @@ class TestToyTaskConfig:
         with pytest.raises(InvalidArgumentError):
             ToyTaskConfig(bingham_loss_kind="bogus")
         with pytest.raises(InvalidArgumentError):
-            ToyTaskConfig(lr_schedule="linear")
+            ToyTaskConfig(quadrature_order=bingham.MIN_QUADRATURE_ORDER - 1)
         with pytest.raises(InvalidArgumentError):
-            ToyTaskConfig(dropout=0.5)
+            ToyTaskConfig(k=2.5)
+        with pytest.raises(InvalidArgumentError):
+            ToyTaskConfig(seed=-1)
+        for name in ("epochs", "k", "seed", "quadrature_order", "learning_rate", "delta"):
+            with pytest.raises(InvalidArgumentError, match=name):
+                ToyTaskConfig(**{name: True})
+        with pytest.raises(InvalidArgumentError):
+            dataclasses.replace(ToyTaskConfig(), seed=-3)
+        # Boundary values and an integer learning rate are accepted.
+        ToyTaskConfig(quadrature_order=bingham.MIN_QUADRATURE_ORDER, learning_rate=1, seed=0, delta=0)
 
-    def test_cosine_schedule_decays_to_zero(self):
-        config = ToyTaskConfig(epochs=10, learning_rate=0.2, lr_schedule="cosine")
-        rates = [config.epoch_learning_rate(e) for e in range(1, 11)]
-        assert rates[0] == pytest.approx(0.2)
-        assert all(a >= b for a, b in zip(rates, rates[1:]))
-        assert rates[-1] < 0.01
-
-    def test_cosine_schedule_still_trains(self):
-        dataset = make_wingtip_dataset(2, 32, 0.0, 100)
-        config = ToyTaskConfig(epochs=3, k=8, seed=1, lr_schedule="cosine")
-        result = train_toy(dataset, config)
-        assert len(result.metrics) == 3
+    def test_fields_are_the_config_file_keys(self):
+        assert [f.name for f in dataclasses.fields(ToyTaskConfig)] == [
+            "epochs",
+            "learning_rate",
+            "k",
+            "delta",
+            "descriptor_mask",
+            "seed",
+            "bingham_loss_kind",
+            "quadrature_order",
+        ]
 
 
 class TestTrainToy:
