@@ -55,13 +55,7 @@ from .geometry import (
     random_rotation,
     rotation_from_axis_angle,
 )
-from .lrf import (
-    LocalFrame,
-    barycenter_axis,
-    build_all_lrfs,
-    build_lrf,
-    input_descriptor,
-)
+from .lrf import build_all_lrfs, input_descriptor
 from .riattn import (
     RIAttnLayer,
     backward,

@@ -184,11 +184,9 @@ def _angle_nodes(order: int):
     x, w = np.polynomial.legendre.leggauss(order)
     psi = 0.5 * np.pi * (x + 1.0)
     w_psi = 0.5 * np.pi * w
-    theta = psi
-    w_theta = w_psi
     phi = np.pi * (x + 1.0)
     w_phi = np.pi * w
-    return psi, w_psi, theta, w_theta, phi, w_phi
+    return psi, w_psi, phi, w_phi
 
 
 @lru_cache(maxsize=8)
@@ -198,7 +196,8 @@ def _quadrature_grid(order: int):
     Coordinates: u1 = cos(psi), u2 = sin(psi) cos(theta),
     u3 = sin(psi) sin(theta) cos(phi); area element sin^2(psi) sin(theta).
     """
-    psi, w_psi, theta, w_theta, phi, w_phi = _angle_nodes(order)
+    psi, w_psi, phi, w_phi = _angle_nodes(order)
+    theta, w_theta = psi, w_psi  # theta spans [0, pi] like psi
     sin_psi = np.sin(psi)
     u1sq = (np.cos(psi) ** 2)[:, None, None]
     u2sq = (sin_psi**2)[:, None, None] * (np.cos(theta) ** 2)[None, :, None]
@@ -215,21 +214,21 @@ def _quadrature_grid(order: int):
     return u1sq, u2sq, u3sq, weight
 
 
-def _check_order(order):
+def _moments(lambdas3, order, hessian=False):
+    """F, dF/dl_i and optionally d2F/dl_i dl_j by product quadrature.
+
+    Rejects a bad quadrature order, and an F that is not finite and positive.
+    """
     if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
         raise InvalidArgumentError(f"quadrature order must be an integer, got {order!r}")
     if order < MIN_QUADRATURE_ORDER:
-        raise InvalidArgumentError(
-            f"quadrature order {order} below minimum {MIN_QUADRATURE_ORDER}"
-        )
-
-
-def _moments(lambdas3, order, hessian=False):
-    """F, dF/dl_i and optionally d2F/dl_i dl_j by product quadrature."""
-    u1sq, u2sq, u3sq, weight = _quadrature_grid(order)
+        raise InvalidArgumentError(f"quadrature order {order} below minimum {MIN_QUADRATURE_ORDER}")
+    u1sq, u2sq, u3sq, weight = _quadrature_grid(int(order))
     ex = np.exp(lambdas3[0] * u1sq + lambdas3[1] * u2sq + lambdas3[2] * u3sq) * weight
     usq = (u1sq, u2sq, u3sq)
     f = float(ex.sum())
+    if not np.isfinite(f) or f <= 0.0:
+        raise NumericError(f"normalization constant degenerated to {f!r}")
     grad = np.array([float((ex * np.broadcast_to(u, ex.shape)).sum()) for u in usq])
     if not hessian:
         return f, grad, None
@@ -240,23 +239,25 @@ def _moments(lambdas3, order, hessian=False):
     return f, grad, hess
 
 
+def _entropy(f, grad, lambdas3) -> float:
+    """Differential entropy log F - (L . grad F) / F from the moments."""
+    return float(np.log(f) - lambdas3 @ grad / f)
+
+
 def normalization(params: BinghamParams, order: int = DEFAULT_QUADRATURE_ORDER) -> NormalizationResult:
     """Normalization constant F and its three lambda-derivatives.
 
     F depends only on the eigenvalues: the integral is evaluated in the
     V-diagonalized coordinates, so any orthogonal V yields the same value.
     """
-    _check_order(order)
-    f, grad, _ = _moments(params.lambdas[:3], int(order))
-    if not np.isfinite(f) or f <= 0.0:
-        raise NumericError(f"normalization constant degenerated to {f!r}")
+    f, grad, _ = _moments(params.lambdas[:3], order)
     return NormalizationResult(F=f, gradF=grad)
 
 
 def entropy(params: BinghamParams, order: int = DEFAULT_QUADRATURE_ORDER) -> float:
     """Differential entropy log F - (L . grad F) / F."""
-    res = normalization(params, order)
-    return float(np.log(res.F) - params.lambdas[:3] @ res.gradF / res.F)
+    f, grad, _ = _moments(params.lambdas[:3], order)
+    return _entropy(f, grad, params.lambdas[:3])
 
 
 def mode(params: BinghamParams) -> UnitQuaternion:
@@ -330,16 +331,6 @@ def sample_with_rate(params: BinghamParams, rng: np.random.Generator, n: int):
     return np.vstack(chunks)[:n], accepted / proposed
 
 
-def _entropy_with_lambda_gradient(lambdas3, order):
-    f, grad, hess = _moments(lambdas3, order, hessian=True)
-    if not np.isfinite(f) or f <= 0.0:
-        raise NumericError(f"normalization constant degenerated to {f!r}")
-    lam_dot_grad = lambdas3 @ grad
-    h = float(np.log(f) - lam_dot_grad / f)
-    dh = -(hess @ lambdas3) / f + lam_dot_grad * grad / f**2
-    return h, dh
-
-
 # Cumulative-sum pattern of lambda_from: dl_i / d softplus(z2_j).
 _LAMBDA_JACOBIAN = np.array(
     [
@@ -361,14 +352,12 @@ def bingham_loss_and_seed_gradient(
     """
     if kind not in BINGHAM_LOSS_KINDS:
         raise InvalidArgumentError(f"unknown bingham loss kind {kind!r}")
-    _check_order(order)
     lam3 = lambda_from(seed.z2)[:3]
+    f, grad, hess = _moments(lam3, order, hessian=kind == LOSS_ENTROPY)
     if kind == LOSS_ENTROPY:
-        value, d_lam = _entropy_with_lambda_gradient(lam3, int(order))
+        value = _entropy(f, grad, lam3)
+        d_lam = -(hess @ lam3) / f + (lam3 @ grad) * grad / f**2
     else:
-        f, grad, _ = _moments(lam3, int(order))
-        if not np.isfinite(f) or f <= 0.0:
-            raise NumericError(f"normalization constant degenerated to {f!r}")
         value = float(np.log(f))
         d_lam = grad / f
     sigmoid = expit(seed.z2)

@@ -40,7 +40,6 @@ from .errors import (
     SipfError,
 )
 from .geometry import (
-    PointCloud,
     UnitQuaternion,
     apply_rotation,
     knn_graph,
@@ -120,44 +119,48 @@ def _parse_quaternion(text: str) -> UnitQuaternion:
     return UnitQuaternion.from_array(values)
 
 
+def _random_bingham_seed(rng) -> bingham.BinghamSeed:
+    return bingham.BinghamSeed(rng.standard_normal(4), rng.standard_normal(3))
+
+
 def _seeded_shadow_rotation(seed: int):
-    """Mode of a Bingham distribution built from a seeded random 7-dim seed."""
-    rng = np.random.default_rng(seed)
-    params = bingham.BinghamParams(
-        V=bingham.birdal_V(rng.standard_normal(4)),
-        lambdas=bingham.lambda_from(rng.standard_normal(3)),
-    )
-    return quat_to_matrix(bingham.mode(params))
+    """Mode of the Bingham distribution that ``bingham mode --seed`` reports."""
+    seed_params = _random_bingham_seed(np.random.default_rng(seed))
+    return quat_to_matrix(bingham.mode(bingham.params_from_seed(seed_params)))
 
 
-def _prepare_geometry(cloud: PointCloud, k: int):
-    graph = knn_graph(cloud, k)
-    mode_name = FRAME_MODE_NORMAL if cloud.normals is not None else FRAME_MODE_BARYCENTER
-    frames, valid = try_build_all_lrfs(cloud, graph, mode_name)
-    return graph, frames, valid
+def _field_inputs(args):
+    """The inputs of ``features`` and ``verify-invariance``: config, cloud, graph, frames, shadow, valid.
 
-
-def cmd_features(args) -> int:
+    Row policy: a point with a degenerate frame or on its own shadow (on the
+    rotation axis; the origin for every rotation) is dropped with a warning
+    line, and the number dropped is reported after them.
+    """
     config = _apply_overrides(load_config(args.config), args)
     cloud = load_cloud(args.input)
-    graph, frames, valid = _prepare_geometry(cloud, config.k)
+    graph = knn_graph(cloud, config.k)
+    mode_name = FRAME_MODE_NORMAL if cloud.normals is not None else FRAME_MODE_BARYCENTER
+    frames, frame_valid = try_build_all_lrfs(cloud, graph, mode_name)
     if args.rotation is not None:
         rot = quat_to_matrix(_parse_quaternion(args.rotation))
     else:
         rot = _seeded_shadow_rotation(config.seed)
     shadow = shadow_of(cloud, frames, rot)
-    # Points on the rotation axis coincide with their own shadow (the world
-    # origin does so for every rotation); drop them like degenerate frames.
     moved = np.linalg.norm(shadow.points - cloud.points, axis=1) >= COINCIDENT_DISTANCE_FLOOR
-    for i in np.nonzero(~valid)[0]:
+    for i in np.nonzero(~frame_valid)[0]:
         sys.stderr.write(f"warning: degenerate frame at point {int(i)}; rows omitted\n")
-    for i in np.nonzero(valid & ~moved)[0]:
+    for i in np.nonzero(frame_valid & ~moved)[0]:
         sys.stderr.write(f"warning: shadow coincides with point {int(i)}; rows omitted\n")
-    valid = valid & moved
-    field = sipf_field(cloud, frames, graph, shadow, mask=MASK_SIPF, valid=valid)
+    valid = frame_valid & moved
     n_bad = int((~valid).sum())
     if n_bad:
         sys.stderr.write(f"warning: {n_bad} point(s) omitted\n")
+    return config, cloud, graph, frames, shadow, valid
+
+
+def cmd_features(args) -> int:
+    _, cloud, graph, frames, shadow, valid = _field_inputs(args)
+    field = sipf_field(cloud, frames, graph, shadow, mask=MASK_SIPF, valid=valid)
     lines = ["ref_index,nbr_index,ppf1,ppf2,ppf3,ppf4,sippf1,sippf2,sippf3,sippf4"]
     for r in range(len(cloud)):
         if not valid[r]:
@@ -180,24 +183,14 @@ def _rotate_field_inputs(cloud, frames, shadow, rotation):
 
 
 def cmd_verify_invariance(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
     if args.trials < 1:
         raise InvalidArgumentError("--trials must be >= 1")
-    cloud = load_cloud(args.input)
-    graph, frames, valid = _prepare_geometry(cloud, config.k)
-    if not valid.all():
-        sys.stderr.write(f"warning: {int((~valid).sum())} degenerate frame(s); rows ignored\n")
-    if args.rotation is not None:
-        rot = quat_to_matrix(_parse_quaternion(args.rotation))
-    else:
-        rot = _seeded_shadow_rotation(config.seed)
-    shadow = shadow_of(cloud, frames, rot)
-    # Shadow-coincident points stay coincident under every joint rotation.
-    moved = np.linalg.norm(shadow.points - cloud.points, axis=1) >= COINCIDENT_DISTANCE_FLOOR
-    if not moved.all():
-        sys.stderr.write(f"warning: {int((~moved).sum())} shadow-coincident point(s); rows ignored\n")
-    valid = valid & moved
+    # Dropped points stay dropped under every joint rotation: a frame and a
+    # shadow offset rotate with the cloud.
+    config, cloud, graph, frames, shadow, valid = _field_inputs(args)
     keep = valid[graph.indices] & valid[:, None]
+    if not keep.any():
+        raise InvalidInputError("no descriptor row is usable: every point or every neighbor was omitted")
     base = sipf_field(cloud, frames, graph, shadow, mask=MASK_SIPF, valid=valid)[keep]
     # Trial rotations draw from a stream decoupled from the shadow seed: the
     # seed-derived mode is the raw seed quaternion composed with a fixed
@@ -237,8 +230,7 @@ def _bingham_seed_from_args(args, config: ToyTaskConfig):
             raise InvalidArgumentError("--z1 needs 4 components and --z2 needs 3")
         return bingham.BinghamSeed(np.array(z1), np.array(z2)), None
     rng = np.random.default_rng(config.seed)
-    seed = bingham.BinghamSeed(rng.standard_normal(4), rng.standard_normal(3))
-    return seed, rng
+    return _random_bingham_seed(rng), rng
 
 
 def cmd_bingham(args) -> int:
@@ -286,7 +278,12 @@ def _run_toy(config: ToyTaskConfig, mask: str):
 def cmd_demo_wingtip(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise InvalidInputError(
+            f"cannot create output directory {out_dir}: {exc.strerror or exc}"
+        ) from exc
     runs = [("sipf", MASK_SIPF), ("ppf", MASK_PPF)]
     extra = getattr(args, "mask", None)
     if extra is not None and extra not in (MASK_SIPF, MASK_PPF):
@@ -334,22 +331,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_input):
-        if needs_input:
-            p.add_argument("--input", required=True, help="point-cloud file (.xyz or ascii .ply)")
+    def add_field_options(p):
+        # The options _field_inputs reads, shared by the two field commands.
+        p.add_argument("--input", required=True, help="point-cloud file (.xyz or ascii .ply)")
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--k", type=int, default=None, help="override neighborhood size")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
+        p.add_argument("--rotation", default=None, help="shadow rotation quaternion w,x,y,z")
 
     p = sub.add_parser("features", help="export per-edge descriptors as CSV")
-    add_common(p, needs_input=True)
-    p.add_argument("--rotation", default=None, help="shadow rotation quaternion w,x,y,z")
+    add_field_options(p)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("verify-invariance", help="check descriptor invariance under joint rotations")
-    add_common(p, needs_input=True)
-    p.add_argument("--rotation", default=None, help="shadow rotation quaternion w,x,y,z")
+    add_field_options(p)
     p.add_argument("--trials", type=int, required=True, help="number of random rotations")
     p.add_argument(
         "--break-shadow",

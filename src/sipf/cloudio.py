@@ -8,12 +8,13 @@ Normals are re-normalized on load since scan data is noisy.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InvalidInputError, ParseError
 from .geometry import PointCloud
 
 __all__ = ["load_cloud", "format_float", "write_text_atomic"]
@@ -27,15 +28,37 @@ def format_float(x: float) -> str:
 def write_text_atomic(path: str, content: str) -> None:
     """Write via a sibling temp file and rename, so readers never see partial output."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(content)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _read_lines(path):
+    """All lines of a text file; undecodable bytes become U+FFFD and fail as fields."""
+    try:
+        with open(path, "r", errors="replace") as handle:
+            return handle.readlines()
+    except OSError as exc:
+        raise ParseError(str(exc), path=path) from exc
+
+
+def _row_values(fields, path, lineno):
+    try:
+        values = [float(f) for f in fields]
+    except ValueError as exc:
+        raise ParseError(f"non-numeric field: {exc}", path=path, line=lineno) from exc
+    if not all(map(math.isfinite, values)):
+        raise ParseError("non-finite value", path=path, line=lineno)
+    return values
 
 
 def _finish(points, normals, path):
@@ -52,45 +75,37 @@ def _finish(points, normals, path):
     return PointCloud(points=pts, normals=normals)
 
 
-def _load_xyz(path):
+def _parse_xyz(lines, path):
     points = []
     normals = []
     expect = None
-    with open(path, "r") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) not in (3, 6):
-                raise ParseError(
-                    f"expected 3 or 6 columns, found {len(fields)}", path=path, line=lineno
-                )
-            if expect is None:
-                expect = len(fields)
-            elif len(fields) != expect:
-                raise ParseError(
-                    f"inconsistent column count (expected {expect}, found {len(fields)})",
-                    path=path,
-                    line=lineno,
-                )
-            try:
-                values = [float(f) for f in fields]
-            except ValueError as exc:
-                raise ParseError(f"non-numeric field: {exc}", path=path, line=lineno) from exc
-            if not all(np.isfinite(values)):
-                raise ParseError("non-finite value", path=path, line=lineno)
-            points.append(values[:3])
-            if expect == 6:
-                normals.append(values[3:])
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) not in (3, 6):
+            raise ParseError(
+                f"expected 3 or 6 columns, found {len(fields)}", path=path, line=lineno
+            )
+        if expect is None:
+            expect = len(fields)
+        elif len(fields) != expect:
+            raise ParseError(
+                f"inconsistent column count (expected {expect}, found {len(fields)})",
+                path=path,
+                line=lineno,
+            )
+        values = _row_values(fields, path, lineno)
+        points.append(values[:3])
+        if expect == 6:
+            normals.append(values[3:])
     if expect is None:
         raise ParseError("file contains no data rows", path=path)
     return _finish(points, normals if normals else None, path)
 
 
-def _load_ply(path):
-    with open(path, "r", errors="replace") as handle:
-        lines = handle.readlines()
+def _parse_ply(lines, path):
     if not lines or lines[0].strip() != "ply":
         raise ParseError("missing 'ply' magic line", path=path, line=1)
     n_vertices = None
@@ -149,12 +164,7 @@ def _load_ply(path):
                 path=path,
                 line=lineno,
             )
-        try:
-            values = [float(f) for f in fields]
-        except ValueError as exc:
-            raise ParseError(f"non-numeric field: {exc}", path=path, line=lineno) from exc
-        if not all(np.isfinite(values)):
-            raise ParseError("non-finite value", path=path, line=lineno)
+        values = _row_values(fields, path, lineno)
         points.append([values[col["x"]], values[col["y"]], values[col["z"]]])
         if has_normals:
             normals.append([values[col["nx"]], values[col["ny"]], values[col["nz"]]])
@@ -166,17 +176,13 @@ def _load_ply(path):
 
 def load_cloud(path: str) -> PointCloud:
     """Parse an .xyz or ascii .ply file into a point cloud."""
+    lines = _read_lines(path)
     lower = path.lower()
     if lower.endswith(".ply"):
-        return _load_ply(path)
+        return _parse_ply(lines, path)
     if lower.endswith(".xyz") or lower.endswith(".txt"):
-        return _load_xyz(path)
+        return _parse_xyz(lines, path)
     # Sniff: a PLY magic line wins, anything else is treated as xyz.
-    try:
-        with open(path, "r", errors="replace") as handle:
-            first = handle.readline().strip()
-    except OSError as exc:
-        raise ParseError(str(exc), path=path) from exc
-    if first == "ply":
-        return _load_ply(path)
-    return _load_xyz(path)
+    if lines and lines[0].strip() == "ply":
+        return _parse_ply(lines, path)
+    return _parse_xyz(lines, path)

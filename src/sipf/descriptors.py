@@ -54,7 +54,6 @@ B2_DISTANCE_THRESHOLD_RAD = 0.1
 _ZERO_DIFF_TOL = 1e-12
 # Pairs closer than this are treated as coincident everywhere in the module.
 COINCIDENT_DISTANCE_FLOOR = 1e-15
-_COINCIDENT_TOL = COINCIDENT_DISTANCE_FLOOR
 
 
 @dataclass(frozen=True)
@@ -96,13 +95,13 @@ def shadow_of(cloud: PointCloud, frames: np.ndarray, rotation: Rotation3) -> Sha
     return ShadowCloud(points=cloud.points @ m, frames=frames @ m, rotation=rotation)
 
 
-def _ppf_rows(p_r, a_r, p_j, a_j):
-    """Vectorized pair features over matching leading dimensions."""
+def _ppf_rows(p_r, a_r, p_j, a_j, ref, nbr):
+    """Vectorized pair features over (m, k) edges from point ``ref[row]`` to point ``nbr[row, col]``."""
     d = p_j - p_r
     norm = np.linalg.norm(d, axis=-1)
-    if np.any(norm < _COINCIDENT_TOL):
-        bad = tuple(int(i) for i in np.unravel_index(int(np.argmin(norm)), norm.shape))
-        raise CoincidentPointError(f"coincident pair at index {bad}")
+    if np.any(norm < COINCIDENT_DISTANCE_FLOOR):
+        row, col = np.unravel_index(int(np.argmin(norm)), norm.shape)
+        raise CoincidentPointError(f"coincident pair at index ({int(ref[row])}, {int(nbr[row, col])})")
     dhat = d / norm[..., None]
     c1 = np.clip(np.einsum("...d,...d->...", a_r, dhat), -1.0, 1.0)
     c2 = np.clip(np.einsum("...d,...d->...", a_j, dhat), -1.0, 1.0)
@@ -146,12 +145,12 @@ def sipf_field(
     p_j = pts[idx]
     a_j = a1[idx]
     out = np.zeros((n, k, 8))
-    out[rows, :, :4] = _ppf_rows(p_r, a_r, p_j, a_j)
+    out[rows, :, :4] = _ppf_rows(p_r, a_r, p_j, a_j, rows, idx)
     if mask == MASK_PPF:
         return out
     s_p = np.broadcast_to(shadow.points[rows][:, None, :], (m, k, 3))
     s_a = np.broadcast_to(shadow.frames[rows][:, 0, :][:, None, :], (m, k, 3))
-    diff = _ppf_rows(p_r, a_r, s_p, s_a) - _ppf_rows(p_j, a_j, s_p, s_a)
+    diff = _ppf_rows(p_r, a_r, s_p, s_a, rows, idx) - _ppf_rows(p_j, a_j, s_p, s_a, rows, idx)
     norm = np.linalg.norm(diff, axis=-1)
     if mask == MASK_SIPF_NO_DIRECTION:
         out[rows, :, 4] = norm
@@ -191,7 +190,7 @@ def detect_axis_alignment(p_r, frame_r, shadow_point, shadow_frame):
     a_s = shadow_frame[..., 0, :]
     d = shadow_point - p_r
     norm = np.sqrt(_row_dot(d, d))
-    if np.any(norm < _COINCIDENT_TOL):
+    if np.any(norm < COINCIDENT_DISTANCE_FLOOR):
         raise CoincidentPointError("shadow coincides with the point")
     c_disp = np.minimum(1.0, np.abs(_row_dot(a_r, d)) / norm)
     c_axes = np.minimum(1.0, np.abs(_row_dot(a_r, a_s)))

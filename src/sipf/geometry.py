@@ -119,8 +119,10 @@ class UnitQuaternion:
 
     @classmethod
     def from_array(cls, values) -> "UnitQuaternion":
-        w, x, y, z = np.asarray(values, dtype=np.float64)
-        return cls(w, x, y, z)
+        v = np.asarray(values, dtype=np.float64)
+        if v.shape != (4,):
+            raise InvalidInputError(f"quaternion must have 4 components, got shape {v.shape}")
+        return cls(*v)
 
     @property
     def array(self) -> np.ndarray:
@@ -138,6 +140,20 @@ class UnitQuaternion:
         return UnitQuaternion.from_array(v)
 
 
+def _rotation_matrix(values, tol) -> np.ndarray:
+    """A 3x3 array that is orthogonal with determinant +1 to within ``tol``."""
+    m = _as_float_array(values, "rotation matrix")
+    if m.shape != (3, 3):
+        raise InvalidInputError(f"rotation matrix must be 3x3, got {m.shape}")
+    err = np.abs(m.T @ m - np.eye(3)).max()
+    if err > tol:
+        raise InvalidInputError(f"matrix is not orthogonal (deviation {err:.3e})")
+    det = np.linalg.det(m)
+    if abs(det - 1.0) > tol:
+        raise InvalidInputError(f"matrix determinant {det:.12f} is not +1")
+    return m
+
+
 @dataclass(frozen=True)
 class Rotation3:
     """Proper rotation matrix, validated to 1e-10."""
@@ -145,16 +161,7 @@ class Rotation3:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _as_float_array(self.matrix, "rotation matrix")
-        if m.shape != (3, 3):
-            raise InvalidInputError(f"rotation matrix must be 3x3, got {m.shape}")
-        err = np.abs(m.T @ m - np.eye(3)).max()
-        if err > _ROTATION_TOL:
-            raise InvalidInputError(f"matrix is not orthogonal (deviation {err:.3e})")
-        det = np.linalg.det(m)
-        if abs(det - 1.0) > _ROTATION_TOL:
-            raise InvalidInputError(f"matrix determinant {det:.12f} is not +1")
-        m = m.copy()
+        m = _rotation_matrix(self.matrix, _ROTATION_TOL).copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -230,17 +237,9 @@ def knn_graph(cloud: PointCloud, k: int) -> NeighborGraph:
 
 
 def _quat_array(q) -> np.ndarray:
-    if isinstance(q, UnitQuaternion):
-        return q.array
-    v = np.asarray(q, dtype=np.float64)
-    if v.shape != (4,):
-        raise InvalidInputError(f"quaternion must have 4 components, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise InvalidInputError("quaternion has non-finite components")
-    n = np.linalg.norm(v)
-    if abs(n - 1.0) > _QUAT_NORM_TOL:
-        raise InvalidInputError(f"quaternion norm {n:.9f} deviates from 1")
-    return v / n
+    if not isinstance(q, UnitQuaternion):
+        q = UnitQuaternion.from_array(q)
+    return q.array
 
 
 def quat_to_matrix(q) -> Rotation3:
@@ -265,14 +264,7 @@ def matrix_to_quat(rotation) -> UnitQuaternion:
     if isinstance(rotation, Rotation3):
         m = rotation.matrix
     else:
-        m = _as_float_array(rotation, "rotation matrix")
-        if m.shape != (3, 3):
-            raise InvalidInputError(f"rotation matrix must be 3x3, got {m.shape}")
-        err = np.abs(m.T @ m - np.eye(3)).max()
-        if err > _MATRIX_INPUT_TOL:
-            raise InvalidInputError(f"matrix is not orthogonal (deviation {err:.3e})")
-        if abs(np.linalg.det(m) - 1.0) > _MATRIX_INPUT_TOL:
-            raise InvalidInputError("matrix determinant is not +1")
+        m = _rotation_matrix(rotation, _MATRIX_INPUT_TOL)
     t = np.trace(m)
     # Branch on the largest of (trace, m00, m11, m22) for stability.
     choices = np.array([t, m[0, 0], m[1, 1], m[2, 2]])

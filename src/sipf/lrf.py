@@ -10,19 +10,14 @@ for coordinates-only input it is (barycenter axis, centroid-to-point).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DegenerateFrameError, DegenerateGeometryError, InvalidArgumentError, InvalidInputError
+from .errors import DegenerateFrameError, InvalidArgumentError
 from .geometry import NeighborGraph, PointCloud
 
 __all__ = [
-    "LocalFrame",
     "FRAME_MODE_NORMAL",
     "FRAME_MODE_BARYCENTER",
-    "barycenter_axis",
-    "build_lrf",
     "build_all_lrfs",
     "try_build_all_lrfs",
     "input_descriptor",
@@ -31,67 +26,8 @@ __all__ = [
 FRAME_MODE_NORMAL = "normal"
 FRAME_MODE_BARYCENTER = "barycenter"
 
-_FRAME_ORTHO_TOL = 1e-9
 _PARALLEL_SIN_TOL = 1e-7
 _ZERO_AXIS_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class LocalFrame:
-    """Right-handed orthonormal basis; rows are the three axes."""
-
-    axes: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.axes, dtype=np.float64)
-        if a.shape != (3, 3):
-            raise InvalidInputError(f"frame axes must be 3x3, got {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise InvalidInputError("frame axes contain non-finite values")
-        gram = np.abs(a @ a.T - np.eye(3)).max()
-        if gram > _FRAME_ORTHO_TOL:
-            raise InvalidInputError(f"frame rows not orthonormal (deviation {gram:.3e})")
-        if np.abs(np.cross(a[0], a[1]) - a[2]).max() > _FRAME_ORTHO_TOL:
-            raise InvalidInputError("frame is not right-handed")
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "axes", a)
-
-    @property
-    def primary(self) -> np.ndarray:
-        return self.axes[0]
-
-
-def barycenter_axis(cloud: PointCloud, graph: NeighborGraph, i: int) -> np.ndarray:
-    """Vector from point i to the barycenter of its k neighbors."""
-    if not 0 <= i < len(cloud):
-        raise InvalidArgumentError(f"point index {i} out of range")
-    m = cloud.points[graph.indices[i]].mean(axis=0)
-    v = m - cloud.points[i]
-    if np.linalg.norm(v) < _ZERO_AXIS_TOL:
-        raise DegenerateGeometryError("neighbor barycenter coincides with the point", index=i)
-    return v
-
-
-def build_lrf(e1, e2) -> LocalFrame:
-    """Gram-Schmidt frame from two directions; scale of e1 and the component
-    of e2 along e1 do not affect the result."""
-    e1 = np.asarray(e1, dtype=np.float64)
-    e2 = np.asarray(e2, dtype=np.float64)
-    n1 = np.linalg.norm(e1)
-    n2 = np.linalg.norm(e2)
-    if n1 == 0.0 or n2 == 0.0:
-        raise DegenerateFrameError("frame directions must be nonzero")
-    a1 = e1 / n1
-    cross = np.cross(a1, e2 / n2)
-    sin_angle = np.linalg.norm(cross)
-    if sin_angle < _PARALLEL_SIN_TOL:
-        raise DegenerateFrameError(
-            f"frame directions are parallel within tolerance (sin angle {sin_angle:.3e})"
-        )
-    a3 = cross / sin_angle
-    a2 = np.cross(a3, a1)
-    return LocalFrame(np.stack([a1, a2, a3]))
 
 
 def _frame_inputs(cloud: PointCloud, graph: NeighborGraph, mode: str):

@@ -55,9 +55,10 @@ class RIAttnLayer:
     fuse_w: np.ndarray
     fuse_b: np.ndarray
 
-    def __post_init__(self):
+    def _shapes(self) -> dict[str, tuple]:
+        """Parameter names, in the order :meth:`parameters` lists them, and their shapes."""
         h = self.mlp_w1.shape[1]
-        expected = {
+        return {
             "mlp_w1": (8, h),
             "mlp_b1": (h,),
             "mlp_w2": (h, self.c_in),
@@ -65,7 +66,9 @@ class RIAttnLayer:
             "fuse_w": (2 * self.c_in, self.c_out),
             "fuse_b": (self.c_out,),
         }
-        for name, shape in expected.items():
+
+    def __post_init__(self):
+        for name, shape in self._shapes().items():
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.shape != shape:
                 raise InvalidArgumentError(f"{name} must have shape {shape}, got {arr.shape}")
@@ -89,14 +92,7 @@ class RIAttnLayer:
         )
 
     def parameters(self) -> dict[str, np.ndarray]:
-        return {
-            "mlp_w1": self.mlp_w1,
-            "mlp_b1": self.mlp_b1,
-            "mlp_w2": self.mlp_w2,
-            "mlp_b2": self.mlp_b2,
-            "fuse_w": self.fuse_w,
-            "fuse_b": self.fuse_b,
-        }
+        return {name: getattr(self, name) for name in self._shapes()}
 
 
 @dataclass

@@ -267,7 +267,7 @@ def _named_parameters(layers, head):
 
 
 def _sample_rotation(seed_z1, seed_z2, rng):
-    params = bingham.BinghamParams(V=bingham.birdal_V(seed_z1), lambdas=bingham.lambda_from(seed_z2))
+    params = bingham.params_from_seed(bingham.BinghamSeed(seed_z1, seed_z2))
     q = bingham.sample(params, rng, 1)[0]
     return UnitQuaternion.from_array(q).canonical()
 

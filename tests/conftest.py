@@ -1,9 +1,18 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from sipf.descriptors import COINCIDENT_DISTANCE_FLOOR, MASK_SIPF, ShadowCloud, sipf_field
-from sipf.errors import CoincidentPointError, InvalidArgumentError
+from sipf.errors import (
+    CoincidentPointError,
+    DegenerateFrameError,
+    DegenerateGeometryError,
+    InvalidArgumentError,
+    InvalidInputError,
+)
 from sipf.geometry import NeighborGraph, PointCloud, Rotation3, random_rotation
+from sipf.lrf import _PARALLEL_SIN_TOL, _ZERO_AXIS_TOL
 
 
 def brute_force_knn(points: np.ndarray, k: int) -> np.ndarray:
@@ -26,6 +35,72 @@ def scalar_axis_alignment(p_r, frame_r, shadow_point, shadow_frame) -> float:
     if norm < COINCIDENT_DISTANCE_FLOOR:
         raise CoincidentPointError("shadow coincides with the point")
     return min(1.0, abs(float(a_r @ d)) / norm) * min(1.0, abs(float(a_r @ a_s)))
+
+
+# One-point oracles of the frames that try_build_all_lrfs computes for a whole
+# cloud; they share its degeneracy thresholds.
+
+_FRAME_ORTHO_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class LocalFrame:
+    """Right-handed orthonormal basis; rows are the three axes."""
+
+    axes: np.ndarray
+
+    def __post_init__(self):
+        a = np.asarray(self.axes, dtype=np.float64)
+        if a.shape != (3, 3):
+            raise InvalidInputError(f"frame axes must be 3x3, got {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise InvalidInputError("frame axes contain non-finite values")
+        gram = np.abs(a @ a.T - np.eye(3)).max()
+        if gram > _FRAME_ORTHO_TOL:
+            raise InvalidInputError(f"frame rows not orthonormal (deviation {gram:.3e})")
+        if np.abs(np.cross(a[0], a[1]) - a[2]).max() > _FRAME_ORTHO_TOL:
+            raise InvalidInputError("frame is not right-handed")
+        a = a.copy()
+        a.setflags(write=False)
+        object.__setattr__(self, "axes", a)
+
+    @property
+    def primary(self) -> np.ndarray:
+        return self.axes[0]
+
+
+def barycenter_axis(cloud: PointCloud, graph: NeighborGraph, i: int) -> np.ndarray:
+    """Vector from point i to the barycenter of its k neighbors."""
+    if not 0 <= i < len(cloud):
+        raise InvalidArgumentError(f"point index {i} out of range")
+    m = cloud.points[graph.indices[i]].mean(axis=0)
+    v = m - cloud.points[i]
+    if np.linalg.norm(v) < _ZERO_AXIS_TOL:
+        raise DegenerateGeometryError("neighbor barycenter coincides with the point", index=i)
+    return v
+
+
+def build_lrf(e1, e2) -> LocalFrame:
+    """Gram-Schmidt frame from two directions; scale of e1 and the component
+    of e2 along e1 do not affect the result."""
+    e1 = np.asarray(e1, dtype=np.float64)
+    e2 = np.asarray(e2, dtype=np.float64)
+    n1 = np.linalg.norm(e1)
+    n2 = np.linalg.norm(e2)
+    if n1 == 0.0 or n2 == 0.0:
+        raise DegenerateFrameError("frame directions must be nonzero")
+    a1 = e1 / n1
+    cross = np.cross(a1, e2 / n2)
+    sin_angle = np.linalg.norm(cross)
+    if sin_angle < _PARALLEL_SIN_TOL:
+        raise DegenerateFrameError(
+            f"frame directions are parallel within tolerance (sin angle {sin_angle:.3e})"
+        )
+    a3 = cross / sin_angle
+    a2 = np.cross(a3, a1)
+    return LocalFrame(np.stack([a1, a2, a3]))
+
+
 
 
 # One-pair oracles of the descriptor that sipf_field computes for a whole cloud.

@@ -13,11 +13,11 @@ from sipf import bingham
 from sipf.cli import load_config, main
 from sipf.descriptors import MASK_SIPF, ShadowCloud, shadow_of, sipf_field
 from sipf.geometry import PointCloud, Rotation3, knn_graph, random_rotation
-from sipf.lrf import FRAME_MODE_BARYCENTER, build_all_lrfs, build_lrf, input_descriptor
+from sipf.lrf import FRAME_MODE_BARYCENTER, build_all_lrfs, input_descriptor
 from sipf.riattn import RIAttnLayer, layer_forward, total_loss
 from sipf.training import ToyTaskConfig
 
-from conftest import mirrored_blob_cloud, pair_rows, random_cloud, random_frames
+from conftest import build_lrf, mirrored_blob_cloud, pair_rows, random_cloud, random_frames
 from test_descriptors import circle_ambiguous_pair
 from test_riattn import run_gradcheck
 

@@ -1,9 +1,12 @@
-"""The benchmark's traced functions must exist where the benchmark looks them up.
+"""The benchmark's traced functions must exist, and be called, where the benchmark looks them up.
 
 ``perfbench.workloads._present`` drops trace targets whose attribute is
 missing, so a renamed or moved function would silently stop being traced
 and its per-layer figures would read 0.  With the filter replaced by the
-identity, every declared target must resolve.
+identity, every declared target must resolve.  A target that resolves but
+is bypassed (the program calls the function through another module) reads
+0 as well, so each workload also runs once on tiny inputs with every
+target wrapped by a call counter.
 """
 
 import sys
@@ -28,3 +31,32 @@ def test_every_trace_target_resolves(name, monkeypatch, tmp_path):
         if not hasattr(owner, attr)
     ]
     assert not missing, f"{name}: trace targets that do not resolve: {missing}"
+
+
+# Tiny versions of the workloads' inputs: the code path stays the same.
+_TINY = {
+    "wingtip-train": {"EPOCHS": 1},
+    "scan-features": {"N": 40},
+    "scan-invariance": {"N": 40, "TRIALS": 2},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TINY))
+def test_every_trace_target_is_called(name, monkeypatch, tmp_path):
+    workload = workloads.WORKLOADS[name](seed=0, workdir=str(tmp_path))
+    for attr, value in _TINY[name].items():
+        setattr(workload, attr, value)
+    workload.setup()
+    counts = {}
+    for owner, attr, span, _ in workload.targets():
+        key = f"{owner.__name__}.{attr} ({span})"
+        counts[key] = 0
+
+        def counted(*args, _fn=getattr(owner, attr), _key=key, **kwargs):
+            counts[_key] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+    assert workload.call() in (None, 0)
+    uncalled = [key for key, n in counts.items() if n < 1]
+    assert counts and not uncalled, f"{name}: trace targets never called: {uncalled}"

@@ -198,6 +198,42 @@ class TestFeatures:
             assert 0 not in (r, j)
 
 
+class TestPathErrors:
+    """Unreadable input and unwritable output paths exit 1 with one error line naming the path."""
+
+    def _assert_one_error(self, argv, path, capsys):
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+
+    @pytest.mark.parametrize("name", ["missing.xyz", "missing.ply"])
+    def test_missing_input(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        self._assert_one_error(["features", "--input", str(path)], path, capsys)
+
+    def test_directory_input(self, tmp_path, capsys):
+        path = tmp_path / "dir.xyz"
+        path.mkdir()
+        self._assert_one_error(["features", "--input", str(path)], path, capsys)
+
+    def test_undecodable_input(self, tmp_path, capsys):
+        path = tmp_path / "noise.xyz"
+        path.write_bytes(np.random.default_rng(0).integers(0, 256, 4096, dtype=np.uint8).tobytes())
+        self._assert_one_error(["features", "--input", str(path)], path, capsys)
+
+    def test_output_in_missing_directory(self, cloud_file, tmp_path, capsys):
+        out = tmp_path / "nodir" / "x.csv"
+        self._assert_one_error(["features", "--input", cloud_file, "--k", "2", "--out", str(out)], out, capsys)
+        assert not (tmp_path / "nodir").exists()
+
+    def test_demo_output_directory_under_a_file(self, fast_config, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "demo"
+        self._assert_one_error(["demo-wingtip", "--config", fast_config, "--out", str(out)], out, capsys)
+
+
 class TestVerifyInvariance:
     def test_passes_on_valid_cloud(self, cloud_file, tmp_path):
         out = tmp_path / "report.json"
@@ -223,6 +259,62 @@ class TestVerifyInvariance:
 
     def test_zero_trials_usage_error(self, cloud_file):
         assert main(["verify-invariance", "--input", cloud_file, "--trials", "0"]) == EXIT_VALIDATION
+
+    def _stderr_of_both(self, path, capsys, tmp_path):
+        """stderr of ``features`` and of ``verify-invariance`` on one cloud, and the latter's exit code."""
+        common = ["--input", str(path), "--k", "2"]
+        assert main(["features", *common, "--out", str(tmp_path / "f.csv")]) == EXIT_OK
+        features_err = capsys.readouterr().err
+        code = main(["verify-invariance", *common, "--trials", "4", "--out", str(tmp_path / "r.json")])
+        return features_err, capsys.readouterr().err, code
+
+    def test_origin_point_warns_like_features(self, tmp_path, capsys):
+        path = tmp_path / "origin.xyz"
+        path.write_text("0 0 0\n1 0 0\n0 1 0\n0.4 0.7 0.1\n")
+        features_err, err, code = self._stderr_of_both(path, capsys, tmp_path)
+        assert err == features_err == (
+            "warning: shadow coincides with point 0; rows omitted\nwarning: 1 point(s) omitted\n"
+        )
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert set(report) == {"trials", "max_abs_deviation", "threshold", "break_shadow", "pass"}
+        assert report["trials"] == 4 and report["pass"] is True and report["break_shadow"] is False
+        assert report["max_abs_deviation"] <= 1e-8
+
+    def test_degenerate_frame_warns_like_features(self, tmp_path, capsys):
+        # The TestFeatures cloud plus a generic patch, so some rows stay usable.
+        path = tmp_path / "deg.xyz"
+        path.write_text(
+            "0 0 0\n1 0 0\n-1 0 0\n0 5 0\n0 -5 0\n3 3 3\n3.5 3.2 3.1\n3.1 3.6 2.9\n3.3 3.1 3.7\n"
+        )
+        features_err, err, code = self._stderr_of_both(path, capsys, tmp_path)
+        assert err == features_err
+        assert err.startswith("warning: degenerate frame at point 0; rows omitted\n")
+        assert err.endswith(" point(s) omitted\n")
+        assert code == EXIT_OK
+        assert json.loads((tmp_path / "r.json").read_text())["pass"] is True
+
+    def test_no_usable_row_is_a_validation_error(self, tmp_path, capsys):
+        # Every point of the TestFeatures cloud is dropped or has only dropped neighbors.
+        path = tmp_path / "deg.xyz"
+        path.write_text("0 0 0\n1 0 0\n-1 0 0\n0 5 0\n0 -5 0\n")
+        features_err, err, code = self._stderr_of_both(path, capsys, tmp_path)
+        assert code == EXIT_VALIDATION
+        assert err.startswith(features_err)
+        assert err[len(features_err):].startswith("error: no descriptor row is usable")
+        assert (tmp_path / "f.csv").read_text().count("\n") == 1  # features: header only
+
+    def test_identity_rotation_leaves_no_usable_row(self, cloud_file, capsys):
+        # The identity puts every point on its own shadow.
+        code = main([
+            "verify-invariance", "--input", cloud_file, "--trials", "2", "--k", "2",
+            "--rotation=1,0,0,0",
+        ])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("shadow coincides with point") == 5
+        assert "warning: 5 point(s) omitted\nerror: no descriptor row is usable" in err
+        assert "Traceback" not in err
 
 
 class TestBingham:

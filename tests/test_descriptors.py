@@ -23,10 +23,11 @@ from sipf.geometry import (
     random_rotation,
     rotation_from_axis_angle,
 )
-from sipf.lrf import FRAME_MODE_BARYCENTER, build_all_lrfs, build_lrf
+from sipf.lrf import FRAME_MODE_BARYCENTER, build_all_lrfs
 from sipf.training import make_wingtip_dataset
 
 from conftest import (
+    build_lrf,
     mirrored_blob_cloud,
     pair_rows,
     ppf,
@@ -296,9 +297,12 @@ class TestSipfStack:
         graph = knn_graph(cloud, 2)
         frames = random_frames(rng, 8)
         shadow = shadow_of(cloud, frames, random_rotation(rng))
-        with pytest.raises(CoincidentPointError) as excinfo:
-            sipf_field(cloud, frames, graph, shadow)
-        assert str(excinfo.value) == "coincident pair at index (5, 0)"
+        # Reference point 5 and neighbor point 7 by point index, also when
+        # masked rows shift the positions of the computed rows.
+        for valid in (None, np.arange(8) != 0):
+            with pytest.raises(CoincidentPointError) as excinfo:
+                sipf_field(cloud, frames, graph, shadow, valid=valid)
+            assert str(excinfo.value) == "coincident pair at index (5, 7)"
 
 
 class TestDegeneracyDetectors:

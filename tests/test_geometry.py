@@ -145,6 +145,12 @@ class TestQuaternionMatrix:
         with pytest.raises(InvalidInputError):
             quat_to_matrix(np.array([1.0, 0.1, 0.0, 0.0]))
 
+    def test_wrong_component_count_rejected(self):
+        with pytest.raises(InvalidInputError, match="4 components"):
+            UnitQuaternion.from_array([1, 0, 0])
+        with pytest.raises(InvalidInputError, match="4 components"):
+            quat_to_matrix([1.0, 0.0, 0.0, 0.0, 0.0])
+
     def test_matrix_to_quat_identity(self):
         q = matrix_to_quat(Rotation3.identity())
         assert (q.w, q.x, q.y, q.z) == (1.0, 0.0, 0.0, 0.0)

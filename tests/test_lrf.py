@@ -6,37 +6,59 @@ from sipf.geometry import PointCloud, knn_graph, random_rotation
 from sipf.lrf import (
     FRAME_MODE_BARYCENTER,
     FRAME_MODE_NORMAL,
-    LocalFrame,
-    barycenter_axis,
     build_all_lrfs,
-    build_lrf,
     input_descriptor,
     try_build_all_lrfs,
 )
 
-from conftest import random_cloud
+from conftest import LocalFrame, barycenter_axis, build_lrf, random_cloud
+
+
+def frame_row(e1, e2):
+    """``try_build_all_lrfs`` row and validity for the direction pair (e1, e2).
+
+    Point 0 sits at the origin with normal e1 / |e1| and has one neighbor at
+    e2, so its normal-mode frame is the Gram-Schmidt frame of (e1, e2).
+    """
+    e1 = np.asarray(e1, dtype=np.float64)
+    normal = e1 / np.linalg.norm(e1)
+    cloud = PointCloud(points=[[0.0, 0.0, 0.0], e2], normals=[normal, normal])
+    frames, valid = try_build_all_lrfs(cloud, knn_graph(cloud, 1), FRAME_MODE_NORMAL)
+    return frames[0], bool(valid[0])
 
 
 class TestBarycenterAxis:
+    # In barycenter mode the primary axis is the normalized barycenter axis.
+
     def test_arithmetic_mean(self):
-        cloud = PointCloud(points=[[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+        # The far fourth point moves the centroid off the barycenter axis.
+        cloud = PointCloud(points=[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 5]])
         graph = knn_graph(cloud, 2)
         assert np.allclose(barycenter_axis(cloud, graph, 0), [0.5, 0.5, 0.0], atol=1e-15)
+        frames, valid = try_build_all_lrfs(cloud, graph, FRAME_MODE_BARYCENTER)
+        assert valid[0]
+        assert np.allclose(frames[0, 0], np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0), atol=1e-15)
 
     def test_symmetric_neighbors_degenerate(self):
         cloud = PointCloud(points=[[0, 0, 0], [1, 0, 0], [-1, 0, 0]])
         graph = knn_graph(cloud, 2)
         with pytest.raises(DegenerateGeometryError):
             barycenter_axis(cloud, graph, 0)
+        _, valid = try_build_all_lrfs(cloud, graph, FRAME_MODE_BARYCENTER)
+        assert not valid[0]
 
     def test_matches_direct_mean_oracle(self, rng):
         cloud = random_cloud(rng, 32)
         graph = knn_graph(cloud, 5)
+        frames, valid = try_build_all_lrfs(cloud, graph, FRAME_MODE_BARYCENTER)
+        assert valid.all()
         for i in range(len(cloud)):
             expected = cloud.points[graph.indices[i]].mean(axis=0) - cloud.points[i]
             assert np.allclose(barycenter_axis(cloud, graph, i), expected, atol=0)
+            assert np.abs(frames[i, 0] - expected / np.linalg.norm(expected)).max() < 1e-15
 
     def test_index_out_of_range(self, rng):
+        # The one-point oracle checks its index argument.
         cloud = random_cloud(rng, 8)
         graph = knn_graph(cloud, 2)
         with pytest.raises(InvalidArgumentError):
@@ -44,22 +66,35 @@ class TestBarycenterAxis:
 
 
 class TestBuildLrf:
-    def test_canonical_axes(self):
-        frame = build_lrf([1, 0, 0], [0, 1, 0])
-        assert np.allclose(frame.axes, np.eye(3), atol=1e-15)
+    # try_build_all_lrfs rows against the one-point Gram-Schmidt oracle.
 
-    def test_scale_and_parallel_component_irrelevant(self):
-        a = build_lrf([1, 0, 0], [0, 1, 0])
-        b = build_lrf([2, 0, 0], [1, 1, 0])
-        assert np.allclose(a.axes, b.axes, atol=1e-15)
+    def test_canonical_axes(self):
+        frame, valid = frame_row([1, 0, 0], [0, 1, 0])
+        assert valid
+        assert np.allclose(frame, np.eye(3), atol=1e-15)
+        assert np.allclose(build_lrf([1, 0, 0], [0, 1, 0]).axes, np.eye(3), atol=1e-15)
+
+    def test_scale_and_parallel_component_irrelevant(self, rng):
+        a, _ = frame_row([1, 0, 0], [0, 1, 0])
+        b, _ = frame_row([2, 0, 0], [1, 1, 0])
+        assert np.allclose(a, b, atol=1e-15)
+        # Barycenter mode: scaling the cloud scales both directions.
+        cloud = random_cloud(rng, 24)
+        graph = knn_graph(cloud, 5)
+        frames = build_all_lrfs(cloud, graph, FRAME_MODE_BARYCENTER)
+        scaled = build_all_lrfs(PointCloud(points=3.7 * cloud.points), graph, FRAME_MODE_BARYCENTER)
+        assert np.abs(scaled - frames).max() < 1e-12
 
     def test_parallel_directions_degenerate(self):
-        with pytest.raises(DegenerateFrameError):
-            build_lrf([1, 0, 0], [2, 0, 0])
-        with pytest.raises(DegenerateFrameError):
-            build_lrf([1, 0, 0], [1, 1e-9, 0])
+        for e2 in ([2, 0, 0], [1, 1e-9, 0]):
+            assert not frame_row([1, 0, 0], e2)[1]
+            with pytest.raises(DegenerateFrameError):
+                build_lrf([1, 0, 0], e2)
 
     def test_zero_direction_degenerate(self):
+        assert not frame_row([1, 0, 0], [0, 0, 0])[1]
+        with pytest.raises(DegenerateFrameError):
+            build_lrf([1, 0, 0], [0, 0, 0])
         with pytest.raises(DegenerateFrameError):
             build_lrf([0, 0, 0], [1, 0, 0])
 
@@ -67,16 +102,18 @@ class TestBuildLrf:
         for _ in range(50):
             e1 = rng.standard_normal(3)
             e2 = rng.standard_normal(3)
-            frame = build_lrf(e1, e2)
-            shifted = build_lrf(3.7 * e1, e2 + 1.9 * e1)
-            assert np.abs(frame.axes - shifted.axes).max() < 1e-12
+            frame, _ = frame_row(e1, e2)
+            shifted, _ = frame_row(3.7 * e1, e2 + 1.9 * e1)
+            assert np.abs(frame - shifted).max() < 1e-12
 
     def test_output_is_valid_frame(self, rng):
         for _ in range(100):
-            frame = build_lrf(rng.standard_normal(3), rng.standard_normal(3))
-            a = frame.axes
+            e1, e2 = rng.standard_normal(3), rng.standard_normal(3)
+            a, valid = frame_row(e1, e2)
+            assert valid
             assert np.abs(a @ a.T - np.eye(3)).max() < 1e-9
             assert np.abs(np.cross(a[0], a[1]) - a[2]).max() < 1e-9
+            assert np.abs(a - build_lrf(e1, e2).axes).max() < 1e-12
 
 
 class TestBuildAllLrfs:
