@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import InvalidArgumentError, InvalidInputError, NumericError, SamplerStallError
-from .geometry import UnitQuaternion
+from .geometry import UnitQuaternion, is_near_identity
 
 __all__ = [
     "BinghamSeed",
@@ -60,7 +60,6 @@ BINGHAM_LOSS_KINDS = (LOSS_ENTROPY, LOSS_NLL_MODE)
 MIN_QUADRATURE_ORDER = 16
 DEFAULT_QUADRATURE_ORDER = 48
 
-_IDENTITY_MODE_TOL = 1e-9
 _STALL_RATE_FLOOR = 1e-4
 _STALL_BATCH_CAP = 200
 _MSTAR_SAFETY = 1.0001
@@ -124,10 +123,11 @@ class BinghamParams:
 
 @dataclass(frozen=True)
 class NormalizationResult:
-    """Normalization constant and its derivatives w.r.t. (l1, l2, l3)."""
+    """Normalization constant, its derivatives w.r.t. (l1, l2, l3), and the entropy they give."""
 
     F: float
     gradF: np.ndarray
+    entropy: float
 
 
 def birdal_V(z1) -> np.ndarray:
@@ -251,13 +251,12 @@ def normalization(params: BinghamParams, order: int = DEFAULT_QUADRATURE_ORDER) 
     V-diagonalized coordinates, so any orthogonal V yields the same value.
     """
     f, grad, _ = _moments(params.lambdas[:3], order)
-    return NormalizationResult(F=f, gradF=grad)
+    return NormalizationResult(F=f, gradF=grad, entropy=_entropy(f, grad, params.lambdas[:3]))
 
 
 def entropy(params: BinghamParams, order: int = DEFAULT_QUADRATURE_ORDER) -> float:
     """Differential entropy log F - (L . grad F) / F."""
-    f, grad, _ = _moments(params.lambdas[:3], order)
-    return _entropy(f, grad, params.lambdas[:3])
+    return normalization(params, order).entropy
 
 
 def mode(params: BinghamParams) -> UnitQuaternion:
@@ -268,8 +267,7 @@ def mode(params: BinghamParams) -> UnitQuaternion:
     caller must perturb.
     """
     q = UnitQuaternion.from_array(params.V[:, 3]).canonical()
-    # Rotation angle to identity: 2 * arccos(|w|).
-    if 2.0 * np.arccos(np.clip(abs(q.w), 0.0, 1.0)) < _IDENTITY_MODE_TOL:
+    if is_near_identity(q):
         warnings.warn(
             "Bingham mode is the identity rotation; shadow generation degenerates",
             IdentityModeWarning,

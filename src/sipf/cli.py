@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import bingham
-from .cloudio import format_float, load_cloud, write_text_atomic
+from .cloudio import format_rows, load_cloud, write_text_atomic
 from .descriptors import (
     B1_SCORE_THRESHOLD,
     B2_DISTANCE_THRESHOLD_RAD,
@@ -158,21 +158,19 @@ def _field_inputs(args):
     return config, cloud, graph, frames, shadow, valid
 
 
+def _usable_edges(graph, valid):
+    """(N, k) mask of the edges whose reference point and neighbour both survive the row policy."""
+    return valid[:, None] & valid[graph.indices]
+
+
 def cmd_features(args) -> int:
     _, cloud, graph, frames, shadow, valid = _field_inputs(args)
     field = sipf_field(cloud, frames, graph, shadow, mask=MASK_SIPF, valid=valid)
-    lines = ["ref_index,nbr_index,ppf1,ppf2,ppf3,ppf4,sippf1,sippf2,sippf3,sippf4"]
-    for r in range(len(cloud)):
-        if not valid[r]:
-            continue
-        for col, j in enumerate(graph.indices[r]):
-            if not valid[j]:
-                continue
-            row = field[r, col]
-            lines.append(
-                f"{r},{int(j)}," + ",".join(format_float(v) for v in row)
-            )
-    _emit("\n".join(lines) + "\n", args.out)
+    # np.nonzero walks the mask row-major: by reference point, then neighbour slot.
+    ref, col = np.nonzero(_usable_edges(graph, valid))
+    table = np.column_stack([ref, graph.indices[ref, col], field[ref, col]])
+    header = "ref_index,nbr_index,ppf1,ppf2,ppf3,ppf4,sippf1,sippf2,sippf3,sippf4\n"
+    _emit(header + format_rows(table, n_int=2), args.out)
     return EXIT_OK
 
 
@@ -188,7 +186,7 @@ def cmd_verify_invariance(args) -> int:
     # Dropped points stay dropped under every joint rotation: a frame and a
     # shadow offset rotate with the cloud.
     config, cloud, graph, frames, shadow, valid = _field_inputs(args)
-    keep = valid[graph.indices] & valid[:, None]
+    keep = _usable_edges(graph, valid)
     if not keep.any():
         raise InvalidInputError("no descriptor row is usable: every point or every neighbor was omitted")
     base = sipf_field(cloud, frames, graph, shadow, mask=MASK_SIPF, valid=valid)[keep]
@@ -243,16 +241,14 @@ def cmd_bingham(args) -> int:
         if rng is None:
             rng = np.random.default_rng(config.seed)
         samples = bingham.sample(params, rng, args.n)
-        lines = ["w,x,y,z"]
-        lines.extend(",".join(format_float(v) for v in q) for q in samples)
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit("w,x,y,z\n" + format_rows(samples, n_int=0), args.out)
     elif args.bingham_cmd == "entropy":
         res = bingham.normalization(params, config.quadrature_order)
         report = {
             "lambda": params.lambdas.tolist(),
             "F": res.F,
             "gradF": res.gradF.tolist(),
-            "entropy": bingham.entropy(params, config.quadrature_order),
+            "entropy": res.entropy,
         }
         _emit(json.dumps(report, indent=2) + "\n", args.out)
     else:

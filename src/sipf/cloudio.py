@@ -1,4 +1,4 @@
-"""Point-cloud file ingestion (xyz and ascii PLY) and atomic text output.
+"""Point-cloud file ingestion (xyz and ascii PLY), CSV row formatting and atomic text output.
 
 xyz rows carry 3 (positions) or 6 (positions + normals) whitespace-separated
 finite numbers.  PLY support covers the ascii subset with float/double
@@ -17,12 +17,26 @@ import numpy as np
 from .errors import InvalidInputError, ParseError
 from .geometry import PointCloud
 
-__all__ = ["load_cloud", "format_float", "write_text_atomic"]
+__all__ = ["load_cloud", "format_rows", "write_text_atomic"]
+
+# Rows formatted per ``%`` call: bounds the boxed floats alive at once.
+_CSV_CHUNK_ROWS = 4096
 
 
-def format_float(x: float) -> str:
-    """17 significant digits: enough to round-trip any double bitwise."""
-    return format(float(x), ".17g")
+def format_rows(table, n_int: int) -> str:
+    """CSV lines of a 2-D table: the first ``n_int`` columns as integers, the rest as ``%.17g``.
+
+    17 significant digits round-trip any double bitwise.  Integer columns may
+    be stored as float64; ``%d`` prints them exactly below 2**53.
+    """
+    table = np.asarray(table, dtype=np.float64)
+    n_rows, n_cols = table.shape
+    line = ",".join(["%d"] * n_int + ["%.17g"] * (n_cols - n_int)) + "\n"
+    chunks = []
+    for start in range(0, n_rows, _CSV_CHUNK_ROWS):
+        chunk = table[start : start + _CSV_CHUNK_ROWS]
+        chunks.append((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+    return "".join(chunks)
 
 
 def write_text_atomic(path: str, content: str) -> None:

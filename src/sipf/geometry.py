@@ -36,12 +36,14 @@ __all__ = [
     "random_rotation",
     "rotation_from_axis_angle",
     "quaternion_distance",
+    "is_near_identity",
 ]
 
 _NORMAL_NORM_TOL = 1e-6
 _QUAT_NORM_TOL = 1e-6
 _ROTATION_TOL = 1e-10
 _MATRIX_INPUT_TOL = 1e-6
+_IDENTITY_ANGLE_TOL = 1e-9
 
 
 def _as_float_array(values, name):
@@ -324,3 +326,8 @@ def quaternion_distance(q1, q2) -> float:
     a = _quat_array(q1)
     b = _quat_array(q2)
     return float(np.arccos(np.clip(abs(float(a @ b)), 0.0, 1.0)))
+
+
+def is_near_identity(q: UnitQuaternion) -> bool:
+    """True when q rotates by less than 1e-9 rad; the rotation angle is 2 arccos(|w|)."""
+    return bool(2.0 * np.arccos(np.clip(abs(q.w), 0.0, 1.0)) < _IDENTITY_ANGLE_TOL)

@@ -41,6 +41,7 @@ from .geometry import (
     PointCloud,
     Rotation3,
     UnitQuaternion,
+    is_near_identity,
     knn_graph,
     quat_to_matrix,
 )
@@ -68,7 +69,6 @@ WING_Z_OFFSET = 1.0
 # anchor instead of resetting it; the entropy term then adapts it.
 _Z2_INIT_LOC = np.array([600.0, 20.0, 20.0])
 _Z2_INIT_SCALE = 0.25
-_IDENTITY_GUARD_TOL = 1e-9
 _IDENTITY_PERTURB = 1e-3
 
 
@@ -307,7 +307,7 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
     for epoch in range(1, config.epochs + 1):
         # Identity guard: an identity anchor would collapse every shadow onto
         # its source point, so perturb the quaternion seed and redraw.
-        while 2.0 * np.arccos(np.clip(abs(q_g.w), 0.0, 1.0)) < _IDENTITY_GUARD_TOL:
+        while is_near_identity(q_g):
             z1 = z1 + _IDENTITY_PERTURB * rng.standard_normal(4)
             q_g = _sample_rotation(z1, z2, rng)
         rot = quat_to_matrix(q_g)

@@ -15,6 +15,11 @@ from sipf.geometry import NeighborGraph, PointCloud, Rotation3, random_rotation
 from sipf.lrf import _PARALLEL_SIN_TOL, _ZERO_AXIS_TOL
 
 
+def format_float(x: float) -> str:
+    """One-value oracle of the CSV writer: 17 significant digits round-trip any double bitwise."""
+    return format(float(x), ".17g")
+
+
 def brute_force_knn(points: np.ndarray, k: int) -> np.ndarray:
     """O(N^2) reference: full distance sort, ties broken by ascending index."""
     n = len(points)

@@ -11,6 +11,7 @@ from sipf.cli import (
     load_config,
     main,
 )
+from sipf.cloudio import _CSV_CHUNK_ROWS
 from sipf.errors import InvalidInputError
 from sipf.training import ToyTaskConfig
 
@@ -18,6 +19,10 @@ from conftest import sipf_stack
 
 # SHA-256 of the features CSV for the grid in test_golden_csv_bytes.
 GOLDEN_FEATURES_SHA256 = "5cd1c552c9fde81cbd41f4c3de3d75e19c34499a944eacad7690c5cb30eb601f"
+# ... for the 600-point cloud in test_golden_csv_bytes_several_chunks.
+GOLDEN_FEATURES_600_SHA256 = "1fb306ff1609e22c104cd658d408b8cfd8517ebab9c87e3f44c1a18bfe9f3a2c"
+# ... of `bingham sample -n 2000 --seed 3`.
+GOLDEN_BINGHAM_SAMPLE_SHA256 = "b7e78a6ad6c33aae861b52e320cb7ad24acae061a541874ed5cb92b8c88d9613"
 
 TOY_CLOUD = "0 0 1\n1 0 1\n0 1 1\n0.2 0.3 1.4\n1.1 0.9 0.6\n"
 
@@ -163,6 +168,42 @@ class TestFeatures:
         data = out.read_bytes()
         assert data.count(b"\n") == 1 + 25 * 6
         assert hashlib.sha256(data).hexdigest() == GOLDEN_FEATURES_SHA256
+
+    def test_golden_csv_bytes_several_chunks(self, tmp_path, capsys):
+        # 600 points on a 1/128 lattice with integer normals, so the file text
+        # is exact.  Points 0-2 lie on the z axis, which the shadow rotation
+        # (about z) leaves fixed: the row policy drops them.  The CSV spans
+        # several formatting chunks.
+        rng = np.random.default_rng(600)
+        pts = rng.integers(-512, 513, size=(600, 3)) / 128
+        normals = rng.integers(-3, 4, size=(600, 3))
+        normals[:, 2] = rng.integers(1, 4, size=600)
+        pts[:3] = [(0.0, 0.0, 0.0), (0.0, 0.0, 1.5), (0.0, 0.0, -2.25)]
+        rows = [
+            f"{x!r} {y!r} {z!r} {a} {b} {c}"
+            for (x, y, z), (a, b, c) in zip(pts.tolist(), normals.tolist())
+        ]
+        path = tmp_path / "golden600.xyz"
+        path.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "golden600.csv"
+        code = main([
+            "features", "--input", str(path), "--k", "20",
+            "--rotation=0.6,0,0,0.8", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        err = capsys.readouterr().err
+        assert err.endswith("warning: 3 point(s) omitted\n")
+        data = out.read_bytes()
+        assert data.count(b"\n") - 1 > 2 * _CSV_CHUNK_ROWS
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_FEATURES_600_SHA256
+
+    def test_stdout_matches_file_output(self, cloud_file, tmp_path, capsysbinary):
+        out = tmp_path / "f.csv"
+        argv = ["features", "--input", cloud_file, "--k", "2", "--seed", "7"]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        capsysbinary.readouterr()
+        assert main(argv) == EXIT_OK
+        assert capsysbinary.readouterr().out == out.read_bytes()
 
     def test_malformed_input_names_line(self, tmp_path, capsys):
         path = tmp_path / "bad.xyz"
@@ -343,6 +384,26 @@ class TestBingham:
         assert len(rows) == 51
         q = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
         assert np.abs(np.linalg.norm(q, axis=1) - 1.0).max() < 1e-12
+
+    def test_golden_sample_bytes(self, tmp_path):
+        out = tmp_path / "samples.csv"
+        assert main(["bingham", "sample", "-n", "2000", "--seed", "3", "--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_BINGHAM_SAMPLE_SHA256
+
+    def test_entropy_runs_one_quadrature(self, tmp_path, monkeypatch):
+        from sipf import bingham
+
+        calls = []
+        moments = bingham._moments
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return moments(*args, **kwargs)
+
+        monkeypatch.setattr(bingham, "_moments", counted)
+        out = tmp_path / "entropy.json"
+        assert main(["bingham", "entropy", "--seed", "2", "--out", str(out)]) == EXIT_OK
+        assert len(calls) == 1
 
     def test_mode_json(self, tmp_path):
         out = tmp_path / "mode.json"

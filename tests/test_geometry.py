@@ -10,6 +10,7 @@ from sipf.geometry import (
     Rotation3,
     UnitQuaternion,
     apply_rotation,
+    is_near_identity,
     knn_graph,
     matrix_to_quat,
     quat_to_matrix,
@@ -255,3 +256,10 @@ class TestHelpers:
         q = UnitQuaternion(0.5, 0.5, 0.5, 0.5)
         assert quaternion_distance(q, -q) == 0.0
         assert abs(quaternion_distance(UnitQuaternion(1, 0, 0, 0), UnitQuaternion(0, 1, 0, 0)) - np.pi / 2) < 1e-12
+
+    def test_is_near_identity(self):
+        assert is_near_identity(UnitQuaternion(1, 0, 0, 0))
+        assert is_near_identity(UnitQuaternion(-1, 0, 0, 0))
+        assert is_near_identity(UnitQuaternion(np.cos(5e-11), np.sin(5e-11), 0, 0))  # angle 1e-10
+        assert not is_near_identity(UnitQuaternion(np.cos(5e-7), 0, np.sin(5e-7), 0))
+        assert not is_near_identity(UnitQuaternion(0.5, 0.5, 0.5, 0.5))

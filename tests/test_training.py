@@ -7,7 +7,7 @@ import pytest
 from sipf import bingham
 from sipf.descriptors import MASK_PPF
 from sipf.errors import InvalidArgumentError
-from sipf.geometry import UnitQuaternion, knn_graph, quat_to_matrix
+from sipf.geometry import UnitQuaternion, is_near_identity, knn_graph, quat_to_matrix
 from sipf.lrf import FRAME_MODE_BARYCENTER, build_all_lrfs
 from sipf.descriptors import shadow_of, sipf_field
 from sipf.training import (
@@ -150,6 +150,22 @@ class TestTrainToy:
         assert log_a == log_b
         for line in log_a.strip().split("\n"):
             json.loads(line)
+
+    def test_identity_draw_is_redrawn(self, monkeypatch):
+        from sipf import training
+
+        real = training._sample_rotation
+        seeds = []
+
+        def identity_first(z1, z2, rng):
+            seeds.append(z1)
+            return UnitQuaternion(1.0, 0.0, 0.0, 0.0) if len(seeds) == 1 else real(z1, z2, rng)
+
+        monkeypatch.setattr(training, "_sample_rotation", identity_first)
+        result = train_toy(make_wingtip_dataset(2, 32, 0.0, 100), self._short_config(epochs=1))
+        assert len(seeds) >= 2
+        assert not np.array_equal(seeds[1], seeds[0])  # the quaternion seed was perturbed
+        assert not is_near_identity(UnitQuaternion.from_array(result.metrics[0]["rg_quaternion"]))
 
     def test_different_seeds_differ(self):
         dataset = make_wingtip_dataset(2, 32, 0.0, 100)
