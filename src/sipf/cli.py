@@ -16,6 +16,7 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -243,7 +244,7 @@ def cmd_bingham(args) -> int:
         samples = bingham.sample(params, rng, args.n)
         _emit("w,x,y,z\n" + format_rows(samples, n_int=0), args.out)
     elif args.bingham_cmd == "entropy":
-        res = bingham.normalization(params, config.quadrature_order)
+        res = bingham.normalization(params)
         report = {
             "lambda": params.lambdas.tolist(),
             "F": res.F,
@@ -252,7 +253,10 @@ def cmd_bingham(args) -> int:
         }
         _emit(json.dumps(report, indent=2) + "\n", args.out)
     else:
-        q = bingham.mode(params)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", bingham.IdentityModeWarning)
+            q = bingham.mode(params)
+        sys.stderr.writelines(f"warning: {w.message}\n" for w in caught)
         report = {
             "quaternion": [q.w, q.x, q.y, q.z],
             "matrix": quat_to_matrix(q).matrix.tolist(),

@@ -17,6 +17,7 @@ feature is tested for invariance over all of SO(3).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -329,5 +330,5 @@ def quaternion_distance(q1, q2) -> float:
 
 
 def is_near_identity(q: UnitQuaternion) -> bool:
-    """True when q rotates by less than 1e-9 rad; the rotation angle is 2 arccos(|w|)."""
-    return bool(2.0 * np.arccos(np.clip(abs(q.w), 0.0, 1.0)) < _IDENTITY_ANGLE_TOL)
+    """True when q rotates by less than 1e-9 rad; 2 atan2(|v|, |w|) resolves that, 2 arccos|w| does not."""
+    return 2.0 * math.atan2(math.hypot(q.x, q.y, q.z), abs(q.w)) < _IDENTITY_ANGLE_TOL

@@ -92,10 +92,6 @@ _CONFIG_RULES = {
         lambda v: v in bingham.BINGHAM_LOSS_KINDS,
         f"one of {bingham.BINGHAM_LOSS_KINDS}",
     ),
-    "quadrature_order": (
-        lambda v: _is_int(v) and v >= bingham.MIN_QUADRATURE_ORDER,
-        f"an integer >= {bingham.MIN_QUADRATURE_ORDER}",
-    ),
 }
 
 
@@ -114,7 +110,6 @@ class ToyTaskConfig:
     descriptor_mask: str = MASK_SIPF
     seed: int = 0
     bingham_loss_kind: str = bingham.LOSS_ENTROPY
-    quadrature_order: int = bingham.DEFAULT_QUADRATURE_ORDER
 
     def __post_init__(self):
         for name, (accepts, requirement) in _CONFIG_RULES.items():
@@ -337,9 +332,7 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
                 raise NumericError(f"non-finite task loss at epoch {epoch}, batch {start}")
 
             seed_now = bingham.BinghamSeed(z1, z2)
-            b_loss, _, d_z2 = bingham.bingham_loss_and_seed_gradient(
-                seed_now, config.bingham_loss_kind, config.quadrature_order
-            )
+            b_loss, _, d_z2 = bingham.bingham_loss_and_seed_gradient(seed_now, config.bingham_loss_kind)
             d_task, d_bingham = total_loss_gradients(task_loss, b_loss, config.delta)
 
             lr = config.learning_rate
@@ -362,7 +355,7 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
         accuracy = total_correct / total_points
         eval_loss /= total_points
         b_loss, _, _ = bingham.bingham_loss_and_seed_gradient(
-            bingham.BinghamSeed(z1, z2), config.bingham_loss_kind, config.quadrature_order
+            bingham.BinghamSeed(z1, z2), config.bingham_loss_kind
         )
         result.metrics.append(
             {

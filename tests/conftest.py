@@ -2,6 +2,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from sipf.descriptors import COINCIDENT_DISTANCE_FLOOR, MASK_SIPF, ShadowCloud, sipf_field
 from sipf.errors import (
@@ -206,6 +207,43 @@ def pair_rows(p_r, frame_r, neighbors, shadow_point, shadow_frame, mask=MASK_SIP
     )
     valid = np.arange(n) == 0
     return sipf_field(PointCloud(points=points), frames, graph, shadow, mask=mask, valid=valid)[0]
+
+
+def bingham_moments_oracle(lambdas3):
+    """F, dF/dl_i and d2F/dl_i dl_j of the Bingham normalizer by adaptive quadrature.
+
+    F is the integral over S^3 of exp(l1 q1^2 + l2 q2^2 + l3 q3^2).  This
+    oracle pairs (q1, q3) on one circle of radius^2 t and (q2, q4) on the
+    other (production pairs (q1, q2) and (q3, q4)); each circle is averaged
+    in closed form as a Dirichlet moment, 1F1 with Beta constants, and each
+    moment of q_i^2 q_j^2 is one ``scipy.integrate.quad`` over t in [0, 1].
+    """
+    l1, l2, l3 = (float(v) for v in lambdas3)
+
+    def circle(r, lam_x, lam_y, p_x, p_y):
+        # Mean of x^(2 p_x) y^(2 p_y) exp(r (lam_x x^2 + lam_y y^2)) over
+        # x^2 + y^2 = 1, written with the larger eigenvalue factored out.
+        if lam_x > lam_y:
+            return circle(r, lam_y, lam_x, p_y, p_x)
+        const = special.beta(p_x + 0.5, p_y + 0.5) / np.pi
+        kummer = special.hyp1f1(p_x + 0.5, p_x + p_y + 1.0, -(lam_y - lam_x) * r)
+        return np.exp(lam_y * r) * const * kummer
+
+    def moment(p1, p2, p3):
+        def integrand(t):
+            s = 1.0 - t
+            return t ** (p1 + p3) * circle(t, l1, l3, p1, p3) * s**p2 * circle(s, l2, 0.0, p2, 0)
+
+        value, _ = integrate.quad(
+            integrand, 0.0, 1.0, epsabs=0.0, epsrel=1.2e-14, limit=400, points=(1e-3, 1e-2, 0.1)
+        )
+        return 2.0 * np.pi**2 * value
+
+    unit = np.eye(3, dtype=int)
+    f = moment(0, 0, 0)
+    grad = np.array([moment(*unit[i]) for i in range(3)])
+    hess = np.array([[moment(*(unit[i] + unit[j])) for j in range(3)] for i in range(3)])
+    return f, grad, hess
 
 
 def random_cloud(rng: np.random.Generator, n: int, with_normals: bool = False) -> PointCloud:

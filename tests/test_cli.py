@@ -65,7 +65,7 @@ class TestConfig:
 
     def test_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "c.json"
-        path.write_text('{"quadrature_order": 4}')
+        path.write_text('{"k": 0}')
         with pytest.raises(InvalidInputError):
             load_config(str(path))
 
@@ -426,11 +426,31 @@ class TestBingham:
         assert "unrecognized arguments: --k 5" in capsys.readouterr().err
 
     def test_numeric_failure_exit_code(self, capsys):
-        # Concentration so extreme the quadrature underflows to zero mass.
+        # Concentration so extreme that the true F underflows.
         from sipf.cli import EXIT_NUMERIC
 
-        code = main(["bingham", "entropy", "--z1", "1,0,0,0", "--z2", "1e9,1,1"])
+        code = main(["bingham", "entropy", "--z1", "1,0,0,0", "--z2", "1e250,1,1"])
         assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_sharp_concentration_matches_laplace(self, tmp_path):
+        # At |lambda| ~ 1e9 F is tiny but representable; the Laplace value
+        # 2 pi^(3/2) / sqrt|l1 l2 l3| is exact to O(1/|lambda|) there.
+        out = tmp_path / "entropy.json"
+        code = main(["bingham", "entropy", "--z1", "1,0,0,0", "--z2", "1e9,1,1", "--out", str(out)])
+        assert code == EXIT_OK
+        report = json.loads(out.read_text())
+        laplace = 2.0 * np.pi**1.5 / np.sqrt(np.abs(np.prod(report["lambda"][:3])))
+        assert abs(report["F"] / laplace - 1.0) < 1e-3
+
+    def test_identity_mode_warns_in_one_line(self, tmp_path, capsys):
+        out = tmp_path / "mode.json"
+        code = main(["bingham", "mode", "--z1", "0,0,0,1", "--z2", "0,0,0", "--out", str(out)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == (
+            "warning: Bingham mode is the identity rotation; shadow generation degenerates\n"
+        )
+        assert json.loads(out.read_text())["quaternion"] == [1.0, 0.0, 0.0, 0.0]
 
 
 class TestTrainToy:

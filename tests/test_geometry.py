@@ -263,3 +263,12 @@ class TestHelpers:
         assert is_near_identity(UnitQuaternion(np.cos(5e-11), np.sin(5e-11), 0, 0))  # angle 1e-10
         assert not is_near_identity(UnitQuaternion(np.cos(5e-7), 0, np.sin(5e-7), 0))
         assert not is_near_identity(UnitQuaternion(0.5, 0.5, 0.5, 0.5))
+
+    def test_is_near_identity_resolves_its_tolerance(self):
+        # 2 arccos|w| reads 0 up to about 2e-8 rad; the 1e-9 bound must still split these.
+        def turn(angle):
+            return UnitQuaternion(np.cos(angle / 2), 0.0, np.sin(angle / 2), 0.0)
+
+        assert is_near_identity(turn(5e-10))
+        assert not is_near_identity(turn(2e-9))
+        assert not is_near_identity(turn(1e-8))

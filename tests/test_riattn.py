@@ -482,9 +482,7 @@ def build_gradcheck_problem(rng, n, k, c_in, hidden, c_out):
         for layer in layers:
             x, _ = layer_forward(layer, pose, x, graph.indices)
         task, _, _, _, _ = _cross_entropy(head, x, labels)
-        b_loss, _, _ = bingham.bingham_loss_and_seed_gradient(
-            bingham.BinghamSeed(z1, z2), order=16
-        )
+        b_loss, _, _ = bingham.bingham_loss_and_seed_gradient(bingham.BinghamSeed(z1, z2))
         return total_loss(task, b_loss, delta)
 
     def analytic_grads():
@@ -494,9 +492,7 @@ def build_gradcheck_problem(rng, n, k, c_in, hidden, c_out):
             x, act = layer_forward(layer, pose, x, graph.indices)
             acts.append(act)
         task, _, g_w, g_b, d_feats = _cross_entropy(head, x, labels)
-        b_loss, d_z1, d_z2 = bingham.bingham_loss_and_seed_gradient(
-            bingham.BinghamSeed(z1, z2), order=16
-        )
+        b_loss, d_z1, d_z2 = bingham.bingham_loss_and_seed_gradient(bingham.BinghamSeed(z1, z2))
         d_task, d_bingham = total_loss_gradients(task, b_loss, delta)
         grads = {"head.weight": d_task * g_w, "head.bias": d_task * g_b}
         d_x = d_feats

@@ -4,7 +4,6 @@ import json
 import numpy as np
 import pytest
 
-from sipf import bingham
 from sipf.descriptors import MASK_PPF
 from sipf.errors import InvalidArgumentError
 from sipf.geometry import UnitQuaternion, is_near_identity, knn_graph, quat_to_matrix
@@ -91,18 +90,16 @@ class TestToyTaskConfig:
         with pytest.raises(InvalidArgumentError):
             ToyTaskConfig(bingham_loss_kind="bogus")
         with pytest.raises(InvalidArgumentError):
-            ToyTaskConfig(quadrature_order=bingham.MIN_QUADRATURE_ORDER - 1)
-        with pytest.raises(InvalidArgumentError):
             ToyTaskConfig(k=2.5)
         with pytest.raises(InvalidArgumentError):
             ToyTaskConfig(seed=-1)
-        for name in ("epochs", "k", "seed", "quadrature_order", "learning_rate", "delta"):
+        for name in ("epochs", "k", "seed", "learning_rate", "delta"):
             with pytest.raises(InvalidArgumentError, match=name):
                 ToyTaskConfig(**{name: True})
         with pytest.raises(InvalidArgumentError):
             dataclasses.replace(ToyTaskConfig(), seed=-3)
         # Boundary values and an integer learning rate are accepted.
-        ToyTaskConfig(quadrature_order=bingham.MIN_QUADRATURE_ORDER, learning_rate=1, seed=0, delta=0)
+        ToyTaskConfig(learning_rate=1, seed=0, delta=0)
 
     def test_fields_are_the_config_file_keys(self):
         assert [f.name for f in dataclasses.fields(ToyTaskConfig)] == [
@@ -113,7 +110,6 @@ class TestToyTaskConfig:
             "descriptor_mask",
             "seed",
             "bingham_loss_kind",
-            "quadrature_order",
         ]
 
 
