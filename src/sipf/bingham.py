@@ -39,7 +39,7 @@ import numpy as np
 from scipy.special import beta, expit, hyp1f1
 
 from .errors import InvalidArgumentError, InvalidInputError, NumericError, SamplerStallError
-from .geometry import UnitQuaternion, is_near_identity
+from .geometry import UnitQuaternion, is_near_identity, set_read_only
 
 __all__ = [
     "BinghamSeed",
@@ -87,9 +87,7 @@ class BinghamSeed:
 
     def __post_init__(self):
         for name in ("z1", "z2"):
-            arr = np.array(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            set_read_only(self, name, np.asarray(getattr(self, name), dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -104,20 +102,16 @@ class BinghamParams:
         lam = np.asarray(self.lambdas, dtype=np.float64)
         if v.shape != (4, 4):
             raise InvalidInputError(f"V must be 4x4, got {v.shape}")
-        if np.abs(v.T @ v - np.eye(4)).max() > 1e-10:
+        if not np.abs(v.T @ v - np.eye(4)).max() <= 1e-10:
             raise InvalidInputError("V is not orthogonal")
         if lam.shape != (4,):
             raise InvalidInputError(f"lambdas must have shape (4,), got {lam.shape}")
         if lam[3] != 0.0:
             raise InvalidInputError("fourth diagonal entry must be exactly 0")
-        if not (lam[0] <= lam[1] <= lam[2] < 0.0):
-            raise InvalidInputError(f"lambdas must satisfy l1 <= l2 <= l3 < 0, got {lam[:3]}")
-        v = v.copy()
-        v.setflags(write=False)
-        lam = lam.copy()
-        lam.setflags(write=False)
-        object.__setattr__(self, "V", v)
-        object.__setattr__(self, "lambdas", lam)
+        if not (-np.inf < lam[0] <= lam[1] <= lam[2] < 0.0):
+            raise InvalidInputError(f"lambdas must satisfy -inf < l1 <= l2 <= l3 < 0, got {lam[:3]}")
+        set_read_only(self, "V", v)
+        set_read_only(self, "lambdas", lam)
 
 
 @dataclass(frozen=True)
@@ -157,8 +151,12 @@ def birdal_V(z1) -> np.ndarray:
 
 def lambda_from(z2) -> np.ndarray:
     """Diagonal (l1, l2, l3, 0) from cumulative sums of softplus(z2)."""
-    p = np.logaddexp(0.0, _finite_vector(z2, 3, "z2"))
-    return np.array([-(p[0] + p[1] + p[2]), -(p[0] + p[1]), -p[0], 0.0])
+    z = _finite_vector(z2, 3, "z2")
+    p0, p1, p2 = np.logaddexp(0.0, z).tolist()
+    lam = np.array([-(p0 + p1 + p2), -(p0 + p1), -p0, 0.0])
+    if np.isinf(lam[0]):
+        raise NumericError(f"z2 = {z.tolist()} overflows the concentration l1")
+    return lam
 
 
 def params_from_seed(seed: BinghamSeed) -> BinghamParams:

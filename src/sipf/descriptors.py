@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidentPointError, InvalidArgumentError, InvalidInputError
-from .geometry import NeighborGraph, PointCloud, Rotation3
+from .geometry import NeighborGraph, PointCloud, Rotation3, set_read_only
 
 __all__ = [
     "MASK_SIPF",
@@ -76,12 +76,8 @@ class ShadowCloud:
             raise InvalidInputError(f"shadow points must be (N, 3), got {pts.shape}")
         if frm.shape != (len(pts), 3, 3):
             raise InvalidInputError(f"shadow frames must be (N, 3, 3), got {frm.shape}")
-        pts = pts.copy()
-        pts.setflags(write=False)
-        frm = frm.copy()
-        frm.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "frames", frm)
+        set_read_only(self, "points", pts)
+        set_read_only(self, "frames", frm)
 
 
 def shadow_of(cloud: PointCloud, frames: np.ndarray, rotation: Rotation3) -> ShadowCloud:
@@ -95,18 +91,28 @@ def shadow_of(cloud: PointCloud, frames: np.ndarray, rotation: Rotation3) -> Sha
     return ShadowCloud(points=cloud.points @ m, frames=frames @ m, rotation=rotation)
 
 
-def _ppf_rows(p_r, a_r, p_j, a_j, ref, nbr):
-    """Vectorized pair features over (m, k) edges from point ``ref[row]`` to point ``nbr[row, col]``."""
-    d = p_j - p_r
-    norm = np.linalg.norm(d, axis=-1)
-    if np.any(norm < COINCIDENT_DISTANCE_FLOOR):
-        row, col = np.unravel_index(int(np.argmin(norm)), norm.shape)
-        raise CoincidentPointError(f"coincident pair at index ({int(ref[row])}, {int(nbr[row, col])})")
-    dhat = d / norm[..., None]
-    c1 = np.clip(np.einsum("...d,...d->...", a_r, dhat), -1.0, 1.0)
-    c2 = np.clip(np.einsum("...d,...d->...", a_j, dhat), -1.0, 1.0)
-    c3 = np.clip(np.einsum("...d,...d->...", a_r, a_j), -1.0, 1.0)
-    return np.stack([norm, c1, c2, c3], axis=-1)
+def _norm(parts, out=None):
+    """Norm of the vector with components ``parts``, summed left to right as ``np.linalg.norm`` does."""
+    out = np.multiply(parts[0], parts[0], out=out)
+    for p in parts[1:]:
+        out += p * p
+    return np.sqrt(out, out=out)
+
+
+def _pair_rows(out, p, a, q, b, name_pair):
+    """Pair features (|d|, cos(a, d), cos(b, d), cos(a, b)), d = q - p, into ``out[0]`` .. ``out[3]``; returns ``out``.
+
+    A coincident pair raises the message that ``name_pair`` makes of the closest pair's (row, col).
+    """
+    d = q - p
+    _norm(np.moveaxis(d, -1, 0), out=out[0])
+    if np.any(out[0] < COINCIDENT_DISTANCE_FLOOR):
+        raise CoincidentPointError(name_pair(np.unravel_index(int(np.argmin(out[0])), out[0].shape)))
+    d /= out[0][..., None]
+    for o, (x, y) in zip(out[1:], ((a, d), (b, d), (a, b))):
+        np.einsum("...d,...d->...", x, y, out=o)
+    np.clip(out[1:], -1.0, 1.0, out=out[1:])
+    return out
 
 
 def sipf_field(
@@ -124,11 +130,14 @@ def sipf_field(
     variant that keeps only the difference norm in slot 4.  Reference rows
     flagged invalid in ``valid`` are skipped and left zero; their values must
     not be consumed.
+
+    pair(p_r, p_r') is computed once per row and broadcast over its k
+    neighbours.  Every value is bitwise that of the per-edge formulas with
+    ``np.linalg.norm`` norms and ``np.einsum`` cosines; the tests check it.
     """
     if mask not in DESCRIPTOR_MASKS:
         raise InvalidArgumentError(f"unknown descriptor mask {mask!r}")
     frames = np.asarray(frames, dtype=np.float64)
-    pts = cloud.points
     idx = graph.indices
     n, k = idx.shape
     rows = np.arange(n)
@@ -136,27 +145,38 @@ def sipf_field(
         valid = np.asarray(valid, dtype=bool)
         if valid.shape != (n,):
             raise InvalidArgumentError(f"valid mask must have shape ({n},), got {valid.shape}")
-        rows = rows[valid]
-    idx = idx[rows]
+        if not valid.all():
+            rows = rows[valid]
+            idx = idx[rows]
     m = len(rows)
     a1 = frames[:, 0, :]
-    p_r = np.broadcast_to(pts[rows][:, None, :], (m, k, 3))
-    a_r = np.broadcast_to(a1[rows][:, None, :], (m, k, 3))
-    p_j = pts[idx]
-    a_j = a1[idx]
+    p_r, a_r = cloud.points[rows][:, None, :], a1[rows][:, None, :]
+    p_j, a_j = cloud.points.take(idx, axis=0), a1.take(idx, axis=0)
+
+    def pair(rc):
+        return f"coincident pair at index ({int(rows[rc[0]])}, {int(idx[rc])})"
+
+    # Component-major, so that every step writes contiguous memory.
+    f = np.zeros((8, m, k))
+    _pair_rows(f[:4], p_r, a_r, p_j, a_j, pair)
+    if mask != MASK_PPF:
+        s_p, s_a = shadow.points[rows][:, None, :], shadow.frames[rows, 0, :][:, None, :]
+        ref = _pair_rows(np.empty((4, m, 1)), p_r, a_r, s_p, s_a,
+                         lambda rc: f"shadow coincides with point {int(rows[rc[0]])}")
+        diff = _pair_rows(f[4:], p_j, a_j, s_p, s_a, pair)
+        np.subtract(ref, diff, out=diff)
+        norm = _norm(diff)
+        if mask == MASK_SIPF_NO_DIRECTION:
+            diff[0] = norm
+            diff[1:] = 0.0
+        else:
+            zero = ~(norm >= _ZERO_DIFF_TOL)
+            diff /= np.maximum(norm, _ZERO_DIFF_TOL, out=norm)
+            diff[:, zero] = 0.0
+    if m == n:
+        return np.ascontiguousarray(f.transpose(1, 2, 0))
     out = np.zeros((n, k, 8))
-    out[rows, :, :4] = _ppf_rows(p_r, a_r, p_j, a_j, rows, idx)
-    if mask == MASK_PPF:
-        return out
-    s_p = np.broadcast_to(shadow.points[rows][:, None, :], (m, k, 3))
-    s_a = np.broadcast_to(shadow.frames[rows][:, 0, :][:, None, :], (m, k, 3))
-    diff = _ppf_rows(p_r, a_r, s_p, s_a, rows, idx) - _ppf_rows(p_j, a_j, s_p, s_a, rows, idx)
-    norm = np.linalg.norm(diff, axis=-1)
-    if mask == MASK_SIPF_NO_DIRECTION:
-        out[rows, :, 4] = norm
-        return out
-    safe = np.where(norm > 0.0, norm, 1.0)
-    out[rows, :, 4:] = np.where(norm[..., None] >= _ZERO_DIFF_TOL, diff / safe[..., None], 0.0)
+    out[rows] = f.transpose(1, 2, 0)
     return out
 
 

@@ -47,6 +47,13 @@ _MATRIX_INPUT_TOL = 1e-6
 _IDENTITY_ANGLE_TOL = 1e-9
 
 
+def set_read_only(obj, name, value):
+    """Store a read-only copy of ``value`` as field ``name`` of the frozen dataclass ``obj``."""
+    arr = np.array(value)
+    arr.setflags(write=False)
+    object.__setattr__(obj, name, arr)
+
+
 def _as_float_array(values, name):
     arr = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
@@ -71,9 +78,7 @@ class PointCloud:
             raise InvalidInputError(f"points must be (N, 3), got {pts.shape}")
         if len(pts) < 2:
             raise InvalidInputError("a point cloud needs at least 2 points")
-        pts = pts.copy()
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        set_read_only(self, "points", pts)
         if self.normals is not None:
             nrm = _as_float_array(self.normals, "normals")
             if nrm.shape != pts.shape:
@@ -86,9 +91,7 @@ class PointCloud:
                 raise InvalidInputError(
                     f"normal {worst} has norm {lengths[worst]:.9f}, expected 1"
                 )
-            nrm = nrm / lengths[:, None]
-            nrm.setflags(write=False)
-            object.__setattr__(self, "normals", nrm)
+            set_read_only(self, "normals", nrm / lengths[:, None])
 
     def __len__(self):
         return len(self.points)
@@ -164,9 +167,7 @@ class Rotation3:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _rotation_matrix(self.matrix, _ROTATION_TOL).copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        set_read_only(self, "matrix", _rotation_matrix(self.matrix, _ROTATION_TOL))
 
     @classmethod
     def identity(cls) -> "Rotation3":
@@ -187,9 +188,7 @@ class NeighborGraph:
         idx = np.asarray(self.indices, dtype=np.int64)
         if idx.ndim != 2 or idx.shape[1] != self.k:
             raise InvalidInputError(f"indices must be (N, {self.k}), got {idx.shape}")
-        idx = idx.copy()
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
+        set_read_only(self, "indices", idx)
 
     def __len__(self):
         return len(self.indices)

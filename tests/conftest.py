@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from sipf.descriptors import COINCIDENT_DISTANCE_FLOOR, MASK_SIPF, ShadowCloud, sipf_field
+from sipf.descriptors import (
+    COINCIDENT_DISTANCE_FLOOR,
+    MASK_PPF,
+    MASK_SIPF,
+    MASK_SIPF_NO_DIRECTION,
+    ShadowCloud,
+    sipf_field,
+)
 from sipf.errors import (
     CoincidentPointError,
     DegenerateFrameError,
@@ -186,6 +193,56 @@ def sipf_stack(
         except CoincidentPointError as exc:
             raise CoincidentPointError(f"pair ({r}, {int(j)}): {exc}") from exc
     return np.stack(rows)
+
+
+def _reference_ppf_rows(p_r, a_r, p_j, a_j, ref, nbr):
+    d = p_j - p_r
+    norm = np.linalg.norm(d, axis=-1)
+    if np.any(norm < COINCIDENT_DISTANCE_FLOOR):
+        row, col = np.unravel_index(int(np.argmin(norm)), norm.shape)
+        raise CoincidentPointError(f"coincident pair at index ({int(ref[row])}, {int(nbr[row, col])})")
+    dhat = d / norm[..., None]
+    c1 = np.clip(np.einsum("...d,...d->...", a_r, dhat), -1.0, 1.0)
+    c2 = np.clip(np.einsum("...d,...d->...", a_j, dhat), -1.0, 1.0)
+    c3 = np.clip(np.einsum("...d,...d->...", a_r, a_j), -1.0, 1.0)
+    return np.stack([norm, c1, c2, c3], axis=-1)
+
+
+def reference_sipf_field(cloud, frames, graph, shadow, mask=MASK_SIPF, valid=None) -> np.ndarray:
+    """Frozen per-edge formulation of ``sipf_field``: the bitwise oracle of the production field.
+
+    Every pair block, the reference-to-shadow one included, is evaluated on
+    (m, k) broadcasts with ``np.linalg.norm`` norms, ``np.einsum`` cosines and
+    ``np.where`` normalisation; the production field must reproduce its bits.
+    """
+    frames = np.asarray(frames, dtype=np.float64)
+    pts = cloud.points
+    idx = graph.indices
+    n, k = idx.shape
+    rows = np.arange(n) if valid is None else np.arange(n)[np.asarray(valid, dtype=bool)]
+    idx = idx[rows]
+    m = len(rows)
+    a1 = frames[:, 0, :]
+    p_r = np.broadcast_to(pts[rows][:, None, :], (m, k, 3))
+    a_r = np.broadcast_to(a1[rows][:, None, :], (m, k, 3))
+    p_j = pts[idx]
+    a_j = a1[idx]
+    out = np.zeros((n, k, 8))
+    out[rows, :, :4] = _reference_ppf_rows(p_r, a_r, p_j, a_j, rows, idx)
+    if mask == MASK_PPF:
+        return out
+    s_p = np.broadcast_to(shadow.points[rows][:, None, :], (m, k, 3))
+    s_a = np.broadcast_to(shadow.frames[rows][:, 0, :][:, None, :], (m, k, 3))
+    diff = _reference_ppf_rows(p_r, a_r, s_p, s_a, rows, idx) - _reference_ppf_rows(
+        p_j, a_j, s_p, s_a, rows, idx
+    )
+    norm = np.linalg.norm(diff, axis=-1)
+    if mask == MASK_SIPF_NO_DIRECTION:
+        out[rows, :, 4] = norm
+        return out
+    safe = np.where(norm > 0.0, norm, 1.0)
+    out[rows, :, 4:] = np.where(norm[..., None] >= 1e-12, diff / safe[..., None], 0.0)
+    return out
 
 
 def pair_rows(p_r, frame_r, neighbors, shadow_point, shadow_frame, mask=MASK_SIPF) -> np.ndarray:

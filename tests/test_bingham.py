@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -87,11 +88,22 @@ class TestLambdaFrom:
         assert lam[0] <= lam[1] <= lam[2] < 0.0
         assert lam[3] == 0.0
 
+    def test_overflowing_concentration_rejected(self):
+        # softplus(1e308) twice sums past the largest double; no -inf, no RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"^z2 = \[1e\+308, 1e\+308, 1\.0\] overflows"):
+                lambda_from([1e308, 1e308, 1.0])
+
 
 class TestParamsValidation:
     def test_rejects_unordered(self):
         with pytest.raises(InvalidInputError):
             BinghamParams(V=np.eye(4), lambdas=np.array([-1.0, -2.0, -0.5, 0.0]))
+
+    def test_rejects_non_finite_eigenvalue(self):
+        with pytest.raises(InvalidInputError, match="-inf < l1"):
+            BinghamParams(V=np.eye(4), lambdas=[-np.inf, -1.0, -1.0, 0.0])
 
     def test_rejects_nonzero_fourth(self):
         with pytest.raises(InvalidInputError):
@@ -102,6 +114,10 @@ class TestParamsValidation:
         v[0, 1] = 1e-5
         with pytest.raises(InvalidInputError):
             BinghamParams(V=v, lambdas=np.array([-3.0, -2.0, -1.0, 0.0]))
+
+    def test_rejects_non_finite_v(self):
+        with pytest.raises(InvalidInputError, match="not orthogonal"):
+            BinghamParams(V=np.full((4, 4), np.nan), lambdas=np.array([-3.0, -2.0, -1.0, 0.0]))
 
 
 class TestLogDensity:

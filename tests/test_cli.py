@@ -8,11 +8,18 @@ from sipf.cli import (
     EXIT_INVARIANCE,
     EXIT_OK,
     EXIT_VALIDATION,
+    INVARIANCE_THRESHOLD,
+    _build_parser,
+    _field_inputs,
+    _rotate_field_inputs,
+    _usable_edges,
     load_config,
     main,
 )
 from sipf.cloudio import _CSV_CHUNK_ROWS
+from sipf.descriptors import MASK_SIPF, sipf_field
 from sipf.errors import InvalidInputError
+from sipf.geometry import random_rotation
 from sipf.training import ToyTaskConfig
 
 from conftest import sipf_stack
@@ -297,6 +304,55 @@ class TestVerifyInvariance:
         report = json.loads(out.read_text())
         assert report["pass"] is False
         assert report["max_abs_deviation"] > 1e-3
+
+    @staticmethod
+    def _report_from_gathered_edges(argv):
+        """The report with every trial compared as ``np.abs(rotated[keep] - base).max()``.
+
+        Also returns keep and the largest deviation over all edges, dropped ones included.
+        """
+        args = _build_parser().parse_args(argv)
+        config, cloud, graph, frames, shadow, valid = _field_inputs(args)
+        keep = _usable_edges(graph, valid)
+        base = sipf_field(cloud, frames, graph, shadow, mask=MASK_SIPF, valid=valid)
+        rng = np.random.default_rng([config.seed, 1])
+        worst = worst_all = 0.0
+        for _ in range(args.trials):
+            cloud_r, frames_r, shadow_r = _rotate_field_inputs(cloud, frames, shadow, random_rotation(rng))
+            if args.break_shadow:
+                shadow_r = shadow
+            rotated = sipf_field(cloud_r, frames_r, graph, shadow_r, mask=MASK_SIPF, valid=valid)
+            worst = max(worst, float(np.abs(rotated[keep] - base[keep]).max()))
+            worst_all = max(worst_all, float(np.abs(rotated - base).max()))
+        report = {
+            "trials": args.trials,
+            "max_abs_deviation": worst,
+            "threshold": INVARIANCE_THRESHOLD,
+            "break_shadow": bool(args.break_shadow),
+            "pass": worst <= INVARIANCE_THRESHOLD,
+        }
+        return report, keep, worst_all
+
+    @pytest.mark.parametrize(
+        "with_origin, break_shadow", [(False, False), (True, False), (False, True), (True, True)]
+    )
+    def test_report_matches_gathered_edge_comparison(self, tmp_path, with_origin, break_shadow):
+        pts = np.random.default_rng(16).uniform(-1.0, 1.0, (8, 3))
+        if with_origin:
+            pts[0] = 0.0  # on its own shadow for every rotation: its rows and edges are dropped
+        path = tmp_path / "cloud.xyz"
+        np.savetxt(path, pts, fmt="%.17g")
+        out = tmp_path / "report.json"
+        argv = ["verify-invariance", "--input", str(path), "--k", "3", "--trials", "3", "--seed", "4"]
+        argv += ["--break-shadow"] * break_shadow
+        expected, keep, worst_all = self._report_from_gathered_edges(argv)
+        assert keep.all() != with_origin
+        if with_origin and break_shadow:
+            # A dropped edge deviates most, so the comparison must leave it out.
+            assert worst_all > expected["max_abs_deviation"]
+        code = main([*argv, "--out", str(out)])
+        assert code == (EXIT_INVARIANCE if break_shadow else EXIT_OK)
+        assert out.read_text() == json.dumps(expected, indent=2) + "\n"
 
     def test_zero_trials_usage_error(self, cloud_file):
         assert main(["verify-invariance", "--input", cloud_file, "--trials", "0"]) == EXIT_VALIDATION

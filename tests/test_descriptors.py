@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sipf.descriptors import (
+    DESCRIPTOR_MASKS,
     MASK_PPF,
     MASK_SIPF,
     MASK_SIPF_NO_DIRECTION,
+    ShadowCloud,
     detect_axis_alignment,
     detect_local_coincidence,
     shadow_of,
@@ -14,6 +16,7 @@ from sipf.descriptors import (
 )
 from sipf.errors import CoincidentPointError, InvalidArgumentError, InvalidInputError
 from sipf.geometry import (
+    NeighborGraph,
     PointCloud,
     Rotation3,
     UnitQuaternion,
@@ -23,7 +26,7 @@ from sipf.geometry import (
     random_rotation,
     rotation_from_axis_angle,
 )
-from sipf.lrf import FRAME_MODE_BARYCENTER, build_all_lrfs
+from sipf.lrf import FRAME_MODE_BARYCENTER, FRAME_MODE_NORMAL, build_all_lrfs, try_build_all_lrfs
 from sipf.training import make_wingtip_dataset
 
 from conftest import (
@@ -33,6 +36,7 @@ from conftest import (
     ppf,
     random_cloud,
     random_frames,
+    reference_sipf_field,
     scalar_axis_alignment,
     sipf,
     sipf_stack,
@@ -260,7 +264,7 @@ class TestSipfStack:
         shadow = shadow_of(cloud, frames, quat_to_matrix(UnitQuaternion(1, 0, 0, 0)))
         with pytest.raises(CoincidentPointError) as excinfo:
             sipf_field(cloud, frames, graph, shadow)
-        assert str(excinfo.value).startswith("coincident pair at index (")
+        assert str(excinfo.value) == "shadow coincides with point 0"
         with pytest.raises(CoincidentPointError) as excinfo:
             sipf_stack(cloud, frames, graph, shadow, 3)
         assert "(3," in str(excinfo.value)
@@ -303,6 +307,66 @@ class TestSipfStack:
             with pytest.raises(CoincidentPointError) as excinfo:
                 sipf_field(cloud, frames, graph, shadow, valid=valid)
             assert str(excinfo.value) == "coincident pair at index (5, 7)"
+
+
+def _field_case(rng, n, k, frame_mode):
+    cloud = random_cloud(rng, n, with_normals=True)
+    graph = knn_graph(cloud, k)
+    frames, _ = try_build_all_lrfs(cloud, graph, frame_mode)
+    return cloud, frames, graph, shadow_of(cloud, frames, random_rotation(rng))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestFieldBitwise:
+    """sipf_field reproduces the frozen per-edge reference bit for bit."""
+
+    @pytest.mark.parametrize("mask", DESCRIPTOR_MASKS)
+    @pytest.mark.parametrize("frame_mode", [FRAME_MODE_NORMAL, FRAME_MODE_BARYCENTER])
+    @pytest.mark.parametrize("n, k", [(200, 10), (12, 1), (7, 6)])
+    def test_matches_reference(self, rng, mask, frame_mode, n, k):
+        cloud, frames, graph, shadow = _field_case(rng, n, k, frame_mode)
+        for valid in (None, np.arange(n) % 3 != 1, np.zeros(n, dtype=bool)):
+            field = sipf_field(cloud, frames, graph, shadow, mask=mask, valid=valid)
+            ref = reference_sipf_field(cloud, frames, graph, shadow, mask=mask, valid=valid)
+            assert field.shape == (n, k, 8)
+            assert np.array_equal(_bits(field), _bits(ref))
+        assert np.array_equal(_bits(field), _bits(np.zeros((n, k, 8))))
+
+    @pytest.mark.parametrize("mask", DESCRIPTOR_MASKS)
+    def test_zero_difference_rows_match_reference(self, mask):
+        # Both points are equidistant from their shadows and share one frame,
+        # so each row's difference is exactly the zero vector.
+        cloud = PointCloud(points=np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 3.0, 0.0]]))
+        frames = np.tile(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), (3, 1, 1))
+        graph = NeighborGraph(k=1, indices=[[1], [0], [0]])
+        shadow = ShadowCloud(
+            points=np.tile([0.0, 1.0, 0.5], (3, 1)), frames=frames, rotation=Rotation3(np.eye(3))
+        )
+        field = sipf_field(cloud, frames, graph, shadow, mask=mask)
+        ref = reference_sipf_field(cloud, frames, graph, shadow, mask=mask)
+        assert np.array_equal(_bits(field), _bits(ref))
+        assert np.array_equal(field[:2, 0, 4:], np.zeros((2, 4)))
+        assert mask == MASK_PPF or np.abs(field[2, 0, 4:]).max() > 0.0
+
+
+class TestFieldInputs:
+    def test_read_only_frames_and_inputs_untouched(self, rng):
+        cloud, frames, graph, shadow = _field_case(rng, 30, 5, FRAME_MODE_BARYCENTER)
+        read_only = frames.copy()
+        read_only.setflags(write=False)
+        writable = frames.copy()
+        before = [a.copy() for a in (cloud.points, shadow.points, shadow.frames)]
+        for mask in DESCRIPTOR_MASKS:
+            for valid in (None, np.arange(30) % 4 != 0):
+                first = sipf_field(cloud, read_only, graph, shadow, mask=mask, valid=valid)
+                second = sipf_field(cloud, writable, graph, shadow, mask=mask, valid=valid)
+                assert np.array_equal(_bits(first), _bits(second))
+                assert np.array_equal(_bits(writable), _bits(frames))
+        after = [cloud.points, shadow.points, shadow.frames]
+        assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(before, after))
 
 
 class TestDegeneracyDetectors:
