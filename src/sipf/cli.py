@@ -133,9 +133,10 @@ def _seeded_shadow_rotation(seed: int):
 def _field_inputs(args):
     """The inputs of ``features`` and ``verify-invariance``: config, cloud, graph, frames, shadow, valid.
 
-    Row policy: a point with a degenerate frame or on its own shadow (on the
-    rotation axis; the origin for every rotation) is dropped with a warning
-    line, and the number dropped is reported after them.
+    Row policy: a point with a degenerate frame, on its own shadow (on the
+    rotation axis; the origin for every rotation) or coincident with one of
+    its neighbours is dropped with a warning line, and the number dropped is
+    reported after them.  A coincident pair drops both of its points.
     """
     config = _apply_overrides(load_config(args.config), args)
     cloud = load_cloud(args.input)
@@ -153,6 +154,12 @@ def _field_inputs(args):
     for i in np.nonzero(frame_valid & ~moved)[0]:
         sys.stderr.write(f"warning: shadow coincides with point {int(i)}; rows omitted\n")
     valid = frame_valid & moved
+    edge_length = np.linalg.norm(cloud.points[graph.indices] - cloud.points[:, None, :], axis=-1)
+    ref, slot = np.nonzero(edge_length < COINCIDENT_DISTANCE_FLOOR)
+    pairs = np.unique(np.sort(np.column_stack([ref, graph.indices[ref, slot]]), axis=1), axis=0)
+    for i, j in pairs.tolist():
+        sys.stderr.write(f"warning: coincident points {i} and {j}; rows omitted\n")
+    valid[pairs.ravel()] = False
     n_bad = int((~valid).sum())
     if n_bad:
         sys.stderr.write(f"warning: {n_bad} point(s) omitted\n")

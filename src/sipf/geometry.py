@@ -204,10 +204,11 @@ def knn_graph(cloud: PointCloud, k: int) -> NeighborGraph:
     """Exact k-nearest-neighbor graph via a kd-tree.
 
     Deterministic under the (distance, index) tie-break regardless of how the
-    kd-tree orders equidistant candidates: candidate windows are re-sorted
-    lexicographically, and any row whose k-th distance ties with the window
-    edge falls back to a full scan so hidden ties beyond the window cannot
-    change membership.
+    kd-tree orders equidistant candidates.  The tree returns each candidate
+    window sorted by distance, so only the rows with a tie (two equal
+    adjacent distances) are re-sorted by (distance, index); any row whose
+    k-th distance ties with the window edge falls back to a full scan so
+    hidden ties beyond the window cannot change membership.
     """
     n = len(cloud)
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
@@ -218,19 +219,25 @@ def knn_graph(cloud: PointCloud, k: int) -> NeighborGraph:
     pad = min(n, k + 8)
     tree = cKDTree(pts)
     dist, idx = tree.query(pts, k=pad)
-    rows = np.repeat(np.arange(n), pad)
-    # Self entries sort last; ties sort by ascending point index.
+    # The self entry moves last, at infinite distance; the rest keep their order.
     self_mask = idx == np.arange(n)[:, None]
-    dist = np.where(self_mask, np.inf, dist)
-    order = np.lexsort((idx.ravel(), dist.ravel(), rows))
-    dist_sorted = dist.ravel()[order].reshape(n, pad)
-    idx_sorted = idx.ravel()[order].reshape(n, pad)
-    out = idx_sorted[:, :k].copy()
+    dist[self_mask] = np.inf
+    order = np.argsort(self_mask, axis=1, kind="stable")
+    dist = np.take_along_axis(dist, order, axis=1)
+    idx = np.take_along_axis(idx, order, axis=1)
+    # Ties sort by ascending point index.  A non-increasing step also catches
+    # a window the tree did not return in order.
+    tied = np.nonzero((dist[:, 1:] <= dist[:, :-1]).any(axis=1))[0]
+    if tied.size:
+        order = np.lexsort((idx[tied], dist[tied]))
+        dist[tied] = np.take_along_axis(dist[tied], order, axis=1)
+        idx[tied] = np.take_along_axis(idx[tied], order, axis=1)
+    out = idx[:, :k].copy()
     if pad < n:
         # A tie at the window edge may hide equal-distance candidates outside
         # the window; resolve those rows exactly.  The last slot is the
         # masked self entry, so the true edge is the slot before it.
-        unsure = dist_sorted[:, k - 1] >= dist_sorted[:, pad - 2]
+        unsure = dist[:, k - 1] >= dist[:, pad - 2]
         for i in np.nonzero(unsure)[0]:
             d = _row_distances(pts, i)
             full = np.lexsort((np.arange(n), d))

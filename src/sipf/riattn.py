@@ -18,6 +18,14 @@ c_in; the fusion map is a single affine layer.
 ``backward`` provides exact reverse-mode gradients for all parameters and
 the input features; the max aggregation routes gradient to the argmax row
 (lowest index on ties).
+
+Memory: ``layer_forward`` runs the reference rows in blocks of
+``_CHUNK_ROWS`` and keeps only per-point arrays plus the last block's
+per-edge intermediates, so the activation record is O(N c + _CHUNK_ROWS k^2)
+and never holds the (N, k, k) attention block.  ``backward`` recomputes every
+other block from the recorded inputs.  Every forward quantity is computed
+row by row, so the output does not depend on the block size wherever BLAS
+rounds a product row independently of the rows around it.
 """
 
 from __future__ import annotations
@@ -95,24 +103,37 @@ class RIAttnLayer:
         return {name: getattr(self, name) for name in self._shapes()}
 
 
+# Reference rows per block.  Forward holds one block's per-edge intermediates
+# at a time; backward reuses the last block and recomputes the others.
+_CHUNK_ROWS = 128
+
+
+@dataclass
+class _Block:
+    """Per-edge intermediates of the m reference rows from ``start`` on."""
+
+    start: int
+    neighbor_features: np.ndarray  # (m, k, c_in)
+    mlp_pre: np.ndarray           # (m, k, h) pre-activation of the hidden layer
+    mlp_hidden: np.ndarray        # (m, k, h)
+    kernel: np.ndarray            # (m, k, c_in) kernel weights W_r
+    attention: np.ndarray         # (m, k, k) row-stochastic
+    values: np.ndarray            # (m, k, c_in) elementwise W_r * X_r
+    attn_out: np.ndarray          # (m, k, c_in)
+
+
 @dataclass
 class LayerActivation:
-    """Everything the backward pass needs, batched over reference points."""
+    """What the backward pass needs: per-point arrays plus the last block's intermediates."""
 
-    pose_stack: np.ndarray        # (N, k, 8)
+    pose_stack: np.ndarray        # (N, k, 8) the caller's pose field, not a copy
     features: np.ndarray          # (N, c_in) reference features
-    neighbor_features: np.ndarray  # (N, k, c_in)
     neighbor_idx: np.ndarray      # (N, k)
-    mlp_pre: np.ndarray           # (N, k, h) pre-activation of the hidden layer
-    mlp_hidden: np.ndarray        # (N, k, h)
-    kernel: np.ndarray            # (N, k, c_in) kernel weights W_r
-    attention: np.ndarray         # (N, k, k) row-stochastic
-    values: np.ndarray            # (N, k, c_in) elementwise W_r * X_r
-    attn_out: np.ndarray          # (N, k, c_in)
     argmax: np.ndarray            # (N, c_in) row index chosen by the max
     aggregated: np.ndarray        # (N, c_in) x_hat
-    fused_input: np.ndarray = field(repr=False, default=None)  # (N, 2 c_in)
-    output: np.ndarray = field(repr=False, default=None)       # (N, c_out)
+    fused_input: np.ndarray       # (N, 2 c_in)
+    output: np.ndarray            # (N, c_out)
+    last_block: _Block = field(repr=False)
 
 
 def _leaky(x):
@@ -137,6 +158,36 @@ def _rows(a):
     return a.reshape(-1, a.shape[-1])
 
 
+def _attend(layer: RIAttnLayer, p, x, idx, start: int, stop: int) -> _Block:
+    """Kernel MLP, attention and values of the reference rows [start, stop)."""
+    xn = x[idx[start:stop]]
+    m, k = xn.shape[:2]
+    # Kernel MLP as flat GEMMs over all (reference, slot) rows, biases added in place.
+    # numpy sends a one-row product to gemv, which rounds unlike gemm, so a
+    # block of one edge runs as two copies of it and takes the route of the others.
+    h = layer.mlp_w1.shape[1]
+    flat = _rows(p[start:stop])
+    if len(flat) == 1:
+        flat = np.repeat(flat, 2, axis=0)
+    mlp_pre = flat @ layer.mlp_w1
+    mlp_pre += layer.mlp_b1
+    hidden = _leaky(mlp_pre)
+    kernel = hidden @ layer.mlp_w2
+    kernel += layer.mlp_b2
+    mlp_pre = mlp_pre[: m * k].reshape(m, k, h)
+    hidden = hidden[: m * k].reshape(m, k, h)
+    kernel = kernel[: m * k].reshape(m, k, layer.c_in)
+    # Attention, batched over reference rows.
+    scores = kernel @ xn.transpose(0, 2, 1)
+    scores /= np.sqrt(layer.c_in)
+    if not np.all(np.isfinite(scores)):
+        bad = start + int(np.nonzero(~np.isfinite(scores).all(axis=(1, 2)))[0][0])
+        raise NumericError(f"non-finite attention scores at reference row {bad}")
+    attn = _softmax_rows(scores)
+    values = kernel * xn
+    return _Block(start, xn, mlp_pre, hidden, kernel, attn, values, attn @ values)
+
+
 def layer_forward(
     layer: RIAttnLayer,
     pose_field: np.ndarray,
@@ -156,45 +207,24 @@ def layer_forward(
         raise InvalidArgumentError(f"neighbor_idx must be ({n}, {k}), got {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise InvalidArgumentError(f"neighbor_idx entries must lie in [0, {n})")
-    xn = x[idx]
-    # Kernel MLP as flat GEMMs over all (reference, slot) rows, biases added in place.
-    h = layer.mlp_w1.shape[1]
-    mlp_pre = _rows(p) @ layer.mlp_w1
-    mlp_pre += layer.mlp_b1
-    hidden = _leaky(mlp_pre)
-    kernel = hidden @ layer.mlp_w2
-    kernel += layer.mlp_b2
-    mlp_pre = mlp_pre.reshape(n, k, h)
-    hidden = hidden.reshape(n, k, h)
-    kernel = kernel.reshape(n, k, layer.c_in)
-    # Attention, batched over reference rows.
-    scores = kernel @ xn.transpose(0, 2, 1)
-    scores /= np.sqrt(layer.c_in)
-    if not np.all(np.isfinite(scores)):
-        bad = int(np.nonzero(~np.isfinite(scores).all(axis=(1, 2)))[0][0])
-        raise NumericError(f"non-finite attention scores at reference row {bad}")
-    attn = _softmax_rows(scores)
-    values = kernel * xn
-    attn_out = attn @ values
-    argmax = attn_out.argmax(axis=1)
-    x_hat = np.take_along_axis(attn_out, argmax[:, None, :], axis=1)[:, 0, :]
+    argmax = np.empty((n, layer.c_in), dtype=np.int64)
+    x_hat = np.empty((n, layer.c_in))
+    for start in range(0, max(n, 1), _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, n)
+        block = _attend(layer, p, x, idx, start, stop)
+        argmax[start:stop] = block.attn_out.argmax(axis=1)
+        x_hat[start:stop] = np.take_along_axis(block.attn_out, argmax[start:stop, None, :], axis=1)[:, 0, :]
     fused_input = np.concatenate([x_hat - x, x], axis=1)
     out = fused_input @ layer.fuse_w + layer.fuse_b
     act = LayerActivation(
         pose_stack=p,
         features=x,
-        neighbor_features=xn,
         neighbor_idx=idx,
-        mlp_pre=mlp_pre,
-        mlp_hidden=hidden,
-        kernel=kernel,
-        attention=attn,
-        values=values,
-        attn_out=attn_out,
         argmax=argmax,
         aggregated=x_hat,
         fused_input=fused_input,
         output=out,
+        last_block=block,
     )
     return out, act
 
@@ -205,15 +235,20 @@ def backward(
     """Parameter gradients, keyed like ``layer.parameters()``, and input-feature
     gradients for one recorded pass.
 
-    The feature gradient sums, for each point, the neighbor-row gradients of
-    every reference row that lists it as a neighbor.  Each channel is one
-    ``np.bincount`` over the neighbor indices in row-major (reference, slot)
-    order, added onto the point's own fused-map gradient.  The summation order
-    is fixed by the neighbor graph alone, so the result is bitwise repeatable
+    Blocks run last to first: the recorded last block is reused, and every
+    other block is recomputed by the function forward ran, so its
+    intermediates are bitwise those of forward.  Each block's kernel-MLP
+    gradients are added into running sums.  The feature gradient sums, for
+    each point, the neighbor-row gradients of every reference row that lists
+    it as a neighbor: per block and channel, one ``np.bincount`` over the
+    block's neighbor indices in row-major (reference, slot) order.  The block
+    sums add up last block first, and their total is added onto the point's
+    own fused-map gradient.  The summation order is fixed by the neighbor
+    graph and the block size alone, so the result is bitwise repeatable
     across runs.
     """
     d_out = np.asarray(d_output, dtype=np.float64)
-    n, k, c = act.neighbor_features.shape
+    n, c = act.features.shape
     if d_out.shape != act.output.shape:
         raise InvalidArgumentError(f"d_output shape {d_out.shape} != output {act.output.shape}")
     g_fuse_w = act.fused_input.T @ d_out
@@ -221,38 +256,50 @@ def backward(
     d_fused = d_out @ layer.fuse_w.T
     d_xhat = d_fused[:, :c]
     d_x = d_fused[:, c:] - d_xhat
-    d_attn_out = np.zeros_like(act.attn_out)
-    np.put_along_axis(d_attn_out, act.argmax[:, None, :], d_xhat[:, None, :], axis=1)
-    d_values = act.attention.transpose(0, 2, 1) @ d_attn_out
-    d_kernel = d_values * act.neighbor_features
-    d_xn = d_values * act.kernel
-    # Softmax backward, in place: d_scores = (d_attn - <d_attn, attn>) * attn.
-    d_scores = d_attn_out @ act.values.transpose(0, 2, 1)
-    d_scores -= (d_scores * act.attention).sum(axis=-1, keepdims=True)
-    d_scores *= act.attention
     scale = 1.0 / np.sqrt(c)
-    d_kernel += (d_scores @ act.neighbor_features) * scale
-    d_xn += (d_scores.transpose(0, 2, 1) @ act.kernel) * scale
-    del d_scores  # free the (N, k, k) block before the MLP backward allocates
-    d_kernel = _rows(d_kernel)
-    g_mlp_w2 = _rows(act.mlp_hidden).T @ d_kernel
-    g_mlp_b2 = d_kernel.sum(axis=0)
-    d_pre = d_kernel @ layer.mlp_w2.T
-    d_pre *= _leaky_grad(_rows(act.mlp_pre))
-    g_mlp_w1 = _rows(act.pose_stack).T @ d_pre
-    g_mlp_b1 = d_pre.sum(axis=0)
-    nbr = act.neighbor_idx.ravel()
-    d_xn = _rows(d_xn)
-    for ch in range(c):
-        d_x[:, ch] += np.bincount(nbr, weights=d_xn[:, ch], minlength=n)
-    grads = {
-        "mlp_w1": g_mlp_w1,
-        "mlp_b1": g_mlp_b1,
-        "mlp_w2": g_mlp_w2,
-        "mlp_b2": g_mlp_b2,
-        "fuse_w": g_fuse_w,
-        "fuse_b": g_fuse_b,
-    }
+    # Neighbor-row gradients summed per point, channel-major so each block adds whole rows.
+    d_nbr = np.zeros((c, n))
+    last = act.last_block
+    grads = {}
+    for start in [last.start, *reversed(range(0, last.start, _CHUNK_ROWS))]:
+        if start == last.start:
+            blk = last
+        else:
+            stop = min(start + _CHUNK_ROWS, last.start)
+            blk = _attend(layer, act.pose_stack, act.features, act.neighbor_idx, start, stop)
+        rows = slice(start, start + len(blk.attn_out))
+        d_attn_out = np.zeros_like(blk.attn_out)
+        np.put_along_axis(d_attn_out, act.argmax[rows, None, :], d_xhat[rows, None, :], axis=1)
+        d_values = blk.attention.transpose(0, 2, 1) @ d_attn_out
+        d_kernel = d_values * blk.neighbor_features
+        d_xn = d_values * blk.kernel
+        # Softmax backward, in place: d_scores = (d_attn - <d_attn, attn>) * attn.
+        d_scores = d_attn_out @ blk.values.transpose(0, 2, 1)
+        d_scores -= (d_scores * blk.attention).sum(axis=-1, keepdims=True)
+        d_scores *= blk.attention
+        d_kernel += (d_scores @ blk.neighbor_features) * scale
+        d_xn += (d_scores.transpose(0, 2, 1) @ blk.kernel) * scale
+        d_kernel = _rows(d_kernel)
+        d_pre = d_kernel @ layer.mlp_w2.T
+        d_pre *= _leaky_grad(_rows(blk.mlp_pre))
+        block_grads = {
+            "mlp_w1": _rows(act.pose_stack[rows]).T @ d_pre,
+            "mlp_b1": d_pre.sum(axis=0),
+            "mlp_w2": _rows(blk.mlp_hidden).T @ d_kernel,
+            "mlp_b2": d_kernel.sum(axis=0),
+        }
+        for name, g in block_grads.items():
+            if name in grads:
+                grads[name] += g
+            else:
+                grads[name] = g
+        nbr = act.neighbor_idx[rows].ravel()
+        d_xn = _rows(d_xn)
+        for ch in range(c):
+            d_nbr[ch] += np.bincount(nbr, weights=d_xn[:, ch], minlength=n)
+    d_x += d_nbr.T
+    grads["fuse_w"] = g_fuse_w
+    grads["fuse_b"] = g_fuse_b
     return grads, d_x
 
 

@@ -3,6 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 from scipy import integrate, special
+from scipy.spatial import cKDTree
 
 from sipf.descriptors import (
     COINCIDENT_DISTANCE_FLOOR,
@@ -36,6 +37,29 @@ def brute_force_knn(points: np.ndarray, k: int) -> np.ndarray:
         d = np.sqrt(((points - points[i]) ** 2).sum(axis=1))
         d[i] = np.inf
         out[i] = np.lexsort((np.arange(n), d))[:k]
+    return out
+
+
+def lexsort_knn(points: np.ndarray, k: int) -> np.ndarray:
+    """kd-tree windows re-sorted whole by (row, distance, index): the graph knn_graph must give.
+
+    Each window holds k + 8 candidates with the self entry masked to an
+    infinite distance; a row whose k-th distance ties with the window edge
+    falls back to a full scan.
+    """
+    n = len(points)
+    pad = min(n, k + 8)
+    dist, idx = cKDTree(points).query(points, k=pad)
+    rows = np.repeat(np.arange(n), pad)
+    dist = np.where(idx == np.arange(n)[:, None], np.inf, dist)
+    order = np.lexsort((idx.ravel(), dist.ravel(), rows))
+    dist_sorted = dist.ravel()[order].reshape(n, pad)
+    out = idx.ravel()[order].reshape(n, pad)[:, :k].copy()
+    if pad < n:
+        for i in np.nonzero(dist_sorted[:, k - 1] >= dist_sorted[:, pad - 2])[0]:
+            d = np.sqrt(((points - points[i]) ** 2).sum(axis=1))
+            d[i] = np.inf
+            out[i] = np.lexsort((np.arange(n), d))[:k]
     return out
 
 

@@ -18,6 +18,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from perfbench import workloads  # noqa: E402
+from sipf import riattn  # noqa: E402
 
 
 @pytest.mark.parametrize("name", ["wingtip-train", "scan-features", "scan-invariance"])
@@ -38,6 +39,7 @@ _TINY = {
     "wingtip-train": {"EPOCHS": 1},
     "scan-features": {"N": 40},
     "scan-invariance": {"N": 40, "TRIALS": 2},
+    "scan-encode": {"N": 300},
 }
 
 
@@ -49,7 +51,7 @@ def test_every_trace_target_is_called(name, monkeypatch, tmp_path):
     workload.setup()
     counts = {}
     for owner, attr, span, _ in workload.targets():
-        key = f"{owner.__name__}.{attr} ({span})"
+        key = f"{getattr(owner, '__name__', 'lib')}.{attr} ({span})"
         counts[key] = 0
 
         def counted(*args, _fn=getattr(owner, attr), _key=key, **kwargs):
@@ -60,3 +62,17 @@ def test_every_trace_target_is_called(name, monkeypatch, tmp_path):
     assert workload.call() in (None, 0)
     uncalled = [key for key, n in counts.items() if n < 1]
     assert counts and not uncalled, f"{name}: trace targets never called: {uncalled}"
+
+
+def test_scan_encode_repeats_bitwise_over_several_blocks(tmp_path):
+    """Two scan-encode passes at 300 points, each over several attention blocks, through the workload's own check."""
+    workload = workloads.WORKLOADS["scan-encode"](seed=0, workdir=str(tmp_path))
+    workload.N = 300
+    assert workload.N > 2 * riattn._CHUNK_ROWS
+    workload.setup()
+    records = []
+    for _ in range(2):
+        assert workload.call() is None
+        records.append({"captured": workload.capture(), "failure": None})
+    workload.check(records)
+    assert [r["failure"] for r in records] == [None, None]

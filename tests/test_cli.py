@@ -16,10 +16,10 @@ from sipf.cli import (
     load_config,
     main,
 )
-from sipf.cloudio import _CSV_CHUNK_ROWS
+from sipf.cloudio import _CSV_CHUNK_ROWS, load_cloud
 from sipf.descriptors import MASK_SIPF, sipf_field
 from sipf.errors import InvalidInputError
-from sipf.geometry import random_rotation
+from sipf.geometry import knn_graph, random_rotation
 from sipf.training import ToyTaskConfig
 
 from conftest import sipf_stack
@@ -39,6 +39,19 @@ def cloud_file(tmp_path):
     path = tmp_path / "toy.xyz"
     path.write_text(TOY_CLOUD)
     return str(path)
+
+
+@pytest.fixture
+def coincident_cloud_file(tmp_path):
+    """Forty random points with point 7 a copy of point 5."""
+    pts = np.random.default_rng(0).uniform(-1, 1, (40, 3))
+    pts[7] = pts[5]
+    path = tmp_path / "coincident.xyz"
+    path.write_text("".join(" ".join(format(v, ".17g") for v in row) + "\n" for row in pts))
+    return str(path)
+
+
+COINCIDENT_WARNINGS = "warning: coincident points 5 and 7; rows omitted\nwarning: 2 point(s) omitted\n"
 
 
 @pytest.fixture
@@ -246,6 +259,18 @@ class TestFeatures:
             assert 0 not in (r, j)
 
 
+    def test_coincident_points_warn_and_omit(self, coincident_cloud_file, tmp_path, capsys):
+        out = tmp_path / "coincident.csv"
+        code = main(["features", "--input", coincident_cloud_file, "--k", "4", "--out", str(out)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == COINCIDENT_WARNINGS
+        pairs = [tuple(map(int, row.split(",")[:2])) for row in out.read_text().strip().split("\n")[1:]]
+        # Every edge between the 38 kept points is written, and no other.
+        indices = knn_graph(load_cloud(coincident_cloud_file), 4).indices.tolist()
+        expected = [(r, j) for r, row in enumerate(indices) for j in row if {r, j}.isdisjoint({5, 7})]
+        assert pairs == expected
+
+
 class TestPathErrors:
     """Unreadable input and unwritable output paths exit 1 with one error line naming the path."""
 
@@ -377,6 +402,12 @@ class TestVerifyInvariance:
         assert set(report) == {"trials", "max_abs_deviation", "threshold", "break_shadow", "pass"}
         assert report["trials"] == 4 and report["pass"] is True and report["break_shadow"] is False
         assert report["max_abs_deviation"] <= 1e-8
+
+    def test_coincident_points_warn_like_features(self, coincident_cloud_file, tmp_path, capsys):
+        features_err, err, code = self._stderr_of_both(coincident_cloud_file, capsys, tmp_path)
+        assert err == features_err == COINCIDENT_WARNINGS
+        assert code == EXIT_OK
+        assert json.loads((tmp_path / "r.json").read_text())["pass"] is True
 
     def test_degenerate_frame_warns_like_features(self, tmp_path, capsys):
         # The TestFeatures cloud plus a generic patch, so some rows stay usable.

@@ -19,7 +19,7 @@ from sipf.geometry import (
     rotation_from_axis_angle,
 )
 
-from conftest import brute_force_knn, random_cloud
+from conftest import brute_force_knn, lexsort_knn, random_cloud
 
 
 class TestPointCloud:
@@ -89,6 +89,22 @@ class TestKnnGraph:
             d = np.linalg.norm(pts[row] - pts[i], axis=1)
             assert np.all(np.diff(d) >= 0)
             assert i not in row
+
+    @pytest.mark.parametrize("k", [1, 6, 20])
+    @pytest.mark.parametrize("kind", ["random", "lattice", "duplicates", "k_plus_one"])
+    def test_matches_whole_window_lexsort(self, kind, k):
+        rng = np.random.default_rng([k, len(kind)])
+        pts = rng.uniform(-1, 1, (800, 3))
+        if kind == "lattice":
+            pts = np.round(pts * 8) / 8  # a 1/8 lattice: most windows hold exact ties
+        elif kind == "duplicates":
+            # Forty copies of one point outnumber a k + 8 window, so the self
+            # entry can be missing from its own window.
+            pts = np.vstack([pts[:300], pts[:100], np.tile(pts[7], (40, 1))])
+        elif kind == "k_plus_one":
+            pts = pts[: k + 1]
+        graph = knn_graph(PointCloud(points=pts), k)
+        assert np.array_equal(graph.indices, lexsort_knn(pts, k))
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sipf import bingham
+from sipf import bingham, riattn
 from sipf.descriptors import MASK_PPF, MASK_SIPF, shadow_of, sipf_field
 from sipf.errors import InvalidArgumentError, NumericError
 from sipf.geometry import PointCloud, apply_rotation, knn_graph, random_rotation, rotation_from_axis_angle
@@ -11,6 +11,7 @@ from sipf.lrf import FRAME_MODE_BARYCENTER, build_all_lrfs, input_descriptor
 from sipf.riattn import (
     LEAKY_SLOPE,
     RIAttnLayer,
+    _attend,
     backward,
     layer_forward,
     total_loss,
@@ -58,6 +59,8 @@ def _one_stack(layer, pose_stack, neighbor_features, x_r=None):
 
     Point 0's neighbors are points 1..k, whose features are the given rows;
     the other rows of the cloud only list point 0 and are not inspected.
+    Returns point 0's output, the activation record, and the per-edge
+    intermediates of every row from the layer's block function.
     """
     pose_stack = np.asarray(pose_stack, dtype=float)
     xn = np.asarray(neighbor_features, dtype=float)
@@ -67,7 +70,7 @@ def _one_stack(layer, pose_stack, neighbor_features, x_r=None):
     pose = np.tile(pose_stack, (k + 1, 1, 1))
     idx = np.array([np.arange(1, k + 1)] + [[0] * k] * k)
     out, act = layer_forward(layer, pose, feats, idx)
-    return out[0], act
+    return out[0], act, _attend(layer, pose, feats, idx, 0, k + 1)
 
 
 def _row_oracle(layer, pose_stack, xn, x_r):
@@ -84,14 +87,14 @@ def _row_oracle(layer, pose_stack, xn, x_r):
 class TestKernelWeights:
     def test_zero_parameters_zero_output(self, rng):
         layer = _zero_layer(3, 4)
-        _, act = _one_stack(layer, rng.standard_normal((5, 8)), rng.standard_normal((5, 3)))
-        assert np.array_equal(act.kernel, np.zeros((6, 5, 3)))
+        _, _, blk = _one_stack(layer, rng.standard_normal((5, 8)), rng.standard_normal((5, 3)))
+        assert np.array_equal(blk.kernel, np.zeros((6, 5, 3)))
 
     def test_k1_equals_vector_mlp(self, rng):
         layer = RIAttnLayer.init(3, 4, rng)
         row = rng.standard_normal(8)
-        _, act = _one_stack(layer, row[None, :], rng.standard_normal((1, 3)))
-        single = act.kernel[0, 0]
+        _, _, blk = _one_stack(layer, row[None, :], rng.standard_normal((1, 3)))
+        single = blk.kernel[0, 0]
         hidden = row @ layer.mlp_w1 + layer.mlp_b1
         hidden = np.where(hidden > 0, hidden, LEAKY_SLOPE * hidden)
         expected = hidden @ layer.mlp_w2 + layer.mlp_b2
@@ -100,10 +103,10 @@ class TestKernelWeights:
     def test_matches_row_loop_oracle(self, rng):
         layer = RIAttnLayer.init(4, 4, rng)
         pose = rng.standard_normal((7, 8))
-        _, act = _one_stack(layer, pose, rng.standard_normal((7, 4)))
+        _, _, blk = _one_stack(layer, pose, rng.standard_normal((7, 4)))
         for i, row in enumerate(pose):
-            _, single = _one_stack(layer, row[None, :], rng.standard_normal((1, 4)))
-            assert np.abs(act.kernel[0, i] - single.kernel[0, 0]).max() < 1e-14
+            _, _, single = _one_stack(layer, row[None, :], rng.standard_normal((1, 4)))
+            assert np.abs(blk.kernel[0, i] - single.kernel[0, 0]).max() < 1e-14
 
     def test_shape_mismatch(self, rng):
         layer = RIAttnLayer.init(3, 4, rng)
@@ -114,28 +117,28 @@ class TestKernelWeights:
 class TestRiAttention:
     def test_k1_is_hadamard(self, rng):
         layer = RIAttnLayer.init(4, 2, rng)
-        _, act = _one_stack(layer, rng.standard_normal((1, 8)), rng.standard_normal((1, 4)))
-        w, x = act.kernel[0], act.neighbor_features[0]
-        assert np.abs(act.attn_out[0] - w * x).max() < 1e-15
+        _, _, blk = _one_stack(layer, rng.standard_normal((1, 8)), rng.standard_normal((1, 4)))
+        w, x = blk.kernel[0], blk.neighbor_features[0]
+        assert np.abs(blk.attn_out[0] - w * x).max() < 1e-15
 
     def test_identical_rows_identical_output(self, rng):
         layer = RIAttnLayer.init(3, 2, rng)
         pose = np.tile(rng.standard_normal(8), (5, 1))
         xn = np.tile(rng.standard_normal(3), (5, 1))
-        _, act = _one_stack(layer, pose, xn)
-        out = act.attn_out[0]
+        _, _, blk = _one_stack(layer, pose, xn)
+        out = blk.attn_out[0]
         assert np.abs(out - out[0]).max() < 1e-15
 
     def test_matches_dense_oracle(self, rng):
         k, c = 6, 4
         layer = RIAttnLayer.init(c, 2, rng)
-        _, act = _one_stack(layer, rng.standard_normal((k, 8)), rng.standard_normal((k, c)))
-        w, x = act.kernel[0], act.neighbor_features[0]
+        _, _, blk = _one_stack(layer, rng.standard_normal((k, 8)), rng.standard_normal((k, c)))
+        w, x = blk.kernel[0], blk.neighbor_features[0]
         scores = w @ x.T / np.sqrt(c)
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         attn = e / e.sum(axis=1, keepdims=True)
         expected = attn @ (w * x)
-        assert np.abs(act.attn_out[0] - expected).max() < 1e-12
+        assert np.abs(blk.attn_out[0] - expected).max() < 1e-12
 
     def test_non_finite_scores(self, rng):
         layer = RIAttnLayer.init(2, 2, rng)
@@ -152,9 +155,9 @@ class TestReversedEdgeConv:
         layer.fuse_w = np.eye(2 * c)
         layer.fuse_b = np.zeros(2 * c)
         x_r = rng.standard_normal(c)
-        out, act = _one_stack(layer, rng.standard_normal((4, 8)), rng.standard_normal((4, c)), x_r)
-        expected = np.concatenate([act.attn_out[0].max(axis=0) - x_r, x_r])
-        assert np.array_equal(act.aggregated[0], act.attn_out[0].max(axis=0))
+        out, act, blk = _one_stack(layer, rng.standard_normal((4, 8)), rng.standard_normal((4, c)), x_r)
+        expected = np.concatenate([blk.attn_out[0].max(axis=0) - x_r, x_r])
+        assert np.array_equal(act.aggregated[0], blk.attn_out[0].max(axis=0))
         assert np.abs(out - expected).max() < 1e-15
 
     def test_rows_equal_reference_zeroes_first_block(self, rng):
@@ -165,16 +168,16 @@ class TestReversedEdgeConv:
         layer.mlp_b2 = np.ones(c)
         layer.fuse_w = np.eye(2 * c)
         x_r = rng.standard_normal(c)
-        out, act = _one_stack(layer, rng.standard_normal((5, 8)), np.tile(x_r, (5, 1)), x_r)
-        assert np.abs(act.attn_out[0] - x_r).max() < 1e-15
+        out, _, blk = _one_stack(layer, rng.standard_normal((5, 8)), np.tile(x_r, (5, 1)), x_r)
+        assert np.abs(blk.attn_out[0] - x_r).max() < 1e-15
         assert np.abs(out[:c]).max() < 1e-15
         assert np.abs(out[c:] - x_r).max() < 1e-15
 
     def test_matches_dense_oracle(self, rng):
         layer = RIAttnLayer.init(3, 5, rng)
         x_r = rng.standard_normal(3)
-        out, act = _one_stack(layer, rng.standard_normal((6, 8)), rng.standard_normal((6, 3)), x_r)
-        attn_out = act.attn_out[0]
+        out, _, blk = _one_stack(layer, rng.standard_normal((6, 8)), rng.standard_normal((6, 3)), x_r)
+        attn_out = blk.attn_out[0]
         expected = np.concatenate([attn_out.max(axis=0) - x_r, x_r]) @ layer.fuse_w + layer.fuse_b
         assert np.abs(out - expected).max() < 1e-14
 
@@ -189,8 +192,8 @@ class TestLayerForward:
 
     def test_attention_rows_sum_to_one(self, rng):
         _, graph, _, _, pose, feats, layer = _random_instance(rng)
-        _, act = layer_forward(layer, pose, feats, graph.indices)
-        assert np.abs(act.attention.sum(axis=-1) - 1.0).max() < 1e-9
+        blk = _attend(layer, pose, feats, graph.indices, 0, len(feats))
+        assert np.abs(blk.attention.sum(axis=-1) - 1.0).max() < 1e-9
 
     def test_layer_rotation_invariance(self, rng):
         worst = 0.0
@@ -380,6 +383,18 @@ def einsum_backward(layer, d_out, inter):
     return grads, d_x
 
 
+def _block_arrays(block):
+    """The per-edge intermediates of a block, by name."""
+    return {name: v for name, v in vars(block).items() if name != "start"}
+
+
+def _record_arrays(act):
+    """Every array an activation record holds, the last block's included."""
+    arrays = {name: v for name, v in vars(act).items() if isinstance(v, np.ndarray)}
+    arrays.update({f"last_block.{name}": v for name, v in _block_arrays(act.last_block).items()})
+    return arrays
+
+
 def _random_layer(rng, c_in, hidden, c_out):
     # Fan-in scaled weights as in RIAttnLayer.init, plus non-zero biases so
     # every parameter path carries signal.
@@ -408,7 +423,7 @@ class TestEinsumOracle:
             (20, 8, 16, 16, 16),
         ],
     )
-    def test_forward_and_backward_match(self, n, k, c_in, hidden, c_out):
+    def test_forward_and_backward_match(self, n, k, c_in, hidden, c_out, monkeypatch):
         rng = np.random.default_rng([n, k, c_in, hidden, c_out])
         layer = _random_layer(rng, c_in, hidden, c_out)
         pose = rng.standard_normal((n, k, 8))
@@ -416,41 +431,87 @@ class TestEinsumOracle:
         # Random neighbor lists repeat points, so the feature scatter accumulates.
         idx = rng.integers(0, n, (n, k))
         d_out = rng.standard_normal((n, c_out))
-
-        out, act = layer_forward(layer, pose, feats, idx)
         ref_out, inter = einsum_layer_forward(layer, pose, feats, idx)
-        assert np.abs(out - ref_out).max() <= 1e-12
-        for name, ref in inter.items():
-            got = getattr(act, name)
-            assert got.shape == ref.shape, name
-            if name in ("neighbor_idx", "argmax"):
-                assert np.array_equal(got, ref), name
-            else:
-                assert np.abs(got - ref).max() <= 1e-12, name
-
-        grads, d_x = backward(layer, d_out, act)
         ref_grads, ref_d_x = einsum_backward(layer, d_out, inter)
-        assert d_x.shape == (n, c_in)
-        assert np.abs(d_x - ref_d_x).max() <= 1e-12
-        for name, ref in ref_grads.items():
-            got = grads[name]
-            assert got.shape == ref.shape, name
-            assert np.abs(got - ref).max() <= 1e-12, name
 
-    def test_backward_repeats_bitwise_and_keeps_the_record(self, rng):
+        # One intermediate per edge, from the block function run over all rows.
+        for name, got in _block_arrays(_attend(layer, pose, feats, idx, 0, n)).items():
+            assert got.shape == inter[name].shape, name
+            assert np.abs(got - inter[name]).max() <= 1e-12, name
+
+        outputs = []
+        for chunk in (1, 7, n):
+            monkeypatch.setattr(riattn, "_CHUNK_ROWS", chunk)
+            out, act = layer_forward(layer, pose, feats, idx)
+            outputs.append(out)
+            assert np.abs(out - ref_out).max() <= 1e-12
+            for name in ("neighbor_idx", "argmax"):
+                assert np.array_equal(getattr(act, name), inter[name]), name
+            for name in ("pose_stack", "features", "aggregated", "fused_input", "output"):
+                got = getattr(act, name)
+                assert got.shape == inter[name].shape, name
+                assert np.abs(got - inter[name]).max() <= 1e-12, name
+            # The record keeps the last block, rows start..n-1, and no other.
+            start = act.last_block.start
+            assert start == (n - 1) // chunk * chunk
+            for name, got in _block_arrays(act.last_block).items():
+                assert np.abs(got - inter[name][start:]).max() <= 1e-12, name
+
+            grads, d_x = backward(layer, d_out, act)
+            assert d_x.shape == (n, c_in)
+            assert np.abs(d_x - ref_d_x).max() <= 1e-12
+            for name, ref in ref_grads.items():
+                got = grads[name]
+                assert got.shape == ref.shape, name
+                assert np.abs(got - ref).max() <= 1e-12, name
+        # Every forward quantity is per row, so the block size leaves the output's bits alone.
+        assert all(out.tobytes() == outputs[0].tobytes() for out in outputs)
+
+    def test_backward_repeats_bitwise_and_keeps_the_record(self, rng, monkeypatch):
         layer = _random_layer(rng, 4, 5, 3)
+        pose, feats = rng.standard_normal((10, 6, 8)), rng.standard_normal((10, 4))
         idx = rng.integers(0, 10, (10, 6))
-        out, act = layer_forward(layer, rng.standard_normal((10, 6, 8)), rng.standard_normal((10, 4)), idx)
-        before = {name: np.copy(v) for name, v in vars(act).items()}
-        d_out = rng.standard_normal(out.shape)
-        first = backward(layer, d_out, act)
-        second = backward(layer, d_out, act)
-        for name, value in vars(act).items():
-            assert np.array_equal(value, before[name]), name
-        assert np.array_equal(first[1], second[1])
-        assert list(first[0]) == list(layer.parameters())
-        for name, value in first[0].items():
-            assert np.array_equal(value, second[0][name]), name
+        d_out = rng.standard_normal((10, 3))
+        for chunk in (1, 7, 10):
+            monkeypatch.setattr(riattn, "_CHUNK_ROWS", chunk)
+            _, act = layer_forward(layer, pose, feats, idx)
+            before = {name: np.copy(v) for name, v in _record_arrays(act).items()}
+            first = backward(layer, d_out, act)
+            second = backward(layer, d_out, act)
+            for name, value in _record_arrays(act).items():
+                assert value.tobytes() == before[name].tobytes(), name
+            assert first[1].tobytes() == second[1].tobytes()
+            assert list(first[0]) == list(layer.parameters())
+            for name, value in first[0].items():
+                assert value.tobytes() == second[0][name].tobytes(), name
+
+    @pytest.mark.parametrize("chunk", [1, 7, 20])
+    def test_non_finite_scores_name_the_global_row(self, rng, monkeypatch, chunk):
+        monkeypatch.setattr(riattn, "_CHUNK_ROWS", chunk)
+        n = 20
+        layer = _random_layer(rng, 2, 2, 2)
+        feats = rng.standard_normal((n, 2))
+        feats[12, 0] = np.inf
+        # Row r lists points r+1..r+3, so rows 9, 10 and 11 see point 12.
+        idx = (np.arange(n)[:, None] + np.arange(1, 4)) % n
+        with pytest.raises(NumericError, match="at reference row 9$"):
+            layer_forward(layer, rng.standard_normal((n, 3, 8)), feats, idx)
+
+    def test_record_is_bounded_by_per_point_arrays_and_one_block(self, rng):
+        # The record holds (N, c) arrays and one block of (rows, k, .) intermediates,
+        # never an (N, k, k) attention block.  The pose field is the caller's array.
+        n, k, c = 2000, 20, 16
+        assert riattn._CHUNK_ROWS <= 256  # a block size that grows toward N bounds nothing
+        layer = _random_layer(rng, c, c, c)
+        pose = rng.standard_normal((n, k, 8))
+        _, act = layer_forward(layer, pose, rng.standard_normal((n, c)), rng.integers(0, n, (n, k)))
+        assert act.pose_stack is pose
+        # features, neighbor_idx, argmax, aggregated, fused_input, output
+        per_point = 8 * n * (c + k + c + c + 2 * c + c)
+        # neighbor_features, mlp_pre, mlp_hidden, kernel, attention, values, attn_out
+        one_block = 8 * riattn._CHUNK_ROWS * k * (c + c + c + c + k + c + c)
+        held = sum(v.nbytes for v in _record_arrays(act).values())
+        assert held <= pose.nbytes + per_point + one_block
 
     def test_neighbor_index_out_of_range_rejected(self, rng):
         layer = _random_layer(rng, 2, 2, 2)
