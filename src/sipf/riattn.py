@@ -16,8 +16,9 @@ MLP is two affine maps around a leaky rectifier (slope 0.01), hidden width
 c_in; the fusion map is a single affine layer.
 
 ``backward`` provides exact reverse-mode gradients for all parameters and
-the input features; the max aggregation routes gradient to the argmax row
-(lowest index on ties).
+the input features.  Forward records only x_hat; ``backward`` routes the
+max's gradient to the slot whose attention output equals it, the lowest slot
+on an exact tie (the rule of ``argmax``).
 
 Memory: ``layer_forward`` runs the reference rows in blocks of
 ``_CHUNK_ROWS`` and keeps only per-point arrays plus the last block's
@@ -26,6 +27,13 @@ and never holds the (N, k, k) attention block.  ``backward`` recomputes every
 other block from the recorded inputs.  Every forward quantity is computed
 row by row, so the output does not depend on the block size wherever BLAS
 rounds a product row independently of the rows around it.
+
+Layout: a block's per-edge arrays are slot-major, (k, m, .), so every
+reduction over the k slots is one leading-axis vector operation; the batched
+products write through (m, k, .) views that BLAS takes without a copy.  The
+softmax sum adds in numpy's pairwise order, so scores and softmax keep the
+bits of a row-major layout; attention times values may round differently,
+as BLAS runs it on the transposed attention.
 """
 
 from __future__ import annotations
@@ -110,16 +118,17 @@ _CHUNK_ROWS = 128
 
 @dataclass
 class _Block:
-    """Per-edge intermediates of the m reference rows from ``start`` on."""
+    """Per-edge intermediates of the m reference rows from ``start`` on, slot-major."""
 
     start: int
-    neighbor_features: np.ndarray  # (m, k, c_in)
-    mlp_pre: np.ndarray           # (m, k, h) pre-activation of the hidden layer
-    mlp_hidden: np.ndarray        # (m, k, h)
-    kernel: np.ndarray            # (m, k, c_in) kernel weights W_r
-    attention: np.ndarray         # (m, k, k) row-stochastic
-    values: np.ndarray            # (m, k, c_in) elementwise W_r * X_r
-    attn_out: np.ndarray          # (m, k, c_in)
+    pose_stack: np.ndarray        # (k, m, 8) the rows' pose stacks
+    neighbor_features: np.ndarray  # (k, m, c_in)
+    mlp_pre: np.ndarray           # (k, m, h) pre-activation of the hidden layer
+    mlp_hidden: np.ndarray        # (k, m, h)
+    kernel: np.ndarray            # (k, m, c_in) kernel weights W_r
+    attention: np.ndarray         # (k, m, k): [j, r, i] is row r's weight of slot j in output slot i
+    values: np.ndarray            # (k, m, c_in) elementwise W_r * X_r
+    attn_out: np.ndarray          # (k, m, c_in)
 
 
 @dataclass
@@ -129,7 +138,6 @@ class LayerActivation:
     pose_stack: np.ndarray        # (N, k, 8) the caller's pose field, not a copy
     features: np.ndarray          # (N, c_in) reference features
     neighbor_idx: np.ndarray      # (N, k)
-    argmax: np.ndarray            # (N, c_in) row index chosen by the max
     aggregated: np.ndarray        # (N, c_in) x_hat
     fused_input: np.ndarray       # (N, 2 c_in)
     output: np.ndarray            # (N, c_out)
@@ -141,32 +149,41 @@ def _leaky(x):
     return np.maximum(x, LEAKY_SLOPE * x)
 
 
-def _leaky_grad(x):
-    return np.where(x > 0.0, 1.0, LEAKY_SLOPE)
-
-
-def _softmax_rows(scores):
-    """Row softmax over the last axis, computed in place in ``scores``."""
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    return scores
+def _slot_sum(a):
+    """Sum over the leading axis, added in the order numpy's pairwise sum adds a trailing axis."""
+    n = len(a)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _slot_sum(a[:half]) + _slot_sum(a[half:])
+    if n < 8:
+        return a.sum(axis=0)
+    acc = a[:8]
+    for i in range(8, n - n % 8, 8):
+        acc = acc + a[i : i + 8]
+    pairs = acc[0::2] + acc[1::2]
+    total = pairs[0::2] + pairs[1::2]
+    total = total[0] + total[1]
+    for row in a[n - n % 8 :]:
+        total += row
+    return total
 
 
 def _rows(a):
-    """(N, k, m) -> (N k, m), so per-row products run as one GEMM."""
-    return a.reshape(-1, a.shape[-1])
+    """(k, m, .) -> (m, k, .) view: one matrix per reference row for the batched products."""
+    return a.transpose(1, 0, 2)
 
 
 def _attend(layer: RIAttnLayer, p, x, idx, start: int, stop: int) -> _Block:
     """Kernel MLP, attention and values of the reference rows [start, stop)."""
-    xn = x[idx[start:stop]]
-    m, k = xn.shape[:2]
-    # Kernel MLP as flat GEMMs over all (reference, slot) rows, biases added in place.
+    nbrs = idx[start:stop].T
+    k, m = nbrs.shape
+    xn = x.take(nbrs, axis=0)
+    pose = np.ascontiguousarray(_rows(p[start:stop]))
+    # Kernel MLP as flat GEMMs over all (slot, reference) rows, biases added in place.
     # numpy sends a one-row product to gemv, which rounds unlike gemm, so a
     # block of one edge runs as two copies of it and takes the route of the others.
     h = layer.mlp_w1.shape[1]
-    flat = _rows(p[start:stop])
+    flat = pose.reshape(-1, 8)
     if len(flat) == 1:
         flat = np.repeat(flat, 2, axis=0)
     mlp_pre = flat @ layer.mlp_w1
@@ -174,18 +191,24 @@ def _attend(layer: RIAttnLayer, p, x, idx, start: int, stop: int) -> _Block:
     hidden = _leaky(mlp_pre)
     kernel = hidden @ layer.mlp_w2
     kernel += layer.mlp_b2
-    mlp_pre = mlp_pre[: m * k].reshape(m, k, h)
-    hidden = hidden[: m * k].reshape(m, k, h)
-    kernel = kernel[: m * k].reshape(m, k, layer.c_in)
-    # Attention, batched over reference rows.
-    scores = kernel @ xn.transpose(0, 2, 1)
+    mlp_pre = mlp_pre[: m * k].reshape(k, m, h)
+    hidden = hidden[: m * k].reshape(k, m, h)
+    kernel = kernel[: m * k].reshape(k, m, layer.c_in)
+    # Attention, batched over reference rows, written through views of slot-major buffers.
+    scores = np.empty((k, m, k))
+    np.matmul(_rows(xn), kernel.transpose(1, 2, 0), out=_rows(scores))
     scores /= np.sqrt(layer.c_in)
     if not np.all(np.isfinite(scores)):
-        bad = start + int(np.nonzero(~np.isfinite(scores).all(axis=(1, 2)))[0][0])
+        bad = start + int(np.nonzero(~np.isfinite(scores).all(axis=(0, 2)))[0][0])
         raise NumericError(f"non-finite attention scores at reference row {bad}")
-    attn = _softmax_rows(scores)
+    # Softmax over the slots j, in place.
+    scores -= scores.max(axis=0)
+    np.exp(scores, out=scores)
+    scores /= _slot_sum(scores)
     values = kernel * xn
-    return _Block(start, xn, mlp_pre, hidden, kernel, attn, values, attn @ values)
+    attn_out = np.empty((k, m, layer.c_in))
+    np.matmul(scores.transpose(1, 2, 0), _rows(values), out=_rows(attn_out))
+    return _Block(start, pose, xn, mlp_pre, hidden, kernel, scores, values, attn_out)
 
 
 def layer_forward(
@@ -207,20 +230,17 @@ def layer_forward(
         raise InvalidArgumentError(f"neighbor_idx must be ({n}, {k}), got {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise InvalidArgumentError(f"neighbor_idx entries must lie in [0, {n})")
-    argmax = np.empty((n, layer.c_in), dtype=np.int64)
     x_hat = np.empty((n, layer.c_in))
     for start in range(0, max(n, 1), _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, n)
         block = _attend(layer, p, x, idx, start, stop)
-        argmax[start:stop] = block.attn_out.argmax(axis=1)
-        x_hat[start:stop] = np.take_along_axis(block.attn_out, argmax[start:stop, None, :], axis=1)[:, 0, :]
+        np.max(block.attn_out, axis=0, out=x_hat[start:stop])
     fused_input = np.concatenate([x_hat - x, x], axis=1)
     out = fused_input @ layer.fuse_w + layer.fuse_b
     act = LayerActivation(
         pose_stack=p,
         features=x,
         neighbor_idx=idx,
-        argmax=argmax,
         aggregated=x_hat,
         fused_input=fused_input,
         output=out,
@@ -237,15 +257,16 @@ def backward(
 
     Blocks run last to first: the recorded last block is reused, and every
     other block is recomputed by the function forward ran, so its
-    intermediates are bitwise those of forward.  Each block's kernel-MLP
-    gradients are added into running sums.  The feature gradient sums, for
-    each point, the neighbor-row gradients of every reference row that lists
-    it as a neighbor: per block and channel, one ``np.bincount`` over the
-    block's neighbor indices in row-major (reference, slot) order.  The block
-    sums add up last block first, and their total is added onto the point's
-    own fused-map gradient.  The summation order is fixed by the neighbor
-    graph and the block size alone, so the result is bitwise repeatable
-    across runs.
+    intermediates are bitwise those of forward.  The max aggregation routes
+    gradient to the slot whose attention output equals x_hat, the lowest slot
+    on an exact tie.  Each block's kernel-MLP gradients are added into running
+    sums.  The feature gradient sums, for each point, the neighbor-row
+    gradients of every reference row that lists it as a neighbor: per block,
+    one ``np.bincount`` over (point, channel) bins with the edges in row-major
+    (reference, slot) order.  The block sums add up last block first, and
+    their total is added onto the point's own fused-map gradient.  The
+    summation order is fixed by the neighbor graph and the block size alone,
+    so the result is bitwise repeatable across runs.
     """
     d_out = np.asarray(d_output, dtype=np.float64)
     n, c = act.features.shape
@@ -257,8 +278,8 @@ def backward(
     d_xhat = d_fused[:, :c]
     d_x = d_fused[:, c:] - d_xhat
     scale = 1.0 / np.sqrt(c)
-    # Neighbor-row gradients summed per point, channel-major so each block adds whole rows.
-    d_nbr = np.zeros((c, n))
+    # Neighbor-row gradients summed per (point, channel) bin.
+    d_nbr = np.zeros(n * c)
     last = act.last_block
     grads = {}
     for start in [last.start, *reversed(range(0, last.start, _CHUNK_ROWS))]:
@@ -267,37 +288,48 @@ def backward(
         else:
             stop = min(start + _CHUNK_ROWS, last.start)
             blk = _attend(layer, act.pose_stack, act.features, act.neighbor_idx, start, stop)
-        rows = slice(start, start + len(blk.attn_out))
-        d_attn_out = np.zeros_like(blk.attn_out)
-        np.put_along_axis(d_attn_out, act.argmax[rows, None, :], d_xhat[rows, None, :], axis=1)
-        d_values = blk.attention.transpose(0, 2, 1) @ d_attn_out
+        m = blk.attn_out.shape[1]
+        rows = slice(start, start + m)
+        # The max's subgradient: d_x_hat goes to the slot holding x_hat; more
+        # hits than (row, channel) pairs means an exact tie, kept at its lowest slot.
+        hit = blk.attn_out == act.aggregated[rows]
+        if np.count_nonzero(hit) > m * c:
+            hit[1:] &= ~np.logical_or.accumulate(hit, axis=0)[:-1]
+        d_attn_out = hit * d_xhat[rows]
+        d_values = np.empty_like(blk.values)
+        np.matmul(_rows(blk.attention), _rows(d_attn_out), out=_rows(d_values))
         d_kernel = d_values * blk.neighbor_features
         d_xn = d_values * blk.kernel
-        # Softmax backward, in place: d_scores = (d_attn - <d_attn, attn>) * attn.
-        d_scores = d_attn_out @ blk.values.transpose(0, 2, 1)
-        d_scores -= (d_scores * blk.attention).sum(axis=-1, keepdims=True)
+        # Softmax backward, in place: d_scores = (d_attn - <d_attn, attn>) * attn, then scaled.
+        d_scores = np.empty_like(blk.attention)
+        np.matmul(_rows(blk.values), d_attn_out.transpose(1, 2, 0), out=_rows(d_scores))
+        d_scores -= (d_scores * blk.attention).sum(axis=0)
         d_scores *= blk.attention
-        d_kernel += (d_scores @ blk.neighbor_features) * scale
-        d_xn += (d_scores.transpose(0, 2, 1) @ blk.kernel) * scale
-        d_kernel = _rows(d_kernel)
+        d_scores *= scale
+        d_part = np.empty_like(d_kernel)
+        np.matmul(d_scores.transpose(1, 2, 0), _rows(blk.neighbor_features), out=_rows(d_part))
+        d_kernel += d_part
+        np.matmul(_rows(d_scores), _rows(blk.kernel), out=_rows(d_part))
+        d_xn += d_part
+        d_kernel = d_kernel.reshape(-1, c)
         d_pre = d_kernel @ layer.mlp_w2.T
-        d_pre *= _leaky_grad(_rows(blk.mlp_pre))
+        # Leaky-rectifier derivative as mask arithmetic: 1 where pre > 0, else the slope.
+        d_pre *= np.maximum(blk.mlp_pre.reshape(d_pre.shape) > 0.0, LEAKY_SLOPE)
+        # Bias gradients sum over the slots first, one leading-axis pass, then over the rows.
         block_grads = {
-            "mlp_w1": _rows(act.pose_stack[rows]).T @ d_pre,
-            "mlp_b1": d_pre.sum(axis=0),
-            "mlp_w2": _rows(blk.mlp_hidden).T @ d_kernel,
-            "mlp_b2": d_kernel.sum(axis=0),
+            "mlp_w1": blk.pose_stack.reshape(-1, 8).T @ d_pre,
+            "mlp_b1": d_pre.reshape(blk.mlp_pre.shape).sum(axis=0).sum(axis=0),
+            "mlp_w2": blk.mlp_hidden.reshape(d_pre.shape).T @ d_kernel,
+            "mlp_b2": d_kernel.reshape(blk.kernel.shape).sum(axis=0).sum(axis=0),
         }
         for name, g in block_grads.items():
             if name in grads:
                 grads[name] += g
             else:
                 grads[name] = g
-        nbr = act.neighbor_idx[rows].ravel()
-        d_xn = _rows(d_xn)
-        for ch in range(c):
-            d_nbr[ch] += np.bincount(nbr, weights=d_xn[:, ch], minlength=n)
-    d_x += d_nbr.T
+        bins = act.neighbor_idx[rows, :, None] * c + np.arange(c)
+        d_nbr += np.bincount(bins.ravel(), weights=_rows(d_xn).ravel(), minlength=n * c)
+    d_x += d_nbr.reshape(n, c)
     grads["fuse_w"] = g_fuse_w
     grads["fuse_b"] = g_fuse_b
     return grads, d_x

@@ -224,12 +224,20 @@ class TrainResult:
     b2_min_distance_rad: float = float("inf")
 
 
-def _normalize_labels(labels, n_points):
+def _normalize_labels(labels, n_points, cloud):
+    """Cloud number ``cloud``'s labels as one 0/1 integer per point; a scalar labels every point."""
     lab = np.asarray(labels)
     if lab.ndim == 0:
-        return np.full(n_points, int(lab), dtype=np.int64)
+        lab = np.full(n_points, lab)
     if lab.shape != (n_points,):
-        raise InvalidArgumentError(f"labels shape {lab.shape} does not match cloud size {n_points}")
+        raise InvalidArgumentError(
+            f"labels of cloud {cloud}: shape {lab.shape} does not match cloud size {n_points}"
+        )
+    if lab.dtype.kind not in "iuf":
+        raise InvalidArgumentError(f"labels of cloud {cloud} must be numbers, got dtype {lab.dtype}")
+    bad = lab[(lab != 0) & (lab != 1)]
+    if bad.size:
+        raise InvalidArgumentError(f"labels of cloud {cloud} must be 0 or 1, got {bad[0].item()!r}")
     return lab.astype(np.int64)
 
 
@@ -277,7 +285,9 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
     clouds = dataset.clouds
     if not clouds:
         raise InvalidArgumentError("dataset is empty")
-    labels = [_normalize_labels(lab, len(c)) for c, lab in zip(clouds, dataset.labels)]
+    labels = [
+        _normalize_labels(lab, len(c), i) for i, (c, lab) in enumerate(zip(clouds, dataset.labels))
+    ]
     symmetry = getattr(dataset, "symmetry", None)
     rng = np.random.default_rng(config.seed)
 

@@ -76,3 +76,17 @@ def test_scan_encode_repeats_bitwise_over_several_blocks(tmp_path):
         records.append({"captured": workload.capture(), "failure": None})
     workload.check(records)
     assert [r["failure"] for r in records] == [None, None]
+
+
+def test_wingtip_train_repeats_bytewise(tmp_path):
+    """Two 2-epoch wingtip-train calls log byte-identical metrics, through the workload's own check."""
+    workload = workloads.WORKLOADS["wingtip-train"](seed=0, workdir=str(tmp_path))
+    workload.EPOCHS = 2
+    workload.setup()
+    records = []
+    for _ in range(2):
+        assert workload.call() is None
+        records.append({"captured": workload.capture(), "failure": None})
+    workload.check(records)
+    assert [r["failure"] for r in records] == [None, None]
+    assert len(workload.result.metrics) == 2

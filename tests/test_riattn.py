@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,7 +62,7 @@ def _one_stack(layer, pose_stack, neighbor_features, x_r=None):
     Point 0's neighbors are points 1..k, whose features are the given rows;
     the other rows of the cloud only list point 0 and are not inspected.
     Returns point 0's output, the activation record, and the per-edge
-    intermediates of every row from the layer's block function.
+    intermediates of every row from the layer's block function, row-major.
     """
     pose_stack = np.asarray(pose_stack, dtype=float)
     xn = np.asarray(neighbor_features, dtype=float)
@@ -70,7 +72,18 @@ def _one_stack(layer, pose_stack, neighbor_features, x_r=None):
     pose = np.tile(pose_stack, (k + 1, 1, 1))
     idx = np.array([np.arange(1, k + 1)] + [[0] * k] * k)
     out, act = layer_forward(layer, pose, feats, idx)
-    return out[0], act, _attend(layer, pose, feats, idx, 0, k + 1)
+    return out[0], act, _row_major(_attend(layer, pose, feats, idx, 0, k + 1))
+
+
+def _row_major(block):
+    """A block's per-edge arrays in row-major (m, k, .) order, its attention as (m, k, k) rows.
+
+    The block stores them slot-major, (k, m, .), with attention[j, r, i] the
+    weight of slot j in row r's output slot i.
+    """
+    arrays = {name: np.swapaxes(v, 0, 1) for name, v in vars(block).items() if name != "start"}
+    arrays["attention"] = block.attention.transpose(1, 2, 0)
+    return types.SimpleNamespace(start=block.start, **arrays)
 
 
 def _row_oracle(layer, pose_stack, xn, x_r):
@@ -192,7 +205,7 @@ class TestLayerForward:
 
     def test_attention_rows_sum_to_one(self, rng):
         _, graph, _, _, pose, feats, layer = _random_instance(rng)
-        blk = _attend(layer, pose, feats, graph.indices, 0, len(feats))
+        blk = _row_major(_attend(layer, pose, feats, graph.indices, 0, len(feats)))
         assert np.abs(blk.attention.sum(axis=-1) - 1.0).max() < 1e-9
 
     def test_layer_rotation_invariance(self, rng):
@@ -315,13 +328,21 @@ class TestBackward:
 
     def test_max_tie_routes_to_lowest_index(self, rng):
         # Identical pose rows and neighbor features make all attention-output
-        # rows equal; the subgradient must pick row 0.
+        # rows equal; the subgradient must pick row 0, and only row 0.
         layer = RIAttnLayer.init(2, 2, rng)
         pose = np.tile(rng.standard_normal(8), (1, 3, 1))
         feats = np.array([[0.5, -0.2]])
         idx = np.zeros((1, 3), dtype=np.int64)
         out, act = layer_forward(layer, pose, feats, idx)
-        assert np.array_equal(act.argmax, np.zeros((1, 2), dtype=np.int64))
+        d_out = rng.standard_normal(out.shape)
+        _, inter = einsum_layer_forward(layer, pose, feats, idx)
+        assert np.array_equal(inter["argmax"], np.zeros((1, 2), dtype=np.int64))
+        ref_grads, ref_d_x = einsum_backward(layer, d_out, inter)
+        # Routing to every tied row instead would count d_x_hat three times.
+        grads, d_x = backward(layer, d_out, act)
+        assert np.abs(d_x - ref_d_x).max() <= 1e-12
+        for name, ref in ref_grads.items():
+            assert np.abs(grads[name] - ref).max() <= 1e-12, name
 
     def test_gradients_match_finite_differences(self, rng):
         run_gradcheck(rng, n=8, k=3, c_in=3, hidden=4, c_out=4)
@@ -384,14 +405,14 @@ def einsum_backward(layer, d_out, inter):
 
 
 def _block_arrays(block):
-    """The per-edge intermediates of a block, by name."""
-    return {name: v for name, v in vars(block).items() if name != "start"}
+    """The per-edge intermediates of a block, by name, row-major."""
+    return {name: v for name, v in vars(_row_major(block)).items() if name != "start"}
 
 
 def _record_arrays(act):
     """Every array an activation record holds, the last block's included."""
     arrays = {name: v for name, v in vars(act).items() if isinstance(v, np.ndarray)}
-    arrays.update({f"last_block.{name}": v for name, v in _block_arrays(act.last_block).items()})
+    arrays.update({f"last_block.{name}": v for name, v in vars(act.last_block).items() if name != "start"})
     return arrays
 
 
@@ -408,6 +429,14 @@ def _random_layer(rng, c_in, hidden, c_out):
         fuse_w=rng.standard_normal((2 * c_in, c_out)) / np.sqrt(2.0 * c_in),
         fuse_b=0.1 * rng.standard_normal(c_out),
     )
+
+
+@pytest.mark.parametrize("k", [1, 5, 8, 13, 20, 64, 128, 129, 300])
+def test_slot_sum_adds_in_numpy_pairwise_order(k):
+    # The softmax sums over the leading slot axis with the bits of numpy's
+    # pairwise sum over a trailing axis, the layout the layer used to have.
+    a = np.exp(3.0 * np.random.default_rng(k).standard_normal((k, 50)))
+    assert riattn._slot_sum(a).tobytes() == np.ascontiguousarray(a.T).sum(axis=-1).tobytes()
 
 
 class TestEinsumOracle:
@@ -445,8 +474,7 @@ class TestEinsumOracle:
             out, act = layer_forward(layer, pose, feats, idx)
             outputs.append(out)
             assert np.abs(out - ref_out).max() <= 1e-12
-            for name in ("neighbor_idx", "argmax"):
-                assert np.array_equal(getattr(act, name), inter[name]), name
+            assert np.array_equal(act.neighbor_idx, inter["neighbor_idx"])
             for name in ("pose_stack", "features", "aggregated", "fused_input", "output"):
                 got = getattr(act, name)
                 assert got.shape == inter[name].shape, name
@@ -466,6 +494,42 @@ class TestEinsumOracle:
                 assert np.abs(got - ref).max() <= 1e-12, name
         # Every forward quantity is per row, so the block size leaves the output's bits alone.
         assert all(out.tobytes() == outputs[0].tobytes() for out in outputs)
+
+    def test_exact_ties_route_once_as_the_lowest_index_argmax(self, monkeypatch):
+        # Even rows list one point at slots 2 and 5 with equal pose rows, so those
+        # slots' attention outputs are equal bit for bit: a column whose max lies
+        # there is an exact tie away from slot 0.  Rows 1, 5, 9, ... list only
+        # points whose channel 0 is zero, so that channel's output is zero in
+        # every slot; their attention rows differ, so only slot 0 gives the
+        # oracle's feature gradient.  Rows 3, 7, ... have no tie.
+        rng = np.random.default_rng(5)
+        n, k, c = 20, 8, 4
+        layer = _random_layer(rng, c, 3, 3)
+        pose = rng.standard_normal((n, k, 8))
+        feats = rng.standard_normal((n, c))
+        feats[:5, 0] = 0.0
+        idx = rng.integers(0, n, (n, k))
+        idx[::2, 5] = idx[::2, 2]
+        pose[::2, 5] = pose[::2, 2]
+        idx[1::4] = rng.integers(0, 5, (len(idx[1::4]), k))
+        d_out = rng.standard_normal((n, 3))
+        _, inter = einsum_layer_forward(layer, pose, feats, idx)
+        ref_grads, ref_d_x = einsum_backward(layer, d_out, inter)
+        attn_out = _row_major(_attend(layer, pose, feats, idx, 0, n)).attn_out
+        hits = (attn_out == attn_out.max(axis=1, keepdims=True)).sum(axis=1)
+        rows, channels = np.arange(n)[:, None], np.arange(c)
+        zero_channel = (rows % 4 == 1) & (channels == 0)
+        assert np.array_equal(hits > 1, ((inter["argmax"] == 2) & (rows % 2 == 0)) | zero_channel)
+        assert np.all(hits[zero_channel] == k) and np.all(inter["argmax"][zero_channel] == 0)
+        # One-row blocks take the tie scan on some rows and the count alone on others.
+        assert (hits[::2] > 1).any() and not (hits[3::4] > 1).any()
+        for chunk in (1, 7, n):
+            monkeypatch.setattr(riattn, "_CHUNK_ROWS", chunk)
+            _, act = layer_forward(layer, pose, feats, idx)
+            grads, d_x = backward(layer, d_out, act)
+            assert np.abs(d_x - ref_d_x).max() <= 1e-12
+            for name, ref in ref_grads.items():
+                assert np.abs(grads[name] - ref).max() <= 1e-12, name
 
     def test_backward_repeats_bitwise_and_keeps_the_record(self, rng, monkeypatch):
         layer = _random_layer(rng, 4, 5, 3)
@@ -506,12 +570,21 @@ class TestEinsumOracle:
         pose = rng.standard_normal((n, k, 8))
         _, act = layer_forward(layer, pose, rng.standard_normal((n, c)), rng.integers(0, n, (n, k)))
         assert act.pose_stack is pose
-        # features, neighbor_idx, argmax, aggregated, fused_input, output
-        per_point = 8 * n * (c + k + c + c + 2 * c + c)
-        # neighbor_features, mlp_pre, mlp_hidden, kernel, attention, values, attn_out
-        one_block = 8 * riattn._CHUNK_ROWS * k * (c + c + c + c + k + c + c)
+        # features, neighbor_idx, aggregated, fused_input, output
+        per_point = 8 * n * (c + k + c + 2 * c + c)
+        # pose_stack (slot-major rows), neighbor_features, mlp_pre, mlp_hidden, kernel,
+        # attention, values, attn_out
+        one_block = 8 * riattn._CHUNK_ROWS * k * (8 + c + c + c + c + k + c + c)
         held = sum(v.nbytes for v in _record_arrays(act).values())
         assert held <= pose.nbytes + per_point + one_block
+
+    def test_empty_cloud_gives_empty_output_and_zero_gradients(self, rng):
+        layer = _random_layer(rng, 3, 2, 4)
+        out, act = layer_forward(layer, np.zeros((0, 5, 8)), np.zeros((0, 3)), np.zeros((0, 5), dtype=np.int64))
+        grads, d_x = backward(layer, np.zeros((0, 4)), act)
+        assert out.shape == (0, 4) and d_x.shape == (0, 3)
+        for name, p in layer.parameters().items():
+            assert np.array_equal(grads[name], np.zeros_like(p)), name
 
     def test_neighbor_index_out_of_range_rejected(self, rng):
         layer = _random_layer(rng, 2, 2, 2)

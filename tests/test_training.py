@@ -200,6 +200,24 @@ class TestTrainToy:
         with pytest.raises(InvalidArgumentError):
             train_toy(empty, self._short_config())
 
+    @pytest.mark.parametrize("bad", [-1, 2, 0.5, 1.5])
+    @pytest.mark.parametrize("per_point", [False, True])
+    def test_labels_outside_zero_one_rejected(self, bad, per_point):
+        # -1 would index class 1 and 0.5 would truncate to class 0 without this check.
+        dataset = make_wingtip_dataset(2, 32, 0.0, 100)
+        labels = list(dataset.labels)
+        labels[1] = np.where(np.arange(32) == 7, bad, labels[1]) if per_point else bad
+        relabeled = type(dataset)(clouds=dataset.clouds, labels=labels, symmetry=dataset.symmetry)
+        with pytest.raises(InvalidArgumentError, match=f"labels of cloud 1 must be 0 or 1, got {bad}$"):
+            train_toy(relabeled, self._short_config())
+
+    @pytest.mark.parametrize("bad", ["1", True])
+    def test_labels_that_are_not_numbers_rejected(self, bad):
+        dataset = make_wingtip_dataset(2, 32, 0.0, 100)
+        relabeled = type(dataset)(clouds=dataset.clouds, labels=[0, bad], symmetry=dataset.symmetry)
+        with pytest.raises(InvalidArgumentError, match="labels of cloud 1 must be numbers, got dtype"):
+            train_toy(relabeled, self._short_config())
+
     def test_per_cloud_scalar_labels_accepted(self):
         dataset = make_wingtip_dataset(2, 32, 0.0, 100)
         relabeled = type(dataset)(
@@ -207,3 +225,28 @@ class TestTrainToy:
         )
         result = train_toy(relabeled, self._short_config())
         assert len(result.metrics) == 3
+
+
+# Per-epoch metrics of a 3-epoch run on the demo dataset at seed 0 (the
+# demo-wingtip command's data), as the trainer logged them before the attention
+# block went slot-major.  Layout changes may move the losses by rounding only.
+_GOLDEN_METRICS = [
+    (1, 1.2157641570726199, -5.7313153093362, 5.898077537107457, 0.5,
+     [0.34267463462309294, 0.879165926625177, 0.14027921073397834, -0.29993851250393944]),
+    (2, 0.7239938590671647, -5.7313131435869575, 5.366963882662174, 0.5,
+     [0.2991112422124831, 0.9210512240701133, 0.08866580304754762, -0.23309972713623006]),
+    (3, 0.6955020627207962, -5.731310977831098, 5.336191010003407, 0.5078125,
+     [0.3189200465417582, 0.897487788081295, 0.16634526652550047, -0.25521545106695126]),
+]
+
+
+def test_short_demo_run_matches_golden_metrics():
+    dataset = make_wingtip_dataset(DEFAULT_N_CLOUDS, DEFAULT_POINTS_PER_CLOUD, 0.0, seed=1000)
+    metrics = train_toy(dataset, ToyTaskConfig(epochs=3, seed=0)).metrics
+    assert len(metrics) == len(_GOLDEN_METRICS)
+    for got, (epoch, task, bingham_loss, total, accuracy, quat) in zip(metrics, _GOLDEN_METRICS):
+        assert got["epoch"] == epoch
+        want = [task, bingham_loss, total, accuracy, *quat]
+        have = [got["task_loss"], got["bingham_loss"], got["total_loss"], got["accuracy"], *got["rg_quaternion"]]
+        for h, w in zip(have, want):
+            assert abs(h - w) <= 1e-12 * abs(w), (epoch, h, w)
