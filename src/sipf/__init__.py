@@ -15,7 +15,6 @@ from .bingham import (
     birdal_V,
     entropy,
     lambda_from,
-    log_unnormalized_density,
     mode,
     normalization,
     params_from_seed,
@@ -51,7 +50,6 @@ from .geometry import (
     knn_graph,
     matrix_to_quat,
     quat_to_matrix,
-    quaternion_distance,
     random_rotation,
     rotation_from_axis_angle,
 )

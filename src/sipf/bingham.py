@@ -52,7 +52,6 @@ __all__ = [
     "birdal_V",
     "lambda_from",
     "params_from_seed",
-    "log_unnormalized_density",
     "normalization",
     "entropy",
     "mode",
@@ -161,15 +160,6 @@ def lambda_from(z2) -> np.ndarray:
 
 def params_from_seed(seed: BinghamSeed) -> BinghamParams:
     return BinghamParams(V=birdal_V(seed.z1), lambdas=lambda_from(seed.z2))
-
-
-def log_unnormalized_density(q, params: BinghamParams) -> float:
-    """q^T V L V^T q; at most 0, with equality exactly at the mode."""
-    if isinstance(q, UnitQuaternion):
-        q = q.array
-    q = np.asarray(q, dtype=np.float64)
-    proj = q @ params.V
-    return float((proj**2 * params.lambdas).sum())
 
 
 _TANH_SINH_STEP = 0.05
@@ -340,11 +330,11 @@ _LAMBDA_JACOBIAN = np.array(
 
 
 def bingham_loss_and_seed_gradient(seed: BinghamSeed, kind: str = LOSS_ENTROPY):
-    """Loss value plus gradients w.r.t. (z1, z2).
+    """Loss value and its gradient w.r.t. z2.
 
     ``entropy`` is the differential entropy; ``nll_mode`` is the negative log
     density at the mode, which equals log F.  Both depend on the eigenvalues
-    only, so the z1 gradient is identically zero.
+    only, so they do not depend on z1.
     """
     if kind not in BINGHAM_LOSS_KINDS:
         raise InvalidArgumentError(f"unknown bingham loss kind {kind!r}")
@@ -358,4 +348,4 @@ def bingham_loss_and_seed_gradient(seed: BinghamSeed, kind: str = LOSS_ENTROPY):
         d_lam = grad / f
     sigmoid = expit(seed.z2)
     d_z2 = (d_lam @ _LAMBDA_JACOBIAN) * sigmoid
-    return value, np.zeros(4), d_z2
+    return value, d_z2

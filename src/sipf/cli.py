@@ -30,6 +30,7 @@ from .descriptors import (
     MASK_PPF,
     MASK_SIPF,
     ShadowCloud,
+    coincident_pairs,
     shadow_of,
     sipf_field,
 )
@@ -154,9 +155,7 @@ def _field_inputs(args):
     for i in np.nonzero(frame_valid & ~moved)[0]:
         sys.stderr.write(f"warning: shadow coincides with point {int(i)}; rows omitted\n")
     valid = frame_valid & moved
-    edge_length = np.linalg.norm(cloud.points[graph.indices] - cloud.points[:, None, :], axis=-1)
-    ref, slot = np.nonzero(edge_length < COINCIDENT_DISTANCE_FLOOR)
-    pairs = np.unique(np.sort(np.column_stack([ref, graph.indices[ref, slot]]), axis=1), axis=0)
+    pairs = coincident_pairs(cloud, graph)
     for i, j in pairs.tolist():
         sys.stderr.write(f"warning: coincident points {i} and {j}; rows omitted\n")
     valid[pairs.ravel()] = False

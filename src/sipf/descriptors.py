@@ -35,6 +35,7 @@ __all__ = [
     "B1_SCORE_THRESHOLD",
     "B2_DISTANCE_THRESHOLD_RAD",
     "COINCIDENT_DISTANCE_FLOOR",
+    "coincident_pairs",
     "ShadowCloud",
     "shadow_of",
     "sipf_field",
@@ -89,6 +90,13 @@ def shadow_of(cloud: PointCloud, frames: np.ndarray, rotation: Rotation3) -> Sha
         )
     m = rotation.matrix
     return ShadowCloud(points=cloud.points @ m, frames=frames @ m, rotation=rotation)
+
+
+def coincident_pairs(cloud: PointCloud, graph: NeighborGraph) -> np.ndarray:
+    """(P, 2) index pairs, i < j and ascending, of the graph edges shorter than COINCIDENT_DISTANCE_FLOOR."""
+    edge_length = np.linalg.norm(cloud.points[graph.indices] - cloud.points[:, None, :], axis=-1)
+    ref, slot = np.nonzero(edge_length < COINCIDENT_DISTANCE_FLOOR)
+    return np.unique(np.sort(np.column_stack([ref, graph.indices[ref, slot]]), axis=1), axis=0)
 
 
 def _norm(parts, out=None):

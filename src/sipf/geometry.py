@@ -36,7 +36,6 @@ __all__ = [
     "apply_rotation",
     "random_rotation",
     "rotation_from_axis_angle",
-    "quaternion_distance",
     "is_near_identity",
 ]
 
@@ -245,15 +244,9 @@ def knn_graph(cloud: PointCloud, k: int) -> NeighborGraph:
     return NeighborGraph(k=k, indices=out)
 
 
-def _quat_array(q) -> np.ndarray:
-    if not isinstance(q, UnitQuaternion):
-        q = UnitQuaternion.from_array(q)
-    return q.array
-
-
 def quat_to_matrix(q) -> Rotation3:
     """Standard scalar-first quaternion-to-matrix map; identical for q and -q."""
-    w, x, y, z = _quat_array(q)
+    w, x, y, z = (q if isinstance(q, UnitQuaternion) else UnitQuaternion.from_array(q)).array
     m = np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
@@ -326,13 +319,6 @@ def rotation_from_axis_angle(axis, angle: float) -> Rotation3:
     kmat = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
     m = np.eye(3) + np.sin(angle) * kmat + (1.0 - np.cos(angle)) * (kmat @ kmat)
     return Rotation3(m)
-
-
-def quaternion_distance(q1, q2) -> float:
-    """Arc distance on the quaternion sphere with antipodal identification, in [0, pi/2]."""
-    a = _quat_array(q1)
-    b = _quat_array(q2)
-    return float(np.arccos(np.clip(abs(float(a @ b)), 0.0, 1.0)))
 
 
 def is_near_identity(q: UnitQuaternion) -> bool:

@@ -31,13 +31,22 @@ rounds a product row independently of the rows around it.
 Layout: a block's per-edge arrays are slot-major, (k, m, .), so every
 reduction over the k slots is one leading-axis vector operation; the batched
 products write through (m, k, .) views that BLAS takes without a copy.  The
-softmax sum adds in numpy's pairwise order, so scores and softmax keep the
-bits of a row-major layout; attention times values may round differently,
-as BLAS runs it on the transposed attention.
+softmax takes one max over the slots, which is both its shift and the
+non-finite check (a NaN or +inf score reaches it), scales by 1/sqrt(c_in)
+after the shift, and divides by one leading-axis sum that adds the k slots
+in slot order, 0 first.
+
+Buffers: forward's last block, which the activation record keeps, is new
+arrays; every other block and every temporary of ``backward`` lives in
+per-thread scratch buffers that later calls in the thread overwrite instead
+of allocating (and page-faulting) anew.  Nothing a call returns shares
+memory with them; each lives as long as its thread, sized by its largest use.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,8 +132,7 @@ class _Block:
     start: int
     pose_stack: np.ndarray        # (k, m, 8) the rows' pose stacks
     neighbor_features: np.ndarray  # (k, m, c_in)
-    mlp_pre: np.ndarray           # (k, m, h) pre-activation of the hidden layer
-    mlp_hidden: np.ndarray        # (k, m, h)
+    mlp_hidden: np.ndarray        # (k, m, h) after the leaky rectifier
     kernel: np.ndarray            # (k, m, c_in) kernel weights W_r
     attention: np.ndarray         # (k, m, k): [j, r, i] is row r's weight of slot j in output slot i
     values: np.ndarray            # (k, m, c_in) elementwise W_r * X_r
@@ -144,28 +152,26 @@ class LayerActivation:
     last_block: _Block = field(repr=False)
 
 
-def _leaky(x):
-    # Equal bit for bit to where(x > 0, x, slope * x), signed zeros and NaN included.
-    return np.maximum(x, LEAKY_SLOPE * x)
+def _fresh(name, shape):
+    """A new array: the allocator of the arrays that outlive a call."""
+    return np.empty(shape)
 
 
-def _slot_sum(a):
-    """Sum over the leading axis, added in the order numpy's pairwise sum adds a trailing axis."""
-    n = len(a)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _slot_sum(a[:half]) + _slot_sum(a[half:])
-    if n < 8:
-        return a.sum(axis=0)
-    acc = a[:8]
-    for i in range(8, n - n % 8, 8):
-        acc = acc + a[i : i + 8]
-    pairs = acc[0::2] + acc[1::2]
-    total = pairs[0::2] + pairs[1::2]
-    total = total[0] + total[1]
-    for row in a[n - n % 8 :]:
-        total += row
-    return total
+# This thread's scratch arrays by name, each a view of a buffer that only grows.
+_SCRATCH = threading.local()
+
+
+def _scratch(name, shape, dtype=np.float64):
+    """This thread's array ``name`` of ``shape``; the next use of the name overwrites it."""
+    views = vars(_SCRATCH)
+    view = views.get(name)
+    if view is None or view.shape != shape or view.dtype != dtype:
+        size = math.prod(shape)
+        buf = None if view is None else view.base
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = np.empty(size, dtype)
+        view = views[name] = buf[:size].reshape(shape)
+    return view
 
 
 def _rows(a):
@@ -173,42 +179,46 @@ def _rows(a):
     return a.transpose(1, 0, 2)
 
 
-def _attend(layer: RIAttnLayer, p, x, idx, start: int, stop: int) -> _Block:
-    """Kernel MLP, attention and values of the reference rows [start, stop)."""
+def _attend(layer: RIAttnLayer, p, x, idx, start: int, stop: int, alloc=_fresh) -> _Block:
+    """Kernel MLP, attention and values of the reference rows [start, stop), in arrays from ``alloc``."""
     nbrs = idx[start:stop].T
     k, m = nbrs.shape
-    xn = x.take(nbrs, axis=0)
-    pose = np.ascontiguousarray(_rows(p[start:stop]))
+    c, h = layer.c_in, layer.mlp_w1.shape[1]
+    # layer_forward range-checks the indices; mode "clip" lets take write into out unbuffered.
+    xn = np.take(x, nbrs, axis=0, out=alloc("xn", (k, m, c)), mode="clip")
+    pose = alloc("pose", (k, m, 8))
+    np.copyto(pose, _rows(p[start:stop]))
     # Kernel MLP as flat GEMMs over all (slot, reference) rows, biases added in place.
     # numpy sends a one-row product to gemv, which rounds unlike gemm, so a
     # block of one edge runs as two copies of it and takes the route of the others.
-    h = layer.mlp_w1.shape[1]
     flat = pose.reshape(-1, 8)
     if len(flat) == 1:
         flat = np.repeat(flat, 2, axis=0)
-    mlp_pre = flat @ layer.mlp_w1
-    mlp_pre += layer.mlp_b1
-    hidden = _leaky(mlp_pre)
-    kernel = hidden @ layer.mlp_w2
+    hidden = np.matmul(flat, layer.mlp_w1, out=alloc("hidden", (len(flat), h)))
+    hidden += layer.mlp_b1
+    # Leaky rectifier in place, max(x, slope x); a unit is positive after it exactly where it was before.
+    np.maximum(hidden, np.multiply(hidden, LEAKY_SLOPE, out=_scratch("slope", hidden.shape)), out=hidden)
+    kernel = np.matmul(hidden, layer.mlp_w2, out=alloc("kernel", (len(flat), c)))
     kernel += layer.mlp_b2
-    mlp_pre = mlp_pre[: m * k].reshape(k, m, h)
     hidden = hidden[: m * k].reshape(k, m, h)
-    kernel = kernel[: m * k].reshape(k, m, layer.c_in)
+    kernel = kernel[: m * k].reshape(k, m, c)
     # Attention, batched over reference rows, written through views of slot-major buffers.
-    scores = np.empty((k, m, k))
+    scores = alloc("attention", (k, m, k))
     np.matmul(_rows(xn), kernel.transpose(1, 2, 0), out=_rows(scores))
-    scores /= np.sqrt(layer.c_in)
-    if not np.all(np.isfinite(scores)):
-        bad = start + int(np.nonzero(~np.isfinite(scores).all(axis=(0, 2)))[0][0])
+    # Softmax over the slots j, in place.  The slot max is both the shift and the
+    # non-finite check: a NaN or +inf score reaches it.
+    shift = scores.max(axis=0)
+    if not np.isfinite(shift).all():
+        bad = start + int(np.nonzero(~np.isfinite(shift).all(axis=1))[0][0])
         raise NumericError(f"non-finite attention scores at reference row {bad}")
-    # Softmax over the slots j, in place.
-    scores -= scores.max(axis=0)
+    scores -= shift
+    scores *= 1.0 / np.sqrt(c)
     np.exp(scores, out=scores)
-    scores /= _slot_sum(scores)
-    values = kernel * xn
-    attn_out = np.empty((k, m, layer.c_in))
+    scores /= scores.sum(axis=0)
+    values = np.multiply(kernel, xn, out=alloc("values", (k, m, c)))
+    attn_out = alloc("attn_out", (k, m, c))
     np.matmul(scores.transpose(1, 2, 0), _rows(values), out=_rows(attn_out))
-    return _Block(start, pose, xn, mlp_pre, hidden, kernel, scores, values, attn_out)
+    return _Block(start, pose, xn, hidden, kernel, scores, values, attn_out)
 
 
 def layer_forward(
@@ -233,7 +243,8 @@ def layer_forward(
     x_hat = np.empty((n, layer.c_in))
     for start in range(0, max(n, 1), _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, n)
-        block = _attend(layer, p, x, idx, start, stop)
+        # The last block goes into the activation record; the others are scratch.
+        block = _attend(layer, p, x, idx, start, stop, _fresh if stop == n else _scratch)
         np.max(block.attn_out, axis=0, out=x_hat[start:stop])
     fused_input = np.concatenate([x_hat - x, x], axis=1)
     out = fused_input @ layer.fuse_w + layer.fuse_b
@@ -262,8 +273,8 @@ def backward(
     on an exact tie.  Each block's kernel-MLP gradients are added into running
     sums.  The feature gradient sums, for each point, the neighbor-row
     gradients of every reference row that lists it as a neighbor: per block,
-    one ``np.bincount`` over (point, channel) bins with the edges in row-major
-    (reference, slot) order.  The block sums add up last block first, and
+    one ``np.bincount`` over (point, channel) bins with the edges in slot-major
+    (slot, reference) order.  The block sums add up last block first, and
     their total is added onto the point's own fused-map gradient.  The
     summation order is fixed by the neighbor graph and the block size alone,
     so the result is bitwise repeatable across runs.
@@ -277,6 +288,7 @@ def backward(
     d_fused = d_out @ layer.fuse_w.T
     d_xhat = d_fused[:, :c]
     d_x = d_fused[:, c:] - d_xhat
+    h = layer.mlp_w1.shape[1]
     scale = 1.0 / np.sqrt(c)
     # Neighbor-row gradients summed per (point, channel) bin.
     d_nbr = np.zeros(n * c)
@@ -287,38 +299,40 @@ def backward(
             blk = last
         else:
             stop = min(start + _CHUNK_ROWS, last.start)
-            blk = _attend(layer, act.pose_stack, act.features, act.neighbor_idx, start, stop)
-        m = blk.attn_out.shape[1]
+            blk = _attend(layer, act.pose_stack, act.features, act.neighbor_idx, start, stop, _scratch)
+        k, m = blk.attn_out.shape[:2]
         rows = slice(start, start + m)
         # The max's subgradient: d_x_hat goes to the slot holding x_hat; more
         # hits than (row, channel) pairs means an exact tie, kept at its lowest slot.
-        hit = blk.attn_out == act.aggregated[rows]
-        if np.count_nonzero(hit) > m * c:
-            hit[1:] &= ~np.logical_or.accumulate(hit, axis=0)[:-1]
-        d_attn_out = hit * d_xhat[rows]
-        d_values = np.empty_like(blk.values)
+        d_attn_out = np.equal(blk.attn_out, act.aggregated[rows], out=_scratch("d_attn_out", (k, m, c)))
+        if np.count_nonzero(d_attn_out) > m * c:
+            d_attn_out[1:] *= ~np.logical_or.accumulate(d_attn_out, axis=0)[:-1]
+        d_attn_out *= d_xhat[rows]
+        d_values = _scratch("d_values", (k, m, c))
         np.matmul(_rows(blk.attention), _rows(d_attn_out), out=_rows(d_values))
-        d_kernel = d_values * blk.neighbor_features
-        d_xn = d_values * blk.kernel
         # Softmax backward, in place: d_scores = (d_attn - <d_attn, attn>) * attn, then scaled.
-        d_scores = np.empty_like(blk.attention)
+        # <d_attn, attn> over the slots j is <d_attn_out, attn_out> over the channels, and
+        # d_attn_out is nonzero only where attn_out equals x_hat.
+        d_scores = _scratch("d_scores", (k, m, k))
         np.matmul(_rows(blk.values), d_attn_out.transpose(1, 2, 0), out=_rows(d_scores))
-        d_scores -= (d_scores * blk.attention).sum(axis=0)
+        d_scores -= np.matmul(_rows(d_attn_out), act.aggregated[rows, :, None])[..., 0]
         d_scores *= blk.attention
         d_scores *= scale
-        d_part = np.empty_like(d_kernel)
-        np.matmul(d_scores.transpose(1, 2, 0), _rows(blk.neighbor_features), out=_rows(d_part))
-        d_kernel += d_part
-        np.matmul(_rows(d_scores), _rows(blk.kernel), out=_rows(d_part))
-        d_xn += d_part
+        # Kernel and neighbour-feature gradients: the score path's product plus the values path.
+        d_kernel = _scratch("d_kernel", (k, m, c))
+        np.matmul(d_scores.transpose(1, 2, 0), _rows(blk.neighbor_features), out=_rows(d_kernel))
+        d_xn = _scratch("d_xn", (k, m, c))
+        np.matmul(_rows(d_scores), _rows(blk.kernel), out=_rows(d_xn))
+        d_kernel += np.multiply(d_values, blk.neighbor_features, out=d_attn_out)
+        d_xn += np.multiply(d_values, blk.kernel, out=d_values)
         d_kernel = d_kernel.reshape(-1, c)
-        d_pre = d_kernel @ layer.mlp_w2.T
-        # Leaky-rectifier derivative as mask arithmetic: 1 where pre > 0, else the slope.
-        d_pre *= np.maximum(blk.mlp_pre.reshape(d_pre.shape) > 0.0, LEAKY_SLOPE)
+        d_pre = np.matmul(d_kernel, layer.mlp_w2.T, out=_scratch("d_pre", (k * m, h)))
+        # Leaky-rectifier derivative as mask arithmetic: 1 where the unit is positive, else the slope.
+        d_pre *= np.maximum(blk.mlp_hidden.reshape(d_pre.shape) > 0.0, LEAKY_SLOPE)
         # Bias gradients sum over the slots first, one leading-axis pass, then over the rows.
         block_grads = {
             "mlp_w1": blk.pose_stack.reshape(-1, 8).T @ d_pre,
-            "mlp_b1": d_pre.reshape(blk.mlp_pre.shape).sum(axis=0).sum(axis=0),
+            "mlp_b1": d_pre.reshape(blk.mlp_hidden.shape).sum(axis=0).sum(axis=0),
             "mlp_w2": blk.mlp_hidden.reshape(d_pre.shape).T @ d_kernel,
             "mlp_b2": d_kernel.reshape(blk.kernel.shape).sum(axis=0).sum(axis=0),
         }
@@ -327,8 +341,9 @@ def backward(
                 grads[name] += g
             else:
                 grads[name] = g
-        bins = act.neighbor_idx[rows, :, None] * c + np.arange(c)
-        d_nbr += np.bincount(bins.ravel(), weights=_rows(d_xn).ravel(), minlength=n * c)
+        bins = _scratch("bins", (k, m, c), np.int64)
+        np.add(act.neighbor_idx[rows].T[:, :, None] * c, np.arange(c), out=bins)
+        d_nbr += np.bincount(bins.ravel(), weights=d_xn.ravel(), minlength=n * c)
     d_x += d_nbr.reshape(n, c)
     grads["fuse_w"] = g_fuse_w
     grads["fuse_b"] = g_fuse_b

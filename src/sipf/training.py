@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,7 @@ from . import bingham
 from .descriptors import (
     DESCRIPTOR_MASKS,
     MASK_SIPF,
+    coincident_pairs,
     detect_axis_alignment,
     detect_local_coincidence,
     shadow_of,
@@ -196,21 +198,27 @@ class ClassifierHead:
         return cls(weight=rng.standard_normal((c_in, 2)) / np.sqrt(c_in), bias=np.zeros(2))
 
 
-def _cross_entropy(head: ClassifierHead, feats: np.ndarray, labels: np.ndarray):
+def _loss_and_accuracy(head: ClassifierHead, feats: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy, accuracy, and the log-softmax of the head's logits."""
     logits = feats @ head.weight + head.bias
     m = logits.max(axis=1, keepdims=True)
     log_z = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
     log_p = logits - log_z
+    loss = float(-log_p[np.arange(len(labels)), labels].mean())
+    accuracy = float((logits.argmax(axis=1) == labels).mean())
+    return loss, accuracy, log_p
+
+
+def _cross_entropy(head: ClassifierHead, feats: np.ndarray, labels: np.ndarray):
+    """Loss and accuracy plus the head's gradients and the gradient at its input."""
+    loss, accuracy, log_p = _loss_and_accuracy(head, feats, labels)
     n = len(labels)
-    loss = float(-log_p[np.arange(n), labels].mean())
-    probs = np.exp(log_p)
-    d_logits = probs
+    d_logits = np.exp(log_p)
     d_logits[np.arange(n), labels] -= 1.0
     d_logits /= n
     g_w = feats.T @ d_logits
     g_b = d_logits.sum(axis=0)
     d_feats = d_logits @ head.weight.T
-    accuracy = float((logits.argmax(axis=1) == labels).mean())
     return loss, accuracy, g_w, g_b, d_feats
 
 
@@ -241,14 +249,26 @@ def _normalize_labels(labels, n_points, cloud):
     return lab.astype(np.int64)
 
 
-def _forward_cloud(layers, head, pose, feats, idx, labels):
+def _forward_cloud(layers, pose, feats, idx):
+    """The layer stack's output on one cloud and each layer's activation record."""
     acts = []
     x = feats
     for layer in layers:
         x, act = layer_forward(layer, pose, x, idx)
         acts.append(act)
-    loss, acc, g_w, g_b, d_feats = _cross_entropy(head, x, labels)
-    return loss, acc, acts, g_w, g_b, d_feats
+    return x, acts
+
+
+def _drop_coincident_points(clouds, labels, graphs, k):
+    """The field commands' coincident-pair rule, in place: both points of a pair go, with their labels."""
+    for i, cloud in enumerate(clouds):
+        keep = np.ones(len(cloud), dtype=bool)
+        keep[coincident_pairs(cloud, graphs[i]).ravel()] = False
+        if not keep.all():
+            warnings.warn(f"cloud {i}: {(~keep).sum()} coincident point(s) dropped", stacklevel=3)
+            normals = None if cloud.normals is None else cloud.normals[keep]
+            clouds[i] = PointCloud(points=cloud.points[keep], normals=normals)
+            labels[i], graphs[i] = labels[i][keep], knn_graph(clouds[i], k)
 
 
 def _cloud_gradients(layers, acts, g_w, g_b, d_feats):
@@ -282,7 +302,7 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
     full-dataset accuracy, and the epoch's rotation quaternion.  All
     randomness comes from one seeded generator, so runs are reproducible.
     """
-    clouds = dataset.clouds
+    clouds = list(dataset.clouds)
     if not clouds:
         raise InvalidArgumentError("dataset is empty")
     labels = [
@@ -292,6 +312,7 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
     rng = np.random.default_rng(config.seed)
 
     graphs = [knn_graph(c, config.k) for c in clouds]
+    _drop_coincident_points(clouds, labels, graphs, config.k)
     mode_name = FRAME_MODE_NORMAL if clouds[0].normals is not None else FRAME_MODE_BARYCENTER
     frames = [build_all_lrfs(c, g, mode_name) for c, g in zip(clouds, graphs)]
     feats0 = [input_descriptor(c, f) for c, f in zip(clouds, frames)]
@@ -308,6 +329,7 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
 
     result = TrainResult(layers=layers, head=head, seed_params=bingham.BinghamSeed(z1, z2))
     order = list(range(len(clouds)))
+    bingham_terms = None  # the Bingham loss and z2 gradient at the current z2, once computed
 
     for epoch in range(1, config.epochs + 1):
         # Identity guard: an identity anchor would collapse every shadow onto
@@ -328,9 +350,8 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
             batch_points = 0
             grad_sum = {}
             for ci in batch:
-                loss, _, acts, g_w, g_b, d_feats = _forward_cloud(
-                    layers, head, fields[ci], feats0[ci], graphs[ci].indices, labels[ci]
-                )
+                x, acts = _forward_cloud(layers, fields[ci], feats0[ci], graphs[ci].indices)
+                loss, _, g_w, g_b, d_feats = _cross_entropy(head, x, labels[ci])
                 weight = len(labels[ci])
                 batch_loss += loss * weight
                 batch_points += weight
@@ -341,32 +362,35 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
             if not np.isfinite(task_loss):
                 raise NumericError(f"non-finite task loss at epoch {epoch}, batch {start}")
 
-            seed_now = bingham.BinghamSeed(z1, z2)
-            b_loss, _, d_z2 = bingham.bingham_loss_and_seed_gradient(seed_now, config.bingham_loss_kind)
+            # Both depend on z2 alone, so the epoch-end pair serves the next epoch's first batch.
+            b_loss, d_z2 = bingham_terms or bingham.bingham_loss_and_seed_gradient(
+                bingham.BinghamSeed(z1, z2), config.bingham_loss_kind
+            )
             d_task, d_bingham = total_loss_gradients(task_loss, b_loss, config.delta)
 
             lr = config.learning_rate
             for name, p in params.items():
                 p -= lr * d_task * (grad_sum[name] / batch_points)
             z2 = z2 - lr * d_bingham * d_z2
+            bingham_terms = None
 
         # Epoch metrics on the full dataset with the epoch's rotation.
         total_correct = 0.0
         total_points = 0
         eval_loss = 0.0
         for ci in range(len(clouds)):
-            loss, acc, _, _, _, _ = _forward_cloud(
-                layers, head, fields[ci], feats0[ci], graphs[ci].indices, labels[ci]
-            )
+            x, _ = _forward_cloud(layers, fields[ci], feats0[ci], graphs[ci].indices)
+            loss, acc, _ = _loss_and_accuracy(head, x, labels[ci])
             n_pts = len(labels[ci])
             total_correct += acc * n_pts
             total_points += n_pts
             eval_loss += loss * n_pts
         accuracy = total_correct / total_points
         eval_loss /= total_points
-        b_loss, _, _ = bingham.bingham_loss_and_seed_gradient(
+        bingham_terms = bingham.bingham_loss_and_seed_gradient(
             bingham.BinghamSeed(z1, z2), config.bingham_loss_kind
         )
+        b_loss = bingham_terms[0]
         result.metrics.append(
             {
                 "epoch": epoch,

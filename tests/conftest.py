@@ -20,7 +20,7 @@ from sipf.errors import (
     InvalidArgumentError,
     InvalidInputError,
 )
-from sipf.geometry import NeighborGraph, PointCloud, Rotation3, random_rotation
+from sipf.geometry import NeighborGraph, PointCloud, Rotation3, UnitQuaternion, random_rotation
 from sipf.lrf import _PARALLEL_SIN_TOL, _ZERO_AXIS_TOL
 
 
@@ -288,6 +288,22 @@ def pair_rows(p_r, frame_r, neighbors, shadow_point, shadow_frame, mask=MASK_SIP
     )
     valid = np.arange(n) == 0
     return sipf_field(PointCloud(points=points), frames, graph, shadow, mask=mask, valid=valid)[0]
+
+
+def _quat_array(q) -> np.ndarray:
+    return (q if isinstance(q, UnitQuaternion) else UnitQuaternion.from_array(q)).array
+
+
+def log_unnormalized_density(q, params) -> float:
+    """Bingham exponent q^T V L V^T q; at most 0, with equality exactly at the mode."""
+    q = q.array if isinstance(q, UnitQuaternion) else np.asarray(q, dtype=np.float64)
+    proj = q @ params.V
+    return float((proj**2 * params.lambdas).sum())
+
+
+def quaternion_distance(q1, q2) -> float:
+    """Arc distance on the quaternion sphere with antipodal identification, in [0, pi/2]."""
+    return float(np.arccos(np.clip(abs(float(_quat_array(q1) @ _quat_array(q2))), 0.0, 1.0)))
 
 
 def bingham_moments_oracle(lambdas3):

@@ -15,7 +15,6 @@ from sipf.bingham import (
     birdal_V,
     entropy,
     lambda_from,
-    log_unnormalized_density,
     mode,
     normalization,
     params_from_seed,
@@ -26,7 +25,7 @@ from sipf.bingham import (
 from sipf.errors import InvalidArgumentError, InvalidInputError, NumericError
 from sipf.geometry import UnitQuaternion
 
-from conftest import bingham_moments_oracle
+from conftest import bingham_moments_oracle, log_unnormalized_density
 
 SURFACE_S3 = 2.0 * np.pi**2
 # Sorted triples of magnitudes spanning [1e-6, 1e3], equal triples included,
@@ -324,19 +323,18 @@ class TestSeedGradient:
     def test_entropy_gradient_matches_finite_differences(self, rng):
         z2 = rng.standard_normal(3)
         seed = BinghamSeed(rng.standard_normal(4), z2)
-        _, d_z1, d_z2 = bingham_loss_and_seed_gradient(seed, "entropy")
-        assert np.array_equal(d_z1, np.zeros(4))
+        _, d_z2 = bingham_loss_and_seed_gradient(seed, "entropy")
         for i in range(3):
             step = np.zeros(3)
             step[i] = 1e-5
-            up, _, _ = bingham_loss_and_seed_gradient(BinghamSeed(seed.z1, z2 + step), "entropy")
-            down, _, _ = bingham_loss_and_seed_gradient(BinghamSeed(seed.z1, z2 - step), "entropy")
+            up, _ = bingham_loss_and_seed_gradient(BinghamSeed(seed.z1, z2 + step), "entropy")
+            down, _ = bingham_loss_and_seed_gradient(BinghamSeed(seed.z1, z2 - step), "entropy")
             fd = (up - down) / 2e-5
             assert abs(d_z2[i] - fd) <= 1e-7 + 1e-4 * abs(fd)
 
     def test_nll_mode_equals_log_f(self, rng):
         seed = BinghamSeed(rng.standard_normal(4), rng.standard_normal(3))
-        value, _, _ = bingham_loss_and_seed_gradient(seed, "nll_mode")
+        value, _ = bingham_loss_and_seed_gradient(seed, "nll_mode")
         params = params_from_seed(seed)
         assert value == pytest.approx(np.log(normalization(params).F), abs=1e-12)
         # Equal to NLL at the mode: density exponent vanishes there.

@@ -14,12 +14,11 @@ from sipf.geometry import (
     knn_graph,
     matrix_to_quat,
     quat_to_matrix,
-    quaternion_distance,
     random_rotation,
     rotation_from_axis_angle,
 )
 
-from conftest import brute_force_knn, lexsort_knn, random_cloud
+from conftest import brute_force_knn, lexsort_knn, quaternion_distance, random_cloud
 
 
 class TestPointCloud:

@@ -1,3 +1,5 @@
+import sys
+import threading
 import types
 
 import numpy as np
@@ -431,14 +433,6 @@ def _random_layer(rng, c_in, hidden, c_out):
     )
 
 
-@pytest.mark.parametrize("k", [1, 5, 8, 13, 20, 64, 128, 129, 300])
-def test_slot_sum_adds_in_numpy_pairwise_order(k):
-    # The softmax sums over the leading slot axis with the bits of numpy's
-    # pairwise sum over a trailing axis, the layout the layer used to have.
-    a = np.exp(3.0 * np.random.default_rng(k).standard_normal((k, 50)))
-    assert riattn._slot_sum(a).tobytes() == np.ascontiguousarray(a.T).sum(axis=-1).tobytes()
-
-
 class TestEinsumOracle:
     @pytest.mark.parametrize(
         "n, k, c_in, hidden, c_out",
@@ -572,9 +566,9 @@ class TestEinsumOracle:
         assert act.pose_stack is pose
         # features, neighbor_idx, aggregated, fused_input, output
         per_point = 8 * n * (c + k + c + 2 * c + c)
-        # pose_stack (slot-major rows), neighbor_features, mlp_pre, mlp_hidden, kernel,
-        # attention, values, attn_out
-        one_block = 8 * riattn._CHUNK_ROWS * k * (8 + c + c + c + c + k + c + c)
+        # pose_stack (slot-major rows), neighbor_features, mlp_hidden, kernel, attention,
+        # values, attn_out
+        one_block = 8 * riattn._CHUNK_ROWS * k * (8 + c + c + c + k + c + c)
         held = sum(v.nbytes for v in _record_arrays(act).values())
         assert held <= pose.nbytes + per_point + one_block
 
@@ -597,6 +591,75 @@ class TestEinsumOracle:
                 layer_forward(layer, pose, feats, idx)
 
 
+def _layer_problem(rng, n, k, c_in, c_out):
+    """A random layer with inputs and an output gradient."""
+    layer = _random_layer(rng, c_in, c_in + 1, c_out)
+    inputs = (rng.standard_normal((n, k, 8)), rng.standard_normal((n, c_in)), rng.integers(0, n, (n, k)))
+    return layer, inputs, rng.standard_normal((n, c_out))
+
+
+def _forward_backward(layer, inputs, d_out):
+    out, act = layer_forward(layer, *inputs)
+    grads, d_x = backward(layer, d_out, act)
+    return out, act, grads, d_x
+
+
+def _result_arrays(out, act, grads, d_x):
+    """Every array a forward and backward pass hands its caller, by name."""
+    arrays = {"output": out, "d_x": d_x, **{f"grad.{name}": g for name, g in grads.items()}}
+    arrays.update((f"record.{name}", v) for name, v in _record_arrays(act).items())
+    return arrays
+
+
+class TestBufferReuse:
+    @pytest.mark.parametrize("chunk", [1, 7, 40])
+    def test_later_calls_leave_earlier_results_unchanged(self, rng, monkeypatch, chunk):
+        # Blocks other than forward's last, and backward's temporaries, live in
+        # per-thread buffers that every call overwrites; what a call returns must not.
+        monkeypatch.setattr(riattn, "_CHUNK_ROWS", chunk)
+        first = _result_arrays(*_forward_backward(*_layer_problem(rng, 40, 6, 4, 3)))
+        before = {name: v.tobytes() for name, v in first.items()}
+        _forward_backward(*_layer_problem(rng, 40, 6, 4, 3))
+        layer, inputs, _ = _layer_problem(rng, 40, 6, 4, 3)
+        layer_forward(layer, *inputs)
+        for name, value in first.items():
+            assert value.tobytes() == before[name], name
+            for buf in vars(riattn._SCRATCH).values():
+                assert not np.shares_memory(value, buf), name
+
+    def test_threads_give_the_serial_bits(self, monkeypatch):
+        # More threads than cores alternate forward and backward on layers of different
+        # widths, switching often; with shared buffers they would overwrite each other's blocks.
+        monkeypatch.setattr(riattn, "_CHUNK_ROWS", 7)
+        rng = np.random.default_rng(11)
+        problems = [_layer_problem(rng, 50, 6, c_in, 3) for c_in in (2, 3, 5, 7)]
+        serial = [
+            {name: v.tobytes() for name, v in _result_arrays(*_forward_backward(*problem)).items()}
+            for problem in problems
+        ]
+        mismatches, done = [], []
+
+        def run(i):
+            for _ in range(20):
+                got = _result_arrays(*_forward_backward(*problems[i]))
+                mismatches.extend((i, name) for name, v in got.items() if v.tobytes() != serial[i][name])
+            done.append(i)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(problems))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(done) == list(range(len(problems)))
+        assert mismatches == []
+
+
 def build_gradcheck_problem(rng, n, k, c_in, hidden, c_out):
     cloud = random_cloud(rng, n)
     graph = knn_graph(cloud, k)
@@ -616,7 +679,7 @@ def build_gradcheck_problem(rng, n, k, c_in, hidden, c_out):
         for layer in layers:
             x, _ = layer_forward(layer, pose, x, graph.indices)
         task, _, _, _, _ = _cross_entropy(head, x, labels)
-        b_loss, _, _ = bingham.bingham_loss_and_seed_gradient(bingham.BinghamSeed(z1, z2))
+        b_loss, _ = bingham.bingham_loss_and_seed_gradient(bingham.BinghamSeed(z1, z2))
         return total_loss(task, b_loss, delta)
 
     def analytic_grads():
@@ -626,7 +689,7 @@ def build_gradcheck_problem(rng, n, k, c_in, hidden, c_out):
             x, act = layer_forward(layer, pose, x, graph.indices)
             acts.append(act)
         task, _, g_w, g_b, d_feats = _cross_entropy(head, x, labels)
-        b_loss, d_z1, d_z2 = bingham.bingham_loss_and_seed_gradient(bingham.BinghamSeed(z1, z2))
+        b_loss, d_z2 = bingham.bingham_loss_and_seed_gradient(bingham.BinghamSeed(z1, z2))
         d_task, d_bingham = total_loss_gradients(task, b_loss, delta)
         grads = {"head.weight": d_task * g_w, "head.bias": d_task * g_b}
         d_x = d_feats
@@ -634,7 +697,7 @@ def build_gradcheck_problem(rng, n, k, c_in, hidden, c_out):
             layer_grads, d_x = backward(layers[li], d_x, acts[li])
             for name, val in layer_grads.items():
                 grads[f"layer{li}.{name}"] = d_task * val
-        grads["seed.z1"] = d_bingham * d_z1
+        grads["seed.z1"] = np.zeros(4)  # the Bingham loss does not depend on z1
         grads["seed.z2"] = d_bingham * d_z2
         return grads
 

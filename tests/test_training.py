@@ -6,7 +6,7 @@ import pytest
 
 from sipf.descriptors import MASK_PPF
 from sipf.errors import InvalidArgumentError
-from sipf.geometry import UnitQuaternion, is_near_identity, knn_graph, quat_to_matrix
+from sipf.geometry import PointCloud, UnitQuaternion, is_near_identity, knn_graph, quat_to_matrix
 from sipf.lrf import FRAME_MODE_BARYCENTER, build_all_lrfs
 from sipf.descriptors import shadow_of, sipf_field
 from sipf.training import (
@@ -225,6 +225,43 @@ class TestTrainToy:
         )
         result = train_toy(relabeled, self._short_config())
         assert len(result.metrics) == 3
+
+    def test_coincident_points_dropped_before_training(self):
+        # Points 5 and 6 of cloud 1 coincide: both go, with their labels, as in
+        # the field commands, and the run equals one on the cloud without them.
+        dataset = make_wingtip_dataset(2, 32, 0.0, 100)
+        points = dataset.clouds[1].points.copy()
+        points[6] = points[5]
+        clouds = [dataset.clouds[0], PointCloud(points=points)]
+        duplicated = type(dataset)(clouds=clouds, labels=dataset.labels, symmetry=dataset.symmetry)
+        with pytest.warns(UserWarning, match=r"^cloud 1: 2 coincident point\(s\) dropped$"):
+            log = metrics_to_jsonl(train_toy(duplicated, self._short_config()).metrics)
+        keep = ~np.isin(np.arange(32), [5, 6])
+        reduced = type(dataset)(
+            clouds=[dataset.clouds[0], PointCloud(points=points[keep])],
+            labels=[dataset.labels[0], dataset.labels[1][keep]],
+            symmetry=dataset.symmetry,
+        )
+        assert log == metrics_to_jsonl(train_toy(reduced, self._short_config()).metrics)
+
+    def test_bingham_terms_computed_once_per_concentration_seed(self, monkeypatch):
+        # The loss and its z2 gradient depend on z2 alone: the epoch-end pair
+        # serves the next epoch's first batch, so no two calls see one z2.
+        from sipf import bingham
+
+        seen = []
+        real = bingham.bingham_loss_and_seed_gradient
+
+        def counted(seed, kind):
+            seen.append(seed.z2.tobytes())
+            return real(seed, kind)
+
+        monkeypatch.setattr(bingham, "bingham_loss_and_seed_gradient", counted)
+        dataset = make_wingtip_dataset(4, 32, 0.0, 100)
+        train_toy(dataset, self._short_config())
+        # 2 batches an epoch: 2 + 1 calls in the first epoch, 1 + 1 in each later one.
+        assert len(seen) == 7
+        assert len(set(seen)) == len(seen)
 
 
 # Per-epoch metrics of a 3-epoch run on the demo dataset at seed 0 (the
