@@ -34,19 +34,17 @@ products write through (m, k, .) views that BLAS takes without a copy.  The
 softmax takes one max over the slots, which is both its shift and the
 non-finite check (a NaN or +inf score reaches it), scales by 1/sqrt(c_in)
 after the shift, and divides by one leading-axis sum that adds the k slots
-in slot order, 0 first.
+in slot order, 0 first.  A -inf score, which the max misses, carries its
+infinite value into x_hat, which ``layer_forward`` checks block by block.
 
-Buffers: forward's last block, which the activation record keeps, is new
-arrays; every other block and every temporary of ``backward`` lives in
-per-thread scratch buffers that later calls in the thread overwrite instead
-of allocating (and page-faulting) anew.  Nothing a call returns shares
-memory with them; each lives as long as its thread, sized by its largest use.
+Buffers: within one call, each block writes its intermediates and
+``backward``'s temporaries into the arrays the block before it used, instead
+of allocating (and page-faulting) anew; a call shares no buffer with any
+other call, and the activation record keeps forward's last block.
 """
 
 from __future__ import annotations
 
-import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,37 +139,34 @@ class _Block:
 
 @dataclass
 class LayerActivation:
-    """What the backward pass needs: per-point arrays plus the last block's intermediates."""
+    """What the backward pass needs: per-point arrays plus the last block's intermediates.
+    Backward recomputes blocks from the caller's arrays: they must not change in between."""
 
     pose_stack: np.ndarray        # (N, k, 8) the caller's pose field, not a copy
-    features: np.ndarray          # (N, c_in) reference features
-    neighbor_idx: np.ndarray      # (N, k)
+    features: np.ndarray          # (N, c_in) reference features, the caller's array if float64
+    neighbor_idx: np.ndarray      # (N, k), the caller's array if int64, range-checked again by backward
     aggregated: np.ndarray        # (N, c_in) x_hat
     fused_input: np.ndarray       # (N, 2 c_in)
     output: np.ndarray            # (N, c_out)
     last_block: _Block = field(repr=False)
 
 
-def _fresh(name, shape):
-    """A new array: the allocator of the arrays that outlive a call."""
-    return np.empty(shape)
+def _buffers():
+    """One call's allocator of named arrays: asking again for a name and shape returns the same memory."""
+    arrays = {}
+
+    def alloc(name, shape, dtype=np.float64):
+        if name not in arrays or arrays[name].shape != shape:
+            arrays[name] = np.empty(shape, dtype)
+        return arrays[name]
+
+    return alloc
 
 
-# This thread's scratch arrays by name, each a view of a buffer that only grows.
-_SCRATCH = threading.local()
-
-
-def _scratch(name, shape, dtype=np.float64):
-    """This thread's array ``name`` of ``shape``; the next use of the name overwrites it."""
-    views = vars(_SCRATCH)
-    view = views.get(name)
-    if view is None or view.shape != shape or view.dtype != dtype:
-        size = math.prod(shape)
-        buf = None if view is None else view.base
-        if buf is None or buf.size < size or buf.dtype != dtype:
-            buf = np.empty(size, dtype)
-        view = views[name] = buf[:size].reshape(shape)
-    return view
+def _check_neighbors(idx, n):
+    """Raise unless every neighbor index lies in [0, n): the blocks gather with mode "clip"."""
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise InvalidArgumentError(f"neighbor_idx entries must lie in [0, {n})")
 
 
 def _rows(a):
@@ -179,12 +174,12 @@ def _rows(a):
     return a.transpose(1, 0, 2)
 
 
-def _attend(layer: RIAttnLayer, p, x, idx, start: int, stop: int, alloc=_fresh) -> _Block:
+def _attend(layer: RIAttnLayer, p, x, idx, start: int, stop: int, alloc) -> _Block:
     """Kernel MLP, attention and values of the reference rows [start, stop), in arrays from ``alloc``."""
     nbrs = idx[start:stop].T
     k, m = nbrs.shape
     c, h = layer.c_in, layer.mlp_w1.shape[1]
-    # layer_forward range-checks the indices; mode "clip" lets take write into out unbuffered.
+    # The callers range-check the indices; mode "clip" lets take write into out unbuffered.
     xn = np.take(x, nbrs, axis=0, out=alloc("xn", (k, m, c)), mode="clip")
     pose = alloc("pose", (k, m, 8))
     np.copyto(pose, _rows(p[start:stop]))
@@ -197,7 +192,7 @@ def _attend(layer: RIAttnLayer, p, x, idx, start: int, stop: int, alloc=_fresh) 
     hidden = np.matmul(flat, layer.mlp_w1, out=alloc("hidden", (len(flat), h)))
     hidden += layer.mlp_b1
     # Leaky rectifier in place, max(x, slope x); a unit is positive after it exactly where it was before.
-    np.maximum(hidden, np.multiply(hidden, LEAKY_SLOPE, out=_scratch("slope", hidden.shape)), out=hidden)
+    np.maximum(hidden, np.multiply(hidden, LEAKY_SLOPE, out=alloc("slope", hidden.shape)), out=hidden)
     kernel = np.matmul(hidden, layer.mlp_w2, out=alloc("kernel", (len(flat), c)))
     kernel += layer.mlp_b2
     hidden = hidden[: m * k].reshape(k, m, h)
@@ -238,14 +233,18 @@ def layer_forward(
         raise InvalidArgumentError(f"features must be ({n}, {layer.c_in}), got {x.shape}")
     if idx.shape != (n, k):
         raise InvalidArgumentError(f"neighbor_idx must be ({n}, {k}), got {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise InvalidArgumentError(f"neighbor_idx entries must lie in [0, {n})")
+    _check_neighbors(idx, n)
     x_hat = np.empty((n, layer.c_in))
+    # Each block overwrites the one before; the last goes into the activation record.
+    alloc = _buffers()
     for start in range(0, max(n, 1), _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, n)
-        # The last block goes into the activation record; the others are scratch.
-        block = _attend(layer, p, x, idx, start, stop, _fresh if stop == n else _scratch)
+        block = _attend(layer, p, x, idx, start, stop, alloc)
         np.max(block.attn_out, axis=0, out=x_hat[start:stop])
+        # A -inf score beside finite ones passes the slot max; its value reaches x_hat as 0 * inf.
+        finite = np.isfinite(x_hat[start:stop]).all(axis=1)
+        if not finite.all():
+            raise NumericError(f"non-finite aggregated features at reference row {start + int(np.argmin(finite))}")
     fused_input = np.concatenate([x_hat - x, x], axis=1)
     out = fused_input @ layer.fuse_w + layer.fuse_b
     act = LayerActivation(
@@ -283,6 +282,7 @@ def backward(
     n, c = act.features.shape
     if d_out.shape != act.output.shape:
         raise InvalidArgumentError(f"d_output shape {d_out.shape} != output {act.output.shape}")
+    _check_neighbors(act.neighbor_idx, n)
     g_fuse_w = act.fused_input.T @ d_out
     g_fuse_b = d_out.sum(axis=0)
     d_fused = d_out @ layer.fuse_w.T
@@ -294,39 +294,40 @@ def backward(
     d_nbr = np.zeros(n * c)
     last = act.last_block
     grads = {}
+    scratch = _buffers()
     for start in [last.start, *reversed(range(0, last.start, _CHUNK_ROWS))]:
         if start == last.start:
             blk = last
         else:
             stop = min(start + _CHUNK_ROWS, last.start)
-            blk = _attend(layer, act.pose_stack, act.features, act.neighbor_idx, start, stop, _scratch)
+            blk = _attend(layer, act.pose_stack, act.features, act.neighbor_idx, start, stop, scratch)
         k, m = blk.attn_out.shape[:2]
         rows = slice(start, start + m)
         # The max's subgradient: d_x_hat goes to the slot holding x_hat; more
         # hits than (row, channel) pairs means an exact tie, kept at its lowest slot.
-        d_attn_out = np.equal(blk.attn_out, act.aggregated[rows], out=_scratch("d_attn_out", (k, m, c)))
+        d_attn_out = np.equal(blk.attn_out, act.aggregated[rows], out=scratch("d_attn_out", (k, m, c)))
         if np.count_nonzero(d_attn_out) > m * c:
             d_attn_out[1:] *= ~np.logical_or.accumulate(d_attn_out, axis=0)[:-1]
         d_attn_out *= d_xhat[rows]
-        d_values = _scratch("d_values", (k, m, c))
+        d_values = scratch("d_values", (k, m, c))
         np.matmul(_rows(blk.attention), _rows(d_attn_out), out=_rows(d_values))
         # Softmax backward, in place: d_scores = (d_attn - <d_attn, attn>) * attn, then scaled.
         # <d_attn, attn> over the slots j is <d_attn_out, attn_out> over the channels, and
         # d_attn_out is nonzero only where attn_out equals x_hat.
-        d_scores = _scratch("d_scores", (k, m, k))
+        d_scores = scratch("d_scores", (k, m, k))
         np.matmul(_rows(blk.values), d_attn_out.transpose(1, 2, 0), out=_rows(d_scores))
         d_scores -= np.matmul(_rows(d_attn_out), act.aggregated[rows, :, None])[..., 0]
         d_scores *= blk.attention
         d_scores *= scale
         # Kernel and neighbour-feature gradients: the score path's product plus the values path.
-        d_kernel = _scratch("d_kernel", (k, m, c))
+        d_kernel = scratch("d_kernel", (k, m, c))
         np.matmul(d_scores.transpose(1, 2, 0), _rows(blk.neighbor_features), out=_rows(d_kernel))
-        d_xn = _scratch("d_xn", (k, m, c))
+        d_xn = scratch("d_xn", (k, m, c))
         np.matmul(_rows(d_scores), _rows(blk.kernel), out=_rows(d_xn))
         d_kernel += np.multiply(d_values, blk.neighbor_features, out=d_attn_out)
         d_xn += np.multiply(d_values, blk.kernel, out=d_values)
         d_kernel = d_kernel.reshape(-1, c)
-        d_pre = np.matmul(d_kernel, layer.mlp_w2.T, out=_scratch("d_pre", (k * m, h)))
+        d_pre = np.matmul(d_kernel, layer.mlp_w2.T, out=scratch("d_pre", (k * m, h)))
         # Leaky-rectifier derivative as mask arithmetic: 1 where the unit is positive, else the slope.
         d_pre *= np.maximum(blk.mlp_hidden.reshape(d_pre.shape) > 0.0, LEAKY_SLOPE)
         # Bias gradients sum over the slots first, one leading-axis pass, then over the rows.
@@ -336,12 +337,8 @@ def backward(
             "mlp_w2": blk.mlp_hidden.reshape(d_pre.shape).T @ d_kernel,
             "mlp_b2": d_kernel.reshape(blk.kernel.shape).sum(axis=0).sum(axis=0),
         }
-        for name, g in block_grads.items():
-            if name in grads:
-                grads[name] += g
-            else:
-                grads[name] = g
-        bins = _scratch("bins", (k, m, c), np.int64)
+        grads = {name: grads[name] + g if grads else g for name, g in block_grads.items()}
+        bins = scratch("bins", (k, m, c), np.int64)
         np.add(act.neighbor_idx[rows].T[:, :, None] * c, np.arange(c), out=bins)
         d_nbr += np.bincount(bins.ravel(), weights=d_xn.ravel(), minlength=n * c)
     d_x += d_nbr.reshape(n, c)

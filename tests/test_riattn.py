@@ -16,6 +16,7 @@ from sipf.riattn import (
     LEAKY_SLOPE,
     RIAttnLayer,
     _attend,
+    _buffers,
     backward,
     layer_forward,
     total_loss,
@@ -74,7 +75,7 @@ def _one_stack(layer, pose_stack, neighbor_features, x_r=None):
     pose = np.tile(pose_stack, (k + 1, 1, 1))
     idx = np.array([np.arange(1, k + 1)] + [[0] * k] * k)
     out, act = layer_forward(layer, pose, feats, idx)
-    return out[0], act, _row_major(_attend(layer, pose, feats, idx, 0, k + 1))
+    return out[0], act, _row_major(_attend(layer, pose, feats, idx, 0, k + 1, _buffers()))
 
 
 def _row_major(block):
@@ -207,7 +208,7 @@ class TestLayerForward:
 
     def test_attention_rows_sum_to_one(self, rng):
         _, graph, _, _, pose, feats, layer = _random_instance(rng)
-        blk = _row_major(_attend(layer, pose, feats, graph.indices, 0, len(feats)))
+        blk = _row_major(_attend(layer, pose, feats, graph.indices, 0, len(feats), _buffers()))
         assert np.abs(blk.attention.sum(axis=-1) - 1.0).max() < 1e-9
 
     def test_layer_rotation_invariance(self, rng):
@@ -458,7 +459,7 @@ class TestEinsumOracle:
         ref_grads, ref_d_x = einsum_backward(layer, d_out, inter)
 
         # One intermediate per edge, from the block function run over all rows.
-        for name, got in _block_arrays(_attend(layer, pose, feats, idx, 0, n)).items():
+        for name, got in _block_arrays(_attend(layer, pose, feats, idx, 0, n, _buffers())).items():
             assert got.shape == inter[name].shape, name
             assert np.abs(got - inter[name]).max() <= 1e-12, name
 
@@ -509,7 +510,7 @@ class TestEinsumOracle:
         d_out = rng.standard_normal((n, 3))
         _, inter = einsum_layer_forward(layer, pose, feats, idx)
         ref_grads, ref_d_x = einsum_backward(layer, d_out, inter)
-        attn_out = _row_major(_attend(layer, pose, feats, idx, 0, n)).attn_out
+        attn_out = _row_major(_attend(layer, pose, feats, idx, 0, n, _buffers())).attn_out
         hits = (attn_out == attn_out.max(axis=1, keepdims=True)).sum(axis=1)
         rows, channels = np.arange(n)[:, None], np.arange(c)
         zero_channel = (rows % 4 == 1) & (channels == 0)
@@ -580,6 +581,48 @@ class TestEinsumOracle:
         for name, p in layer.parameters().items():
             assert np.array_equal(grads[name], np.zeros_like(p)), name
 
+    @pytest.mark.parametrize("chunk", [1, 7, 20])
+    def test_minus_inf_score_beside_finite_ones_raises(self, rng, monkeypatch, chunk):
+        # A constant kernel (1, 1) scores slot j by the sum of its features, so a
+        # -inf feature gives that slot -inf in every output slot while the others
+        # stay finite: the slot max misses it, but 0 * -inf reaches x_hat.
+        monkeypatch.setattr(riattn, "_CHUNK_ROWS", chunk)
+        n = 20
+        layer = _zero_layer(2, 2)
+        layer.mlp_b2[:] = 1.0
+        feats = rng.standard_normal((n, 2))
+        feats[12, 0] = -np.inf
+        idx = (np.arange(n)[:, None] + np.arange(1, 4)) % n
+        with pytest.raises(NumericError, match="non-finite aggregated features at reference row 9$"), \
+                np.errstate(invalid="ignore"):
+            layer_forward(layer, rng.standard_normal((n, 3, 8)), feats, idx)
+
+    def test_infinite_feature_seen_by_a_row_always_raises(self):
+        # Random small layers with one +inf feature: whenever some row lists the
+        # point as a neighbor, forward raises instead of returning a non-finite output.
+        seen = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            layer = RIAttnLayer.init(2, 2, rng)
+            pose, feats = rng.standard_normal((6, 3, 8)), rng.standard_normal((6, 2))
+            idx = rng.integers(0, 6, (6, 3))
+            point = rng.integers(6)
+            feats[point, rng.integers(2)] = np.inf
+            if point in idx:
+                seen += 1
+                with pytest.raises(NumericError), np.errstate(invalid="ignore", over="ignore"):
+                    layer_forward(layer, pose, feats, idx)
+        assert seen > 40
+
+    def test_backward_rejects_neighbor_index_changed_out_of_range(self, rng, monkeypatch):
+        # backward recomputes blocks from the recorded index array, the caller's own.
+        monkeypatch.setattr(riattn, "_CHUNK_ROWS", 2)
+        layer, inputs, d_out = _layer_problem(rng, 6, 3, 2, 2)
+        _, act = layer_forward(layer, *inputs)
+        inputs[2][0, 0] = 6
+        with pytest.raises(InvalidArgumentError):
+            backward(layer, d_out, act)
+
     def test_neighbor_index_out_of_range_rejected(self, rng):
         layer = _random_layer(rng, 2, 2, 2)
         pose = rng.standard_normal((3, 2, 8))
@@ -614,8 +657,8 @@ def _result_arrays(out, act, grads, d_x):
 class TestBufferReuse:
     @pytest.mark.parametrize("chunk", [1, 7, 40])
     def test_later_calls_leave_earlier_results_unchanged(self, rng, monkeypatch, chunk):
-        # Blocks other than forward's last, and backward's temporaries, live in
-        # per-thread buffers that every call overwrites; what a call returns must not.
+        # Blocks within a call overwrite one another's buffers; what a call
+        # returns, the record's last block included, no later call may.
         monkeypatch.setattr(riattn, "_CHUNK_ROWS", chunk)
         first = _result_arrays(*_forward_backward(*_layer_problem(rng, 40, 6, 4, 3)))
         before = {name: v.tobytes() for name, v in first.items()}
@@ -624,12 +667,11 @@ class TestBufferReuse:
         layer_forward(layer, *inputs)
         for name, value in first.items():
             assert value.tobytes() == before[name], name
-            for buf in vars(riattn._SCRATCH).values():
-                assert not np.shares_memory(value, buf), name
 
     def test_threads_give_the_serial_bits(self, monkeypatch):
         # More threads than cores alternate forward and backward on layers of different
-        # widths, switching often; with shared buffers they would overwrite each other's blocks.
+        # widths, switching often; with buffers shared across calls they would overwrite
+        # each other's blocks.
         monkeypatch.setattr(riattn, "_CHUNK_ROWS", 7)
         rng = np.random.default_rng(11)
         problems = [_layer_problem(rng, 50, 6, c_in, 3) for c_in in (2, 3, 5, 7)]
