@@ -2,10 +2,14 @@
 
 The pipeline: per-point local reference frames feed pairwise pose
 descriptors; a shared "shadow" rotation augments them with global pose
-context while keeping the whole construction rotation invariant; an
-attention-based convolution layer consumes the descriptor stacks; a Bingham
-distribution over unit quaternions supplies and adapts the shadow rotation
-during training.
+context; an attention-based convolution layer consumes the descriptor
+stacks; a Bingham distribution over unit quaternions supplies and adapts the
+shadow rotation during training.
+
+The construction is rotation invariant under joint rotations of the cloud
+and its shadow.  The shadow is computed from the input's world coordinates,
+so rotating the input alone, with its shadow recomputed, changes the
+features: invariance to the input's own pose does not hold yet.
 """
 
 from .bingham import (

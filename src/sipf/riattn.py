@@ -28,6 +28,24 @@ other block from the recorded inputs.  Every forward quantity is computed
 row by row, so the output does not depend on the block size wherever BLAS
 rounds a product row independently of the rows around it.
 
+A call over several blocks splits them into two fixed lanes that alternate
+counting down from the last block.  The calling thread runs the lane
+holding the last block; one persistent worker thread, started by the first
+such call, runs the other, while numpy's products and ufuncs release the
+GIL.  With fewer than two usable CPUs both lanes run in the calling thread,
+in the same lanes, so the bits do not depend on the CPU count; a
+single-block call runs inline.  Forward output and the parameter gradients
+are bitwise those of a single-lane loop: lanes write disjoint ``x_hat``
+rows, and ``backward`` keeps each block's kernel-MLP gradients and adds
+them up last block first.  ``d_x`` adds one neighbour-gradient sum per
+lane, the last block's lane first, so it differs from a single-lane sum by
+rounding only, and repeats bitwise.  Both lanes are joined before a call
+returns or raises; a lane stops at its first error, and the lower block's
+error is raised, which is what a single-lane loop raises.  The worker runs
+lanes one at a time, and each lane waits only on itself, so calls from
+several threads are safe; a forked child drops the parent's worker and
+starts its own.
+
 Layout: a block's per-edge arrays are slot-major, (k, m, .), so every
 reduction over the k slots is one leading-axis vector operation; the batched
 products write through (m, k, .) views that BLAS takes without a copy.  The
@@ -37,14 +55,21 @@ after the shift, and divides by one leading-axis sum that adds the k slots
 in slot order, 0 first.  A -inf score, which the max misses, carries its
 infinite value into x_hat, which ``layer_forward`` checks block by block.
 
-Buffers: within one call, each block writes its intermediates and
-``backward``'s temporaries into the arrays the block before it used, instead
-of allocating (and page-faulting) anew; a call shares no buffer with any
+Buffers: within one call, each lane's blocks write their intermediates and
+``backward``'s temporaries into the arrays the lane's block before used,
+instead of allocating (and page-faulting) anew.  The calling thread
+allocates both lanes' arrays, its own lane's as its blocks first use them
+and the worker's lane's before handing it over, so the worker's malloc
+arena holds none of them between calls.  A call shares no buffer with any
 other call, and the activation record keeps forward's last block.
 """
 
 from __future__ import annotations
 
+import os
+import queue
+import threading
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,8 +176,9 @@ class LayerActivation:
     last_block: _Block = field(repr=False)
 
 
-def _buffers():
-    """One call's allocator of named arrays: asking again for a name and shape returns the same memory."""
+def _buffers(reserve=()):
+    """One lane's allocator of named arrays: asking again for a name and shape returns the same
+    memory.  ``reserve`` lists (name, shape, dtype) to allocate now, in the calling thread."""
     arrays = {}
 
     def alloc(name, shape, dtype=np.float64):
@@ -160,7 +186,128 @@ def _buffers():
             arrays[name] = np.empty(shape, dtype)
         return arrays[name]
 
+    for name, shape, dtype in reserve:
+        alloc(name, shape, dtype)
     return alloc
+
+
+def _worker_arrays(layer: RIAttnLayer, k: int, m: int, backward: bool):
+    """What a worker-lane block of m rows asks its allocator for, in ``_attend`` and, if
+    ``backward``, in backward's block step: the caller allocates it, so the worker allocates none."""
+    c, h = layer.c_in, layer.mlp_w1.shape[1]
+    e = 2 if k * m == 1 else k * m  # kernel-MLP rows: a one-edge block runs as two copies
+    f = np.float64
+    arrays = [
+        ("xn", (k, m, c), f), ("pose", (k, m, 8), f), ("hidden", (e, h), f), ("slope", (e, h), f),
+        ("kernel", (e, c), f), ("attention", (k, m, k), f), ("values", (k, m, c), f), ("attn_out", (k, m, c), f),
+    ]
+    if backward:
+        arrays += [
+            ("d_attn_out", (k, m, c), f), ("d_values", (k, m, c), f), ("d_scores", (k, m, k), f),
+            ("d_kernel", (k, m, c), f), ("d_xn", (k, m, c), f), ("d_pre", (k * m, h), f), ("bins", (k, m, c), np.int64),
+        ]
+    return arrays
+
+
+def _lane_allocators(layer, k, lanes, backward):
+    """Lane 0's allocator, which this thread fills as it runs the lane, and lane 1's, filled now
+    for its blocks, which all have _CHUNK_ROWS rows."""
+    return [_buffers(), _buffers(_worker_arrays(layer, k, _CHUNK_ROWS, backward) if lanes[1] else ())]
+
+
+def _lanes(blocks):
+    """Two lanes of (start, stop) blocks, alternating from the last block back, each in descending
+    order; lane 0 holds the last block and runs in the calling thread."""
+    return blocks[::-2], blocks[-2::-2]
+
+
+class _Worker:
+    """A daemon thread that runs submitted lanes one at a time, in the order they arrive."""
+
+    def __init__(self):
+        self._tasks = queue.SimpleQueue()
+        threading.Thread(target=self._serve, name="sipf-riattn-lane", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            future, fn = self._tasks.get()
+            try:
+                future.set_result(fn())
+            except BaseException as exc:
+                future.set_exception(exc)
+            # Idle, the worker holds nothing of the call it served.
+            del future, fn
+
+    def submit(self, fn) -> Future:
+        future = Future()
+        self._tasks.put((future, fn))
+        return future
+
+
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _get_worker() -> _Worker:
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = _Worker()
+        return _worker
+
+
+def _drop_worker():
+    """A forked child has no worker thread: forget the parent's, so the next call starts one."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_worker)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _lane(blocks, step, lane):
+    """``step(lane, start, stop)`` over one lane's blocks in order; the first error ends the
+    lane and is returned with its block's start."""
+    for start, stop in blocks:
+        try:
+            step(lane, start, stop)
+        except Exception as exc:
+            return start, exc
+    return None
+
+
+def _run_lanes(lanes, step):
+    """Run both lanes, lane 1 on the worker when two CPUs are usable, else after lane 0 in
+    this thread.  Both are joined before this returns or raises; of the lanes' errors, the
+    lower block's is raised."""
+    future = None
+    if lanes[1] and _usable_cpus() >= 2:
+        # numpy's floating-point error handling is per thread: the worker takes the caller's.
+        errstate = {**np.geterr(), "call": np.geterrcall()}
+
+        def other_lane():
+            with np.errstate(**errstate):
+                return _lane(lanes[1], step, 1)
+
+        future = _get_worker().submit(other_lane)
+    try:
+        own = _lane(lanes[0], step, 0)
+    finally:
+        # Joined even when this thread's lane raised something other than an Exception.
+        other = future.result() if future is not None else None
+    if future is None:
+        other = _lane(lanes[1], step, 1)
+    failures = [f for f in (own, other) if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
 
 
 def _check_neighbors(idx, n):
@@ -235,16 +382,23 @@ def layer_forward(
         raise InvalidArgumentError(f"neighbor_idx must be ({n}, {k}), got {idx.shape}")
     _check_neighbors(idx, n)
     x_hat = np.empty((n, layer.c_in))
-    # Each block overwrites the one before; the last goes into the activation record.
-    alloc = _buffers()
-    for start in range(0, max(n, 1), _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, n)
-        block = _attend(layer, p, x, idx, start, stop, alloc)
+    blocks = [(start, min(start + _CHUNK_ROWS, n)) for start in range(0, max(n, 1), _CHUNK_ROWS)]
+    # Each lane runs its blocks first to last, so the last block, lane 0's, goes into the record.
+    lanes = [lane[::-1] for lane in _lanes(blocks)]
+    allocs = _lane_allocators(layer, k, lanes, backward=False)
+    kept = []
+
+    def step(lane, start, stop):
+        block = _attend(layer, p, x, idx, start, stop, allocs[lane])
         np.max(block.attn_out, axis=0, out=x_hat[start:stop])
         # A -inf score beside finite ones passes the slot max; its value reaches x_hat as 0 * inf.
         finite = np.isfinite(x_hat[start:stop]).all(axis=1)
         if not finite.all():
             raise NumericError(f"non-finite aggregated features at reference row {start + int(np.argmin(finite))}")
+        if stop == n:
+            kept.append(block)
+
+    _run_lanes(lanes, step)
     fused_input = np.concatenate([x_hat - x, x], axis=1)
     out = fused_input @ layer.fuse_w + layer.fuse_b
     act = LayerActivation(
@@ -254,7 +408,7 @@ def layer_forward(
         aggregated=x_hat,
         fused_input=fused_input,
         output=out,
-        last_block=block,
+        last_block=kept[0],
     )
     return out, act
 
@@ -265,18 +419,20 @@ def backward(
     """Parameter gradients, keyed like ``layer.parameters()``, and input-feature
     gradients for one recorded pass.
 
-    Blocks run last to first: the recorded last block is reused, and every
-    other block is recomputed by the function forward ran, so its
-    intermediates are bitwise those of forward.  The max aggregation routes
-    gradient to the slot whose attention output equals x_hat, the lowest slot
-    on an exact tie.  Each block's kernel-MLP gradients are added into running
-    sums.  The feature gradient sums, for each point, the neighbor-row
-    gradients of every reference row that lists it as a neighbor: per block,
-    one ``np.bincount`` over (point, channel) bins with the edges in slot-major
-    (slot, reference) order.  The block sums add up last block first, and
-    their total is added onto the point's own fused-map gradient.  The
-    summation order is fixed by the neighbor graph and the block size alone,
-    so the result is bitwise repeatable across runs.
+    Each lane runs its blocks last to first: the recorded last block is
+    reused, and every other block is recomputed by the function forward ran,
+    so its intermediates are bitwise those of forward.  The max aggregation
+    routes gradient to the slot whose attention output equals x_hat, the
+    lowest slot on an exact tie.  Each block's kernel-MLP gradients are kept
+    and added up last block first, so they do not depend on the lanes.  The
+    feature gradient sums, for each point, the neighbor-row gradients of
+    every reference row that lists it as a neighbor: per block, one
+    ``np.bincount`` over (point, channel) bins with the edges in slot-major
+    (slot, reference) order.  Each lane adds its block sums into its own
+    vector, last block first, and the lanes' vectors are added onto the
+    point's own fused-map gradient, lane 0's first.  The summation order is
+    fixed by the neighbor graph and the block size alone, so the result is
+    bitwise repeatable across runs and CPU counts.
     """
     d_out = np.asarray(d_output, dtype=np.float64)
     n, c = act.features.shape
@@ -290,19 +446,22 @@ def backward(
     d_x = d_fused[:, c:] - d_xhat
     h = layer.mlp_w1.shape[1]
     scale = 1.0 / np.sqrt(c)
-    # Neighbor-row gradients summed per (point, channel) bin.
-    d_nbr = np.zeros(n * c)
     last = act.last_block
-    grads = {}
-    scratch = _buffers()
-    for start in [last.start, *reversed(range(0, last.start, _CHUNK_ROWS))]:
+    blocks = [(start, min(start + _CHUNK_ROWS, last.start)) for start in range(0, last.start, _CHUNK_ROWS)]
+    lanes = _lanes([*blocks, (last.start, n)])
+    allocs = _lane_allocators(layer, act.neighbor_idx.shape[1], lanes, backward=True)
+    # Neighbor-row gradients summed per (point, channel) bin, one vector per lane.
+    d_nbr = [np.zeros(n * c) for lane in lanes if lane]
+    block_grads = {}
+
+    def step(lane, start, stop):
+        scratch = allocs[lane]
         if start == last.start:
             blk = last
         else:
-            stop = min(start + _CHUNK_ROWS, last.start)
             blk = _attend(layer, act.pose_stack, act.features, act.neighbor_idx, start, stop, scratch)
         k, m = blk.attn_out.shape[:2]
-        rows = slice(start, start + m)
+        rows = slice(start, stop)
         # The max's subgradient: d_x_hat goes to the slot holding x_hat; more
         # hits than (row, channel) pairs means an exact tie, kept at its lowest slot.
         d_attn_out = np.equal(blk.attn_out, act.aggregated[rows], out=scratch("d_attn_out", (k, m, c)))
@@ -331,17 +490,22 @@ def backward(
         # Leaky-rectifier derivative as mask arithmetic: 1 where the unit is positive, else the slope.
         d_pre *= np.maximum(blk.mlp_hidden.reshape(d_pre.shape) > 0.0, LEAKY_SLOPE)
         # Bias gradients sum over the slots first, one leading-axis pass, then over the rows.
-        block_grads = {
+        block_grads[start] = {
             "mlp_w1": blk.pose_stack.reshape(-1, 8).T @ d_pre,
             "mlp_b1": d_pre.reshape(blk.mlp_hidden.shape).sum(axis=0).sum(axis=0),
             "mlp_w2": blk.mlp_hidden.reshape(d_pre.shape).T @ d_kernel,
             "mlp_b2": d_kernel.reshape(blk.kernel.shape).sum(axis=0).sum(axis=0),
         }
-        grads = {name: grads[name] + g if grads else g for name, g in block_grads.items()}
         bins = scratch("bins", (k, m, c), np.int64)
         np.add(act.neighbor_idx[rows].T[:, :, None] * c, np.arange(c), out=bins)
-        d_nbr += np.bincount(bins.ravel(), weights=d_xn.ravel(), minlength=n * c)
-    d_x += d_nbr.reshape(n, c)
+        d_nbr[lane] += np.bincount(bins.ravel(), weights=d_xn.ravel(), minlength=n * c)
+
+    _run_lanes(lanes, step)
+    grads = {}
+    for start in sorted(block_grads, reverse=True):
+        grads = {name: grads[name] + g if grads else g for name, g in block_grads[start].items()}
+    for lane_sum in d_nbr:
+        d_x += lane_sum.reshape(n, c)
     grads["fuse_w"] = g_fuse_w
     grads["fuse_b"] = g_fuse_b
     return grads, d_x

@@ -38,7 +38,7 @@ from .descriptors import (
     shadow_of,
     sipf_field,
 )
-from .errors import InvalidArgumentError, NumericError
+from .errors import DegenerateFrameError, InvalidArgumentError, NumericError
 from .geometry import (
     PointCloud,
     Rotation3,
@@ -47,7 +47,7 @@ from .geometry import (
     knn_graph,
     quat_to_matrix,
 )
-from .lrf import FRAME_MODE_BARYCENTER, FRAME_MODE_NORMAL, build_all_lrfs, input_descriptor
+from .lrf import FRAME_MODE_BARYCENTER, FRAME_MODE_NORMAL, build_all_lrfs, input_descriptor, try_build_all_lrfs
 from .riattn import RIAttnLayer, backward, layer_forward, total_loss, total_loss_gradients
 
 __all__ = [
@@ -259,6 +259,18 @@ def _forward_cloud(layers, pose, feats, idx):
     return x, acts
 
 
+def _keep_points(clouds, labels, graphs, i, keep, k, what):
+    """Cloud i without the points outside ``keep``, with their labels, and its rebuilt graph."""
+    if keep.sum() <= k:
+        raise InvalidArgumentError(
+            f"cloud {i}: {keep.sum()} point(s) left after dropping {what} points, k = {k} needs more"
+        )
+    cloud = clouds[i]
+    normals = None if cloud.normals is None else cloud.normals[keep]
+    clouds[i] = PointCloud(points=cloud.points[keep], normals=normals)
+    labels[i], graphs[i] = labels[i][keep], knn_graph(clouds[i], k)
+
+
 def _drop_coincident_points(clouds, labels, graphs, k):
     """The field commands' coincident-pair rule, in place: both points of a pair go, with their labels."""
     for i, cloud in enumerate(clouds):
@@ -266,9 +278,29 @@ def _drop_coincident_points(clouds, labels, graphs, k):
         keep[coincident_pairs(cloud, graphs[i]).ravel()] = False
         if not keep.all():
             warnings.warn(f"cloud {i}: {(~keep).sum()} coincident point(s) dropped", stacklevel=3)
-            normals = None if cloud.normals is None else cloud.normals[keep]
-            clouds[i] = PointCloud(points=cloud.points[keep], normals=normals)
-            labels[i], graphs[i] = labels[i][keep], knn_graph(clouds[i], k)
+            _keep_points(clouds, labels, graphs, i, keep, k, "coincident")
+
+
+def _drop_degenerate_frames(clouds, labels, graphs, k, mode):
+    """The field commands' degenerate-frame rule, in place: such points go, with their labels.
+
+    Dropping a point moves its neighbours' frames, so the graph and frames are
+    rebuilt until every frame is valid.  Returns the frames.
+    """
+    frames = []
+    for i in range(len(clouds)):
+        dropped = 0
+        while True:
+            try:  # a cloud whose frames are all valid takes one frame pass
+                frames.append(build_all_lrfs(clouds[i], graphs[i], mode))
+                break
+            except DegenerateFrameError:
+                valid = try_build_all_lrfs(clouds[i], graphs[i], mode)[1]
+            dropped += int((~valid).sum())
+            _keep_points(clouds, labels, graphs, i, valid, k, "degenerate-frame")
+        if dropped:
+            warnings.warn(f"cloud {i}: {dropped} degenerate-frame point(s) dropped", stacklevel=3)
+    return frames
 
 
 def _cloud_gradients(layers, acts, g_w, g_b, d_feats):
@@ -301,6 +333,9 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
     Emits one metrics dict per epoch: task loss, Bingham loss, total loss,
     full-dataset accuracy, and the epoch's rotation quaternion.  All
     randomness comes from one seeded generator, so runs are reproducible.
+    Before the first epoch, both points of a coincident pair and every point
+    with a degenerate local frame are dropped with their labels, with one
+    warning per cloud and rule.
     """
     clouds = list(dataset.clouds)
     if not clouds:
@@ -314,7 +349,7 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
     graphs = [knn_graph(c, config.k) for c in clouds]
     _drop_coincident_points(clouds, labels, graphs, config.k)
     mode_name = FRAME_MODE_NORMAL if clouds[0].normals is not None else FRAME_MODE_BARYCENTER
-    frames = [build_all_lrfs(c, g, mode_name) for c, g in zip(clouds, graphs)]
+    frames = _drop_degenerate_frames(clouds, labels, graphs, config.k, mode_name)
     feats0 = [input_descriptor(c, f) for c, f in zip(clouds, frames)]
 
     c_in = 3

@@ -1,6 +1,11 @@
+import hashlib
+import os
+import signal
 import sys
 import threading
+import time
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -671,8 +676,9 @@ class TestBufferReuse:
     def test_threads_give_the_serial_bits(self, monkeypatch):
         # More threads than cores alternate forward and backward on layers of different
         # widths, switching often; with buffers shared across calls they would overwrite
-        # each other's blocks.
+        # each other's blocks.  All of them queue their second lanes on the one worker.
         monkeypatch.setattr(riattn, "_CHUNK_ROWS", 7)
+        monkeypatch.setattr(riattn, "_usable_cpus", lambda: 2)
         rng = np.random.default_rng(11)
         problems = [_layer_problem(rng, 50, 6, c_in, 3) for c_in in (2, 3, 5, 7)]
         serial = [
@@ -700,6 +706,157 @@ class TestBufferReuse:
         assert not any(t.is_alive() for t in threads)
         assert sorted(done) == list(range(len(problems)))
         assert mismatches == []
+
+
+# A 300-point layer, three 128-row blocks: sha256 of its output and of its
+# parameter gradients (in layer.parameters() order), as the single-lane loop
+# gave them.  The lanes must keep both bitwise.  d_x adds the lanes' sums, the
+# last block's lane first; its digest pins that order.
+PINNED_OUTPUT_SHA256 = "83f3735b2c7c2e3c8606c01488981b4defd0f5ec6137c752640ebae2411babc0"
+PINNED_GRADS_SHA256 = "9a54ada1763faa7f505791a0de2d8ac08afbc7f4132b08a44c190c01de388c65"
+PINNED_D_X_SHA256 = "4804f7ee7713b44263eb2445d10406c61d418cdf16ef7c02817bb1a7ecf28313"
+
+
+def _nan_feature_problem(n, bad_points):
+    """A layer whose row r lists points r+1..r+3, with a NaN feature at each bad point:
+    every row that lists one has NaN scores, so the first of them is named."""
+    rng = np.random.default_rng(23)
+    layer = _random_layer(rng, 2, 2, 2)
+    feats = rng.standard_normal((n, 2))
+    feats[list(bad_points), 0] = np.nan
+    idx = (np.arange(n)[:, None] + np.arange(1, 4)) % n
+    return layer, rng.standard_normal((n, 3, 8)), feats, idx
+
+
+class TestLanes:
+    @pytest.mark.parametrize("chunk", [1, 7, 40])
+    def test_worker_and_inline_paths_give_the_same_bits(self, monkeypatch, chunk):
+        # With two CPUs lane 1 runs on the worker thread; with one, both lanes run
+        # in the calling thread.  Every returned array keeps its bits either way.
+        monkeypatch.setattr(riattn, "_CHUNK_ROWS", chunk)
+        problem = _layer_problem(np.random.default_rng(17), 40, 6, 4, 3)
+        caller = threading.current_thread()
+        on_caller = []
+        lane = riattn._lane
+
+        def recorded(blocks, step, number):
+            on_caller.append((number, threading.current_thread() is caller))
+            return lane(blocks, step, number)
+
+        monkeypatch.setattr(riattn, "_lane", recorded)
+        # Every block array is allocated by the calling thread, the worker lane's included.
+        allocated_here = []
+        empty = np.empty
+
+        def recorded_empty(*args, **kwargs):
+            allocated_here.append(threading.current_thread() is caller)
+            return empty(*args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", recorded_empty)
+        results = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(riattn, "_usable_cpus", lambda: cpus)
+            on_caller.clear()
+            results[cpus] = {name: v.tobytes() for name, v in _result_arrays(*_forward_backward(*problem)).items()}
+            # Forward and backward each run lane 0 here; lane 1 leaves only for a second CPU and a second block.
+            worker_ran = cpus == 2 and chunk < 40
+            assert sorted(on_caller) == [(0, True)] * 2 + [(1, not worker_ran)] * 2
+        assert results[1] == results[2]
+        assert allocated_here and all(allocated_here)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_three_block_layer_keeps_the_pinned_bits(self, monkeypatch, cpus):
+        monkeypatch.setattr(riattn, "_usable_cpus", lambda: cpus)
+        assert riattn._CHUNK_ROWS == 128
+        layer, inputs, d_out = _layer_problem(np.random.default_rng(300), 300, 8, 4, 3)
+        out, act = layer_forward(layer, *inputs)
+        grads, d_x = backward(layer, d_out, act)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == PINNED_OUTPUT_SHA256
+        assert list(grads) == list(layer.parameters())
+        assert hashlib.sha256(b"".join(g.tobytes() for g in grads.values())).hexdigest() == PINNED_GRADS_SHA256
+        assert hashlib.sha256(d_x.tobytes()).hexdigest() == PINNED_D_X_SHA256
+
+    def test_single_block_calls_stay_off_the_worker(self, rng, monkeypatch):
+        def no_worker():
+            raise AssertionError("a single-block call reached the worker")
+
+        monkeypatch.setattr(riattn, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(riattn, "_get_worker", no_worker)
+        _forward_backward(*_layer_problem(rng, riattn._CHUNK_ROWS, 6, 3, 2))
+
+    @pytest.mark.parametrize("slow_lane", [0, 1])
+    @pytest.mark.parametrize("bad_points, row", [((3, 15), 0), ((7, 27), 4)])
+    def test_lowest_bad_row_across_lanes_is_named(self, monkeypatch, slow_lane, bad_points, row):
+        # Four-row blocks over 40 rows: lane 0 holds the blocks from rows 36, 28, ..., 4
+        # and lane 1 those from 32, 24, ..., 0.  A bad point p spoils rows p-3..p-1, so
+        # each case has a bad block in both lanes, the lower in lane 1 (row 0) or in
+        # lane 0 (row 4).  The slow lane starts only after the other has finished.
+        monkeypatch.setattr(riattn, "_CHUNK_ROWS", 4)
+        monkeypatch.setattr(riattn, "_usable_cpus", lambda: 2)
+        finished = {0: threading.Event(), 1: threading.Event()}
+        lane = riattn._lane
+
+        def ordered(blocks, step, number):
+            if number == slow_lane:
+                assert finished[1 - number].wait(60)
+            try:
+                return lane(blocks, step, number)
+            finally:
+                finished[number].set()
+
+        monkeypatch.setattr(riattn, "_lane", ordered)
+        with pytest.raises(NumericError, match=f"^non-finite attention scores at reference row {row}$"):
+            layer_forward(*_nan_feature_problem(40, bad_points))
+        assert finished[0].is_set() and finished[1].is_set()
+
+    def test_worker_lane_follows_the_callers_floating_point_error_state(self, rng, monkeypatch):
+        # numpy keeps its error state per thread.  A -inf feature seen only by rows of
+        # the worker's lane gives 0 * inf in its attention output: under the caller's
+        # errstate(invalid="raise") that raises FloatingPointError, not the NumericError
+        # of the x_hat check that follows it.
+        monkeypatch.setattr(riattn, "_CHUNK_ROWS", 4)
+        monkeypatch.setattr(riattn, "_usable_cpus", lambda: 2)
+        layer = _zero_layer(2, 2)
+        layer.mlp_b2[:] = 1.0
+        feats = rng.standard_normal((12, 2))
+        feats[7, 0] = -np.inf  # rows 4, 5 and 6: the block from row 4, lane 1's
+        idx = (np.arange(12)[:, None] + np.arange(1, 4)) % 12
+        with pytest.raises(FloatingPointError), np.errstate(invalid="raise"):
+            layer_forward(layer, rng.standard_normal((12, 3, 8)), feats, idx)
+
+    def test_forked_child_starts_its_own_worker(self, monkeypatch):
+        # The parent's worker thread does not exist in a forked child; a child that
+        # queued lanes for it would wait forever.  The child must finish in 60 s.
+        monkeypatch.setattr(riattn, "_CHUNK_ROWS", 7)
+        monkeypatch.setattr(riattn, "_usable_cpus", lambda: 2)
+        problem = _layer_problem(np.random.default_rng(29), 40, 6, 3, 2)
+        expected = {name: v.tobytes() for name, v in _result_arrays(*_forward_backward(*problem)).items()}
+        assert riattn._worker is not None
+        with warnings.catch_warnings():
+            # Python 3.12 on warns that forking a process with threads may deadlock.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                if riattn._worker is None:
+                    got = {name: v.tobytes() for name, v in _result_arrays(*_forward_backward(*problem)).items()}
+                    code = 0 if got == expected and riattn._worker is not None else 2
+            finally:
+                os._exit(code)
+        status = None
+        try:
+            deadline = time.monotonic() + 60
+            while status is None and time.monotonic() < deadline:
+                done, wait_status = os.waitpid(pid, os.WNOHANG)
+                status = wait_status if done else None
+                time.sleep(0.01)
+        finally:
+            if status is None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        assert status is not None, "the forked child did not finish within 60 s"
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 
 
 def build_gradcheck_problem(rng, n, k, c_in, hidden, c_out):

@@ -244,6 +244,37 @@ class TestTrainToy:
         )
         assert log == metrics_to_jsonl(train_toy(reduced, self._short_config()).metrics)
 
+    def test_degenerate_frame_points_dropped_before_training(self):
+        # Two collinear patches of 10 points on a line through the centroid of
+        # cloud 1, far from its body: each patch point's barycenter axis and
+        # centroid direction both run along the line, so its frame is degenerate.
+        # The patches go, with their labels, and the run equals one without them.
+        dataset = make_wingtip_dataset(2, 32, 0.0, 100)
+        body = dataset.clouds[1].points
+        line = np.array([1.0, 2.0, 0.5]) / np.linalg.norm([1.0, 2.0, 0.5])
+        offsets = np.concatenate([np.arange(5.0, 6.0, 0.1), -np.arange(5.0, 6.0, 0.1)])
+        points = np.vstack([body, body.mean(axis=0) + offsets[:, None] * line])
+        labels = np.concatenate([dataset.labels[1], np.arange(20) % 2])
+        patched = type(dataset)(
+            clouds=[dataset.clouds[0], PointCloud(points=points)],
+            labels=[dataset.labels[0], labels],
+            symmetry=dataset.symmetry,
+        )
+        with pytest.warns(UserWarning, match=r"^cloud 1: 20 degenerate-frame point\(s\) dropped$"):
+            log = metrics_to_jsonl(train_toy(patched, self._short_config()).metrics)
+        assert log == metrics_to_jsonl(train_toy(dataset, self._short_config()).metrics)
+
+    def test_cloud_left_with_k_points_or_fewer_is_named(self):
+        dataset = make_wingtip_dataset(2, 32, 0.0, 100)
+        collinear = PointCloud(points=np.arange(12.0)[:, None] * np.array([1.0, 2.0, 0.5]))
+        degenerate = type(dataset)(
+            clouds=[dataset.clouds[0], collinear],
+            labels=[dataset.labels[0], np.zeros(12, dtype=np.int64)],
+            symmetry=dataset.symmetry,
+        )
+        with pytest.raises(InvalidArgumentError, match=r"^cloud 1: 0 point\(s\) left after dropping degenerate-frame"):
+            train_toy(degenerate, self._short_config())
+
     def test_bingham_terms_computed_once_per_concentration_seed(self, monkeypatch):
         # The loss and its z2 gradient depend on z2 alone: the epoch-end pair
         # serves the next epoch's first batch, so no two calls see one z2.
