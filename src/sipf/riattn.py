@@ -29,22 +29,20 @@ row by row, so the output does not depend on the block size wherever BLAS
 rounds a product row independently of the rows around it.
 
 A call over several blocks splits them into two fixed lanes that alternate
-counting down from the last block.  The calling thread runs the lane
-holding the last block; one persistent worker thread, started by the first
-such call, runs the other, while numpy's products and ufuncs release the
-GIL.  With fewer than two usable CPUs both lanes run in the calling thread,
-in the same lanes, so the bits do not depend on the CPU count; a
-single-block call runs inline.  Forward output and the parameter gradients
-are bitwise those of a single-lane loop: lanes write disjoint ``x_hat``
-rows, and ``backward`` keeps each block's kernel-MLP gradients and adds
-them up last block first.  ``d_x`` adds one neighbour-gradient sum per
+counting down from the last block.  The calling thread runs the lane holding
+the last block and a one-thread ``ThreadPoolExecutor`` the other, on every
+host, while numpy's products and ufuncs release the GIL; on one CPU, where
+the lanes take turns, a multi-block call takes about 9 % longer than in one
+thread.  A single-block call runs inline.  Forward output and the parameter
+gradients are bitwise those of a single-lane loop: lanes write disjoint
+``x_hat`` rows, and ``backward`` keeps each block's kernel-MLP gradients and
+adds them up last block first.  ``d_x`` adds one neighbour-gradient sum per
 lane, the last block's lane first, so it differs from a single-lane sum by
 rounding only, and repeats bitwise.  Both lanes are joined before a call
 returns or raises; a lane stops at its first error, and the lower block's
-error is raised, which is what a single-lane loop raises.  The worker runs
-lanes one at a time, and each lane waits only on itself, so calls from
-several threads are safe; a forked child drops the parent's worker and
-starts its own.
+error is raised, as in a single-lane loop.  The executor runs lanes one at a
+time, and each lane waits only on itself, so calls from several threads are
+safe; a fork hook gives a forked child a new executor.
 
 Layout: a block's per-edge arrays are slot-major, (k, m, .), so every
 reduction over the k slots is one leading-axis vector operation; the batched
@@ -52,24 +50,21 @@ products write through (m, k, .) views that BLAS takes without a copy.  The
 softmax takes one max over the slots, which is both its shift and the
 non-finite check (a NaN or +inf score reaches it), scales by 1/sqrt(c_in)
 after the shift, and divides by one leading-axis sum that adds the k slots
-in slot order, 0 first.  A -inf score, which the max misses, carries its
-infinite value into x_hat, which ``layer_forward`` checks block by block.
+in slot order, 0 first.  The max misses a -inf score, which makes x_hat
+non-finite: ``layer_forward`` checks x_hat, above a bad score first.
 
 Buffers: within one call, each lane's blocks write their intermediates and
 ``backward``'s temporaries into the arrays the lane's block before used,
 instead of allocating (and page-faulting) anew.  The calling thread
 allocates both lanes' arrays, its own lane's as its blocks first use them
-and the worker's lane's before handing it over, so the worker's malloc
-arena holds none of them between calls.  A call shares no buffer with any
-other call, and the activation record keeps forward's last block.
+and lane 1's before handing it over, so the executor thread's malloc arena
+holds none of them between calls.  A call shares no buffer with another.
 """
 
 from __future__ import annotations
 
 import os
-import queue
-import threading
-from concurrent.futures import Future
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,8 +205,7 @@ def _worker_arrays(layer: RIAttnLayer, k: int, m: int, backward: bool):
 
 
 def _lane_allocators(layer, k, lanes, backward):
-    """Lane 0's allocator, which this thread fills as it runs the lane, and lane 1's, filled now
-    for its blocks, which all have _CHUNK_ROWS rows."""
+    """Lane 0's allocator, filled by this thread as it runs, and lane 1's, filled now for its blocks."""
     return [_buffers(), _buffers(_worker_arrays(layer, k, _CHUNK_ROWS, backward) if lanes[1] else ())]
 
 
@@ -221,56 +215,15 @@ def _lanes(blocks):
     return blocks[::-2], blocks[-2::-2]
 
 
-class _Worker:
-    """A daemon thread that runs submitted lanes one at a time, in the order they arrive."""
-
-    def __init__(self):
-        self._tasks = queue.SimpleQueue()
-        threading.Thread(target=self._serve, name="sipf-riattn-lane", daemon=True).start()
-
-    def _serve(self):
-        while True:
-            future, fn = self._tasks.get()
-            try:
-                future.set_result(fn())
-            except BaseException as exc:
-                future.set_exception(exc)
-            # Idle, the worker holds nothing of the call it served.
-            del future, fn
-
-    def submit(self, fn) -> Future:
-        future = Future()
-        self._tasks.put((future, fn))
-        return future
+def _new_executor():
+    """Lane 1's executor.  A forked child needs its own: lanes queued to the parent's never run."""
+    global _executor
+    _executor = ThreadPoolExecutor(1, thread_name_prefix="sipf-riattn-lane")
 
 
-_worker = None
-_worker_lock = threading.Lock()
-
-
-def _get_worker() -> _Worker:
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            _worker = _Worker()
-        return _worker
-
-
-def _drop_worker():
-    """A forked child has no worker thread: forget the parent's, so the next call starts one."""
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
-
-
+_new_executor()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_worker)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    os.register_at_fork(after_in_child=_new_executor)
 
 
 def _lane(blocks, step, lane):
@@ -285,11 +238,10 @@ def _lane(blocks, step, lane):
 
 
 def _run_lanes(lanes, step):
-    """Run both lanes, lane 1 on the worker when two CPUs are usable, else after lane 0 in
-    this thread.  Both are joined before this returns or raises; of the lanes' errors, the
-    lower block's is raised."""
+    """Run lane 0 in this thread and lane 1, if it holds a block, on the executor.  Both are
+    joined before this returns or raises; of the lanes' errors, the lower block's is raised."""
     future = None
-    if lanes[1] and _usable_cpus() >= 2:
+    if lanes[1]:
         # numpy's floating-point error handling is per thread: the worker takes the caller's.
         errstate = {**np.geterr(), "call": np.geterrcall()}
 
@@ -297,14 +249,12 @@ def _run_lanes(lanes, step):
             with np.errstate(**errstate):
                 return _lane(lanes[1], step, 1)
 
-        future = _get_worker().submit(other_lane)
+        future = _executor.submit(other_lane)
     try:
         own = _lane(lanes[0], step, 0)
     finally:
         # Joined even when this thread's lane raised something other than an Exception.
         other = future.result() if future is not None else None
-    if future is None:
-        other = _lane(lanes[1], step, 1)
     failures = [f for f in (own, other) if f is not None]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
@@ -319,6 +269,13 @@ def _check_neighbors(idx, n):
 def _rows(a):
     """(k, m, .) -> (m, k, .) view: one matrix per reference row for the batched products."""
     return a.transpose(1, 0, 2)
+
+
+class _BadScores(NumericError):
+    """Non-finite attention scores, first at reference row ``row``."""
+    def __init__(self, row):
+        super().__init__(f"non-finite attention scores at reference row {row}")
+        self.row = row
 
 
 def _attend(layer: RIAttnLayer, p, x, idx, start: int, stop: int, alloc) -> _Block:
@@ -351,8 +308,7 @@ def _attend(layer: RIAttnLayer, p, x, idx, start: int, stop: int, alloc) -> _Blo
     # non-finite check: a NaN or +inf score reaches it.
     shift = scores.max(axis=0)
     if not np.isfinite(shift).all():
-        bad = start + int(np.nonzero(~np.isfinite(shift).all(axis=1))[0][0])
-        raise NumericError(f"non-finite attention scores at reference row {bad}")
+        raise _BadScores(start + int(np.nonzero(~np.isfinite(shift).all(axis=1))[0][0]))
     scores -= shift
     scores *= 1.0 / np.sqrt(c)
     np.exp(scores, out=scores)
@@ -388,7 +344,7 @@ def layer_forward(
     allocs = _lane_allocators(layer, k, lanes, backward=False)
     kept = []
 
-    def step(lane, start, stop):
+    def aggregate(lane, start, stop):
         block = _attend(layer, p, x, idx, start, stop, allocs[lane])
         np.max(block.attn_out, axis=0, out=x_hat[start:stop])
         # A -inf score beside finite ones passes the slot max; its value reaches x_hat as 0 * inf.
@@ -397,6 +353,15 @@ def layer_forward(
             raise NumericError(f"non-finite aggregated features at reference row {start + int(np.argmin(finite))}")
         if stop == n:
             kept.append(block)
+
+    def step(lane, start, stop):
+        try:
+            aggregate(lane, start, stop)
+        except _BadScores as exc:
+            # A -inf score above the first bad one shows only in x_hat: check those rows first.
+            if exc.row > start:
+                aggregate(lane, start, exc.row)
+            raise
 
     _run_lanes(lanes, step)
     fused_input = np.concatenate([x_hat - x, x], axis=1)

@@ -1,11 +1,16 @@
+import concurrent.futures
+import gc
 import hashlib
+import json
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
 import types
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -602,6 +607,21 @@ class TestEinsumOracle:
                 np.errstate(invalid="ignore"):
             layer_forward(layer, rng.standard_normal((n, 3, 8)), feats, idx)
 
+    @pytest.mark.parametrize("chunk", [1, 5, 7, 128])
+    def test_minus_inf_row_above_a_nan_score_row_is_named_at_every_block_size(self, rng, monkeypatch, chunk):
+        # A constant kernel: the -inf feature at point 5 reaches only x_hat of rows 2-4, and
+        # the NaN feature at point 10 the scores of rows 7-9.  Row 2 comes first in every block.
+        monkeypatch.setattr(riattn, "_CHUNK_ROWS", chunk)
+        n = 20
+        layer = _zero_layer(2, 2)
+        layer.mlp_b2[:] = 1.0
+        feats = rng.standard_normal((n, 2))
+        feats[5, 0], feats[10, 0] = -np.inf, np.nan
+        idx = (np.arange(n)[:, None] + np.arange(1, 4)) % n
+        with pytest.raises(NumericError, match="^non-finite aggregated features at reference row 2$"), \
+                np.errstate(invalid="ignore"):
+            layer_forward(layer, rng.standard_normal((n, 3, 8)), feats, idx)
+
     def test_infinite_feature_seen_by_a_row_always_raises(self):
         # Random small layers with one +inf feature: whenever some row lists the
         # point as a neighbor, forward raises instead of returning a non-finite output.
@@ -673,12 +693,43 @@ class TestBufferReuse:
         for name, value in first.items():
             assert value.tobytes() == before[name], name
 
+    def test_no_block_array_outlives_the_call(self, monkeypatch):
+        # Once a multi-block forward and backward return and their results are dropped,
+        # neither lane, nor the executor's idle thread, may keep an array of theirs.  The
+        # collector is off: arrays held in a reference cycle would live until it ran.
+        monkeypatch.setattr(riattn, "_CHUNK_ROWS", 7)
+        problem = _layer_problem(np.random.default_rng(31), 40, 6, 4, 3)
+        arrays = []
+        empty = np.empty
+
+        def recorded_empty(*args, **kwargs):
+            a = empty(*args, **kwargs)
+            arrays.append(weakref.ref(a))
+            return a
+
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            monkeypatch.setattr(np, "empty", recorded_empty)
+            results = _forward_backward(*problem)
+            monkeypatch.setattr(np, "empty", empty)
+            assert len(arrays) > 20
+            del results
+            # The executor's thread lets go of a lane just after handing its result over.
+            deadline = time.monotonic() + 10
+            while any(a() is not None for a in arrays) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            alive = sum(a() is not None for a in arrays)
+        finally:
+            if collecting:
+                gc.enable()
+        assert alive == 0
+
     def test_threads_give_the_serial_bits(self, monkeypatch):
         # More threads than cores alternate forward and backward on layers of different
         # widths, switching often; with buffers shared across calls they would overwrite
-        # each other's blocks.  All of them queue their second lanes on the one worker.
+        # each other's blocks.  All of them queue their second lanes on the one executor thread.
         monkeypatch.setattr(riattn, "_CHUNK_ROWS", 7)
-        monkeypatch.setattr(riattn, "_usable_cpus", lambda: 2)
         rng = np.random.default_rng(11)
         problems = [_layer_problem(rng, 50, 6, c_in, 3) for c_in in (2, 3, 5, 7)]
         serial = [
@@ -712,9 +763,21 @@ class TestBufferReuse:
 # parameter gradients (in layer.parameters() order), as the single-lane loop
 # gave them.  The lanes must keep both bitwise.  d_x adds the lanes' sums, the
 # last block's lane first; its digest pins that order.
-PINNED_OUTPUT_SHA256 = "83f3735b2c7c2e3c8606c01488981b4defd0f5ec6137c752640ebae2411babc0"
-PINNED_GRADS_SHA256 = "9a54ada1763faa7f505791a0de2d8ac08afbc7f4132b08a44c190c01de388c65"
-PINNED_D_X_SHA256 = "4804f7ee7713b44263eb2445d10406c61d418cdf16ef7c02817bb1a7ecf28313"
+PINNED_SHA256 = [
+    "83f3735b2c7c2e3c8606c01488981b4defd0f5ec6137c752640ebae2411babc0",
+    "9a54ada1763faa7f505791a0de2d8ac08afbc7f4132b08a44c190c01de388c65",
+    "4804f7ee7713b44263eb2445d10406c61d418cdf16ef7c02817bb1a7ecf28313",
+]
+
+
+def _three_block_digests():
+    """sha256 of the 300-point layer's output, parameter gradients and d_x."""
+    layer, inputs, d_out = _layer_problem(np.random.default_rng(300), 300, 8, 4, 3)
+    out, act = layer_forward(layer, *inputs)
+    grads, d_x = backward(layer, d_out, act)
+    assert list(grads) == list(layer.parameters())
+    arrays = (out.tobytes(), b"".join(g.tobytes() for g in grads.values()), d_x.tobytes())
+    return [hashlib.sha256(a).hexdigest() for a in arrays]
 
 
 def _nan_feature_problem(n, bad_points):
@@ -730,21 +793,22 @@ def _nan_feature_problem(n, bad_points):
 
 class TestLanes:
     @pytest.mark.parametrize("chunk", [1, 7, 40])
-    def test_worker_and_inline_paths_give_the_same_bits(self, monkeypatch, chunk):
-        # With two CPUs lane 1 runs on the worker thread; with one, both lanes run
-        # in the calling thread.  Every returned array keeps its bits either way.
+    def test_lane_one_runs_on_the_executor_in_caller_allocated_arrays(self, monkeypatch, chunk):
+        # Lane 1 runs on the executor's thread whenever it holds a block, and every block
+        # array, lane 1's included, is allocated by the calling thread.  Every returned
+        # array has the bits of a run whose lane 1 runs in the calling thread.
         monkeypatch.setattr(riattn, "_CHUNK_ROWS", chunk)
         problem = _layer_problem(np.random.default_rng(17), 40, 6, 4, 3)
         caller = threading.current_thread()
-        on_caller = []
+        ran_on = []
         lane = riattn._lane
 
         def recorded(blocks, step, number):
-            on_caller.append((number, threading.current_thread() is caller))
+            thread = threading.current_thread()
+            ran_on.append((number, "caller" if thread is caller else thread.name.rsplit("_", 1)[0]))
             return lane(blocks, step, number)
 
         monkeypatch.setattr(riattn, "_lane", recorded)
-        # Every block array is allocated by the calling thread, the worker lane's included.
         allocated_here = []
         empty = np.empty
 
@@ -753,35 +817,49 @@ class TestLanes:
             return empty(*args, **kwargs)
 
         monkeypatch.setattr(np, "empty", recorded_empty)
-        results = {}
-        for cpus in (1, 2):
-            monkeypatch.setattr(riattn, "_usable_cpus", lambda: cpus)
-            on_caller.clear()
-            results[cpus] = {name: v.tobytes() for name, v in _result_arrays(*_forward_backward(*problem)).items()}
-            # Forward and backward each run lane 0 here; lane 1 leaves only for a second CPU and a second block.
-            worker_ran = cpus == 2 and chunk < 40
-            assert sorted(on_caller) == [(0, True)] * 2 + [(1, not worker_ran)] * 2
-        assert results[1] == results[2]
+        on_executor = {name: v.tobytes() for name, v in _result_arrays(*_forward_backward(*problem)).items()}
+        # Forward and backward each run lane 0 here and, given a second block, lane 1 on the executor.
+        assert sorted(ran_on) == [(0, "caller")] * 2 + [(1, "sipf-riattn-lane")] * 2 * (chunk < 40)
         assert allocated_here and all(allocated_here)
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_three_block_layer_keeps_the_pinned_bits(self, monkeypatch, cpus):
-        monkeypatch.setattr(riattn, "_usable_cpus", lambda: cpus)
+        class Inline:
+            def submit(self, fn):
+                future = concurrent.futures.Future()
+                future.set_result(fn())
+                return future
+
+        monkeypatch.setattr(riattn, "_executor", Inline())
+        inline = {name: v.tobytes() for name, v in _result_arrays(*_forward_backward(*problem)).items()}
+        assert inline == on_executor
+
+    def test_three_block_layer_keeps_the_pinned_bits(self):
         assert riattn._CHUNK_ROWS == 128
-        layer, inputs, d_out = _layer_problem(np.random.default_rng(300), 300, 8, 4, 3)
-        out, act = layer_forward(layer, *inputs)
-        grads, d_x = backward(layer, d_out, act)
-        assert hashlib.sha256(out.tobytes()).hexdigest() == PINNED_OUTPUT_SHA256
-        assert list(grads) == list(layer.parameters())
-        assert hashlib.sha256(b"".join(g.tobytes() for g in grads.values())).hexdigest() == PINNED_GRADS_SHA256
-        assert hashlib.sha256(d_x.tobytes()).hexdigest() == PINNED_D_X_SHA256
+        assert _three_block_digests() == PINNED_SHA256
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+    def test_three_block_layer_keeps_the_pinned_bits_on_one_cpu(self):
+        # A child process pins itself to one CPU before numpy loads, so BLAS, the calling
+        # thread and the executor's thread all share it.
+        script = "\n".join([
+            "import json, os, sys, threading",
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})",
+            f"sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})",
+            "import test_riattn",
+            "digests = test_riattn._three_block_digests()",
+            "executor_ran = any(t.name.startswith('sipf-riattn-lane') for t in threading.enumerate())",
+            "print(json.dumps([len(os.sched_getaffinity(0)), executor_ran, digests]))",
+        ])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(riattn.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout.splitlines()[-1]) == [1, True, PINNED_SHA256]
 
     def test_single_block_calls_stay_off_the_worker(self, rng, monkeypatch):
-        def no_worker():
-            raise AssertionError("a single-block call reached the worker")
+        def no_worker(fn):
+            raise AssertionError("a single-block call reached the executor")
 
-        monkeypatch.setattr(riattn, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(riattn, "_get_worker", no_worker)
+        monkeypatch.setattr(riattn._executor, "submit", no_worker)
         _forward_backward(*_layer_problem(rng, riattn._CHUNK_ROWS, 6, 3, 2))
 
     @pytest.mark.parametrize("slow_lane", [0, 1])
@@ -792,7 +870,6 @@ class TestLanes:
         # each case has a bad block in both lanes, the lower in lane 1 (row 0) or in
         # lane 0 (row 4).  The slow lane starts only after the other has finished.
         monkeypatch.setattr(riattn, "_CHUNK_ROWS", 4)
-        monkeypatch.setattr(riattn, "_usable_cpus", lambda: 2)
         finished = {0: threading.Event(), 1: threading.Event()}
         lane = riattn._lane
 
@@ -815,7 +892,6 @@ class TestLanes:
         # errstate(invalid="raise") that raises FloatingPointError, not the NumericError
         # of the x_hat check that follows it.
         monkeypatch.setattr(riattn, "_CHUNK_ROWS", 4)
-        monkeypatch.setattr(riattn, "_usable_cpus", lambda: 2)
         layer = _zero_layer(2, 2)
         layer.mlp_b2[:] = 1.0
         feats = rng.standard_normal((12, 2))
@@ -825,13 +901,13 @@ class TestLanes:
             layer_forward(layer, rng.standard_normal((12, 3, 8)), feats, idx)
 
     def test_forked_child_starts_its_own_worker(self, monkeypatch):
-        # The parent's worker thread does not exist in a forked child; a child that
-        # queued lanes for it would wait forever.  The child must finish in 60 s.
+        # The thread of the parent's executor does not exist in a forked child; a child
+        # that queued lanes to it would wait forever.  The child must finish in 60 s.
         monkeypatch.setattr(riattn, "_CHUNK_ROWS", 7)
-        monkeypatch.setattr(riattn, "_usable_cpus", lambda: 2)
         problem = _layer_problem(np.random.default_rng(29), 40, 6, 3, 2)
         expected = {name: v.tobytes() for name, v in _result_arrays(*_forward_backward(*problem)).items()}
-        assert riattn._worker is not None
+        parents = riattn._executor
+        assert any(t.name.startswith("sipf-riattn-lane") for t in threading.enumerate())
         with warnings.catch_warnings():
             # Python 3.12 on warns that forking a process with threads may deadlock.
             warnings.simplefilter("ignore", DeprecationWarning)
@@ -839,9 +915,10 @@ class TestLanes:
         if pid == 0:
             code = 1
             try:
-                if riattn._worker is None:
+                if riattn._executor is not parents:
                     got = {name: v.tobytes() for name, v in _result_arrays(*_forward_backward(*problem)).items()}
-                    code = 0 if got == expected and riattn._worker is not None else 2
+                    started = any(t.name.startswith("sipf-riattn-lane") for t in threading.enumerate())
+                    code = 0 if got == expected and started else 2
             finally:
                 os._exit(code)
         status = None
