@@ -2,6 +2,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy import integrate, special
 from scipy.spatial import cKDTree
 
@@ -22,6 +23,11 @@ from sipf.errors import (
 )
 from sipf.geometry import NeighborGraph, PointCloud, Rotation3, UnitQuaternion, random_rotation
 from sipf.lrf import _PARALLEL_SIN_TOL, _ZERO_AXIS_TOL
+
+
+# A large budget for the CSV formatter's bit-pattern property; only the CI
+# step that runs that property selects it (--hypothesis-profile).
+settings.register_profile("csv-formatter-stress", max_examples=100_000, deadline=None)
 
 
 def format_float(x: float) -> str:

@@ -1,8 +1,11 @@
 import os
+import stat
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sipf.cloudio import _CSV_CHUNK_ROWS, format_rows, load_cloud, write_text_atomic
 from sipf.errors import ParseError
@@ -172,3 +175,140 @@ class TestFormatting:
         assert path.read_text() == "hello\n"
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
         assert not leftovers
+
+
+def _printed(x):
+    """(significant digits, decimal exponent) of x at 17 significant digits, as %.17g rounds it."""
+    mantissa, exponent = ("%.16e" % x).split("e")
+    return mantissa.replace(".", "").lstrip("-").rstrip("0") or "0", int(exponent)
+
+
+_EXPONENT_FIELD = np.uint64(0x7FF << 52)
+
+
+def _bit_patterns(raw):
+    """float64 values from raw bytes; every other one gets its exponent field
+    moved into the window around [1e-6, 1e17) that the vectorised path covers."""
+    bits = np.frombuffer(raw[: len(raw) // 8 * 8], dtype=np.uint64).copy()
+    exponent = (bits[::2] & _EXPONENT_FIELD) >> np.uint64(52)
+    window = (exponent % np.uint64(78) + np.uint64(1003)) << np.uint64(52)
+    bits[::2] = (bits[::2] & ~_EXPONENT_FIELD) | window
+    return bits.view(np.float64)
+
+
+class TestFormattingParity:
+    """format_rows against the one-value oracle, at the edges of its vectorised path."""
+
+    def test_every_decimal_layout_matches_oracle(self):
+        # One double for each decimal exponent d in [-6, 16] and each count of
+        # significant digits that %.17g prints, found among decimal strings.
+        rng = np.random.default_rng(7)
+        found = {}
+        for d in range(-6, 17):
+            for s in range(1, 18):
+                for _ in range(200):
+                    digits = str(rng.integers(10 ** (s - 1), 10**s))
+                    x = float(f"{digits[0]}.{digits[1:]}e{d}")
+                    digits_printed, exponent = _printed(x)
+                    if exponent == d and len(digits_printed) == s:
+                        found[d, s] = x
+                        break
+        # No double prints one digit at exponent -6 or -5: the double nearest
+        # each k * 10**d already prints 17.
+        for d in (-6, -5):
+            assert all(len(_printed(float(f"{k}e{d}"))[0]) == 17 for k in range(1, 10))
+        unreachable = {(-6, 1), (-5, 1)}
+        assert set(found) == {(d, s) for d in range(-6, 17) for s in range(1, 18)} - unreachable
+        values = np.array(list(found.values()))
+        values = np.concatenate([values, -values, np.zeros((-2 * len(values)) % 6)])
+        table = values.reshape(-1, 6)
+        assert format_rows(table, n_int=0) == oracle_rows(table, 0)
+
+    def test_powers_of_ten_and_their_neighbours_match_oracle(self):
+        powers = np.array([float(f"1e{p}") for p in range(-8, 19)])
+        values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+        table = np.concatenate([values, -values]).reshape(-1, 3)
+        assert format_rows(table, n_int=0) == oracle_rows(table, 0)
+
+    def test_exact_half_way_ties_round_to_even(self):
+        # 18 significant digits ending in 5: the 17th digit rounds half to even.
+        ties = np.array([1234567890123456.25, 1234567890123456.75, 2000000000000000.25, 2000000000000001.75])
+        table = np.stack([ties, -ties])
+        text = format_rows(table, n_int=0)
+        assert text.split("\n")[0] == (
+            "1234567890123456.2,1234567890123456.8,2000000000000000.2,2000000000000001.8"
+        )
+        assert text == oracle_rows(table, 0)
+
+    def test_just_below_a_power_of_ten_where_log10_rounds_up(self):
+        values = np.array([9.9999999999999974e-07, 9.9999999999999991e-06, 9.9999999999999991e-05,
+                           0.099999999999999992, 99.999999999999986, 9999999999999998.0])
+        # log10 rounds each to the next integer: the first exponent estimate is one too high.
+        assert np.floor(np.log10(values)).tolist() == [-6, -5, -4, -1, 2, 16]
+        text = format_rows(values.reshape(1, -1), n_int=0)
+        assert text == ("9.9999999999999974e-07,9.9999999999999991e-06,9.9999999999999991e-05,"
+                        "0.099999999999999992,99.999999999999986,9999999999999998\n")
+        assert text == oracle_rows(values.reshape(1, -1), 0)
+
+    def test_special_values_in_float_columns(self):
+        big = sys.float_info.max
+        table = np.array(
+            [[0.0, -0.0, 5e-324, -5e-324], [big, -big, np.inf, -np.inf], [np.nan, 1e-6, -1e17, 1.0]]
+        )
+        text = format_rows(table, n_int=0)
+        assert text.split("\n")[1] == "1.7976931348623157e+308,-1.7976931348623157e+308,inf,-inf"
+        assert text.split("\n")[2].startswith("nan,")
+        assert text == oracle_rows(table, 0)
+
+    def test_integer_columns_truncate_like_int(self):
+        table = np.array(
+            [[-7.0, -0.0, 0.5], [2**53 - 1, -(2**53 - 1), 0.5], [2.9, -2.9, 0.5], [-0.5, 0.999, 0.5],
+             [2.0**53, -1e300, 0.5], [-12345.0, 1e15, 0.5]]
+        )
+        text = format_rows(table, n_int=2)
+        assert text.split("\n")[:4] == [
+            "-7,0,0.5", "9007199254740991,-9007199254740991,0.5", "2,-2,0.5", "0,0,0.5"
+        ]
+        assert text == oracle_rows(table, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_integer_column_nan_and_inf_raise_as_percent_d(self, bad):
+        with pytest.raises((ValueError, OverflowError)) as expected:
+            "%d" % bad
+        with pytest.raises(expected.type):
+            format_rows(np.array([[1.0, 2.0], [bad, 0.5]]), n_int=1)
+
+    @settings(deadline=None)
+    @given(st.binary(min_size=8, max_size=512), st.integers(0, 2))
+    def test_matches_percent_operator_on_any_bit_pattern(self, raw, n_int):
+        values = _bit_patterns(raw)
+        table = np.concatenate([values, np.zeros((-len(values)) % 4)]).reshape(-1, 4)
+        try:
+            expected = oracle_rows(table, n_int)
+        except (ValueError, OverflowError) as exc:
+            with pytest.raises(type(exc)):
+                format_rows(table, n_int)
+        else:
+            assert format_rows(table, n_int) == expected
+
+
+class TestAtomicWriteMode:
+    def test_new_file_gets_0666_less_the_umask(self, tmp_path):
+        previous = os.umask(0o027)
+        try:
+            write_text_atomic(str(tmp_path / "new.csv"), "a\n")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o640
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        path.chmod(0o644)
+        previous = os.umask(0o077)
+        try:
+            write_text_atomic(str(path), "new\n")
+        finally:
+            os.umask(previous)
+        assert path.read_text() == "new\n"
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
