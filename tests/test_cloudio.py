@@ -159,8 +159,11 @@ class TestFormatting:
     def test_empty_table_gives_empty_text(self):
         assert format_rows(np.empty((0, 10)), n_int=2) == ""
 
-    @pytest.mark.parametrize("n_rows", [_CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1])
+    # One chunk and one row past it; then 4096 rows, a whole number of chunks,
+    # and one row past that.
+    @pytest.mark.parametrize("n_rows", [_CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1, 4096, 4097])
     def test_chunk_boundary_matches_oracle(self, rng, n_rows):
+        assert 4096 % _CSV_CHUNK_ROWS == 0
         # Shaped like the features CSV: two index columns, then 8 doubles.
         idx = rng.integers(0, 100_000, size=(n_rows, 2))
         values = rng.standard_normal((n_rows, 8)) * 10.0 ** rng.integers(-20, 20, size=(n_rows, 8))
