@@ -212,16 +212,19 @@ def cmd_verify_invariance(args) -> int:
         np.abs(np.subtract(dev, base, out=dev), out=dev)
         # Deviations are >= 0, so zeroing the unusable edges leaves the maximum of the rest.
         dev[~keep] = 0.0
-        worst = max(worst, float(dev.max()))
+        # max() drops a NaN trial, as every comparison with NaN is false: keep it, so that it fails.
+        trial = float(dev.max())
+        worst = trial if np.isnan(trial) else max(worst, trial)
     passed = worst <= INVARIANCE_THRESHOLD
     report = {
         "trials": args.trials,
-        "max_abs_deviation": worst,
+        # JSON has no NaN or infinity: a non-finite deviation, which fails, reads null.
+        "max_abs_deviation": worst if np.isfinite(worst) else None,
         "threshold": INVARIANCE_THRESHOLD,
         "break_shadow": bool(args.break_shadow),
         "pass": passed,
     }
-    _emit(json.dumps(report, indent=2) + "\n", args.out)
+    _emit(json.dumps(report, indent=2, allow_nan=False) + "\n", args.out)
     return EXIT_OK if passed else EXIT_INVARIANCE
 
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import CoincidentPointError, InvalidArgumentError, InvalidInputError
 from .geometry import NeighborGraph, PointCloud, Rotation3, set_read_only
+from .lanes import _buffers, _lanes, _run_lanes
 
 __all__ = [
     "MASK_SIPF",
@@ -99,21 +100,24 @@ def coincident_pairs(cloud: PointCloud, graph: NeighborGraph) -> np.ndarray:
     return np.unique(np.sort(np.column_stack([ref, graph.indices[ref, slot]]), axis=1), axis=0)
 
 
-def _norm(parts, out=None):
-    """Norm of the vector with components ``parts``, summed left to right as ``np.linalg.norm`` does."""
+def _norm(parts, out=None, square=None):
+    """Norm of the vector with components ``parts``, summed left to right as ``np.linalg.norm`` does.
+
+    ``square``, if given, receives each later component's square in turn."""
     out = np.multiply(parts[0], parts[0], out=out)
     for p in parts[1:]:
-        out += p * p
+        out += np.multiply(p, p, out=square)
     return np.sqrt(out, out=out)
 
 
-def _pair_rows(out, p, a, q, b, name_pair):
+def _pair_rows(out, p, a, q, b, name_pair, d=None, square=None):
     """Pair features (|d|, cos(a, d), cos(b, d), cos(a, b)), d = q - p, into ``out[0]`` .. ``out[3]``; returns ``out``.
 
-    A coincident pair raises the message that ``name_pair`` makes of the closest pair's (row, col).
+    ``d`` and ``square``, if given, receive q - p and ``_norm``'s squares.  A coincident pair
+    raises the message that ``name_pair`` makes of the closest pair's (row, col).
     """
-    d = q - p
-    _norm(np.moveaxis(d, -1, 0), out=out[0])
+    d = np.subtract(q, p, out=d)
+    _norm(np.moveaxis(d, -1, 0), out=out[0], square=square)
     if np.any(out[0] < COINCIDENT_DISTANCE_FLOOR):
         raise CoincidentPointError(name_pair(np.unravel_index(int(np.argmin(out[0])), out[0].shape)))
     d /= out[0][..., None]
@@ -121,6 +125,66 @@ def _pair_rows(out, p, a, q, b, name_pair):
         np.einsum("...d,...d->...", x, y, out=o)
     np.clip(out[1:], -1.0, 1.0, out=out[1:])
     return out
+
+
+# Kept rows per block of ``sipf_field``: a block's arrays stay in cache through every step.
+_FIELD_ROWS = 1024
+
+
+def _field_arrays(m, k, mask):
+    """What a block of m rows asks its allocator for in ``_field_rows``, so a lane's can be made ahead."""
+    arrays = [("p_j", (m, k, 3)), ("a_j", (m, k, 3)), ("f", (8, m, k)), ("d", (m, k, 3)), ("square", (m, k))]
+    if mask != MASK_PPF:
+        arrays += [("ref", (4, m, 1)), ("norm", (m, k))]
+    return [(name, shape, np.float64) for name, shape in arrays]
+
+
+def _new_array(name, shape, dtype=np.float64):
+    """An allocator that makes a new array on every request."""
+    return np.empty(shape, dtype)
+
+
+def _field_rows(points, a1, shadow, mask, rows, idx, alloc=None):
+    """The component-major (8, m, k) field of the kept rows ``rows``, whose neighbours are ``idx``.
+
+    With ``alloc``, a lane's allocator, the block's arrays come from it and the neighbour
+    gathers use mode "wrap", which reads an index in [-len, len) as the default mode does,
+    without its buffered copy: the caller has checked that every index lies in that range.
+    Without it, the arrays are new and the gathers index as numpy does by default.
+    """
+    m, k = idx.shape
+    p_r, a_r = points[rows][:, None, :], a1[rows][:, None, :]
+    if alloc is None:
+        p_j, a_j = points.take(idx, axis=0), a1.take(idx, axis=0)
+        alloc = _new_array
+    else:
+        p_j = np.take(points, idx, axis=0, out=alloc("p_j", (m, k, 3)), mode="wrap")
+        a_j = np.take(a1, idx, axis=0, out=alloc("a_j", (m, k) + a1.shape[1:]), mode="wrap")
+
+    def pair(rc):
+        return f"coincident pair at index ({int(rows[rc[0]])}, {int(idx[rc])})"
+
+    # Component-major, so that every step writes contiguous memory.
+    f = alloc("f", (8, m, k))
+    d, square = alloc("d", (m, k, 3)), alloc("square", (m, k))
+    _pair_rows(f[:4], p_r, a_r, p_j, a_j, pair, d, square)
+    if mask == MASK_PPF:
+        f[4:] = 0.0
+        return f
+    s_p, s_a = shadow.points[rows][:, None, :], shadow.frames[rows, 0, :][:, None, :]
+    ref = _pair_rows(alloc("ref", (4, m, 1)), p_r, a_r, s_p, s_a,
+                     lambda rc: f"shadow coincides with point {int(rows[rc[0]])}")
+    diff = _pair_rows(f[4:], p_j, a_j, s_p, s_a, pair, d, square)
+    np.subtract(ref, diff, out=diff)
+    norm = _norm(diff, out=alloc("norm", (m, k)), square=square)
+    if mask == MASK_SIPF_NO_DIRECTION:
+        diff[0] = norm
+        diff[1:] = 0.0
+    else:
+        zero = ~(norm >= _ZERO_DIFF_TOL)
+        diff /= np.maximum(norm, _ZERO_DIFF_TOL, out=norm)
+        diff[:, zero] = 0.0
+    return f
 
 
 def sipf_field(
@@ -142,6 +206,15 @@ def sipf_field(
     pair(p_r, p_r') is computed once per row and broadcast over its k
     neighbours.  Every value is bitwise that of the per-edge formulas with
     ``np.linalg.norm`` norms and ``np.einsum`` cosines; the tests check it.
+
+    The kept rows run in blocks of ``_FIELD_ROWS`` on the two lanes of
+    ``sipf.lanes``; a call with one block runs inline.  Each block builds its
+    component-major (8, m, k) field and writes its transpose into its own
+    rows of the output, so no bit depends on the blocks or the lanes.  A
+    call whose blocks meet an error computes again as one block over all
+    kept rows, which raises the error that one pass over all rows meets
+    first: the neighbour-pair check over all rows comes before the shadow
+    checks, and the pair named is the first closest one in row-major order.
     """
     if mask not in DESCRIPTOR_MASKS:
         raise InvalidArgumentError(f"unknown descriptor mask {mask!r}")
@@ -158,33 +231,28 @@ def sipf_field(
             idx = idx[rows]
     m = len(rows)
     a1 = frames[:, 0, :]
-    p_r, a_r = cloud.points[rows][:, None, :], a1[rows][:, None, :]
-    p_j, a_j = cloud.points.take(idx, axis=0), a1.take(idx, axis=0)
+    out = np.empty((n, k, 8)) if m == n else np.zeros((n, k, 8))
 
-    def pair(rc):
-        return f"coincident pair at index ({int(rows[rc[0]])}, {int(idx[rc])})"
+    def fill(start, stop, alloc):
+        f = _field_rows(cloud.points, a1, shadow, mask, rows[start:stop], idx[start:stop], alloc)
+        out[slice(start, stop) if m == n else rows[start:stop]] = f.transpose(1, 2, 0)
 
-    # Component-major, so that every step writes contiguous memory.
-    f = np.zeros((8, m, k))
-    _pair_rows(f[:4], p_r, a_r, p_j, a_j, pair)
-    if mask != MASK_PPF:
-        s_p, s_a = shadow.points[rows][:, None, :], shadow.frames[rows, 0, :][:, None, :]
-        ref = _pair_rows(np.empty((4, m, 1)), p_r, a_r, s_p, s_a,
-                         lambda rc: f"shadow coincides with point {int(rows[rc[0]])}")
-        diff = _pair_rows(f[4:], p_j, a_j, s_p, s_a, pair)
-        np.subtract(ref, diff, out=diff)
-        norm = _norm(diff)
-        if mask == MASK_SIPF_NO_DIRECTION:
-            diff[0] = norm
-            diff[1:] = 0.0
+    blocks = [(start, min(start + _FIELD_ROWS, m)) for start in range(0, m, _FIELD_ROWS)]
+    # A neighbour index outside [-len, len) leaves the rows to the one-block pass, which
+    # raises numpy's IndexError.
+    reach = min(n, len(a1))
+    if len(blocks) > 1 and (not idx.size or (-reach <= idx.min() and idx.max() < reach)):
+        # Each lane runs its blocks first to last; lane 1's are full blocks, allocated here.
+        lanes = [lane[::-1] for lane in _lanes(blocks)]
+        allocs = [_buffers(), _buffers(_field_arrays(_FIELD_ROWS, k, mask))]
+        try:
+            _run_lanes(lanes, lambda lane, start, stop: fill(start, stop, allocs[lane]))
+        except Exception:
+            pass  # the one-block pass below raises the error of a pass over all rows
         else:
-            zero = ~(norm >= _ZERO_DIFF_TOL)
-            diff /= np.maximum(norm, _ZERO_DIFF_TOL, out=norm)
-            diff[:, zero] = 0.0
-    if m == n:
-        return np.ascontiguousarray(f.transpose(1, 2, 0))
-    out = np.zeros((n, k, 8))
-    out[rows] = f.transpose(1, 2, 0)
+            return out
+    if m:
+        fill(0, m, None)
     return out
 
 

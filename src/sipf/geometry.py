@@ -24,6 +24,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InvalidArgumentError, InvalidInputError
+from .lanes import _lanes, _run_lanes
 
 __all__ = [
     "PointCloud",
@@ -199,6 +200,10 @@ def _row_distances(points, i):
     return d
 
 
+# Query points per block of ``knn_graph``.
+_QUERY_ROWS = 1024
+
+
 def knn_graph(cloud: PointCloud, k: int) -> NeighborGraph:
     """Exact k-nearest-neighbor graph via a kd-tree.
 
@@ -208,6 +213,12 @@ def knn_graph(cloud: PointCloud, k: int) -> NeighborGraph:
     adjacent distances) are re-sorted by (distance, index); any row whose
     k-th distance ties with the window edge falls back to a full scan so
     hidden ties beyond the window cannot change membership.
+
+    The query, the self-entry move and the tie re-sort run in blocks of
+    ``_QUERY_ROWS`` points on the two lanes of ``sipf.lanes`` (the query
+    releases the GIL); the window-edge fallback runs after them, in this
+    thread.  Each row is found on its own, so the indices do not depend on
+    the blocks or the lanes.
     """
     n = len(cloud)
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
@@ -217,30 +228,38 @@ def knn_graph(cloud: PointCloud, k: int) -> NeighborGraph:
     pts = cloud.points
     pad = min(n, k + 8)
     tree = cKDTree(pts)
-    dist, idx = tree.query(pts, k=pad)
-    # The self entry moves last, at infinite distance; the rest keep their order.
-    self_mask = idx == np.arange(n)[:, None]
-    dist[self_mask] = np.inf
-    order = np.argsort(self_mask, axis=1, kind="stable")
-    dist = np.take_along_axis(dist, order, axis=1)
-    idx = np.take_along_axis(idx, order, axis=1)
-    # Ties sort by ascending point index.  A non-increasing step also catches
-    # a window the tree did not return in order.
-    tied = np.nonzero((dist[:, 1:] <= dist[:, :-1]).any(axis=1))[0]
-    if tied.size:
-        order = np.lexsort((idx[tied], dist[tied]))
-        dist[tied] = np.take_along_axis(dist[tied], order, axis=1)
-        idx[tied] = np.take_along_axis(idx[tied], order, axis=1)
-    out = idx[:, :k].copy()
-    if pad < n:
-        # A tie at the window edge may hide equal-distance candidates outside
-        # the window; resolve those rows exactly.  The last slot is the
-        # masked self entry, so the true edge is the slot before it.
-        unsure = dist[:, k - 1] >= dist[:, pad - 2]
-        for i in np.nonzero(unsure)[0]:
-            d = _row_distances(pts, i)
-            full = np.lexsort((np.arange(n), d))
-            out[i] = full[:k]
+    out = np.empty((n, k), dtype=np.int64)
+    unsure = np.zeros(n, dtype=bool)
+
+    def step(lane, start, stop):
+        dist, idx = tree.query(pts[start:stop], k=pad)
+        # The self entry moves last, at infinite distance; the rest keep their order.
+        self_mask = idx == np.arange(start, stop)[:, None]
+        dist[self_mask] = np.inf
+        order = np.argsort(self_mask, axis=1, kind="stable")
+        dist = np.take_along_axis(dist, order, axis=1)
+        idx = np.take_along_axis(idx, order, axis=1)
+        # Ties sort by ascending point index.  A non-increasing step also catches
+        # a window the tree did not return in order.
+        tied = np.nonzero((dist[:, 1:] <= dist[:, :-1]).any(axis=1))[0]
+        if tied.size:
+            order = np.lexsort((idx[tied], dist[tied]))
+            dist[tied] = np.take_along_axis(dist[tied], order, axis=1)
+            idx[tied] = np.take_along_axis(idx[tied], order, axis=1)
+        out[start:stop] = idx[:, :k]
+        if pad < n:
+            # A tie at the window edge may hide equal-distance candidates outside
+            # the window.  The last slot is the masked self entry, so the true
+            # edge is the slot before it.
+            unsure[start:stop] = dist[:, k - 1] >= dist[:, pad - 2]
+
+    blocks = [(start, min(start + _QUERY_ROWS, n)) for start in range(0, n, _QUERY_ROWS)]
+    _run_lanes(_lanes(blocks), step)
+    # Resolve the unsure rows exactly.
+    for i in np.nonzero(unsure)[0]:
+        d = _row_distances(pts, i)
+        full = np.lexsort((np.arange(n), d))
+        out[i] = full[:k]
     return NeighborGraph(k=k, indices=out)
 
 

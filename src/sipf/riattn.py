@@ -28,21 +28,13 @@ other block from the recorded inputs.  Every forward quantity is computed
 row by row, so the output does not depend on the block size wherever BLAS
 rounds a product row independently of the rows around it.
 
-A call over several blocks splits them into two fixed lanes that alternate
-counting down from the last block.  The calling thread runs the lane holding
-the last block and a one-thread ``ThreadPoolExecutor`` the other, on every
-host, while numpy's products and ufuncs release the GIL; on one CPU, where
-the lanes take turns, a multi-block call takes about 9 % longer than in one
-thread.  A single-block call runs inline.  Forward output and the parameter
-gradients are bitwise those of a single-lane loop: lanes write disjoint
-``x_hat`` rows, and ``backward`` keeps each block's kernel-MLP gradients and
-adds them up last block first.  ``d_x`` adds one neighbour-gradient sum per
-lane, the last block's lane first, so it differs from a single-lane sum by
-rounding only, and repeats bitwise.  Both lanes are joined before a call
-returns or raises; a lane stops at its first error, and the lower block's
-error is raised, as in a single-lane loop.  The executor runs lanes one at a
-time, and each lane waits only on itself, so calls from several threads are
-safe; a fork hook gives a forked child a new executor.
+A call over several blocks runs them on the two lanes of ``sipf.lanes``; a
+single-block call runs inline.  Forward output and the parameter gradients
+are bitwise those of a single-lane loop: lanes write disjoint ``x_hat`` rows,
+and ``backward`` keeps each block's kernel-MLP gradients and adds them up
+last block first.  ``d_x`` adds one neighbour-gradient sum per lane, the
+last block's lane first, so it differs from a single-lane sum by rounding
+only, and repeats bitwise.
 
 Layout: a block's per-edge arrays are slot-major, (k, m, .), so every
 reduction over the k slots is one leading-axis vector operation; the batched
@@ -63,13 +55,12 @@ holds none of them between calls.  A call shares no buffer with another.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericError
+from .lanes import _buffers, _lanes, _run_lanes
 
 __all__ = [
     "LEAKY_SLOPE",
@@ -171,21 +162,6 @@ class LayerActivation:
     last_block: _Block = field(repr=False)
 
 
-def _buffers(reserve=()):
-    """One lane's allocator of named arrays: asking again for a name and shape returns the same
-    memory.  ``reserve`` lists (name, shape, dtype) to allocate now, in the calling thread."""
-    arrays = {}
-
-    def alloc(name, shape, dtype=np.float64):
-        if name not in arrays or arrays[name].shape != shape:
-            arrays[name] = np.empty(shape, dtype)
-        return arrays[name]
-
-    for name, shape, dtype in reserve:
-        alloc(name, shape, dtype)
-    return alloc
-
-
 def _worker_arrays(layer: RIAttnLayer, k: int, m: int, backward: bool):
     """What a worker-lane block of m rows asks its allocator for, in ``_attend`` and, if
     ``backward``, in backward's block step: the caller allocates it, so the worker allocates none."""
@@ -207,57 +183,6 @@ def _worker_arrays(layer: RIAttnLayer, k: int, m: int, backward: bool):
 def _lane_allocators(layer, k, lanes, backward):
     """Lane 0's allocator, filled by this thread as it runs, and lane 1's, filled now for its blocks."""
     return [_buffers(), _buffers(_worker_arrays(layer, k, _CHUNK_ROWS, backward) if lanes[1] else ())]
-
-
-def _lanes(blocks):
-    """Two lanes of (start, stop) blocks, alternating from the last block back, each in descending
-    order; lane 0 holds the last block and runs in the calling thread."""
-    return blocks[::-2], blocks[-2::-2]
-
-
-def _new_executor():
-    """Lane 1's executor.  A forked child needs its own: lanes queued to the parent's never run."""
-    global _executor
-    _executor = ThreadPoolExecutor(1, thread_name_prefix="sipf-riattn-lane")
-
-
-_new_executor()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_executor)
-
-
-def _lane(blocks, step, lane):
-    """``step(lane, start, stop)`` over one lane's blocks in order; the first error ends the
-    lane and is returned with its block's start."""
-    for start, stop in blocks:
-        try:
-            step(lane, start, stop)
-        except Exception as exc:
-            return start, exc
-    return None
-
-
-def _run_lanes(lanes, step):
-    """Run lane 0 in this thread and lane 1, if it holds a block, on the executor.  Both are
-    joined before this returns or raises; of the lanes' errors, the lower block's is raised."""
-    future = None
-    if lanes[1]:
-        # numpy's floating-point error handling is per thread: the worker takes the caller's.
-        errstate = {**np.geterr(), "call": np.geterrcall()}
-
-        def other_lane():
-            with np.errstate(**errstate):
-                return _lane(lanes[1], step, 1)
-
-        future = _executor.submit(other_lane)
-    try:
-        own = _lane(lanes[0], step, 0)
-    finally:
-        # Joined even when this thread's lane raised something other than an Exception.
-        other = future.result() if future is not None else None
-    failures = [f for f in (own, other) if f is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
 
 
 def _check_neighbors(idx, n):

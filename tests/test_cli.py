@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from sipf import cli
 from sipf.cli import (
     EXIT_INVARIANCE,
     EXIT_OK,
@@ -378,6 +379,30 @@ class TestVerifyInvariance:
         code = main([*argv, "--out", str(out)])
         assert code == (EXIT_INVARIANCE if break_shadow else EXIT_OK)
         assert out.read_text() == json.dumps(expected, indent=2) + "\n"
+
+    @pytest.mark.parametrize("bad_trial, value", [(0, np.nan), (2, np.nan), (1, np.inf)])
+    def test_non_finite_deviation_fails(self, cloud_file, tmp_path, monkeypatch, bad_trial, value):
+        # One trial's field is non-finite on a usable edge.  The deviation is then NaN or
+        # inf: the command fails whichever trial it is, and the report stays strict JSON.
+        fields = []
+
+        def spoiled(*args, **kwargs):
+            field = sipf_field(*args, **kwargs)
+            if len(fields) == bad_trial + 1:  # the first call is the unrotated field
+                field[0, 0, 5] = value
+            fields.append(field)
+            return field
+
+        monkeypatch.setattr(cli, "sipf_field", spoiled)
+        out = tmp_path / "report.json"
+        argv = ["verify-invariance", "--input", cloud_file, "--k", "2", "--trials", "3", "--seed", "5"]
+        assert main([*argv, "--out", str(out)]) == EXIT_INVARIANCE
+        assert len(fields) == 4
+        report = json.loads(out.read_text(), parse_constant=lambda name: pytest.fail(f"{name} in the report"))
+        assert report == {
+            "trials": 3, "max_abs_deviation": None, "threshold": INVARIANCE_THRESHOLD,
+            "break_shadow": False, "pass": False,
+        }
 
     def test_zero_trials_usage_error(self, cloud_file):
         assert main(["verify-invariance", "--input", cloud_file, "--trials", "0"]) == EXIT_VALIDATION

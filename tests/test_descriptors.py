@@ -1,8 +1,13 @@
+import concurrent.futures
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sipf import descriptors, geometry, lanes
 from sipf.descriptors import (
     DESCRIPTOR_MASKS,
     MASK_PPF,
@@ -367,6 +372,171 @@ class TestFieldInputs:
                 assert np.array_equal(_bits(writable), _bits(frames))
         after = [cloud.points, shadow.points, shadow.frames]
         assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(before, after))
+
+
+def _coincidence_case(pairs=(), shadows=(), shadow_on_neighbor=None):
+    """A 40-point cloud, k = 4, in which each (i, j, exact) of ``pairs`` puts point j on point i,
+    each (i, exact) of ``shadows`` puts point i's shadow on it, and ``shadow_on_neighbor`` = r
+    puts row r's shadow on its first neighbour; not ``exact`` means one ulp away."""
+    rng = np.random.default_rng(41)
+    pts = rng.uniform(-1.0, 1.0, (40, 3))
+    for i, j, exact in pairs:
+        pts[j] = pts[i] if exact else [np.nextafter(pts[i, 0], 2.0), *pts[i, 1:]]
+    cloud = PointCloud(points=pts)
+    graph = knn_graph(cloud, 4)
+    frames = random_frames(rng, 40)
+    rotation = random_rotation(rng)
+    shadow_pts = pts @ rotation.matrix
+    for i, exact in shadows:
+        shadow_pts[i] = pts[i] if exact else [np.nextafter(pts[i, 0], 2.0), *pts[i, 1:]]
+    if shadow_on_neighbor is not None:
+        shadow_pts[shadow_on_neighbor] = pts[graph.indices[shadow_on_neighbor, 0]]
+    shadow = ShadowCloud(points=shadow_pts, frames=frames @ rotation.matrix, rotation=rotation)
+    return cloud, frames, graph, shadow
+
+
+class TestFieldBlocks:
+    """Blocks of 1, 7 and N rows, on the lanes, give the one-block field's bits and errors."""
+
+    @pytest.mark.parametrize("rows", [1, 7, 40])
+    @pytest.mark.parametrize("mask", DESCRIPTOR_MASKS)
+    def test_matches_reference_at_every_block_size(self, rng, monkeypatch, mask, rows):
+        monkeypatch.setattr(descriptors, "_FIELD_ROWS", rows)
+        cloud, frames, graph, shadow = _field_case(rng, 40, 6, FRAME_MODE_BARYCENTER)
+        for valid in (None, np.arange(40) % 3 != 1, np.zeros(40, dtype=bool)):
+            field = sipf_field(cloud, frames, graph, shadow, mask=mask, valid=valid)
+            ref = reference_sipf_field(cloud, frames, graph, shadow, mask=mask, valid=valid)
+            assert np.array_equal(_bits(field), _bits(ref))
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_lane_one_runs_on_the_executor_in_caller_allocated_arrays(self, monkeypatch, rows):
+        # Lane 1 runs on the executor's thread, and every array the blocks ask for, lane 1's
+        # included, is allocated by the calling thread.  The field has the bits of a run
+        # whose lane 1 runs in the calling thread.
+        monkeypatch.setattr(descriptors, "_FIELD_ROWS", rows)
+        case = _field_case(np.random.default_rng(17), 40, 6, FRAME_MODE_BARYCENTER)
+        caller = threading.current_thread()
+        ran_on = []
+        lane = lanes._lane
+
+        def recorded(blocks, step, number):
+            thread = threading.current_thread()
+            ran_on.append((number, "caller" if thread is caller else thread.name.rsplit("_", 1)[0]))
+            return lane(blocks, step, number)
+
+        monkeypatch.setattr(lanes, "_lane", recorded)
+        allocated_here = []
+        empty = np.empty
+
+        def recorded_empty(*args, **kwargs):
+            allocated_here.append(threading.current_thread() is caller)
+            return empty(*args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", recorded_empty)
+        on_executor = sipf_field(*case)
+        assert sorted(ran_on) == [(0, "caller"), (1, "sipf-lane")]
+        assert allocated_here and all(allocated_here)
+
+        class Inline:
+            def submit(self, fn):
+                future = concurrent.futures.Future()
+                future.set_result(fn())
+                return future
+
+        monkeypatch.setattr(lanes, "_executor", Inline())
+        assert np.array_equal(_bits(sipf_field(*case)), _bits(on_executor))
+
+    def test_single_block_call_stays_off_the_executor(self, rng, monkeypatch):
+        def no_worker(fn):
+            raise AssertionError("a single-block call reached the executor")
+
+        monkeypatch.setattr(lanes._executor, "submit", no_worker)
+        cloud, frames, graph, shadow = _field_case(rng, descriptors._FIELD_ROWS, 3, FRAME_MODE_BARYCENTER)
+        field = sipf_field(cloud, frames, graph, shadow)
+        assert np.array_equal(_bits(field), _bits(reference_sipf_field(cloud, frames, graph, shadow)))
+
+    def test_threads_give_the_serial_bits(self, monkeypatch):
+        # More threads than cores build graphs and fields of different sizes at once, switching
+        # often, and all queue their lane 1 on the one executor thread: no call may write
+        # into another's arrays.
+        monkeypatch.setattr(descriptors, "_FIELD_ROWS", 7)
+        monkeypatch.setattr(geometry, "_QUERY_ROWS", 7)
+        rng = np.random.default_rng(13)
+        cases = [_field_case(rng, 40 + 5 * i, 3 + i, FRAME_MODE_BARYCENTER) for i in range(4)]
+
+        def bits(cloud, frames, graph, shadow):
+            return knn_graph(cloud, graph.k).indices.tobytes(), sipf_field(cloud, frames, graph, shadow).tobytes()
+
+        serial = [bits(*case) for case in cases]
+        mismatches, done = [], []
+
+        def run(i):
+            for _ in range(20):
+                if bits(*cases[i]) != serial[i]:
+                    mismatches.append(i)
+            done.append(i)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(done) == list(range(len(cases)))
+        assert mismatches == []
+
+    @pytest.mark.parametrize("rows", [1, 7, 40])
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            # The neighbour-pair check over all rows comes before the shadow checks.
+            (dict(pairs=[(30, 33, True)], shadows=[(2, True)]), "coincident pair at index (30, 33)"),
+            # Of several close pairs, the first closest in row-major order is named.
+            (dict(pairs=[(4, 5, False), (30, 33, True)]), "coincident pair at index (30, 33)"),
+            (dict(pairs=[(4, 5, True), (30, 33, True)]), "coincident pair at index (4, 5)"),
+            (dict(shadows=[(3, False), (20, True)]), "shadow coincides with point 20"),
+            (dict(shadows=[(3, True), (20, True)]), "shadow coincides with point 3"),
+            # A row's shadow on itself is checked over all rows before one on a neighbour.
+            (dict(shadows=[(25, True)], shadow_on_neighbor=10), "shadow coincides with point 25"),
+        ],
+    )
+    def test_errors_in_different_blocks_name_what_one_block_names(self, monkeypatch, rows, case, message):
+        monkeypatch.setattr(descriptors, "_FIELD_ROWS", rows)
+        with pytest.raises(CoincidentPointError) as excinfo:
+            sipf_field(*_coincidence_case(**case))
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("rows", [1, 7, 40])
+    def test_shadow_on_a_neighbour_names_the_pair(self, monkeypatch, rows):
+        monkeypatch.setattr(descriptors, "_FIELD_ROWS", rows)
+        cloud, frames, graph, shadow = _coincidence_case(shadow_on_neighbor=10)
+        with pytest.raises(CoincidentPointError) as excinfo:
+            sipf_field(cloud, frames, graph, shadow)
+        assert str(excinfo.value) == f"coincident pair at index (10, {graph.indices[10, 0]})"
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_neighbour_indices_read_as_numpy_reads_them(self, monkeypatch, rows):
+        # A negative index counts from the end; one out of range raises numpy's IndexError.
+        cloud, frames, graph, shadow = _field_case(np.random.default_rng(5), 40, 4, FRAME_MODE_BARYCENTER)
+        idx = graph.indices.copy()
+        idx[35, 2] = -3
+        negative = NeighborGraph(k=4, indices=idx)
+        idx = idx.copy()
+        idx[35, 2] = 40
+        outside = NeighborGraph(k=4, indices=idx)
+        with pytest.raises(IndexError) as whole:
+            sipf_field(cloud, frames, outside, shadow)
+        monkeypatch.setattr(descriptors, "_FIELD_ROWS", rows)
+        field = sipf_field(cloud, frames, negative, shadow)
+        assert np.array_equal(_bits(field), _bits(reference_sipf_field(cloud, frames, negative, shadow)))
+        with pytest.raises(IndexError) as blocked:
+            sipf_field(cloud, frames, outside, shadow)
+        assert str(blocked.value) == str(whole.value)
 
 
 class TestDegeneracyDetectors:

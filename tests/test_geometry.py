@@ -1,8 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sipf import geometry, lanes
 from sipf.errors import InvalidArgumentError, InvalidInputError
 from sipf.geometry import (
     NeighborGraph,
@@ -104,6 +107,47 @@ class TestKnnGraph:
             pts = pts[: k + 1]
         graph = knn_graph(PointCloud(points=pts), k)
         assert np.array_equal(graph.indices, lexsort_knn(pts, k))
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    @pytest.mark.parametrize("kind, k", [("random", 6), ("lattice", 6), ("duplicates", 20), ("k_plus_one", 6)])
+    def test_same_indices_at_every_block_size(self, monkeypatch, kind, k, rows):
+        # Blocks of 1, 7 and N query points, on both lanes, give the whole-window graph: with
+        # exact distance ties, with rows resolved by the window-edge fallback and at N = k + 1.
+        rng = np.random.default_rng(len(kind))
+        pts = rng.uniform(-1, 1, (150, 3))
+        if kind == "lattice":
+            pts = np.round(pts * 4) / 4
+        elif kind == "duplicates":
+            pts = np.vstack([pts[:60], pts[:30], np.tile(pts[7], (40, 1))])
+        elif kind == "k_plus_one":
+            pts = pts[: k + 1]
+        monkeypatch.setattr(geometry, "_QUERY_ROWS", rows or len(pts))
+        full_scans = []
+        row_distances = geometry._row_distances
+
+        def counted(points, i):
+            full_scans.append(i)
+            return row_distances(points, i)
+
+        monkeypatch.setattr(geometry, "_row_distances", counted)
+        graph = knn_graph(PointCloud(points=pts), k)
+        assert np.array_equal(graph.indices, lexsort_knn(pts, k))
+        assert bool(full_scans) == (kind in ("lattice", "duplicates"))
+
+    def test_lane_one_queries_on_the_executor(self, rng, monkeypatch):
+        monkeypatch.setattr(geometry, "_QUERY_ROWS", 16)
+        threads = set()
+        lane = lanes._lane
+
+        def recorded(blocks, step, number):
+            threads.add((number, threading.current_thread().name.rsplit("_", 1)[0]))
+            return lane(blocks, step, number)
+
+        monkeypatch.setattr(lanes, "_lane", recorded)
+        pts = rng.uniform(-1, 1, (100, 3))
+        graph = knn_graph(PointCloud(points=pts), 5)
+        assert threads == {(0, threading.current_thread().name.rsplit("_", 1)[0]), (1, "sipf-lane")}
+        assert np.array_equal(graph.indices, brute_force_knn(pts, 5))
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sipf import bingham, riattn
+from sipf import bingham, lanes, riattn
 from sipf.descriptors import MASK_PPF, MASK_SIPF, shadow_of, sipf_field
 from sipf.errors import InvalidArgumentError, NumericError
 from sipf.geometry import PointCloud, apply_rotation, knn_graph, random_rotation, rotation_from_axis_angle
@@ -801,14 +801,14 @@ class TestLanes:
         problem = _layer_problem(np.random.default_rng(17), 40, 6, 4, 3)
         caller = threading.current_thread()
         ran_on = []
-        lane = riattn._lane
+        lane = lanes._lane
 
         def recorded(blocks, step, number):
             thread = threading.current_thread()
             ran_on.append((number, "caller" if thread is caller else thread.name.rsplit("_", 1)[0]))
             return lane(blocks, step, number)
 
-        monkeypatch.setattr(riattn, "_lane", recorded)
+        monkeypatch.setattr(lanes, "_lane", recorded)
         allocated_here = []
         empty = np.empty
 
@@ -819,7 +819,7 @@ class TestLanes:
         monkeypatch.setattr(np, "empty", recorded_empty)
         on_executor = {name: v.tobytes() for name, v in _result_arrays(*_forward_backward(*problem)).items()}
         # Forward and backward each run lane 0 here and, given a second block, lane 1 on the executor.
-        assert sorted(ran_on) == [(0, "caller")] * 2 + [(1, "sipf-riattn-lane")] * 2 * (chunk < 40)
+        assert sorted(ran_on) == [(0, "caller")] * 2 + [(1, "sipf-lane")] * 2 * (chunk < 40)
         assert allocated_here and all(allocated_here)
 
         class Inline:
@@ -828,7 +828,7 @@ class TestLanes:
                 future.set_result(fn())
                 return future
 
-        monkeypatch.setattr(riattn, "_executor", Inline())
+        monkeypatch.setattr(lanes, "_executor", Inline())
         inline = {name: v.tobytes() for name, v in _result_arrays(*_forward_backward(*problem)).items()}
         assert inline == on_executor
 
@@ -846,7 +846,7 @@ class TestLanes:
             f"sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})",
             "import test_riattn",
             "digests = test_riattn._three_block_digests()",
-            "executor_ran = any(t.name.startswith('sipf-riattn-lane') for t in threading.enumerate())",
+            "executor_ran = any(t.name.startswith('sipf-lane') for t in threading.enumerate())",
             "print(json.dumps([len(os.sched_getaffinity(0)), executor_ran, digests]))",
         ])
         src = os.path.dirname(os.path.dirname(os.path.abspath(riattn.__file__)))
@@ -859,7 +859,7 @@ class TestLanes:
         def no_worker(fn):
             raise AssertionError("a single-block call reached the executor")
 
-        monkeypatch.setattr(riattn._executor, "submit", no_worker)
+        monkeypatch.setattr(lanes._executor, "submit", no_worker)
         _forward_backward(*_layer_problem(rng, riattn._CHUNK_ROWS, 6, 3, 2))
 
     @pytest.mark.parametrize("slow_lane", [0, 1])
@@ -871,7 +871,7 @@ class TestLanes:
         # lane 0 (row 4).  The slow lane starts only after the other has finished.
         monkeypatch.setattr(riattn, "_CHUNK_ROWS", 4)
         finished = {0: threading.Event(), 1: threading.Event()}
-        lane = riattn._lane
+        lane = lanes._lane
 
         def ordered(blocks, step, number):
             if number == slow_lane:
@@ -881,7 +881,7 @@ class TestLanes:
             finally:
                 finished[number].set()
 
-        monkeypatch.setattr(riattn, "_lane", ordered)
+        monkeypatch.setattr(lanes, "_lane", ordered)
         with pytest.raises(NumericError, match=f"^non-finite attention scores at reference row {row}$"):
             layer_forward(*_nan_feature_problem(40, bad_points))
         assert finished[0].is_set() and finished[1].is_set()
@@ -906,8 +906,8 @@ class TestLanes:
         monkeypatch.setattr(riattn, "_CHUNK_ROWS", 7)
         problem = _layer_problem(np.random.default_rng(29), 40, 6, 3, 2)
         expected = {name: v.tobytes() for name, v in _result_arrays(*_forward_backward(*problem)).items()}
-        parents = riattn._executor
-        assert any(t.name.startswith("sipf-riattn-lane") for t in threading.enumerate())
+        parents = lanes._executor
+        assert any(t.name.startswith("sipf-lane") for t in threading.enumerate())
         with warnings.catch_warnings():
             # Python 3.12 on warns that forking a process with threads may deadlock.
             warnings.simplefilter("ignore", DeprecationWarning)
@@ -915,9 +915,9 @@ class TestLanes:
         if pid == 0:
             code = 1
             try:
-                if riattn._executor is not parents:
+                if lanes._executor is not parents:
                     got = {name: v.tobytes() for name, v in _result_arrays(*_forward_backward(*problem)).items()}
-                    started = any(t.name.startswith("sipf-riattn-lane") for t in threading.enumerate())
+                    started = any(t.name.startswith("sipf-lane") for t in threading.enumerate())
                     code = 0 if got == expected and started else 2
             finally:
                 os._exit(code)
