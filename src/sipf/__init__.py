@@ -52,10 +52,8 @@ from .geometry import (
     UnitQuaternion,
     apply_rotation,
     knn_graph,
-    matrix_to_quat,
     quat_to_matrix,
     random_rotation,
-    rotation_from_axis_angle,
 )
 from .lrf import build_all_lrfs, input_descriptor
 from .riattn import (

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CoincidentPointError, InvalidArgumentError, InvalidInputError
 from .geometry import NeighborGraph, PointCloud, Rotation3, set_read_only
-from .lanes import _buffers, _lanes, _run_lanes
+from .lanes import _buffers, run_blocks
 
 __all__ = [
     "MASK_SIPF",
@@ -132,34 +132,25 @@ _FIELD_ROWS = 1024
 
 
 def _field_arrays(m, k, mask):
-    """What a block of m rows asks its allocator for in ``_field_rows``, so a lane's can be made ahead."""
+    """What a block of m rows asks its allocator for in ``_field_rows``: ``run_blocks`` reserves it for lane 1."""
     arrays = [("p_j", (m, k, 3)), ("a_j", (m, k, 3)), ("f", (8, m, k)), ("d", (m, k, 3)), ("square", (m, k))]
     if mask != MASK_PPF:
         arrays += [("ref", (4, m, 1)), ("norm", (m, k))]
     return [(name, shape, np.float64) for name, shape in arrays]
 
 
-def _new_array(name, shape, dtype=np.float64):
-    """An allocator that makes a new array on every request."""
-    return np.empty(shape, dtype)
+def _field_rows(points, a1, shadow, mask, rows, idx, alloc):
+    """The component-major (8, m, k) field of the kept rows ``rows``, whose neighbours are ``idx``,
+    in arrays from ``alloc``, a lane's allocator.
 
-
-def _field_rows(points, a1, shadow, mask, rows, idx, alloc=None):
-    """The component-major (8, m, k) field of the kept rows ``rows``, whose neighbours are ``idx``.
-
-    With ``alloc``, a lane's allocator, the block's arrays come from it and the neighbour
-    gathers use mode "wrap", which reads an index in [-len, len) as the default mode does,
-    without its buffered copy: the caller has checked that every index lies in that range.
-    Without it, the arrays are new and the gathers index as numpy does by default.
+    The neighbour gathers use mode "wrap", which writes into ``out`` without numpy's buffered
+    copy.  None wraps: ``NeighborGraph`` keeps every index in [0, N), and ``sipf_field``
+    checks that the points and frames have N rows.
     """
     m, k = idx.shape
     p_r, a_r = points[rows][:, None, :], a1[rows][:, None, :]
-    if alloc is None:
-        p_j, a_j = points.take(idx, axis=0), a1.take(idx, axis=0)
-        alloc = _new_array
-    else:
-        p_j = np.take(points, idx, axis=0, out=alloc("p_j", (m, k, 3)), mode="wrap")
-        a_j = np.take(a1, idx, axis=0, out=alloc("a_j", (m, k) + a1.shape[1:]), mode="wrap")
+    p_j = np.take(points, idx, axis=0, out=alloc("p_j", (m, k, 3)), mode="wrap")
+    a_j = np.take(a1, idx, axis=0, out=alloc("a_j", (m, k, 3)), mode="wrap")
 
     def pair(rc):
         return f"coincident pair at index ({int(rows[rc[0]])}, {int(idx[rc])})"
@@ -207,20 +198,25 @@ def sipf_field(
     neighbours.  Every value is bitwise that of the per-edge formulas with
     ``np.linalg.norm`` norms and ``np.einsum`` cosines; the tests check it.
 
-    The kept rows run in blocks of ``_FIELD_ROWS`` on the two lanes of
-    ``sipf.lanes``; a call with one block runs inline.  Each block builds its
-    component-major (8, m, k) field and writes its transpose into its own
-    rows of the output, so no bit depends on the blocks or the lanes.  A
-    call whose blocks meet an error computes again as one block over all
-    kept rows, which raises the error that one pass over all rows meets
-    first: the neighbour-pair check over all rows comes before the shadow
-    checks, and the pair named is the first closest one in row-major order.
+    The kept rows run in blocks of ``_FIELD_ROWS`` with ``sipf.lanes.run_blocks``.
+    Each block builds its component-major (8, m, k) field in its lane's
+    buffers and writes its transpose into its own rows of the output, so no
+    bit depends on the blocks or the lanes.  A call whose blocks meet a
+    coincident pair computes again as one block over all kept rows, which
+    raises the error that one pass over all rows meets first: the
+    neighbour-pair check over all rows comes before the shadow checks, and
+    the pair named is the first closest one in row-major order.
     """
     if mask not in DESCRIPTOR_MASKS:
         raise InvalidArgumentError(f"unknown descriptor mask {mask!r}")
     frames = np.asarray(frames, dtype=np.float64)
     idx = graph.indices
     n, k = idx.shape
+    if len(cloud) != n or frames.shape != (n, 3, 3) or len(shadow.points) != n:
+        raise InvalidArgumentError(
+            f"cloud of {len(cloud)} points, frames {frames.shape} and shadow of {len(shadow.points)} "
+            f"points do not match a graph of {n} rows"
+        )
     rows = np.arange(n)
     if valid is not None:
         valid = np.asarray(valid, dtype=bool)
@@ -233,26 +229,16 @@ def sipf_field(
     a1 = frames[:, 0, :]
     out = np.empty((n, k, 8)) if m == n else np.zeros((n, k, 8))
 
-    def fill(start, stop, alloc):
+    def fill(lane, alloc, start, stop):
         f = _field_rows(cloud.points, a1, shadow, mask, rows[start:stop], idx[start:stop], alloc)
         out[slice(start, stop) if m == n else rows[start:stop]] = f.transpose(1, 2, 0)
 
-    blocks = [(start, min(start + _FIELD_ROWS, m)) for start in range(0, m, _FIELD_ROWS)]
-    # A neighbour index outside [-len, len) leaves the rows to the one-block pass, which
-    # raises numpy's IndexError.
-    reach = min(n, len(a1))
-    if len(blocks) > 1 and (not idx.size or (-reach <= idx.min() and idx.max() < reach)):
-        # Each lane runs its blocks first to last; lane 1's are full blocks, allocated here.
-        lanes = [lane[::-1] for lane in _lanes(blocks)]
-        allocs = [_buffers(), _buffers(_field_arrays(_FIELD_ROWS, k, mask))]
-        try:
-            _run_lanes(lanes, lambda lane, start, stop: fill(start, stop, allocs[lane]))
-        except Exception:
-            pass  # the one-block pass below raises the error of a pass over all rows
-        else:
-            return out
-    if m:
-        fill(0, m, None)
+    try:
+        run_blocks(m, _FIELD_ROWS, fill, _field_arrays(_FIELD_ROWS, k, mask))
+    except CoincidentPointError:
+        if m > _FIELD_ROWS:
+            fill(0, _buffers(), 0, m)  # raises the error of one pass over all rows
+        raise
     return out
 
 

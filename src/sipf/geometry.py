@@ -24,7 +24,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InvalidArgumentError, InvalidInputError
-from .lanes import _lanes, _run_lanes
+from .lanes import run_blocks
 
 __all__ = [
     "PointCloud",
@@ -33,17 +33,14 @@ __all__ = [
     "NeighborGraph",
     "knn_graph",
     "quat_to_matrix",
-    "matrix_to_quat",
     "apply_rotation",
     "random_rotation",
-    "rotation_from_axis_angle",
     "is_near_identity",
 ]
 
 _NORMAL_NORM_TOL = 1e-6
 _QUAT_NORM_TOL = 1e-6
 _ROTATION_TOL = 1e-10
-_MATRIX_INPUT_TOL = 1e-6
 _IDENTITY_ANGLE_TOL = 1e-9
 
 
@@ -179,6 +176,7 @@ class NeighborGraph:
     """Row i holds the k nearest neighbors of point i, self excluded.
 
     Rows are sorted by ascending distance, ties broken by ascending index.
+    Every index names a row of the graph: it lies in [0, N).
     """
 
     k: int
@@ -188,6 +186,8 @@ class NeighborGraph:
         idx = np.asarray(self.indices, dtype=np.int64)
         if idx.ndim != 2 or idx.shape[1] != self.k:
             raise InvalidInputError(f"indices must be (N, {self.k}), got {idx.shape}")
+        if idx.size and (idx.min() < 0 or idx.max() >= len(idx)):
+            raise InvalidInputError(f"neighbor indices must lie in [0, {len(idx)})")
         set_read_only(self, "indices", idx)
 
     def __len__(self):
@@ -215,7 +215,7 @@ def knn_graph(cloud: PointCloud, k: int) -> NeighborGraph:
     hidden ties beyond the window cannot change membership.
 
     The query, the self-entry move and the tie re-sort run in blocks of
-    ``_QUERY_ROWS`` points on the two lanes of ``sipf.lanes`` (the query
+    ``_QUERY_ROWS`` points with ``sipf.lanes.run_blocks`` (the query
     releases the GIL); the window-edge fallback runs after them, in this
     thread.  Each row is found on its own, so the indices do not depend on
     the blocks or the lanes.
@@ -231,7 +231,7 @@ def knn_graph(cloud: PointCloud, k: int) -> NeighborGraph:
     out = np.empty((n, k), dtype=np.int64)
     unsure = np.zeros(n, dtype=bool)
 
-    def step(lane, start, stop):
+    def step(lane, alloc, start, stop):
         dist, idx = tree.query(pts[start:stop], k=pad)
         # The self entry moves last, at infinite distance; the rest keep their order.
         self_mask = idx == np.arange(start, stop)[:, None]
@@ -253,8 +253,7 @@ def knn_graph(cloud: PointCloud, k: int) -> NeighborGraph:
             # edge is the slot before it.
             unsure[start:stop] = dist[:, k - 1] >= dist[:, pad - 2]
 
-    blocks = [(start, min(start + _QUERY_ROWS, n)) for start in range(0, n, _QUERY_ROWS)]
-    _run_lanes(_lanes(blocks), step)
+    run_blocks(n, _QUERY_ROWS, step)
     # Resolve the unsure rows exactly.
     for i in np.nonzero(unsure)[0]:
         d = _row_distances(pts, i)
@@ -276,44 +275,6 @@ def quat_to_matrix(q) -> Rotation3:
     return Rotation3(m)
 
 
-def matrix_to_quat(rotation) -> UnitQuaternion:
-    """Rotation matrix to the w >= 0 quaternion via Shepperd's branch rule.
-
-    Accepts a :class:`Rotation3` or a raw 3x3 array; raw input is rejected if
-    it deviates from orthogonality / unit determinant by more than 1e-6.
-    """
-    if isinstance(rotation, Rotation3):
-        m = rotation.matrix
-    else:
-        m = _rotation_matrix(rotation, _MATRIX_INPUT_TOL)
-    t = np.trace(m)
-    # Branch on the largest of (trace, m00, m11, m22) for stability.
-    choices = np.array([t, m[0, 0], m[1, 1], m[2, 2]])
-    branch = int(np.argmax(choices))
-    if branch == 0:
-        s = np.sqrt(t + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s]
-        )
-    elif branch == 1:
-        s = np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-        q = np.array(
-            [(m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s]
-        )
-    elif branch == 2:
-        s = np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-        q = np.array(
-            [(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s, (m[1, 2] + m[2, 1]) / s]
-        )
-    else:
-        s = np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-        q = np.array(
-            [(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, 0.25 * s]
-        )
-    q /= np.linalg.norm(q)
-    return UnitQuaternion.from_array(q).canonical()
-
-
 def apply_rotation(cloud: PointCloud, rotation: Rotation3) -> PointCloud:
     """Right-multiply every point (and normal) by the rotation matrix."""
     m = rotation.matrix
@@ -326,18 +287,6 @@ def random_rotation(rng: np.random.Generator) -> Rotation3:
     q = rng.standard_normal(4)
     q /= np.linalg.norm(q)
     return quat_to_matrix(q)
-
-
-def rotation_from_axis_angle(axis, angle: float) -> Rotation3:
-    """Rotation by `angle` radians about `axis` (need not be unit length)."""
-    a = _as_float_array(axis, "axis")
-    n = np.linalg.norm(a)
-    if n == 0.0:
-        raise InvalidArgumentError("rotation axis must be nonzero")
-    x, y, z = a / n
-    kmat = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    m = np.eye(3) + np.sin(angle) * kmat + (1.0 - np.cos(angle)) * (kmat @ kmat)
-    return Rotation3(m)
 
 
 def is_near_identity(q: UnitQuaternion) -> bool:

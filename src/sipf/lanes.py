@@ -1,24 +1,36 @@
-"""Two fixed lanes for the per-row stages: the attention layer's row blocks,
-``sipf_field``'s row blocks and ``knn_graph``'s query.
+"""One blocked-stage runner for the per-row stages: the attention layer's
+forward and backward, ``sipf_field`` and ``knn_graph``'s query.
 
-A stage that runs over several row blocks splits them into two fixed lanes
-that alternate counting down from the last block (``_lanes``).  The calling
-thread runs the lane holding the last block and one persistent
-``ThreadPoolExecutor`` thread the other, on every host, while numpy's
-products and ufuncs and the kd-tree query release the GIL; on one CPU, where
-the lanes take turns, a multi-block call takes longer than in one thread
-(about 9 % for the attention layer).  A caller with a single block runs it
-inline and submits nothing.
+``run_blocks(n, rows, step, reserve, last_first)`` cuts the rows [0, n) into
+blocks of ``rows`` rows (n = 0 gives one empty block) and calls
+``step(lane, alloc, start, stop)`` once for each.  The blocks go to two fixed
+lanes that alternate counting down from the last block (``_lanes``), so lane
+0 holds the last block.  Each lane runs its blocks first to last, or last to
+first with ``last_first``.  The calling thread runs lane 0 and one
+persistent ``ThreadPoolExecutor`` thread lane 1, on every host, while
+numpy's products and ufuncs and the kd-tree query release the GIL; on one
+CPU, where the lanes take turns, a multi-block call takes longer than in one
+thread (about 9 % for the attention layer).  A call with one block leaves
+lane 1 empty: it runs inline and submits nothing.
+
+Lane buffers: ``alloc(name, shape, dtype)`` is the lane's allocator of
+named arrays.  Asking again for a name and shape returns the same memory, so
+a lane's blocks write into the arrays its block before used instead of
+allocating (and page-faulting) anew.  Lane 0's allocator makes each array
+when a block first asks for it, in use order.  Lane 1's makes the arrays of
+``reserve``, a list of (name, shape, dtype), in the calling thread before the
+lane starts, so the executor thread's malloc arena holds none of them
+between calls; it raises ``RuntimeError`` for a name not on the list, and
+only a reserved name asked for in another shape (the attention layer's error
+path re-runs part of a block) is allocated on the executor.  A call shares
+no buffer with another.
 
 ``_run_lanes`` joins both lanes before it returns or raises.  A lane stops at
 its first error, and of the two lanes' errors the lower block's is raised,
 as in a one-lane loop.  numpy's floating-point error state is per thread:
 the executor's lane runs under the caller's.  Lanes write disjoint rows of
 their outputs, so the bits of a result do not depend on the lanes; where a
-caller adds per-lane partial sums, it fixes their order itself.  A caller
-allocates lane 1's arrays (``_buffers`` with a reserve list) before handing
-it over, so the executor thread's malloc arena holds none of them between
-calls; the kd-tree query allocates its own small per-block results.
+caller adds per-lane partial sums, it fixes their order itself.
 
 The executor runs lanes one at a time, and each lane waits only on itself,
 so calls from several threads are safe.  A fork hook gives a forked child a
@@ -33,18 +45,19 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 
-def _buffers(reserve=()):
+def _buffers(reserve=None):
     """One lane's allocator of named arrays: asking again for a name and shape returns the same
-    memory.  ``reserve`` lists (name, shape, dtype) to allocate now, in the calling thread."""
-    arrays = {}
+    memory.  ``reserve``, if given, lists (name, shape, dtype) to allocate now, in the calling
+    thread, and the allocator refuses any other name."""
+    arrays = {name: np.empty(shape, dtype) for name, shape, dtype in reserve or ()}
 
     def alloc(name, shape, dtype=np.float64):
+        if reserve is not None and name not in arrays:
+            raise RuntimeError(f"lane array {name!r} was not reserved")
         if name not in arrays or arrays[name].shape != shape:
             arrays[name] = np.empty(shape, dtype)
         return arrays[name]
 
-    for name, shape, dtype in reserve:
-        alloc(name, shape, dtype)
     return alloc
 
 
@@ -97,3 +110,13 @@ def _run_lanes(lanes, step):
     failures = [f for f in (own, other) if f is not None]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
+
+
+def run_blocks(n, rows, step, reserve=(), last_first=False):
+    """``step(lane, alloc, start, stop)`` over the blocks of ``rows`` rows that cover [0, n), on
+    the two lanes, each first to last or, with ``last_first``, last to first.  ``reserve`` lists
+    the (name, shape, dtype) of every array a lane-1 block asks ``alloc`` for."""
+    blocks = [(start, min(start + rows, n)) for start in range(0, max(n, 1), rows)]
+    lanes = _lanes(blocks) if last_first else [lane[::-1] for lane in _lanes(blocks)]
+    allocs = [_buffers(), _buffers(reserve if lanes[1] else ())]
+    _run_lanes(lanes, lambda lane, start, stop: step(lane, allocs[lane], start, stop))

@@ -28,13 +28,13 @@ other block from the recorded inputs.  Every forward quantity is computed
 row by row, so the output does not depend on the block size wherever BLAS
 rounds a product row independently of the rows around it.
 
-A call over several blocks runs them on the two lanes of ``sipf.lanes``; a
-single-block call runs inline.  Forward output and the parameter gradients
-are bitwise those of a single-lane loop: lanes write disjoint ``x_hat`` rows,
-and ``backward`` keeps each block's kernel-MLP gradients and adds them up
-last block first.  ``d_x`` adds one neighbour-gradient sum per lane, the
-last block's lane first, so it differs from a single-lane sum by rounding
-only, and repeats bitwise.
+Forward and backward run their blocks with ``sipf.lanes.run_blocks`` (blocks,
+lanes and lane buffers are described there).  Forward output and the
+parameter gradients are bitwise those of a single-lane loop: lanes write
+disjoint ``x_hat`` rows, and ``backward`` keeps each block's kernel-MLP
+gradients and adds them up last block first.  ``d_x`` adds one
+neighbour-gradient sum per lane, the last block's lane first, so it differs
+from a single-lane sum by rounding only, and repeats bitwise.
 
 Layout: a block's per-edge arrays are slot-major, (k, m, .), so every
 reduction over the k slots is one leading-axis vector operation; the batched
@@ -44,13 +44,6 @@ non-finite check (a NaN or +inf score reaches it), scales by 1/sqrt(c_in)
 after the shift, and divides by one leading-axis sum that adds the k slots
 in slot order, 0 first.  The max misses a -inf score, which makes x_hat
 non-finite: ``layer_forward`` checks x_hat, above a bad score first.
-
-Buffers: within one call, each lane's blocks write their intermediates and
-``backward``'s temporaries into the arrays the lane's block before used,
-instead of allocating (and page-faulting) anew.  The calling thread
-allocates both lanes' arrays, its own lane's as its blocks first use them
-and lane 1's before handing it over, so the executor thread's malloc arena
-holds none of them between calls.  A call shares no buffer with another.
 """
 
 from __future__ import annotations
@@ -60,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericError
-from .lanes import _buffers, _lanes, _run_lanes
+from .lanes import run_blocks
 
 __all__ = [
     "LEAKY_SLOPE",
@@ -162,10 +155,10 @@ class LayerActivation:
     last_block: _Block = field(repr=False)
 
 
-def _worker_arrays(layer: RIAttnLayer, k: int, m: int, backward: bool):
-    """What a worker-lane block of m rows asks its allocator for, in ``_attend`` and, if
-    ``backward``, in backward's block step: the caller allocates it, so the worker allocates none."""
-    c, h = layer.c_in, layer.mlp_w1.shape[1]
+def _worker_arrays(layer: RIAttnLayer, k: int, backward: bool):
+    """What a lane-1 block asks its allocator for, in ``_attend`` and, if ``backward``, in
+    backward's block step: ``run_blocks`` reserves it, so the executor thread allocates none."""
+    c, h, m = layer.c_in, layer.mlp_w1.shape[1], _CHUNK_ROWS
     e = 2 if k * m == 1 else k * m  # kernel-MLP rows: a one-edge block runs as two copies
     f = np.float64
     arrays = [
@@ -178,11 +171,6 @@ def _worker_arrays(layer: RIAttnLayer, k: int, m: int, backward: bool):
             ("d_kernel", (k, m, c), f), ("d_xn", (k, m, c), f), ("d_pre", (k * m, h), f), ("bins", (k, m, c), np.int64),
         ]
     return arrays
-
-
-def _lane_allocators(layer, k, lanes, backward):
-    """Lane 0's allocator, filled by this thread as it runs, and lane 1's, filled now for its blocks."""
-    return [_buffers(), _buffers(_worker_arrays(layer, k, _CHUNK_ROWS, backward) if lanes[1] else ())]
 
 
 def _check_neighbors(idx, n):
@@ -263,14 +251,10 @@ def layer_forward(
         raise InvalidArgumentError(f"neighbor_idx must be ({n}, {k}), got {idx.shape}")
     _check_neighbors(idx, n)
     x_hat = np.empty((n, layer.c_in))
-    blocks = [(start, min(start + _CHUNK_ROWS, n)) for start in range(0, max(n, 1), _CHUNK_ROWS)]
-    # Each lane runs its blocks first to last, so the last block, lane 0's, goes into the record.
-    lanes = [lane[::-1] for lane in _lanes(blocks)]
-    allocs = _lane_allocators(layer, k, lanes, backward=False)
     kept = []
 
-    def aggregate(lane, start, stop):
-        block = _attend(layer, p, x, idx, start, stop, allocs[lane])
+    def aggregate(alloc, start, stop):
+        block = _attend(layer, p, x, idx, start, stop, alloc)
         np.max(block.attn_out, axis=0, out=x_hat[start:stop])
         # A -inf score beside finite ones passes the slot max; its value reaches x_hat as 0 * inf.
         finite = np.isfinite(x_hat[start:stop]).all(axis=1)
@@ -279,16 +263,18 @@ def layer_forward(
         if stop == n:
             kept.append(block)
 
-    def step(lane, start, stop):
+    def step(lane, alloc, start, stop):
         try:
-            aggregate(lane, start, stop)
+            aggregate(alloc, start, stop)
         except _BadScores as exc:
             # A -inf score above the first bad one shows only in x_hat: check those rows first.
             if exc.row > start:
-                aggregate(lane, start, exc.row)
+                aggregate(alloc, start, exc.row)
             raise
 
-    _run_lanes(lanes, step)
+    # Each lane runs its blocks first to last, so the last block's arrays, lane 0's, survive
+    # in its buffers for the record.
+    run_blocks(n, _CHUNK_ROWS, step, _worker_arrays(layer, k, backward=False))
     fused_input = np.concatenate([x_hat - x, x], axis=1)
     out = fused_input @ layer.fuse_w + layer.fuse_b
     act = LayerActivation(
@@ -337,15 +323,12 @@ def backward(
     h = layer.mlp_w1.shape[1]
     scale = 1.0 / np.sqrt(c)
     last = act.last_block
-    blocks = [(start, min(start + _CHUNK_ROWS, last.start)) for start in range(0, last.start, _CHUNK_ROWS)]
-    lanes = _lanes([*blocks, (last.start, n)])
-    allocs = _lane_allocators(layer, act.neighbor_idx.shape[1], lanes, backward=True)
-    # Neighbor-row gradients summed per (point, channel) bin, one vector per lane.
-    d_nbr = [np.zeros(n * c) for lane in lanes if lane]
+    # Neighbor-row gradients summed per (point, channel) bin, one vector per lane that runs:
+    # adding a lane's all-zero vector would turn a -0.0 of d_x into +0.0.
+    d_nbr = {}
     block_grads = {}
 
-    def step(lane, start, stop):
-        scratch = allocs[lane]
+    def step(lane, scratch, start, stop):
         if start == last.start:
             blk = last
         else:
@@ -388,14 +371,17 @@ def backward(
         }
         bins = scratch("bins", (k, m, c), np.int64)
         np.add(act.neighbor_idx[rows].T[:, :, None] * c, np.arange(c), out=bins)
+        if lane not in d_nbr:
+            d_nbr[lane] = np.zeros(n * c)
         d_nbr[lane] += np.bincount(bins.ravel(), weights=d_xn.ravel(), minlength=n * c)
 
-    _run_lanes(lanes, step)
+    reserve = _worker_arrays(layer, act.neighbor_idx.shape[1], backward=True)
+    run_blocks(n, _CHUNK_ROWS, step, reserve, last_first=True)
     grads = {}
     for start in sorted(block_grads, reverse=True):
         grads = {name: grads[name] + g if grads else g for name, g in block_grads[start].items()}
-    for lane_sum in d_nbr:
-        d_x += lane_sum.reshape(n, c)
+    for lane in sorted(d_nbr):
+        d_x += d_nbr[lane].reshape(n, c)
     grads["fuse_w"] = g_fuse_w
     grads["fuse_b"] = g_fuse_b
     return grads, d_x

@@ -21,7 +21,15 @@ from sipf.errors import (
     InvalidArgumentError,
     InvalidInputError,
 )
-from sipf.geometry import NeighborGraph, PointCloud, Rotation3, UnitQuaternion, random_rotation
+from sipf.geometry import (
+    NeighborGraph,
+    PointCloud,
+    Rotation3,
+    UnitQuaternion,
+    _as_float_array,
+    _rotation_matrix,
+    random_rotation,
+)
 from sipf.lrf import _PARALLEL_SIN_TOL, _ZERO_AXIS_TOL
 
 
@@ -33,6 +41,59 @@ settings.register_profile("csv-formatter-stress", max_examples=100_000, deadline
 def format_float(x: float) -> str:
     """One-value oracle of the CSV writer: 17 significant digits round-trip any double bitwise."""
     return format(float(x), ".17g")
+
+
+# Rotation constructors the tests build their cases with.
+
+
+def matrix_to_quat(rotation) -> UnitQuaternion:
+    """Rotation matrix to the w >= 0 quaternion via Shepperd's branch rule.
+
+    Accepts a :class:`Rotation3` or a raw 3x3 array; raw input is rejected if
+    it deviates from orthogonality / unit determinant by more than 1e-6.
+    """
+    if isinstance(rotation, Rotation3):
+        m = rotation.matrix
+    else:
+        m = _rotation_matrix(rotation, 1e-6)
+    t = np.trace(m)
+    # Branch on the largest of (trace, m00, m11, m22) for stability.
+    choices = np.array([t, m[0, 0], m[1, 1], m[2, 2]])
+    branch = int(np.argmax(choices))
+    if branch == 0:
+        s = np.sqrt(t + 1.0) * 2.0
+        q = np.array(
+            [0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s]
+        )
+    elif branch == 1:
+        s = np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
+        q = np.array(
+            [(m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s]
+        )
+    elif branch == 2:
+        s = np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
+        q = np.array(
+            [(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s, (m[1, 2] + m[2, 1]) / s]
+        )
+    else:
+        s = np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
+        q = np.array(
+            [(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, 0.25 * s]
+        )
+    q /= np.linalg.norm(q)
+    return UnitQuaternion.from_array(q).canonical()
+
+
+def rotation_from_axis_angle(axis, angle: float) -> Rotation3:
+    """Rotation by `angle` radians about `axis` (need not be unit length)."""
+    a = _as_float_array(axis, "axis")
+    n = np.linalg.norm(a)
+    if n == 0.0:
+        raise InvalidArgumentError("rotation axis must be nonzero")
+    x, y, z = a / n
+    kmat = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    m = np.eye(3) + np.sin(angle) * kmat + (1.0 - np.cos(angle)) * (kmat @ kmat)
+    return Rotation3(m)
 
 
 def brute_force_knn(points: np.ndarray, k: int) -> np.ndarray:

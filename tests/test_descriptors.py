@@ -26,22 +26,22 @@ from sipf.geometry import (
     Rotation3,
     UnitQuaternion,
     knn_graph,
-    matrix_to_quat,
     quat_to_matrix,
     random_rotation,
-    rotation_from_axis_angle,
 )
 from sipf.lrf import FRAME_MODE_BARYCENTER, FRAME_MODE_NORMAL, build_all_lrfs, try_build_all_lrfs
 from sipf.training import make_wingtip_dataset
 
 from conftest import (
     build_lrf,
+    matrix_to_quat,
     mirrored_blob_cloud,
     pair_rows,
     ppf,
     random_cloud,
     random_frames,
     reference_sipf_field,
+    rotation_from_axis_angle,
     scalar_axis_alignment,
     sipf,
     sipf_stack,
@@ -373,6 +373,28 @@ class TestFieldInputs:
         after = [cloud.points, shadow.points, shadow.frames]
         assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(before, after))
 
+    @pytest.mark.parametrize("bad", [-3, -1, 40])
+    def test_neighbour_index_outside_the_graph_is_rejected(self, bad):
+        # A negative index would read a point counted from the end, as numpy indexes.
+        cloud, frames, graph, shadow = _field_case(np.random.default_rng(5), 40, 4, FRAME_MODE_BARYCENTER)
+        idx = graph.indices.copy()
+        idx[35, 2] = bad
+        with pytest.raises(InvalidInputError, match=r"neighbor indices must lie in \[0, 40\)"):
+            NeighborGraph(k=4, indices=idx)
+
+    @pytest.mark.parametrize("short", ["cloud", "frames", "shadow"])
+    def test_inputs_must_have_the_graphs_rows(self, rng, short):
+        cloud, frames, graph, shadow = _field_case(rng, 40, 4, FRAME_MODE_BARYCENTER)
+        inputs = dict(cloud=cloud, frames=frames, graph=graph, shadow=shadow)
+        if short == "cloud":
+            inputs["cloud"] = PointCloud(points=cloud.points[:39])
+        elif short == "frames":
+            inputs["frames"] = frames[:39]
+        else:
+            inputs["shadow"] = shadow_of(PointCloud(points=cloud.points[:39]), frames[:39], shadow.rotation)
+        with pytest.raises(InvalidArgumentError, match="do not match a graph of 40 rows"):
+            sipf_field(**inputs)
+
 
 def _coincidence_case(pairs=(), shadows=(), shadow_on_neighbor=None):
     """A 40-point cloud, k = 4, in which each (i, j, exact) of ``pairs`` puts point j on point i,
@@ -518,26 +540,6 @@ class TestFieldBlocks:
         with pytest.raises(CoincidentPointError) as excinfo:
             sipf_field(cloud, frames, graph, shadow)
         assert str(excinfo.value) == f"coincident pair at index (10, {graph.indices[10, 0]})"
-
-    @pytest.mark.parametrize("rows", [1, 7])
-    def test_neighbour_indices_read_as_numpy_reads_them(self, monkeypatch, rows):
-        # A negative index counts from the end; one out of range raises numpy's IndexError.
-        cloud, frames, graph, shadow = _field_case(np.random.default_rng(5), 40, 4, FRAME_MODE_BARYCENTER)
-        idx = graph.indices.copy()
-        idx[35, 2] = -3
-        negative = NeighborGraph(k=4, indices=idx)
-        idx = idx.copy()
-        idx[35, 2] = 40
-        outside = NeighborGraph(k=4, indices=idx)
-        with pytest.raises(IndexError) as whole:
-            sipf_field(cloud, frames, outside, shadow)
-        monkeypatch.setattr(descriptors, "_FIELD_ROWS", rows)
-        field = sipf_field(cloud, frames, negative, shadow)
-        assert np.array_equal(_bits(field), _bits(reference_sipf_field(cloud, frames, negative, shadow)))
-        with pytest.raises(IndexError) as blocked:
-            sipf_field(cloud, frames, outside, shadow)
-        assert str(blocked.value) == str(whole.value)
-
 
 class TestDegeneracyDetectors:
     def test_axis_alignment_extremes(self):

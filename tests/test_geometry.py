@@ -15,13 +15,18 @@ from sipf.geometry import (
     apply_rotation,
     is_near_identity,
     knn_graph,
-    matrix_to_quat,
     quat_to_matrix,
     random_rotation,
-    rotation_from_axis_angle,
 )
 
-from conftest import brute_force_knn, lexsort_knn, quaternion_distance, random_cloud
+from conftest import (
+    brute_force_knn,
+    lexsort_knn,
+    matrix_to_quat,
+    quaternion_distance,
+    random_cloud,
+    rotation_from_axis_angle,
+)
 
 
 class TestPointCloud:

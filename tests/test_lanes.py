@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sipf import lanes
-from sipf.lanes import _buffers, _lanes, _run_lanes
+from sipf.lanes import _buffers, _lanes, _run_lanes, run_blocks
 
 
 def _blocks(n):
@@ -119,6 +119,63 @@ def test_buffers_are_reused_by_name_and_shape_and_reserved_ahead():
     assert b.dtype == np.int64
     assert alloc("a", (2, 3)) is a and alloc("b", (4,), np.int64) is b
     assert alloc("a", (3, 2)) is not a
+    # A reserved allocator refuses a name its list left out, before allocating anything.
+    with pytest.raises(RuntimeError, match="'c' was not reserved"):
+        alloc("c", (2, 3))
+    assert _buffers()("c", (2, 3)).shape == (2, 3)
+
+
+def _record_blocks(n, rows, last_first=False):
+    """The (lane, start, stop) calls of ``run_blocks``, each lane in its order."""
+    ran = {0: [], 1: []}
+    run_blocks(n, rows, lambda lane, alloc, start, stop: ran[lane].append((start, stop)), last_first=last_first)
+    return ran
+
+
+@pytest.mark.parametrize(
+    "n, blocks",
+    [(0, [(0, 0)]), (1, [(0, 1)]), (4, [(0, 4)]), (5, [(0, 4), (4, 5)]), (9, [(0, 4), (4, 8), (8, 9)])],
+)
+def test_run_blocks_covers_the_rows_once(n, blocks):
+    ran = _record_blocks(n, 4)
+    assert sorted(ran[0] + ran[1]) == blocks
+    # The last block is lane 0's; a call with one block leaves lane 1 empty.
+    assert blocks[-1] in ran[0] and bool(ran[1]) == (len(blocks) > 1)
+
+
+@pytest.mark.parametrize(
+    "last_first, lanes", [(False, [[0, 2, 4], [1, 3]]), (True, [[4, 2, 0], [3, 1]])]
+)
+def test_run_blocks_orders_each_lane(last_first, lanes):
+    ran = _record_blocks(5, 1, last_first)
+    assert [[start for start, _ in ran[lane]] for lane in (0, 1)] == lanes
+
+
+def test_run_blocks_allocates_lane_ones_arrays_in_the_calling_thread(monkeypatch):
+    caller = threading.current_thread()
+    made_in = []
+    empty = np.empty
+
+    def recorded_empty(*args, **kwargs):
+        made_in.append(threading.current_thread() is caller)
+        return empty(*args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", recorded_empty)
+    arrays = {0: [], 1: []}
+
+    def step(lane, alloc, start, stop):
+        arrays[lane].append((threading.current_thread() is caller, alloc("a", (2,)), alloc("b", (3,), np.int64)))
+
+    run_blocks(4, 1, step, [("a", (2,), np.float64), ("b", (3,), np.int64)])
+    # Lane 1 runs on the executor, in the arrays made here before it started; lane 0 makes its
+    # own as its first block asks for them.  Each lane's blocks reuse its arrays.
+    assert made_in == [True] * 4
+    for lane, on_caller in ((0, True), (1, False)):
+        first = arrays[lane][0]
+        assert len(arrays[lane]) == 2 and {r[0] for r in arrays[lane]} == {on_caller}
+        assert all(r[1] is first[1] and r[2] is first[2] for r in arrays[lane])
+        assert first[2].dtype == np.int64
+    assert arrays[0][0][1] is not arrays[1][0][1]
 
 
 def test_forked_child_gets_its_own_executor():

@@ -20,13 +20,13 @@ from hypothesis import strategies as st
 from sipf import bingham, lanes, riattn
 from sipf.descriptors import MASK_PPF, MASK_SIPF, shadow_of, sipf_field
 from sipf.errors import InvalidArgumentError, NumericError
-from sipf.geometry import PointCloud, apply_rotation, knn_graph, random_rotation, rotation_from_axis_angle
+from sipf.geometry import PointCloud, apply_rotation, knn_graph, random_rotation
+from sipf.lanes import _buffers
 from sipf.lrf import FRAME_MODE_BARYCENTER, build_all_lrfs, input_descriptor
 from sipf.riattn import (
     LEAKY_SLOPE,
     RIAttnLayer,
     _attend,
-    _buffers,
     backward,
     layer_forward,
     total_loss,
@@ -34,7 +34,7 @@ from sipf.riattn import (
 )
 from sipf.training import ClassifierHead, _cross_entropy, make_wingtip_dataset
 
-from conftest import random_cloud
+from conftest import random_cloud, rotation_from_axis_angle
 
 
 def _zero_layer(c_in, c_out, hidden=None):
