@@ -22,7 +22,6 @@ from .bingham import (
     mode,
     normalization,
     params_from_seed,
-    sample,
 )
 from .descriptors import (
     MASK_PPF,

@@ -55,7 +55,6 @@ __all__ = [
     "normalization",
     "entropy",
     "mode",
-    "sample",
     "sample_with_rate",
     "bingham_loss_and_seed_gradient",
 ]
@@ -273,18 +272,14 @@ def _rejection_bound(lambdas3) -> float:
     return float(np.exp(-s) * (1.0 + 2.0 * s) ** 2) * _MSTAR_SAFETY
 
 
-def sample(params: BinghamParams, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n quaternions (rows, scalar-first) by batched acceptance-rejection.
+def sample_with_rate(params: BinghamParams, rng: np.random.Generator, n: int):
+    """n quaternions (rows, scalar-first) by batched acceptance-rejection, and the empirical
+    acceptance rate.
 
     Deterministic per generator state.  Proposals come from the angular
     central Gaussian with covariance (I + 2A)^{-1}; the acceptance test is
     u < f*(q) / (M* g*(q)).
     """
-    return sample_with_rate(params, rng, n)[0]
-
-
-def sample_with_rate(params: BinghamParams, rng: np.random.Generator, n: int):
-    """Like :func:`sample` but also returns the empirical acceptance rate."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise InvalidArgumentError(f"sample count must be a positive integer, got {n!r}")
     lam = params.lambdas[:3]

@@ -176,8 +176,9 @@ def cmd_features(args) -> int:
     # np.nonzero walks the mask row-major: by reference point, then neighbour slot.
     ref, col = np.nonzero(_usable_edges(graph, valid))
     table = np.column_stack([ref, graph.indices[ref, col], field[ref, col]])
+    del field, ref, col  # freed before the text is built
     header = "ref_index,nbr_index,ppf1,ppf2,ppf3,ppf4,sippf1,sippf2,sippf3,sippf4\n"
-    _emit(header + format_rows(table, n_int=2), args.out)
+    _emit(format_rows(table, n_int=2, header=header), args.out)
     return EXIT_OK
 
 
@@ -253,8 +254,8 @@ def cmd_bingham(args) -> int:
             raise InvalidArgumentError("-n must be >= 1")
         if rng is None:
             rng = np.random.default_rng(config.seed)
-        samples = bingham.sample(params, rng, args.n)
-        _emit("w,x,y,z\n" + format_rows(samples, n_int=0), args.out)
+        samples = bingham.sample_with_rate(params, rng, args.n)[0]
+        _emit(format_rows(samples, n_int=0, header="w,x,y,z\n"), args.out)
     elif args.bingham_cmd == "entropy":
         res = bingham.normalization(params)
         report = {

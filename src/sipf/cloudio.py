@@ -39,12 +39,16 @@ import numpy as np
 
 from .errors import InvalidInputError, ParseError
 from .geometry import PointCloud
+from .lanes import run_blocks
 
 __all__ = ["load_cloud", "format_rows", "write_text_atomic"]
 
-# Rows formatted per pass of the kernel.  Its work buffers (about 1 MB for
-# the ten-column features table) stay in cache and small beside the text.
-_CSV_CHUNK_ROWS = 512
+# Rows formatted per pass of the kernel, one chunk a block of the two lanes.
+# Each lane's work buffers take about 3.5 MB for the ten-column features
+# table, small beside its ~17 MB text at 5k points.  At 512 rows the two
+# lanes were slower than one: the GIL changed hands around ~40 small numpy
+# calls a chunk.
+_CSV_CHUNK_ROWS = 2048
 
 # Every field is _FIELD bytes, six uint64 words: byte 0 the sign, 1-5 the lead
 # "0.000" of d in [-4, -1], 6 + 2i digit i with a point slot at 7 + 2i after
@@ -221,8 +225,9 @@ def _fields(x, line_end, out, groups, words):
     return layout, fast
 
 
-def format_rows(table, n_int: int) -> str:
-    """CSV lines of a 2-D table: the first ``n_int`` columns as ``%d``, the rest as ``%.17g``.
+def format_rows(table, n_int: int, header: str = "") -> str:
+    """``header``, then the CSV lines of a 2-D table: the first ``n_int`` columns as ``%d``, the
+    rest as ``%.17g``.
 
     17 significant digits round-trip any double bitwise.  Integer columns may
     be stored as float64.  The text is byte for byte that of the ``%``
@@ -230,23 +235,26 @@ def format_rows(table, n_int: int) -> str:
     float with a decimal exponent in [-6, 16], and ±0; ``"%.17g" % v``
     writes the others.  Integers below 2**53 in magnitude are truncated like
     ``int()`` and written by the same kernel; ``"%d" % v`` writes the
-    others, so NaN raises ValueError and inf OverflowError as there.
+    others, so NaN raises ValueError and inf OverflowError as there, the
+    first in text order.
+
+    Chunks of ``_CSV_CHUNK_ROWS`` rows run on the two lanes of
+    ``sipf.lanes.run_blocks``, each decoded into its own slot of the parts
+    list.  ``header`` is the first part, so the caller's header is joined
+    in place instead of being prepended to a second copy of the text.
     """
     table = np.asarray(table, dtype=np.float64)
     n_rows, n_cols = table.shape
-    size = min(n_rows, _CSV_CHUNK_ROWS) * n_cols
-    # The kernel's work buffers are allocated once: buffers made for every
-    # chunk interleave on the heap with the text parts, and peak memory rose.
-    fields = np.empty((size, _FIELD // 8), dtype=np.uint64)
-    words = np.empty_like(fields)
-    groups = np.full((6, size), _ALL_KEPT, dtype=np.intp)
-    keep = np.empty(fields.nbytes, dtype=bool)
-    text = np.empty(size * _MAX_TEXT, dtype=np.uint8)
+    _tables()  # built here, not by both lanes at once
+    rows = min(n_rows, _CSV_CHUNK_ROWS)
+    size = rows * n_cols
     line_end = np.resize(np.arange(n_cols, dtype=np.intp) == n_cols - 1, size) * (2 * _LAYOUT_BLOCK)
-    parts = []
-    for start in range(0, n_rows, _CSV_CHUNK_ROWS):
-        block = table[start : start + _CSV_CHUNK_ROWS]
-        values = block.copy()
+    parts = [header] + [""] * max(1, -(-n_rows // _CSV_CHUNK_ROWS))
+
+    def fill(lane, alloc, start, stop):
+        block = table[start:stop]
+        values = alloc("values", (rows, n_cols))[: stop - start]
+        np.copyto(values, block)
         ints = values[:, :n_int]
         # NaN sends the values that only %d can write to the fallback; int()
         # truncates toward zero and drops the sign of -0.0.
@@ -254,14 +262,29 @@ def format_rows(table, n_int: int) -> str:
         np.trunc(ints, out=ints)
         ints += 0.0
         k = values.size
-        layout, fast = _fields(values.ravel(), line_end[:k], fields[:k], groups[:, :k], words[:k])
-        raw = fields[:k].view(np.uint8).ravel()
-        kept = np.not_equal(raw, 0, out=keep[: len(raw)])
+        fields = alloc("fields", (size, _FIELD // 8), np.uint64)[:k]
+        # The digit words, then the keep mask: both are k * _FIELD bytes.
+        scratch = alloc("scratch", (size, _FIELD // 8), np.uint64)
+        groups = alloc("groups", (6, size), np.intp)
+        groups[-1] = _ALL_KEPT
+        layout, fast = _fields(values.ravel(), line_end[:k], fields, groups[:, :k], scratch[:k])
+        raw = fields.view(np.uint8).ravel()
+        kept = np.not_equal(raw, 0, out=scratch.view(bool).ravel()[: len(raw)])
         if fast.all():
+            text = alloc("text", (size * _MAX_TEXT,), np.uint8)
             chunk = np.compress(kept, raw, out=text[: np.count_nonzero(kept)])
         else:
             chunk = _insert_fallbacks(np.compress(kept, raw), block, n_int, layout, fast)
-        parts.append(str(memoryview(chunk), "ascii"))
+        parts[1 + start // _CSV_CHUNK_ROWS] = str(memoryview(chunk), "ascii")
+
+    reserve = [
+        ("values", (rows, n_cols), np.float64),
+        ("fields", (size, _FIELD // 8), np.uint64),
+        ("scratch", (size, _FIELD // 8), np.uint64),
+        ("groups", (6, size), np.intp),
+        ("text", (size * _MAX_TEXT,), np.uint8),
+    ]
+    run_blocks(n_rows, _CSV_CHUNK_ROWS, fill, reserve)
     return "".join(parts)
 
 

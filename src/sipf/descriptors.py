@@ -95,6 +95,8 @@ def shadow_of(cloud: PointCloud, frames: np.ndarray, rotation: Rotation3) -> Sha
 
 def coincident_pairs(cloud: PointCloud, graph: NeighborGraph) -> np.ndarray:
     """(P, 2) index pairs, i < j and ascending, of the graph edges shorter than COINCIDENT_DISTANCE_FLOOR."""
+    if len(cloud) != len(graph):
+        raise InvalidArgumentError(f"cloud of {len(cloud)} points does not match a graph of {len(graph)} rows")
     edge_length = np.linalg.norm(cloud.points[graph.indices] - cloud.points[:, None, :], axis=-1)
     ref, slot = np.nonzero(edge_length < COINCIDENT_DISTANCE_FLOOR)
     return np.unique(np.sort(np.column_stack([ref, graph.indices[ref, slot]]), axis=1), axis=0)

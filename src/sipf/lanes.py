@@ -1,5 +1,6 @@
 """One blocked-stage runner for the per-row stages: the attention layer's
-forward and backward, ``sipf_field`` and ``knn_graph``'s query.
+forward and backward, ``sipf_field``, ``knn_graph``'s query and the CSV
+writer ``format_rows``.
 
 ``run_blocks(n, rows, step, reserve, last_first)`` cuts the rows [0, n) into
 blocks of ``rows`` rows (n = 0 gives one empty block) and calls

@@ -31,6 +31,8 @@ _ZERO_AXIS_TOL = 1e-12
 
 
 def _frame_inputs(cloud: PointCloud, graph: NeighborGraph, mode: str):
+    if len(cloud) != len(graph):
+        raise InvalidArgumentError(f"cloud of {len(cloud)} points does not match a graph of {len(graph)} rows")
     pts = cloud.points
     bary = pts[graph.indices].mean(axis=1) - pts
     if mode == FRAME_MODE_NORMAL:

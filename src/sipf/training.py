@@ -323,7 +323,7 @@ def _named_parameters(layers, head):
 
 def _sample_rotation(seed_z1, seed_z2, rng):
     params = bingham.params_from_seed(bingham.BinghamSeed(seed_z1, seed_z2))
-    q = bingham.sample(params, rng, 1)[0]
+    q = bingham.sample_with_rate(params, rng, 1)[0][0]
     return UnitQuaternion.from_array(q).canonical()
 
 

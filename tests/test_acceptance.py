@@ -138,7 +138,7 @@ class TestCriterion5SamplerStatistics:
         started = time.monotonic()
         v = bingham.birdal_V(np.array([0.3, -0.5, 0.8, 0.1]))
         params = bingham.BinghamParams(V=v, lambdas=np.array([-10.0, -5.0, -2.0, 0.0]))
-        qs = bingham.sample(params, np.random.default_rng(52), 100_000)
+        qs = bingham.sample_with_rate(params, np.random.default_rng(52), 100_000)[0]
         scatter = qs.T @ qs / len(qs)
         _, vecs = np.linalg.eigh(scatter)
         worst_angle = 0.0
@@ -148,7 +148,7 @@ class TestCriterion5SamplerStatistics:
         assert worst_angle < 2.0
 
         concentrated = bingham.BinghamParams(V=v, lambdas=np.array([-200.0, -200.0, -200.0, 0.0]))
-        qs2 = bingham.sample(concentrated, np.random.default_rng(53), 10_000)
+        qs2 = bingham.sample_with_rate(concentrated, np.random.default_rng(53), 10_000)[0]
         mode_q = bingham.mode(concentrated).array
         dist = np.arccos(np.clip(np.abs(qs2 @ mode_q), 0.0, 1.0))
         containment = (dist < 0.2).mean()
@@ -173,7 +173,7 @@ class TestCriterion6EntropyFormula:
         gaps = {}
         for name, lam in regimes.items():
             params = bingham.BinghamParams(V=v, lambdas=lam)
-            qs = bingham.sample(params, np.random.default_rng(61), 100_000)
+            qs = bingham.sample_with_rate(params, np.random.default_rng(61), 100_000)[0]
             res = bingham.normalization(params)
             proj = qs @ params.V
             log_density = (proj**2 * params.lambdas).sum(axis=1) - np.log(res.F)

@@ -18,7 +18,6 @@ from sipf.bingham import (
     mode,
     normalization,
     params_from_seed,
-    sample,
     sample_with_rate,
     _moments,
 )
@@ -223,7 +222,7 @@ class TestEntropy:
 
     def test_matches_sampler_estimate(self, rng):
         params = make_params([-10.0, -5.0, -2.0])
-        qs = sample(params, rng, 50_000)
+        qs = sample_with_rate(params, rng, 50_000)[0]
         res = normalization(params)
         proj = qs @ params.V
         log_density = (proj**2 * params.lambdas).sum(axis=1) - np.log(res.F)
@@ -262,14 +261,14 @@ class TestSampler:
 
     def test_concentrated_geodesic_containment(self):
         params = make_params([-200.0, -200.0, -200.0])
-        qs = sample(params, np.random.default_rng(5), 10_000)
+        qs = sample_with_rate(params, np.random.default_rng(5), 10_000)[0]
         mode_q = mode(params).array
         dist = np.arccos(np.clip(np.abs(qs @ mode_q), 0.0, 1.0))
         assert (dist < 0.2).mean() >= 0.99
 
     def test_scatter_eigenvectors_align_with_v(self):
         params = make_params([-10.0, -5.0, -2.0])
-        qs = sample(params, np.random.default_rng(6), 100_000)
+        qs = sample_with_rate(params, np.random.default_rng(6), 100_000)[0]
         scatter = qs.T @ qs / len(qs)
         _, vecs = np.linalg.eigh(scatter)
         # Ascending eigenvalues pair with columns (v1, v2, v3, v4).
@@ -282,7 +281,7 @@ class TestSampler:
         # psi = arccos|v4 . q| has density prop. sin^2(psi) exp(l sin^2 psi).
         lam = -5.0
         params = make_params([lam, lam, lam])
-        qs = sample(params, np.random.default_rng(7), 50_000)
+        qs = sample_with_rate(params, np.random.default_rng(7), 50_000)[0]
         psi = np.arccos(np.clip(np.abs(qs @ params.V[:, 3]), 0.0, 1.0))
         edges = np.linspace(0.0, np.pi / 2, 21)
         nodes, weights = np.polynomial.legendre.leggauss(64)
@@ -300,7 +299,7 @@ class TestSampler:
 
     def test_moments_match_quadrature_general_lambda(self):
         params = make_params([-10.0, -5.0, -2.0])
-        qs = sample(params, np.random.default_rng(8), 100_000)
+        qs = sample_with_rate(params, np.random.default_rng(8), 100_000)[0]
         res = normalization(params)
         proj = qs @ params.V
         empirical = (proj**2).mean(axis=0)
@@ -309,14 +308,14 @@ class TestSampler:
 
     def test_deterministic_per_seed(self):
         params = make_params([-4.0, -2.0, -1.0])
-        a = sample(params, np.random.default_rng(11), 500)
-        b = sample(params, np.random.default_rng(11), 500)
+        a = sample_with_rate(params, np.random.default_rng(11), 500)[0]
+        b = sample_with_rate(params, np.random.default_rng(11), 500)[0]
         assert np.array_equal(a, b)
 
     def test_bad_count(self):
         params = make_params([-1.0, -1.0, -1.0])
         with pytest.raises(InvalidArgumentError):
-            sample(params, np.random.default_rng(0), 0)
+            sample_with_rate(params, np.random.default_rng(0), 0)
 
 
 class TestSeedGradient:

@@ -158,6 +158,8 @@ class TestFormatting:
 
     def test_empty_table_gives_empty_text(self):
         assert format_rows(np.empty((0, 10)), n_int=2) == ""
+        # n = 0 is one empty block, whose slot in the parts list follows the header's.
+        assert format_rows(np.empty((0, 10)), 2, header="a,b\n") == "a,b\n"
 
     # One chunk and one row past it; then 4096 rows, a whole number of chunks,
     # and one row past that.
@@ -171,6 +173,12 @@ class TestFormatting:
         text = format_rows(table, n_int=2)
         assert text.count("\n") == n_rows
         assert text == oracle_rows(table, 2)
+
+    def test_fast_path_chunks_on_both_lanes_match_oracle(self, rng):
+        # Features-like values, none of which falls back: every chunk takes the compaction path.
+        n_rows = 2 * _CSV_CHUNK_ROWS + 1
+        table = np.column_stack([rng.integers(0, 5000, size=(n_rows, 2)), rng.uniform(-1, 1, (n_rows, 8))])
+        assert format_rows(table, n_int=2) == oracle_rows(table, 2)
 
     def test_atomic_write(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -280,6 +288,31 @@ class TestFormattingParity:
             "%d" % bad
         with pytest.raises(expected.type):
             format_rows(np.array([[1.0, 2.0], [bad, 0.5]]), n_int=1)
+
+    def test_fallbacks_in_every_chunk_of_both_lanes_match_oracle(self, rng):
+        # Chunks 0 and 2 run on lane 0, chunk 1 on lane 1.
+        n_rows = 2 * _CSV_CHUNK_ROWS + 1
+        idx = rng.integers(0, 100_000, size=(n_rows, 2)).astype(np.float64)
+        table = np.column_stack([idx, rng.standard_normal((n_rows, 8))])
+        fallbacks = [5e-324, -2.5e-320, 1e300, np.inf, -np.inf, np.nan]
+        for start in range(0, n_rows, _CSV_CHUNK_ROWS):
+            rows = start + rng.integers(0, min(_CSV_CHUNK_ROWS, n_rows - start), size=len(fallbacks))
+            table[rows, 2 + rng.integers(0, 8, size=len(fallbacks))] = fallbacks
+            table[rows[:2], [0, 1]] = [2.0**53, -1e300]
+        text = format_rows(table, n_int=2)
+        assert text.count("\n") == n_rows
+        assert text == oracle_rows(table, 2)
+
+    @pytest.mark.parametrize("lane_one, lane_zero, raised", [
+        (np.inf, np.nan, OverflowError), (np.nan, np.inf, ValueError),
+    ])
+    def test_first_integer_error_in_text_order_is_raised_across_lanes(self, lane_one, lane_zero, raised):
+        # Chunk 1 runs on lane 1 and chunk 2 on lane 0, after chunk 0; the lower chunk's error wins.
+        table = np.ones((2 * _CSV_CHUNK_ROWS + 1, 3))
+        table[_CSV_CHUNK_ROWS + 5, 0] = lane_one
+        table[2 * _CSV_CHUNK_ROWS, 0] = lane_zero
+        with pytest.raises(raised):
+            format_rows(table, n_int=1)
 
     @settings(deadline=None)
     @given(st.binary(min_size=8, max_size=512), st.integers(0, 2))

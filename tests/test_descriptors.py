@@ -14,6 +14,7 @@ from sipf.descriptors import (
     MASK_SIPF,
     MASK_SIPF_NO_DIRECTION,
     ShadowCloud,
+    coincident_pairs,
     detect_axis_alignment,
     detect_local_coincidence,
     shadow_of,
@@ -394,6 +395,14 @@ class TestFieldInputs:
             inputs["shadow"] = shadow_of(PointCloud(points=cloud.points[:39]), frames[:39], shadow.rotation)
         with pytest.raises(InvalidArgumentError, match="do not match a graph of 40 rows"):
             sipf_field(**inputs)
+
+    # A graph shorter than the cloud made numpy's broadcast error, a longer one an IndexError.
+    @pytest.mark.parametrize("n_cloud, n_graph", [(50, 30), (30, 50)])
+    def test_coincident_pairs_needs_the_graphs_rows(self, rng, n_cloud, n_graph):
+        graph = knn_graph(random_cloud(rng, n_graph), 4)
+        message = f"cloud of {n_cloud} points does not match a graph of {n_graph} rows"
+        with pytest.raises(InvalidArgumentError, match=message):
+            coincident_pairs(random_cloud(rng, n_cloud), graph)
 
 
 def _coincidence_case(pairs=(), shadows=(), shadow_on_neighbor=None):

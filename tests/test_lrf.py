@@ -167,6 +167,16 @@ class TestBuildAllLrfs:
         assert not valid[0]
         assert frames.shape == (5, 3, 3)
 
+    # A graph shorter than the cloud made numpy's broadcast error, a longer one an IndexError.
+    @pytest.mark.parametrize("n_cloud, n_graph", [(50, 30), (30, 50)])
+    @pytest.mark.parametrize("mode", [FRAME_MODE_NORMAL, FRAME_MODE_BARYCENTER])
+    def test_graph_must_have_the_clouds_rows(self, rng, n_cloud, n_graph, mode):
+        graph = knn_graph(random_cloud(rng, n_graph), 4)
+        cloud = random_cloud(rng, n_cloud, with_normals=True)
+        message = f"cloud of {n_cloud} points does not match a graph of {n_graph} rows"
+        with pytest.raises(InvalidArgumentError, match=message):
+            try_build_all_lrfs(cloud, graph, mode)
+
 
 class TestInputDescriptor:
     def _single_point_descriptor(self, point, primary):
