@@ -49,7 +49,6 @@ from .geometry import (
     PointCloud,
     Rotation3,
     UnitQuaternion,
-    apply_rotation,
     knn_graph,
     quat_to_matrix,
     random_rotation,

@@ -42,8 +42,8 @@ from .errors import (
     SipfError,
 )
 from .geometry import (
+    PointCloud,
     UnitQuaternion,
-    apply_rotation,
     knn_graph,
     quat_to_matrix,
     random_rotation,
@@ -178,14 +178,15 @@ def cmd_features(args) -> int:
     table = np.column_stack([ref, graph.indices[ref, col], field[ref, col]])
     del field, ref, col  # freed before the text is built
     header = "ref_index,nbr_index,ppf1,ppf2,ppf3,ppf4,sippf1,sippf2,sippf3,sippf4\n"
-    _emit(format_rows(table, n_int=2, header=header), args.out)
+    _emit(format_rows(table, header=header), args.out)
     return EXIT_OK
 
 
 def _rotate_field_inputs(cloud, frames, shadow, rotation):
+    """Positions, frames and shadow under one joint rotation; the field reads no normals."""
     m = rotation.matrix
-    shadow_r = ShadowCloud(points=shadow.points @ m, frames=shadow.frames @ m, rotation=shadow.rotation)
-    return apply_rotation(cloud, rotation), frames @ m, shadow_r
+    shadow_r = ShadowCloud(points=shadow.points @ m, axes=shadow.axes @ m)
+    return PointCloud(points=cloud.points @ m), frames @ m, shadow_r
 
 
 def cmd_verify_invariance(args) -> int:
@@ -255,7 +256,7 @@ def cmd_bingham(args) -> int:
         if rng is None:
             rng = np.random.default_rng(config.seed)
         samples = bingham.sample_with_rate(params, rng, args.n)[0]
-        _emit(format_rows(samples, n_int=0, header="w,x,y,z\n"), args.out)
+        _emit(format_rows(samples, header="w,x,y,z\n"), args.out)
     elif args.bingham_cmd == "entropy":
         res = bingham.normalization(params)
         report = {

@@ -6,9 +6,9 @@ vertex properties x, y, z and optionally nx, ny, nz; binary PLY is rejected.
 Normals are re-normalized on load since scan data is noisy.
 
 CSV rows are written by one vectorised numpy kernel that emits exactly the
-bytes of ``"%d"`` and ``"%.17g"``, with an exact fast path for almost every
-value and a per-value fallback for the rest, as in Grisu (Loitsch,
-"Printing floating-point numbers quickly and accurately", PLDI 2010).
+bytes of ``"%.17g"``, with an exact fast path for almost every value and a
+per-value fallback for the rest, as in Grisu (Loitsch, "Printing
+floating-point numbers quickly and accurately", PLDI 2010).
 
 * Digits.  A double x with 10**d <= |x| < 10**(d+1) is scaled by 10**(16 - d),
   an exact double for d in [-6, 16].  Dekker's two-product gives the scaled
@@ -17,9 +17,7 @@ value and a per-value fallback for the rest, as in Grisu (Loitsch,
   as ``%.17g`` rounds, by comparing pl with floor(pl) + 0.5.
 * Fast path: d in [-6, 16] after rounding, and ±0.  Every other double
   (subnormals, |x| < 1e-6 or >= 1e17, inf, nan) is written by
-  ``"%.17g" % x``.  An integer column takes the fast path for finite values
-  below 2**53 in magnitude, truncated like ``int()``, and ``"%d" % x``
-  otherwise, so NaN and inf raise as they do there.
+  ``"%.17g" % x``, which never raises.
 * Layout.  Each value gets a fixed-width field of bytes: a row of a small
   table chosen by (separator, sign, d, significant-digit count) holds the
   constant bytes and marks where digits go, the digits come from a table of
@@ -137,7 +135,6 @@ _SPLIT = 134217729.0  # 2**27 + 1
 _POW10 = np.array([float(10**p) for p in range(23)], dtype=np.float64)
 _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
-_INT_LIMIT = 2.0**53
 _WRITE_SLICE = 1 << 20  # characters encoded and written at a time by write_text_atomic
 
 
@@ -225,18 +222,14 @@ def _fields(x, line_end, out, groups, words):
     return layout, fast
 
 
-def format_rows(table, n_int: int, header: str = "") -> str:
-    """``header``, then the CSV lines of a 2-D table: the first ``n_int`` columns as ``%d``, the
-    rest as ``%.17g``.
+def format_rows(table, header: str = "") -> str:
+    """``header``, then the CSV lines of a 2-D table, every value as ``%.17g``.
 
-    17 significant digits round-trip any double bitwise.  Integer columns may
-    be stored as float64.  The text is byte for byte that of the ``%``
-    operator.  The vectorised kernel of the module docstring writes every
-    float with a decimal exponent in [-6, 16], and ±0; ``"%.17g" % v``
-    writes the others.  Integers below 2**53 in magnitude are truncated like
-    ``int()`` and written by the same kernel; ``"%d" % v`` writes the
-    others, so NaN raises ValueError and inf OverflowError as there, the
-    first in text order.
+    17 significant digits round-trip any double bitwise, and an integer
+    below 10**17 in magnitude, such as an index column, prints as ``%d``
+    would print it.  The text is byte for byte that of the ``%`` operator.
+    The vectorised kernel of the module docstring writes every value with a
+    decimal exponent in [-6, 16], and ±0; ``"%.17g" % v`` writes the others.
 
     Chunks of ``_CSV_CHUNK_ROWS`` rows run on the two lanes of
     ``sipf.lanes.run_blocks``, each decoded into its own slot of the parts
@@ -253,32 +246,23 @@ def format_rows(table, n_int: int, header: str = "") -> str:
 
     def fill(lane, alloc, start, stop):
         block = table[start:stop]
-        values = alloc("values", (rows, n_cols))[: stop - start]
-        np.copyto(values, block)
-        ints = values[:, :n_int]
-        # NaN sends the values that only %d can write to the fallback; int()
-        # truncates toward zero and drops the sign of -0.0.
-        ints[~(np.abs(ints) < _INT_LIMIT)] = np.nan
-        np.trunc(ints, out=ints)
-        ints += 0.0
-        k = values.size
+        k = block.size
         fields = alloc("fields", (size, _FIELD // 8), np.uint64)[:k]
         # The digit words, then the keep mask: both are k * _FIELD bytes.
         scratch = alloc("scratch", (size, _FIELD // 8), np.uint64)
         groups = alloc("groups", (6, size), np.intp)
         groups[-1] = _ALL_KEPT
-        layout, fast = _fields(values.ravel(), line_end[:k], fields, groups[:, :k], scratch[:k])
+        layout, fast = _fields(block.ravel(), line_end[:k], fields, groups[:, :k], scratch[:k])
         raw = fields.view(np.uint8).ravel()
         kept = np.not_equal(raw, 0, out=scratch.view(bool).ravel()[: len(raw)])
         if fast.all():
             text = alloc("text", (size * _MAX_TEXT,), np.uint8)
             chunk = np.compress(kept, raw, out=text[: np.count_nonzero(kept)])
         else:
-            chunk = _insert_fallbacks(np.compress(kept, raw), block, n_int, layout, fast)
+            chunk = _insert_fallbacks(np.compress(kept, raw), block, layout, fast)
         parts[1 + start // _CSV_CHUNK_ROWS] = str(memoryview(chunk), "ascii")
 
     reserve = [
-        ("values", (rows, n_cols), np.float64),
         ("fields", (size, _FIELD // 8), np.uint64),
         ("scratch", (size, _FIELD // 8), np.uint64),
         ("groups", (6, size), np.intp),
@@ -288,18 +272,15 @@ def format_rows(table, n_int: int, header: str = "") -> str:
     return "".join(parts)
 
 
-def _insert_fallbacks(text, block, n_int, layout, fast):
-    """Insert ``"%d" % v`` or ``"%.17g" % v`` into the empty field of each fallback value of ``block``.
+def _insert_fallbacks(text, block, layout, fast):
+    """Insert ``"%.17g" % v`` into the empty field of each fallback value of ``block``.
 
     The layout lengths give where each field starts in the compacted text.
-    Values are written in text order, so the first NaN or inf of an integer
-    column raises as the ``%`` operator would.
     """
     lengths = _tables()[1][layout]
     starts = np.cumsum(lengths) - lengths
     slow = np.flatnonzero(~fast)
-    n_cols = block.shape[1]
-    pieces = [(("%d" if i % n_cols < n_int else "%.17g") % block.flat[i]).encode("ascii") for i in slow]
+    pieces = [("%.17g" % block.flat[i]).encode("ascii") for i in slow]
     sizes = np.array([len(p) for p in pieces], dtype=np.intp)
     inserted = np.frombuffer(b"".join(pieces), dtype=np.uint8)
     return np.insert(text, np.repeat(starts[slow], sizes), inserted)

@@ -5,7 +5,8 @@ The plain pair feature for two oriented points is
     (|d|, cos(a1, d), cos(aj, d), cos(a1, aj)),    d = p_j - p_r,
 
 where a1/aj are the primary frame axes.  The shadow-informed block compares
-both endpoints against a shared reference copy of the point ("shadow"):
+both endpoints against a shared reference copy of the point ("shadow"),
+p_r' = p_r R_g with primary axis a1' = a1 R_g:
 
     (pair(p_r, p_r') - pair(p_j, p_r')) / |...|_2,
 
@@ -60,37 +61,37 @@ COINCIDENT_DISTANCE_FLOOR = 1e-15
 
 @dataclass(frozen=True)
 class ShadowCloud:
-    """Reference copy of a cloud under one shared rotation.
+    """Reference copy of a cloud under one shared rotation: the rotated points
+    and their rotated primary axes, both (N, 3).
 
-    Frames are transported (right-multiplied) rather than recomputed; by
+    The axes are transported (right-multiplied) rather than recomputed; by
     frame equivariance the two are identical and transport avoids a second
     neighbor pass.
     """
 
     points: np.ndarray
-    frames: np.ndarray
-    rotation: Rotation3
+    axes: np.ndarray
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
-        frm = np.asarray(self.frames, dtype=np.float64)
+        axes = np.asarray(self.axes, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise InvalidInputError(f"shadow points must be (N, 3), got {pts.shape}")
-        if frm.shape != (len(pts), 3, 3):
-            raise InvalidInputError(f"shadow frames must be (N, 3, 3), got {frm.shape}")
+        if axes.shape != pts.shape:
+            raise InvalidInputError(f"shadow axes must be {pts.shape}, got {axes.shape}")
         set_read_only(self, "points", pts)
-        set_read_only(self, "frames", frm)
+        set_read_only(self, "axes", axes)
 
 
 def shadow_of(cloud: PointCloud, frames: np.ndarray, rotation: Rotation3) -> ShadowCloud:
-    """Shadow points p' = p @ R_g with transported frames L' = L @ R_g."""
+    """Shadow points p' = p @ R_g with transported primary axes a' = a1 @ R_g."""
     frames = np.asarray(frames, dtype=np.float64)
     if frames.shape != (len(cloud), 3, 3):
         raise InvalidArgumentError(
             f"frames shape {frames.shape} does not match cloud of {len(cloud)} points"
         )
     m = rotation.matrix
-    return ShadowCloud(points=cloud.points @ m, frames=frames @ m, rotation=rotation)
+    return ShadowCloud(points=cloud.points @ m, axes=frames[:, 0, :] @ m)
 
 
 def coincident_pairs(cloud: PointCloud, graph: NeighborGraph) -> np.ndarray:
@@ -164,7 +165,7 @@ def _field_rows(points, a1, shadow, mask, rows, idx, alloc):
     if mask == MASK_PPF:
         f[4:] = 0.0
         return f
-    s_p, s_a = shadow.points[rows][:, None, :], shadow.frames[rows, 0, :][:, None, :]
+    s_p, s_a = shadow.points[rows][:, None, :], shadow.axes[rows][:, None, :]
     ref = _pair_rows(alloc("ref", (4, m, 1)), p_r, a_r, s_p, s_a,
                      lambda rc: f"shadow coincides with point {int(rows[rc[0]])}")
     diff = _pair_rows(f[4:], p_j, a_j, s_p, s_a, pair, d, square)
@@ -249,35 +250,28 @@ def _row_dot(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def detect_axis_alignment(p_r, frame_r, shadow_point, shadow_frame):
+def detect_axis_alignment(p_r, axis_r, shadow_point, shadow_axis):
     """Score in [0, 1] for the shadow-on-primary-axis degeneracy.
 
     Product of |cos| between the shadow displacement and the primary axis and
     |cos| between the two primary axes; 1 means fully degenerate.  Takes one
-    point, (3,) positions and 3 x 3 frames, and returns a float; or N points,
-    (N, 3) positions and (N, 3, 3) frames, and returns an (N,) array.
+    point, (3,) positions and primary axes, and returns a float; or N points,
+    (N, 3) each, and returns an (N,) array.
     """
-    p_r = np.asarray(p_r, dtype=np.float64)
-    shadow_point = np.asarray(shadow_point, dtype=np.float64)
-    frame_r = np.asarray(frame_r, dtype=np.float64)
-    shadow_frame = np.asarray(shadow_frame, dtype=np.float64)
-    if not (
-        p_r.shape == shadow_point.shape
-        and p_r.shape[-1:] == (3,)
-        and frame_r.shape == shadow_frame.shape == p_r.shape + (3,)
-    ):
+    p_r, axis_r, shadow_point, shadow_axis = (
+        np.asarray(a, dtype=np.float64) for a in (p_r, axis_r, shadow_point, shadow_axis)
+    )
+    if not (p_r.shape[-1:] == (3,) and p_r.shape == axis_r.shape == shadow_point.shape == shadow_axis.shape):
         raise InvalidInputError(
             f"points {p_r.shape} and {shadow_point.shape} do not match "
-            f"frames {frame_r.shape} and {shadow_frame.shape}"
+            f"axes {axis_r.shape} and {shadow_axis.shape}"
         )
-    a_r = frame_r[..., 0, :]
-    a_s = shadow_frame[..., 0, :]
     d = shadow_point - p_r
     norm = np.sqrt(_row_dot(d, d))
     if np.any(norm < COINCIDENT_DISTANCE_FLOOR):
         raise CoincidentPointError("shadow coincides with the point")
-    c_disp = np.minimum(1.0, np.abs(_row_dot(a_r, d)) / norm)
-    c_axes = np.minimum(1.0, np.abs(_row_dot(a_r, a_s)))
+    c_disp = np.minimum(1.0, np.abs(_row_dot(axis_r, d)) / norm)
+    c_axes = np.minimum(1.0, np.abs(_row_dot(axis_r, shadow_axis)))
     score = c_disp * c_axes
     return float(score) if score.ndim == 0 else score
 

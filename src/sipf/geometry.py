@@ -33,7 +33,6 @@ __all__ = [
     "NeighborGraph",
     "knn_graph",
     "quat_to_matrix",
-    "apply_rotation",
     "random_rotation",
     "is_near_identity",
 ]
@@ -273,13 +272,6 @@ def quat_to_matrix(q) -> Rotation3:
         ]
     )
     return Rotation3(m)
-
-
-def apply_rotation(cloud: PointCloud, rotation: Rotation3) -> PointCloud:
-    """Right-multiply every point (and normal) by the rotation matrix."""
-    m = rotation.matrix
-    normals = None if cloud.normals is None else cloud.normals @ m
-    return PointCloud(points=cloud.points @ m, normals=normals)
 
 
 def random_rotation(rng: np.random.Generator) -> Rotation3:

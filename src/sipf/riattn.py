@@ -159,11 +159,10 @@ def _worker_arrays(layer: RIAttnLayer, k: int, backward: bool):
     """What a lane-1 block asks its allocator for, in ``_attend`` and, if ``backward``, in
     backward's block step: ``run_blocks`` reserves it, so the executor thread allocates none."""
     c, h, m = layer.c_in, layer.mlp_w1.shape[1], _CHUNK_ROWS
-    e = 2 if k * m == 1 else k * m  # kernel-MLP rows: a one-edge block runs as two copies
     f = np.float64
     arrays = [
-        ("xn", (k, m, c), f), ("pose", (k, m, 8), f), ("hidden", (e, h), f), ("slope", (e, h), f),
-        ("kernel", (e, c), f), ("attention", (k, m, k), f), ("values", (k, m, c), f), ("attn_out", (k, m, c), f),
+        ("xn", (k, m, c), f), ("pose", (k, m, 8), f), ("hidden", (k * m, h), f), ("slope", (k * m, h), f),
+        ("kernel", (k * m, c), f), ("attention", (k, m, k), f), ("values", (k, m, c), f), ("attn_out", (k, m, c), f),
     ]
     if backward:
         arrays += [

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import bingham
 from .descriptors import (
+    COINCIDENT_DISTANCE_FLOOR,
     DESCRIPTOR_MASKS,
     MASK_SIPF,
     coincident_pairs,
@@ -271,14 +272,23 @@ def _keep_points(clouds, labels, graphs, i, keep, k, what):
     labels[i], graphs[i] = labels[i][keep], knn_graph(clouds[i], k)
 
 
-def _drop_coincident_points(clouds, labels, graphs, k):
-    """The field commands' coincident-pair rule, in place: both points of a pair go, with their labels."""
-    for i, cloud in enumerate(clouds):
-        keep = np.ones(len(cloud), dtype=bool)
-        keep[coincident_pairs(cloud, graphs[i]).ravel()] = False
-        if not keep.all():
-            warnings.warn(f"cloud {i}: {(~keep).sum()} coincident point(s) dropped", stacklevel=3)
-            _keep_points(clouds, labels, graphs, i, keep, k, "coincident")
+# The field commands' row rules that the trainer applies first, in this order: (name, the points
+# the rule drops).  The origin lies on every shadow rotation's axis, so on its own shadow in every
+# epoch; a coincident pair drops both of its points.
+_DROP_RULES = (
+    ("origin", lambda cloud, graph: np.linalg.norm(cloud.points, axis=1) < COINCIDENT_DISTANCE_FLOOR),
+    ("coincident", lambda cloud, graph: np.isin(np.arange(len(cloud)), coincident_pairs(cloud, graph))),
+)
+
+
+def _drop_points(clouds, labels, graphs, k):
+    """Each rule of ``_DROP_RULES`` in turn, in place: the points it flags go, with their labels."""
+    for what, flags in _DROP_RULES:
+        for i, cloud in enumerate(clouds):
+            drop = flags(cloud, graphs[i])
+            if drop.any():
+                warnings.warn(f"cloud {i}: {drop.sum()} {what} point(s) dropped", stacklevel=3)
+                _keep_points(clouds, labels, graphs, i, ~drop, k, what)
 
 
 def _drop_degenerate_frames(clouds, labels, graphs, k, mode):
@@ -333,9 +343,10 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
     Emits one metrics dict per epoch: task loss, Bingham loss, total loss,
     full-dataset accuracy, and the epoch's rotation quaternion.  All
     randomness comes from one seeded generator, so runs are reproducible.
-    Before the first epoch, both points of a coincident pair and every point
-    with a degenerate local frame are dropped with their labels, with one
-    warning per cloud and rule.
+    Before the first epoch, every point at the origin (on the axis of every
+    shadow rotation), both points of a coincident pair and every point with
+    a degenerate local frame are dropped with their labels, with one warning
+    per cloud and rule.
     """
     clouds = list(dataset.clouds)
     if not clouds:
@@ -347,7 +358,7 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
     rng = np.random.default_rng(config.seed)
 
     graphs = [knn_graph(c, config.k) for c in clouds]
-    _drop_coincident_points(clouds, labels, graphs, config.k)
+    _drop_points(clouds, labels, graphs, config.k)
     mode_name = FRAME_MODE_NORMAL if clouds[0].normals is not None else FRAME_MODE_BARYCENTER
     frames = _drop_degenerate_frames(clouds, labels, graphs, config.k, mode_name)
     feats0 = [input_descriptor(c, f) for c, f in zip(clouds, frames)]
@@ -439,7 +450,7 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
 
         # Degeneracy audit for the epoch's rotation.
         for cloud, f, sh in zip(clouds, frames, shadows):
-            scores = detect_axis_alignment(cloud.points, f, sh.points, sh.frames)
+            scores = detect_axis_alignment(cloud.points, f[:, 0, :], sh.points, sh.axes)
             result.b1_max_score = max(result.b1_max_score, float(scores.max()))
         if symmetry is not None:
             dist = detect_local_coincidence(rot, symmetry)

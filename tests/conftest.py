@@ -96,6 +96,13 @@ def rotation_from_axis_angle(axis, angle: float) -> Rotation3:
     return Rotation3(m)
 
 
+def apply_rotation(cloud: PointCloud, rotation: Rotation3) -> PointCloud:
+    """Right-multiply every point (and normal) by the rotation matrix."""
+    m = rotation.matrix
+    normals = None if cloud.normals is None else cloud.normals @ m
+    return PointCloud(points=cloud.points @ m, normals=normals)
+
+
 def brute_force_knn(points: np.ndarray, k: int) -> np.ndarray:
     """O(N^2) reference: full distance sort, ties broken by ascending index."""
     n = len(points)
@@ -130,10 +137,10 @@ def lexsort_knn(points: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def scalar_axis_alignment(p_r, frame_r, shadow_point, shadow_frame) -> float:
+def scalar_axis_alignment(p_r, axis_r, shadow_point, shadow_axis) -> float:
     """One-point transcription of the B1 score: |cos(a_r, d)| * |cos(a_r, a_s)|, each capped at 1."""
-    a_r = np.asarray(frame_r, dtype=np.float64)[0]
-    a_s = np.asarray(shadow_frame, dtype=np.float64)[0]
+    a_r = np.asarray(axis_r, dtype=np.float64)
+    a_s = np.asarray(shadow_axis, dtype=np.float64)
     d = np.asarray(shadow_point, dtype=np.float64) - np.asarray(p_r, dtype=np.float64)
     norm = np.linalg.norm(d)
     if norm < COINCIDENT_DISTANCE_FLOOR:
@@ -210,13 +217,13 @@ def build_lrf(e1, e2) -> LocalFrame:
 # One-pair oracles of the descriptor that sipf_field computes for a whole cloud.
 
 
-def ppf(p_r, frame_r, p_j, frame_j) -> np.ndarray:
-    """4-vector (distance, three angle cosines) for one directed pair."""
-    p_r = np.asarray(p_r, dtype=np.float64)
-    p_j = np.asarray(p_j, dtype=np.float64)
-    a_r = np.asarray(frame_r, dtype=np.float64)[0]
-    a_j = np.asarray(frame_j, dtype=np.float64)[0]
-    d = p_j - p_r
+def _pair_feature(p, a, q, b) -> np.ndarray:
+    """4-vector (distance, three angle cosines) for points p and q with primary axes a and b."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    d = q - p
     norm = np.linalg.norm(d)
     if norm < COINCIDENT_DISTANCE_FLOOR:
         raise CoincidentPointError(f"pair distance {norm:.3e} below tolerance")
@@ -224,22 +231,28 @@ def ppf(p_r, frame_r, p_j, frame_j) -> np.ndarray:
     return np.array(
         [
             norm,
-            np.clip(a_r @ dhat, -1.0, 1.0),
-            np.clip(a_j @ dhat, -1.0, 1.0),
-            np.clip(a_r @ a_j, -1.0, 1.0),
+            np.clip(a @ dhat, -1.0, 1.0),
+            np.clip(b @ dhat, -1.0, 1.0),
+            np.clip(a @ b, -1.0, 1.0),
         ]
     )
 
 
-def sippf(p_r, frame_r, p_j, frame_j, shadow_point, shadow_frame) -> np.ndarray:
-    """Unit direction of the pair-feature difference against the shadow.
+def ppf(p_r, frame_r, p_j, frame_j) -> np.ndarray:
+    """4-vector (distance, three angle cosines) for one directed pair."""
+    return _pair_feature(p_r, np.asarray(frame_r)[0], p_j, np.asarray(frame_j)[0])
+
+
+def sippf(p_r, frame_r, p_j, frame_j, shadow_point, shadow_axis) -> np.ndarray:
+    """Unit direction of the pair-feature difference against the shadow point and its primary axis.
 
     Returns the exact zero vector when the difference norm is below 1e-12;
     this configuration is reachable (shadow on the primary axis) and carries
     no directional information.
     """
-    diff = ppf(p_r, frame_r, shadow_point, shadow_frame) - ppf(
-        p_j, frame_j, shadow_point, shadow_frame
+    a_r, a_j = np.asarray(frame_r)[0], np.asarray(frame_j)[0]
+    diff = _pair_feature(p_r, a_r, shadow_point, shadow_axis) - _pair_feature(
+        p_j, a_j, shadow_point, shadow_axis
     )
     norm = np.linalg.norm(diff)
     if norm < 1e-12:
@@ -247,12 +260,12 @@ def sippf(p_r, frame_r, p_j, frame_j, shadow_point, shadow_frame) -> np.ndarray:
     return diff / norm
 
 
-def sipf(p_r, frame_r, p_j, frame_j, shadow_point, shadow_frame) -> np.ndarray:
+def sipf(p_r, frame_r, p_j, frame_j, shadow_point, shadow_axis) -> np.ndarray:
     """8-vector: plain pair block followed by the shadow-informed block."""
     return np.concatenate(
         [
             ppf(p_r, frame_r, p_j, frame_j),
-            sippf(p_r, frame_r, p_j, frame_j, shadow_point, shadow_frame),
+            sippf(p_r, frame_r, p_j, frame_j, shadow_point, shadow_axis),
         ]
     )
 
@@ -278,7 +291,7 @@ def sipf_stack(
                     cloud.points[j],
                     frames[j],
                     shadow.points[r],
-                    shadow.frames[r],
+                    shadow.axes[r],
                 )
             )
         except CoincidentPointError as exc:
@@ -323,7 +336,7 @@ def reference_sipf_field(cloud, frames, graph, shadow, mask=MASK_SIPF, valid=Non
     if mask == MASK_PPF:
         return out
     s_p = np.broadcast_to(shadow.points[rows][:, None, :], (m, k, 3))
-    s_a = np.broadcast_to(shadow.frames[rows][:, 0, :][:, None, :], (m, k, 3))
+    s_a = np.broadcast_to(shadow.axes[rows][:, None, :], (m, k, 3))
     diff = _reference_ppf_rows(p_r, a_r, s_p, s_a, rows, idx) - _reference_ppf_rows(
         p_j, a_j, s_p, s_a, rows, idx
     )
@@ -336,13 +349,13 @@ def reference_sipf_field(cloud, frames, graph, shadow, mask=MASK_SIPF, valid=Non
     return out
 
 
-def pair_rows(p_r, frame_r, neighbors, shadow_point, shadow_frame, mask=MASK_SIPF) -> np.ndarray:
+def pair_rows(p_r, frame_r, neighbors, shadow_point, shadow_axis, mask=MASK_SIPF) -> np.ndarray:
     """Production descriptor rows of one reference point against chosen neighbors.
 
     Runs ``sipf_field`` on the cloud (p_r, *neighbor points) with row 0
     listing the neighbors in order and every other row marked invalid, so
-    only the reference row is computed.  The shadow point and frame are free
-    inputs, not the image of p_r under a rotation.
+    only the reference row is computed.  The shadow point and primary axis
+    are free inputs, not the image of p_r and its axis under a rotation.
     """
     points = np.array([p_r, *(p for p, _ in neighbors)], dtype=np.float64)
     frames = np.array([frame_r, *(f for _, f in neighbors)], dtype=np.float64)
@@ -350,8 +363,7 @@ def pair_rows(p_r, frame_r, neighbors, shadow_point, shadow_frame, mask=MASK_SIP
     graph = NeighborGraph(k=k, indices=[list(range(1, n))] + [[0] * k] * k)
     shadow = ShadowCloud(
         points=np.tile(np.asarray(shadow_point, dtype=np.float64), (n, 1)),
-        frames=np.tile(np.asarray(shadow_frame, dtype=np.float64), (n, 1, 1)),
-        rotation=Rotation3(np.eye(3)),
+        axes=np.tile(np.asarray(shadow_axis, dtype=np.float64), (n, 1)),
     )
     valid = np.arange(n) == 0
     return sipf_field(PointCloud(points=points), frames, graph, shadow, mask=mask, valid=valid)[0]

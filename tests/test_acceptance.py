@@ -49,9 +49,7 @@ class TestCriterion1RotationInvariance:
             rot = random_rotation(rng).matrix
             cloud_r = PointCloud(points=cloud.points @ rot)
             frames_r = frames @ rot
-            shadow_r = ShadowCloud(
-                points=shadow.points @ rot, frames=shadow.frames @ rot, rotation=shadow.rotation
-            )
+            shadow_r = ShadowCloud(points=shadow.points @ rot, axes=shadow.axes @ rot)
             feats_r = input_descriptor(cloud_r, frames_r)
             field_r = sipf_field(cloud_r, frames_r, graph, shadow_r)
             worst_descriptor = max(worst_descriptor, np.abs(field_r - base_field).max())
@@ -75,7 +73,7 @@ class TestCriterion2CircleAmbiguity:
         p_r, f_r, p_j, f_j, p_j2, f_j2, _ = circle_ambiguous_pair()
         shadow_p = p_r + np.array([0.4, -0.7, 0.25])
         shadow_f = build_lrf([-0.3, 0.8, 0.52], [1.0, 0.0, 0.0]).axes
-        a, b = pair_rows(p_r, f_r, [(p_j, f_j), (p_j2, f_j2)], shadow_p, shadow_f)
+        a, b = pair_rows(p_r, f_r, [(p_j, f_j), (p_j2, f_j2)], shadow_p, shadow_f[0])
         ppf_gap = np.abs(a[:4] - b[:4]).max()
         separation = np.linalg.norm(a - b)
         assert ppf_gap < 1e-12
@@ -87,7 +85,7 @@ class TestCriterion3DegeneracyRegressions:
     def test_b1_axis_alignment_collapse(self):
         p_r, f_r, p_j, f_j, p_j2, f_j2, axis = circle_ambiguous_pair()
         shadow_p = p_r + 0.6 * axis
-        a, b = pair_rows(p_r, f_r, [(p_j, f_j), (p_j2, f_j2)], shadow_p, f_r)
+        a, b = pair_rows(p_r, f_r, [(p_j, f_j), (p_j2, f_j2)], shadow_p, f_r[0])
         separation = np.linalg.norm(a[4:] - b[4:])
         assert separation < 1e-6
         _report(3, "B.1 shadow-axis alignment", f"shadow-block separation {separation:.2e}")

@@ -90,3 +90,24 @@ def test_wingtip_train_repeats_bytewise(tmp_path):
     workload.check(records)
     assert [r["failure"] for r in records] == [None, None]
     assert len(workload.result.metrics) == 2
+
+
+# Small versions of the scan commands; 600 points with k = 20 write about six CSV chunks.
+_CHECKED = {
+    "scan-features": {"N": 600},
+    "scan-invariance": {"N": 600, "TRIALS": 2},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHECKED))
+def test_scan_command_passes_its_workload_check(name, tmp_path):
+    """A 600-point scan command through the workload's own check: the features CSV against the
+    reference digest built with plain ``format(v, ".17g")``, the invariance report against 1e-8."""
+    workload = workloads.WORKLOADS[name](seed=0, workdir=str(tmp_path))
+    for attr, value in _CHECKED[name].items():
+        setattr(workload, attr, value)
+    workload.setup()
+    assert workload.call() == 0
+    records = [{"captured": workload.capture(), "failure": None}]
+    workload.check(records)
+    assert records[0]["failure"] is None

@@ -13,11 +13,10 @@ from sipf.errors import ParseError
 from conftest import format_float
 
 
-def oracle_rows(table, n_int):
-    """format_rows written one value at a time: integers, then format_float."""
+def oracle_rows(table):
+    """format_rows written one value at a time with format_float."""
     return "".join(
-        ",".join([str(int(v)) for v in row[:n_int]] + [format_float(v) for v in row[n_int:]]) + "\n"
-        for row in np.asarray(table, dtype=np.float64).tolist()
+        ",".join(format_float(v) for v in row) + "\n" for row in np.asarray(table, dtype=np.float64).tolist()
     )
 
 
@@ -138,7 +137,7 @@ class TestPly:
 class TestFormatting:
     def test_format_float_round_trips_bitwise(self, rng):
         values = rng.standard_normal(1000) * 10.0 ** rng.integers(-20, 20, size=1000)
-        text = format_rows(values.reshape(-1, 4), n_int=0)
+        text = format_rows(values.reshape(-1, 4))
         parsed = np.array([float(v) for v in text.replace("\n", ",").split(",")[:-1]])
         assert np.array_equal(parsed.view(np.int64), values.view(np.int64))
 
@@ -146,20 +145,20 @@ class TestFormatting:
         big = sys.float_info.max
         values = [0.0, -0.0, 5e-324, -5e-324, 1e-5, 1e17, 1.0, -1.0, big, -big, 0.1, 1 / 3]
         table = np.array(values).reshape(-1, 4)
-        text = format_rows(table, n_int=0)
-        assert text == oracle_rows(table, 0)
+        text = format_rows(table)
+        assert text == oracle_rows(table)
         assert text.split("\n")[0] == "0,-0,4.9406564584124654e-324,-4.9406564584124654e-324"
         assert text.split("\n")[1] == "1.0000000000000001e-05,1e+17,1,-1"
         assert text.split("\n")[2].startswith("1.7976931348623157e+308,")
 
     def test_index_columns_print_as_integers(self):
         table = np.array([[0, 2**53 - 1, 0.5], [17, 3, -0.0]])
-        assert format_rows(table, n_int=2) == "0,9007199254740991,0.5\n17,3,-0\n"
+        assert format_rows(table) == "0,9007199254740991,0.5\n17,3,-0\n"
 
     def test_empty_table_gives_empty_text(self):
-        assert format_rows(np.empty((0, 10)), n_int=2) == ""
+        assert format_rows(np.empty((0, 10))) == ""
         # n = 0 is one empty block, whose slot in the parts list follows the header's.
-        assert format_rows(np.empty((0, 10)), 2, header="a,b\n") == "a,b\n"
+        assert format_rows(np.empty((0, 10)), header="a,b\n") == "a,b\n"
 
     # One chunk and one row past it; then 4096 rows, a whole number of chunks,
     # and one row past that.
@@ -170,15 +169,15 @@ class TestFormatting:
         idx = rng.integers(0, 100_000, size=(n_rows, 2))
         values = rng.standard_normal((n_rows, 8)) * 10.0 ** rng.integers(-20, 20, size=(n_rows, 8))
         table = np.column_stack([idx, values])
-        text = format_rows(table, n_int=2)
+        text = format_rows(table)
         assert text.count("\n") == n_rows
-        assert text == oracle_rows(table, 2)
+        assert text == oracle_rows(table)
 
     def test_fast_path_chunks_on_both_lanes_match_oracle(self, rng):
         # Features-like values, none of which falls back: every chunk takes the compaction path.
         n_rows = 2 * _CSV_CHUNK_ROWS + 1
         table = np.column_stack([rng.integers(0, 5000, size=(n_rows, 2)), rng.uniform(-1, 1, (n_rows, 8))])
-        assert format_rows(table, n_int=2) == oracle_rows(table, 2)
+        assert format_rows(table) == oracle_rows(table)
 
     def test_atomic_write(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -233,61 +232,43 @@ class TestFormattingParity:
         values = np.array(list(found.values()))
         values = np.concatenate([values, -values, np.zeros((-2 * len(values)) % 6)])
         table = values.reshape(-1, 6)
-        assert format_rows(table, n_int=0) == oracle_rows(table, 0)
+        assert format_rows(table) == oracle_rows(table)
 
     def test_powers_of_ten_and_their_neighbours_match_oracle(self):
         powers = np.array([float(f"1e{p}") for p in range(-8, 19)])
         values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
         table = np.concatenate([values, -values]).reshape(-1, 3)
-        assert format_rows(table, n_int=0) == oracle_rows(table, 0)
+        assert format_rows(table) == oracle_rows(table)
 
     def test_exact_half_way_ties_round_to_even(self):
         # 18 significant digits ending in 5: the 17th digit rounds half to even.
         ties = np.array([1234567890123456.25, 1234567890123456.75, 2000000000000000.25, 2000000000000001.75])
         table = np.stack([ties, -ties])
-        text = format_rows(table, n_int=0)
+        text = format_rows(table)
         assert text.split("\n")[0] == (
             "1234567890123456.2,1234567890123456.8,2000000000000000.2,2000000000000001.8"
         )
-        assert text == oracle_rows(table, 0)
+        assert text == oracle_rows(table)
 
     def test_just_below_a_power_of_ten_where_log10_rounds_up(self):
         values = np.array([9.9999999999999974e-07, 9.9999999999999991e-06, 9.9999999999999991e-05,
                            0.099999999999999992, 99.999999999999986, 9999999999999998.0])
         # log10 rounds each to the next integer: the first exponent estimate is one too high.
         assert np.floor(np.log10(values)).tolist() == [-6, -5, -4, -1, 2, 16]
-        text = format_rows(values.reshape(1, -1), n_int=0)
+        text = format_rows(values.reshape(1, -1))
         assert text == ("9.9999999999999974e-07,9.9999999999999991e-06,9.9999999999999991e-05,"
                         "0.099999999999999992,99.999999999999986,9999999999999998\n")
-        assert text == oracle_rows(values.reshape(1, -1), 0)
+        assert text == oracle_rows(values.reshape(1, -1))
 
     def test_special_values_in_float_columns(self):
         big = sys.float_info.max
         table = np.array(
             [[0.0, -0.0, 5e-324, -5e-324], [big, -big, np.inf, -np.inf], [np.nan, 1e-6, -1e17, 1.0]]
         )
-        text = format_rows(table, n_int=0)
+        text = format_rows(table)
         assert text.split("\n")[1] == "1.7976931348623157e+308,-1.7976931348623157e+308,inf,-inf"
         assert text.split("\n")[2].startswith("nan,")
-        assert text == oracle_rows(table, 0)
-
-    def test_integer_columns_truncate_like_int(self):
-        table = np.array(
-            [[-7.0, -0.0, 0.5], [2**53 - 1, -(2**53 - 1), 0.5], [2.9, -2.9, 0.5], [-0.5, 0.999, 0.5],
-             [2.0**53, -1e300, 0.5], [-12345.0, 1e15, 0.5]]
-        )
-        text = format_rows(table, n_int=2)
-        assert text.split("\n")[:4] == [
-            "-7,0,0.5", "9007199254740991,-9007199254740991,0.5", "2,-2,0.5", "0,0,0.5"
-        ]
-        assert text == oracle_rows(table, 2)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_integer_column_nan_and_inf_raise_as_percent_d(self, bad):
-        with pytest.raises((ValueError, OverflowError)) as expected:
-            "%d" % bad
-        with pytest.raises(expected.type):
-            format_rows(np.array([[1.0, 2.0], [bad, 0.5]]), n_int=1)
+        assert text == oracle_rows(table)
 
     def test_fallbacks_in_every_chunk_of_both_lanes_match_oracle(self, rng):
         # Chunks 0 and 2 run on lane 0, chunk 1 on lane 1.
@@ -299,33 +280,24 @@ class TestFormattingParity:
             rows = start + rng.integers(0, min(_CSV_CHUNK_ROWS, n_rows - start), size=len(fallbacks))
             table[rows, 2 + rng.integers(0, 8, size=len(fallbacks))] = fallbacks
             table[rows[:2], [0, 1]] = [2.0**53, -1e300]
-        text = format_rows(table, n_int=2)
+        text = format_rows(table)
         assert text.count("\n") == n_rows
-        assert text == oracle_rows(table, 2)
+        assert text == oracle_rows(table)
 
-    @pytest.mark.parametrize("lane_one, lane_zero, raised", [
-        (np.inf, np.nan, OverflowError), (np.nan, np.inf, ValueError),
-    ])
-    def test_first_integer_error_in_text_order_is_raised_across_lanes(self, lane_one, lane_zero, raised):
-        # Chunk 1 runs on lane 1 and chunk 2 on lane 0, after chunk 0; the lower chunk's error wins.
-        table = np.ones((2 * _CSV_CHUNK_ROWS + 1, 3))
-        table[_CSV_CHUNK_ROWS + 5, 0] = lane_one
-        table[2 * _CSV_CHUNK_ROWS, 0] = lane_zero
-        with pytest.raises(raised):
-            format_rows(table, n_int=1)
+    def test_bit_patterns_on_every_chunk_of_both_lanes_match_oracle(self):
+        # The property below draws at most 16 rows, one chunk; these 10-column rows fill
+        # chunks 0 and 2 on lane 0 and chunk 1 on lane 1.
+        n_rows = 2 * _CSV_CHUNK_ROWS + 1
+        raw = np.random.default_rng(2024).bytes(n_rows * 10 * 8)
+        table = _bit_patterns(raw).reshape(n_rows, 10)
+        assert format_rows(table) == oracle_rows(table)
 
     @settings(deadline=None)
-    @given(st.binary(min_size=8, max_size=512), st.integers(0, 2))
-    def test_matches_percent_operator_on_any_bit_pattern(self, raw, n_int):
+    @given(st.binary(min_size=8, max_size=512))
+    def test_matches_percent_operator_on_any_bit_pattern(self, raw):
         values = _bit_patterns(raw)
         table = np.concatenate([values, np.zeros((-len(values)) % 4)]).reshape(-1, 4)
-        try:
-            expected = oracle_rows(table, n_int)
-        except (ValueError, OverflowError) as exc:
-            with pytest.raises(type(exc)):
-                format_rows(table, n_int)
-        else:
-            assert format_rows(table, n_int) == expected
+        assert format_rows(table) == oracle_rows(table)
 
 
 class TestAtomicWriteMode:

@@ -77,17 +77,17 @@ def circle_ambiguous_pair(azimuth=1.1):
 
 def field_ppf(p_r, f_r, p_j, f_j):
     """Plain pair block of sipf_field for one pair; the plain mask never reads the shadow."""
-    return pair_rows(p_r, f_r, [(p_j, f_j)], np.asarray(p_r, dtype=float) + 1.0, f_r, mask=MASK_PPF)[0, :4]
+    return pair_rows(p_r, f_r, [(p_j, f_j)], np.asarray(p_r, dtype=float) + 1.0, f_r[0], mask=MASK_PPF)[0, :4]
 
 
 def field_sippf(p_r, f_r, p_j, f_j, shadow_p, shadow_f):
-    """Shadow-informed block of sipf_field for one pair."""
-    return pair_rows(p_r, f_r, [(p_j, f_j)], shadow_p, shadow_f)[0, 4:]
+    """Shadow-informed block of sipf_field for one pair; the shadow's axis is row 0 of ``shadow_f``."""
+    return pair_rows(p_r, f_r, [(p_j, f_j)], shadow_p, np.asarray(shadow_f)[0])[0, 4:]
 
 
 def field_sipf(p_r, f_r, p_j, f_j, shadow_p, shadow_f):
-    """Full 8-dim sipf_field row for one pair."""
-    return pair_rows(p_r, f_r, [(p_j, f_j)], shadow_p, shadow_f)[0]
+    """Full 8-dim sipf_field row for one pair; the shadow's axis is row 0 of ``shadow_f``."""
+    return pair_rows(p_r, f_r, [(p_j, f_j)], shadow_p, np.asarray(shadow_f)[0])[0]
 
 
 def transcription_sippf(p_r, a_r, p_j, a_j, p_s, a_s):
@@ -143,7 +143,7 @@ class TestShadowOf:
         frames = random_frames(rng, 12)
         shadow = shadow_of(cloud, frames, quat_to_matrix(UnitQuaternion(1, 0, 0, 0)))
         assert np.array_equal(shadow.points, cloud.points)
-        assert np.array_equal(shadow.frames, frames)
+        assert np.array_equal(shadow.axes, frames[:, 0, :])
 
     def test_half_turn_about_z(self):
         cloud = PointCloud(points=[[1, 0, 0], [0, 0, 1]])
@@ -195,9 +195,9 @@ class TestSipf:
         f = random_frames(rng, 3)
         full = field_sipf(pts[0], f[0], pts[1], f[1], pts[2], f[2])
         assert np.array_equal(full[:4], field_ppf(pts[0], f[0], pts[1], f[1]))
-        oracle = sipf(pts[0], f[0], pts[1], f[1], pts[2], f[2])
+        oracle = sipf(pts[0], f[0], pts[1], f[1], pts[2], f[2][0])
         assert np.array_equal(oracle[:4], ppf(pts[0], f[0], pts[1], f[1]))
-        assert np.array_equal(oracle[4:], sippf(pts[0], f[0], pts[1], f[1], pts[2], f[2]))
+        assert np.array_equal(oracle[4:], sippf(pts[0], f[0], pts[1], f[1], pts[2], f[2][0]))
         assert np.abs(full - oracle).max() < 1e-12
 
     def test_joint_rotation_invariance(self, rng):
@@ -242,7 +242,7 @@ class TestSipfStack:
         stack = sipf_stack(cloud, frames, graph, shadow, 2)
         j = graph.indices[2][0]
         direct = sipf(
-            cloud.points[2], frames[2], cloud.points[j], frames[j], shadow.points[2], shadow.frames[2]
+            cloud.points[2], frames[2], cloud.points[j], frames[j], shadow.points[2], shadow.axes[2]
         )
         assert np.array_equal(stack, direct[None, :])
         assert np.abs(field[2] - direct[None, :]).max() < 1e-12
@@ -257,7 +257,7 @@ class TestSipfStack:
         for col, j in enumerate(graph.indices[0]):
             direct = sipf(
                 cloud.points[0], frames[0], cloud.points[j], frames[j],
-                shadow.points[0], shadow.frames[0],
+                shadow.points[0], shadow.axes[0],
             )
             assert np.array_equal(stack[col], direct)
             assert np.abs(field[0, col] - direct).max() < 1e-12
@@ -348,9 +348,7 @@ class TestFieldBitwise:
         cloud = PointCloud(points=np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 3.0, 0.0]]))
         frames = np.tile(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), (3, 1, 1))
         graph = NeighborGraph(k=1, indices=[[1], [0], [0]])
-        shadow = ShadowCloud(
-            points=np.tile([0.0, 1.0, 0.5], (3, 1)), frames=frames, rotation=Rotation3(np.eye(3))
-        )
+        shadow = ShadowCloud(points=np.tile([0.0, 1.0, 0.5], (3, 1)), axes=frames[:, 0, :])
         field = sipf_field(cloud, frames, graph, shadow, mask=mask)
         ref = reference_sipf_field(cloud, frames, graph, shadow, mask=mask)
         assert np.array_equal(_bits(field), _bits(ref))
@@ -364,14 +362,14 @@ class TestFieldInputs:
         read_only = frames.copy()
         read_only.setflags(write=False)
         writable = frames.copy()
-        before = [a.copy() for a in (cloud.points, shadow.points, shadow.frames)]
+        before = [a.copy() for a in (cloud.points, shadow.points, shadow.axes)]
         for mask in DESCRIPTOR_MASKS:
             for valid in (None, np.arange(30) % 4 != 0):
                 first = sipf_field(cloud, read_only, graph, shadow, mask=mask, valid=valid)
                 second = sipf_field(cloud, writable, graph, shadow, mask=mask, valid=valid)
                 assert np.array_equal(_bits(first), _bits(second))
                 assert np.array_equal(_bits(writable), _bits(frames))
-        after = [cloud.points, shadow.points, shadow.frames]
+        after = [cloud.points, shadow.points, shadow.axes]
         assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(before, after))
 
     @pytest.mark.parametrize("bad", [-3, -1, 40])
@@ -392,7 +390,7 @@ class TestFieldInputs:
         elif short == "frames":
             inputs["frames"] = frames[:39]
         else:
-            inputs["shadow"] = shadow_of(PointCloud(points=cloud.points[:39]), frames[:39], shadow.rotation)
+            inputs["shadow"] = ShadowCloud(points=shadow.points[:39], axes=shadow.axes[:39])
         with pytest.raises(InvalidArgumentError, match="do not match a graph of 40 rows"):
             sipf_field(**inputs)
 
@@ -422,7 +420,7 @@ def _coincidence_case(pairs=(), shadows=(), shadow_on_neighbor=None):
         shadow_pts[i] = pts[i] if exact else [np.nextafter(pts[i, 0], 2.0), *pts[i, 1:]]
     if shadow_on_neighbor is not None:
         shadow_pts[shadow_on_neighbor] = pts[graph.indices[shadow_on_neighbor, 0]]
-    shadow = ShadowCloud(points=shadow_pts, frames=frames @ rotation.matrix, rotation=rotation)
+    shadow = ShadowCloud(points=shadow_pts, axes=frames[:, 0, :] @ rotation.matrix)
     return cloud, frames, graph, shadow
 
 
@@ -552,10 +550,10 @@ class TestFieldBlocks:
 
 class TestDegeneracyDetectors:
     def test_axis_alignment_extremes(self):
-        frame = build_lrf([1, 0, 0], [0, 1, 0]).axes
+        axis = build_lrf([1, 0, 0], [0, 1, 0]).axes[0]
         p = np.array([0.0, 0.0, 0.0])
-        assert detect_axis_alignment(p, frame, p + np.array([2.0, 0, 0]), frame) == pytest.approx(1.0)
-        assert detect_axis_alignment(p, frame, p + np.array([0.0, 3.0, 0]), frame) == pytest.approx(0.0, abs=1e-15)
+        assert detect_axis_alignment(p, axis, p + np.array([2.0, 0, 0]), axis) == pytest.approx(1.0)
+        assert detect_axis_alignment(p, axis, p + np.array([0.0, 3.0, 0]), axis) == pytest.approx(0.0, abs=1e-15)
 
     def test_axis_alignment_transcription(self, rng):
         for _ in range(100):
@@ -564,40 +562,40 @@ class TestDegeneracyDetectors:
             s = p + rng.standard_normal(3)
             d = s - p
             expected = abs(f_r[0] @ d) / np.linalg.norm(d) * abs(f_r[0] @ f_s[0])
-            got = detect_axis_alignment(p, f_r, s, f_s)
+            got = detect_axis_alignment(p, f_r[0], s, f_s[0])
             assert abs(got - min(1.0, expected)) < 1e-12
 
     def test_axis_alignment_batch_matches_scalar_oracle(self, rng):
         n = 200
         p = rng.standard_normal((n, 3))
-        f_r = random_frames(rng, n)
-        f_s = random_frames(rng, n)
+        a_r = random_frames(rng, n)[:, 0]
+        a_s = random_frames(rng, n)[:, 0]
         s = p + rng.standard_normal((n, 3))
         # Fully degenerate rows: shadow on the primary axis, axes shared.
-        s[:3] = p[:3] + 2.0 * f_r[:3, 0]
-        f_s[:3] = f_r[:3]
-        got = detect_axis_alignment(p, f_r, s, f_s)
+        s[:3] = p[:3] + 2.0 * a_r[:3]
+        a_s[:3] = a_r[:3]
+        got = detect_axis_alignment(p, a_r, s, a_s)
         assert got.shape == (n,)
-        expected = np.array([scalar_axis_alignment(p[i], f_r[i], s[i], f_s[i]) for i in range(n)])
+        expected = np.array([scalar_axis_alignment(p[i], a_r[i], s[i], a_s[i]) for i in range(n)])
         assert np.abs(got - expected).max() <= 1e-15
         assert np.abs(got[:3] - 1.0).max() <= 1e-15
-        single = [detect_axis_alignment(p[i], f_r[i], s[i], f_s[i]) for i in range(n)]
+        single = [detect_axis_alignment(p[i], a_r[i], s[i], a_s[i]) for i in range(n)]
         assert all(isinstance(v, float) for v in single)
         assert np.array_equal(np.array(single), got)
 
     def test_axis_alignment_batch_rejects_coincident_shadow(self, rng):
         p = rng.standard_normal((5, 3))
-        frames = random_frames(rng, 5)
+        axes = random_frames(rng, 5)[:, 0]
         s = p + 1.0
         s[3] = p[3]
         with pytest.raises(CoincidentPointError):
-            detect_axis_alignment(p, frames, s, frames)
+            detect_axis_alignment(p, axes, s, axes)
 
     def test_axis_alignment_shape_mismatch(self, rng):
         p = rng.standard_normal((5, 3))
-        frames = random_frames(rng, 4)
+        axes = random_frames(rng, 4)[:, 0]
         with pytest.raises(InvalidInputError):
-            detect_axis_alignment(p, frames, p + 1.0, frames)
+            detect_axis_alignment(p, axes, p + 1.0, axes)
 
     def test_local_coincidence_zero_and_pi(self, rng):
         rot = random_rotation(rng)
@@ -633,7 +631,7 @@ class TestB1Regression:
         p_r, f_r, _, _, _, _, axis = circle_ambiguous_pair()
         side = _unit(np.cross(axis, [1.0, 0.0, 0.0]))
         scores = [
-            detect_axis_alignment(p_r, f_r, p_r + 0.6 * (np.cos(b) * axis + np.sin(b) * side), f_r)
+            detect_axis_alignment(p_r, f_r[0], p_r + 0.6 * (np.cos(b) * axis + np.sin(b) * side), f_r[0])
             for b in np.linspace(0.0, np.pi / 2, 12)
         ]
         assert all(scores[i] >= scores[i + 1] - 1e-12 for i in range(len(scores) - 1))

@@ -12,7 +12,6 @@ from sipf.geometry import (
     PointCloud,
     Rotation3,
     UnitQuaternion,
-    apply_rotation,
     is_near_identity,
     knn_graph,
     quat_to_matrix,
@@ -20,6 +19,7 @@ from sipf.geometry import (
 )
 
 from conftest import (
+    apply_rotation,
     brute_force_knn,
     lexsort_knn,
     matrix_to_quat,

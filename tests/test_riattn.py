@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from sipf import bingham, lanes, riattn
 from sipf.descriptors import MASK_PPF, MASK_SIPF, shadow_of, sipf_field
 from sipf.errors import InvalidArgumentError, NumericError
-from sipf.geometry import PointCloud, apply_rotation, knn_graph, random_rotation
+from sipf.geometry import PointCloud, knn_graph, random_rotation
 from sipf.lanes import _buffers
 from sipf.lrf import FRAME_MODE_BARYCENTER, build_all_lrfs, input_descriptor
 from sipf.riattn import (
@@ -34,7 +34,7 @@ from sipf.riattn import (
 )
 from sipf.training import ClassifierHead, _cross_entropy, make_wingtip_dataset
 
-from conftest import random_cloud, rotation_from_axis_angle
+from conftest import apply_rotation, random_cloud, rotation_from_axis_angle
 
 
 def _zero_layer(c_in, c_out, hidden=None):
@@ -228,9 +228,7 @@ class TestLayerForward:
             base = _encode(cloud, frames, graph, shadow, feats, layer)
             rot = random_rotation(rng)
             m = rot.matrix
-            shadow_r = type(shadow)(
-                points=shadow.points @ m, frames=shadow.frames @ m, rotation=shadow.rotation
-            )
+            shadow_r = type(shadow)(points=shadow.points @ m, axes=shadow.axes @ m)
             moved = _encode(apply_rotation(cloud, rot), frames @ m, graph, shadow_r, feats, layer)
             worst = max(worst, np.abs(moved - base).max())
         assert worst < 1e-8

@@ -189,7 +189,7 @@ class TestTrainToy:
                 shadow = shadow_of(cloud, frames, rot)
                 for i in range(len(cloud)):
                     score = scalar_axis_alignment(
-                        cloud.points[i], frames[i], shadow.points[i], shadow.frames[i]
+                        cloud.points[i], frames[i, 0], shadow.points[i], shadow.axes[i]
                     )
                     expected = max(expected, score)
         assert abs(result.b1_max_score - expected) <= 1e-15
@@ -244,6 +244,26 @@ class TestTrainToy:
         )
         assert log == metrics_to_jsonl(train_toy(reduced, self._short_config()).metrics)
 
+    def test_point_at_origin_dropped_before_training(self):
+        # The origin lies on the axis of every shadow rotation, so its shadow
+        # coincides with it in every epoch: it goes, with its label, and the
+        # run equals one on the cloud without it.
+        dataset = make_wingtip_dataset(DEFAULT_N_CLOUDS, DEFAULT_POINTS_PER_CLOUD, 0.0, 1000)
+        points = dataset.clouds[0].points.copy()
+        points[5] = 0.0
+        clouds = [PointCloud(points=points), *dataset.clouds[1:]]
+        moved = type(dataset)(clouds=clouds, labels=dataset.labels, symmetry=dataset.symmetry)
+        config = ToyTaskConfig(epochs=2)
+        with pytest.warns(UserWarning, match=r"^cloud 0: 1 origin point\(s\) dropped$"):
+            log = metrics_to_jsonl(train_toy(moved, config).metrics)
+        keep = np.arange(DEFAULT_POINTS_PER_CLOUD) != 5
+        reduced = type(dataset)(
+            clouds=[PointCloud(points=points[keep]), *dataset.clouds[1:]],
+            labels=[dataset.labels[0][keep], *dataset.labels[1:]],
+            symmetry=dataset.symmetry,
+        )
+        assert log == metrics_to_jsonl(train_toy(reduced, config).metrics)
+
     def test_degenerate_frame_points_dropped_before_training(self):
         # Two collinear patches of 10 points on a line through the centroid of
         # cloud 1, far from its body: each patch point's barycenter axis and
@@ -272,8 +292,10 @@ class TestTrainToy:
             labels=[dataset.labels[0], np.zeros(12, dtype=np.int64)],
             symmetry=dataset.symmetry,
         )
-        with pytest.raises(InvalidArgumentError, match=r"^cloud 1: 0 point\(s\) left after dropping degenerate-frame"):
-            train_toy(degenerate, self._short_config())
+        # Point 0 of the line sits at the origin and goes first, under its own rule.
+        with pytest.warns(UserWarning, match=r"^cloud 1: 1 origin point\(s\) dropped$"):
+            with pytest.raises(InvalidArgumentError, match=r"^cloud 1: 0 point\(s\) left after dropping degenerate-frame"):
+                train_toy(degenerate, self._short_config())
 
     def test_bingham_terms_computed_once_per_concentration_seed(self, monkeypatch):
         # The loss and its z2 gradient depend on z2 alone: the epoch-end pair
