@@ -155,6 +155,21 @@ class TestFormatting:
         table = np.array([[0, 2**53 - 1, 0.5], [17, 3, -0.0]])
         assert format_rows(table) == "0,9007199254740991,0.5\n17,3,-0\n"
 
+    @pytest.mark.parametrize("value,printed", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")])
+    def test_non_finite_index_column_prints_and_does_not_raise(self, value, printed):
+        # Every column is %.17g, so a non-finite index prints as a float column's does.
+        table = np.array([[value, 3.0, 0.5], [4.0, value, -0.0]])
+        text = format_rows(table)
+        assert text == f"{printed},3,0.5\n4,{printed},-0\n"
+        assert text == oracle_rows(table)
+
+    def test_index_columns_are_not_truncated(self):
+        # Fractional and out-of-range values print in full, not cut to an integer.
+        table = np.array([[2.7, -0.5, 2.0**53 + 2], [1e17, -3.25, 1.0]])
+        text = format_rows(table)
+        assert text == "2.7000000000000002,-0.5,9007199254740994\n1e+17,-3.25,1\n"
+        assert text == oracle_rows(table)
+
     def test_empty_table_gives_empty_text(self):
         assert format_rows(np.empty((0, 10))) == ""
         # n = 0 is one empty block, whose slot in the parts list follows the header's.

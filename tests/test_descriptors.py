@@ -160,6 +160,17 @@ class TestShadowOf:
         n1 = np.linalg.norm(shadow.points, axis=1)
         assert (np.abs(n0 - n1) / np.maximum(n0, 1e-30)).max() < 1e-12
 
+    def test_axes_equal_row_zero_of_the_transported_frames_bitwise(self, rng):
+        # Row 0 of the whole transported frame stack is what the field read
+        # when the shadow carried frames; the axes alone give the same bits.
+        for n in (2, 7, 600):
+            cloud = random_cloud(rng, n)
+            frames = random_frames(rng, n)
+            rot = random_rotation(rng)
+            shadow = shadow_of(cloud, frames, rot)
+            assert np.array_equal(shadow.axes, (frames @ rot.matrix)[:, 0, :])
+            assert shadow.axes.shape == shadow.points.shape == (n, 3)
+
 
 class TestSippf:
     def test_zero_for_symmetric_configuration(self):
