@@ -31,6 +31,7 @@ from .descriptors import (
     MASK_SIPF,
     ShadowCloud,
     coincident_pairs,
+    field_deviation,
     shadow_of,
     sipf_field,
 )
@@ -42,7 +43,6 @@ from .errors import (
     SipfError,
 )
 from .geometry import (
-    PointCloud,
     UnitQuaternion,
     knn_graph,
     quat_to_matrix,
@@ -182,21 +182,13 @@ def cmd_features(args) -> int:
     return EXIT_OK
 
 
-def _rotate_field_inputs(cloud, frames, shadow, rotation):
-    """Positions, frames and shadow under one joint rotation; the field reads no normals."""
-    m = rotation.matrix
-    shadow_r = ShadowCloud(points=shadow.points @ m, axes=shadow.axes @ m)
-    return PointCloud(points=cloud.points @ m), frames @ m, shadow_r
-
-
 def cmd_verify_invariance(args) -> int:
     if args.trials < 1:
         raise InvalidArgumentError("--trials must be >= 1")
     # Dropped points stay dropped under every joint rotation: a frame and a
     # shadow offset rotate with the cloud.
     config, cloud, graph, frames, shadow, valid = _field_inputs(args)
-    keep = _usable_edges(graph, valid)
-    if not keep.any():
+    if not _usable_edges(graph, valid).any():
         raise InvalidInputError("no descriptor row is usable: every point or every neighbor was omitted")
     base = sipf_field(cloud, frames, graph, shadow, mask=MASK_SIPF, valid=valid)
     # Trial rotations draw from a stream decoupled from the shadow seed: the
@@ -204,18 +196,14 @@ def cmd_verify_invariance(args) -> int:
     # half-turn, so a shared stream can make trial and shadow rotations agree
     # on axis points and produce exact coincidences.
     rng = np.random.default_rng([config.seed, 1])
+    axes = frames[:, 0, :]  # the field reads only the primary axes
     worst = 0.0
     for _ in range(args.trials):
-        rnd = random_rotation(rng)
-        cloud_r, frames_r, shadow_r = _rotate_field_inputs(cloud, frames, shadow, rnd)
-        if args.break_shadow:
-            shadow_r = shadow  # negative control: shadow left out of the joint rotation
-        dev = sipf_field(cloud_r, frames_r, graph, shadow_r, mask=MASK_SIPF, valid=valid)
-        np.abs(np.subtract(dev, base, out=dev), out=dev)
-        # Deviations are >= 0, so zeroing the unusable edges leaves the maximum of the rest.
-        dev[~keep] = 0.0
+        m = random_rotation(rng).matrix
+        # --break-shadow is the negative control: the shadow is left out of the joint rotation.
+        shadow_r = shadow if args.break_shadow else ShadowCloud(points=shadow.points @ m, axes=shadow.axes @ m)
+        trial = field_deviation(cloud.points @ m, axes @ m, graph, shadow_r, base, valid)
         # max() drops a NaN trial, as every comparison with NaN is false: keep it, so that it fails.
-        trial = float(dev.max())
         worst = trial if np.isnan(trial) else max(worst, trial)
     passed = worst <= INVARIANCE_THRESHOLD
     report = {

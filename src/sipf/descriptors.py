@@ -41,6 +41,7 @@ __all__ = [
     "ShadowCloud",
     "shadow_of",
     "sipf_field",
+    "field_deviation",
     "detect_axis_alignment",
     "detect_local_coincidence",
 ]
@@ -98,7 +99,8 @@ def coincident_pairs(cloud: PointCloud, graph: NeighborGraph) -> np.ndarray:
     """(P, 2) index pairs, i < j and ascending, of the graph edges shorter than COINCIDENT_DISTANCE_FLOOR."""
     if len(cloud) != len(graph):
         raise InvalidArgumentError(f"cloud of {len(cloud)} points does not match a graph of {len(graph)} rows")
-    edge_length = np.linalg.norm(cloud.points[graph.indices] - cloud.points[:, None, :], axis=-1)
+    # One coordinate plane at a time: the bits of np.linalg.norm over an (N, k, 3) gather, without it.
+    edge_length = _norm([plane[graph.indices] - plane[:, None] for plane in cloud.points.T])
     ref, slot = np.nonzero(edge_length < COINCIDENT_DISTANCE_FLOOR)
     return np.unique(np.sort(np.column_stack([ref, graph.indices[ref, slot]]), axis=1), axis=0)
 
@@ -130,7 +132,7 @@ def _pair_rows(out, p, a, q, b, name_pair, d=None, square=None):
     return out
 
 
-# Kept rows per block of ``sipf_field``: a block's arrays stay in cache through every step.
+# Kept rows per block of the field: a block's arrays stay in cache through every step.
 _FIELD_ROWS = 1024
 
 
@@ -147,8 +149,8 @@ def _field_rows(points, a1, shadow, mask, rows, idx, alloc):
     in arrays from ``alloc``, a lane's allocator.
 
     The neighbour gathers use mode "wrap", which writes into ``out`` without numpy's buffered
-    copy.  None wraps: ``NeighborGraph`` keeps every index in [0, N), and ``sipf_field``
-    checks that the points and frames have N rows.
+    copy.  None wraps: ``NeighborGraph`` keeps every index in [0, N), and ``_field_blocks``
+    checks that the points and axes have N rows.
     """
     m, k = idx.shape
     p_r, a_r = points[rows][:, None, :], a1[rows][:, None, :]
@@ -181,6 +183,54 @@ def _field_rows(points, a1, shadow, mask, rows, idx, alloc):
     return f
 
 
+def _field_blocks(points, axes, graph, shadow, valid):
+    """The blocked driver of ``sipf_field`` and ``field_deviation``: checks that the points, the
+    primary axes (both (N, 3)) and the shadow have the graph's N rows, and selects the rows that
+    ``valid`` keeps.  Returns ``valid`` as a boolean mask, or None when it keeps every row, and
+    ``run(mask, consume)``.
+
+    ``run`` computes the kept rows in blocks of ``_FIELD_ROWS`` with ``sipf.lanes.run_blocks`` and
+    hands each block's component-major (8, m, k) field, in its lane's buffers, to
+    ``consume(start, rows, idx, f)``: ``start`` numbers the block's first kept row, ``rows``
+    selects its rows of an (N, ...) array (a slice when every row is kept) and ``idx`` holds their
+    neighbours.  A run whose blocks meet a coincident pair computes again as one block over all
+    kept rows, which raises the error that one pass over all rows meets first: the neighbour-pair
+    check over all rows comes before the shadow checks, and the pair named is the first closest
+    one in row-major order.
+    """
+    idx = graph.indices
+    n, k = idx.shape
+    if points.shape != (n, 3) or axes.shape != (n, 3) or len(shadow.points) != n:
+        raise InvalidArgumentError(
+            f"points {points.shape}, axes {axes.shape} and shadow of {len(shadow.points)} points "
+            f"do not match a graph of {n} rows"
+        )
+    rows = np.arange(n)
+    if valid is not None:
+        valid = np.asarray(valid, dtype=bool)
+        if valid.shape != (n,):
+            raise InvalidArgumentError(f"valid mask must have shape ({n},), got {valid.shape}")
+        if valid.all():
+            valid = None
+        else:
+            rows = rows[valid]
+            idx = idx[rows]
+
+    def run(mask, consume):
+        def step(lane, alloc, start, stop):
+            f = _field_rows(points, axes, shadow, mask, rows[start:stop], idx[start:stop], alloc)
+            consume(start, slice(start, stop) if valid is None else rows[start:stop], idx[start:stop], f)
+
+        try:
+            run_blocks(len(rows), _FIELD_ROWS, step, _field_arrays(_FIELD_ROWS, k, mask))
+        except CoincidentPointError:
+            if len(rows) > _FIELD_ROWS:
+                step(0, _buffers(), 0, len(rows))  # raises the error of one pass over all rows
+            raise
+
+    return valid, run
+
+
 def sipf_field(
     cloud: PointCloud,
     frames: np.ndarray,
@@ -201,48 +251,52 @@ def sipf_field(
     neighbours.  Every value is bitwise that of the per-edge formulas with
     ``np.linalg.norm`` norms and ``np.einsum`` cosines; the tests check it.
 
-    The kept rows run in blocks of ``_FIELD_ROWS`` with ``sipf.lanes.run_blocks``.
-    Each block builds its component-major (8, m, k) field in its lane's
-    buffers and writes its transpose into its own rows of the output, so no
-    bit depends on the blocks or the lanes.  A call whose blocks meet a
-    coincident pair computes again as one block over all kept rows, which
-    raises the error that one pass over all rows meets first: the
-    neighbour-pair check over all rows comes before the shadow checks, and
-    the pair named is the first closest one in row-major order.
+    The kept rows run in ``_field_blocks``' blocks on the two lanes.  Each
+    block writes the transpose of its (8, m, k) field into its own rows of
+    the output, so no bit depends on the blocks or the lanes.
     """
     if mask not in DESCRIPTOR_MASKS:
         raise InvalidArgumentError(f"unknown descriptor mask {mask!r}")
     frames = np.asarray(frames, dtype=np.float64)
-    idx = graph.indices
-    n, k = idx.shape
-    if len(cloud) != n or frames.shape != (n, 3, 3) or len(shadow.points) != n:
-        raise InvalidArgumentError(
-            f"cloud of {len(cloud)} points, frames {frames.shape} and shadow of {len(shadow.points)} "
-            f"points do not match a graph of {n} rows"
-        )
-    rows = np.arange(n)
-    if valid is not None:
-        valid = np.asarray(valid, dtype=bool)
-        if valid.shape != (n,):
-            raise InvalidArgumentError(f"valid mask must have shape ({n},), got {valid.shape}")
-        if not valid.all():
-            rows = rows[valid]
-            idx = idx[rows]
-    m = len(rows)
-    a1 = frames[:, 0, :]
-    out = np.empty((n, k, 8)) if m == n else np.zeros((n, k, 8))
+    if frames.shape[1:] != (3, 3):
+        raise InvalidArgumentError(f"frames must be (N, 3, 3), got {frames.shape}")
+    valid, run = _field_blocks(cloud.points, frames[:, 0, :], graph, shadow, valid)
+    out = (np.empty if valid is None else np.zeros)((*graph.indices.shape, 8))
 
-    def fill(lane, alloc, start, stop):
-        f = _field_rows(cloud.points, a1, shadow, mask, rows[start:stop], idx[start:stop], alloc)
-        out[slice(start, stop) if m == n else rows[start:stop]] = f.transpose(1, 2, 0)
+    def fill(start, rows, idx, f):
+        out[rows] = f.transpose(1, 2, 0)
 
-    try:
-        run_blocks(m, _FIELD_ROWS, fill, _field_arrays(_FIELD_ROWS, k, mask))
-    except CoincidentPointError:
-        if m > _FIELD_ROWS:
-            fill(0, _buffers(), 0, m)  # raises the error of one pass over all rows
-        raise
+    run(mask, fill)
     return out
+
+
+def field_deviation(points, axes, graph: NeighborGraph, shadow: ShadowCloud, base, valid=None) -> float:
+    """max |field - base| over the usable edges, where field is the full descriptor field
+    (``MASK_SIPF``) of ``points`` with primary axes ``axes``, both (N, 3), and ``shadow``.
+
+    ``base`` is an (N, k, 8) field with the same ``graph`` and ``valid``, such as ``sipf_field``'s
+    of the unrotated inputs.  An edge is usable when ``valid`` keeps its reference point and its
+    neighbour.  Each block reduces its field in its lane's buffers to one maximum in its own slot,
+    so no (N, k, 8) field is made.  A maximum is exact, so the result does not depend on the
+    blocks, and a NaN deviation on a usable edge returns NaN.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    axes = np.asarray(axes, dtype=np.float64)
+    base = np.asarray(base, dtype=np.float64)
+    if base.shape != (*graph.indices.shape, 8):
+        raise InvalidArgumentError(f"base field must be {(*graph.indices.shape, 8)}, got {base.shape}")
+    valid, run = _field_blocks(points, axes, graph, shadow, valid)
+    slots = {}
+
+    def reduce(start, rows, idx, f):
+        dev = np.abs(np.subtract(f, base[rows].transpose(2, 0, 1), out=f), out=f)
+        if valid is not None:
+            dev[:, ~valid[idx]] = 0.0  # edges to a dropped neighbour; deviations are >= 0
+        slots[start] = dev.max(initial=0.0)
+
+    run(MASK_SIPF, reduce)
+    # np.max keeps a NaN, where a comparison with NaN would drop it.
+    return float(np.max(list(slots.values())))
 
 
 def _row_dot(a, b):

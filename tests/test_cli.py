@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from sipf import cli
+from sipf import descriptors
 from sipf.cli import (
     EXIT_INVARIANCE,
     EXIT_OK,
@@ -12,15 +12,14 @@ from sipf.cli import (
     INVARIANCE_THRESHOLD,
     _build_parser,
     _field_inputs,
-    _rotate_field_inputs,
     _usable_edges,
     load_config,
     main,
 )
 from sipf.cloudio import _CSV_CHUNK_ROWS, load_cloud
-from sipf.descriptors import MASK_SIPF, sipf_field
+from sipf.descriptors import MASK_SIPF, ShadowCloud, sipf_field
 from sipf.errors import InvalidInputError
-from sipf.geometry import knn_graph, random_rotation
+from sipf.geometry import PointCloud, knn_graph, random_rotation
 from sipf.training import ToyTaskConfig
 
 from conftest import sipf_stack
@@ -308,6 +307,13 @@ class TestPathErrors:
         self._assert_one_error(["demo-wingtip", "--config", fast_config, "--out", str(out)], out, capsys)
 
 
+def _rotate_field_inputs(cloud, frames, shadow, rotation):
+    """Positions, whole frames and shadow under one joint rotation; the field reads no normals."""
+    m = rotation.matrix
+    shadow_r = ShadowCloud(points=shadow.points @ m, axes=shadow.axes @ m)
+    return PointCloud(points=cloud.points @ m), frames @ m, shadow_r
+
+
 class TestVerifyInvariance:
     def test_passes_on_valid_cloud(self, cloud_file, tmp_path):
         out = tmp_path / "report.json"
@@ -382,22 +388,23 @@ class TestVerifyInvariance:
 
     @pytest.mark.parametrize("bad_trial, value", [(0, np.nan), (2, np.nan), (1, np.inf)])
     def test_non_finite_deviation_fails(self, cloud_file, tmp_path, monkeypatch, bad_trial, value):
-        # One trial's field is non-finite on a usable edge.  The deviation is then NaN or
-        # inf: the command fails whichever trial it is, and the report stays strict JSON.
-        fields = []
+        # One usable edge of one trial's field block is non-finite.  The deviation is then NaN
+        # or inf: the command fails whichever trial it is, and the report stays strict JSON.
+        blocks = []
+        field_rows = descriptors._field_rows
 
-        def spoiled(*args, **kwargs):
-            field = sipf_field(*args, **kwargs)
-            if len(fields) == bad_trial + 1:  # the first call is the unrotated field
-                field[0, 0, 5] = value
-            fields.append(field)
-            return field
+        def spoiled(*args):
+            f = field_rows(*args)
+            if len(blocks) == bad_trial + 1:  # the first block is the unrotated field's
+                f[5, 0, 0] = value
+            blocks.append(f.shape)
+            return f
 
-        monkeypatch.setattr(cli, "sipf_field", spoiled)
+        monkeypatch.setattr(descriptors, "_field_rows", spoiled)
         out = tmp_path / "report.json"
         argv = ["verify-invariance", "--input", cloud_file, "--k", "2", "--trials", "3", "--seed", "5"]
         assert main([*argv, "--out", str(out)]) == EXIT_INVARIANCE
-        assert len(fields) == 4
+        assert blocks == [(8, 5, 2)] * 4
         report = json.loads(out.read_text(), parse_constant=lambda name: pytest.fail(f"{name} in the report"))
         assert report == {
             "trials": 3, "max_abs_deviation": None, "threshold": INVARIANCE_THRESHOLD,

@@ -17,6 +17,7 @@ from sipf.descriptors import (
     coincident_pairs,
     detect_axis_alignment,
     detect_local_coincidence,
+    field_deviation,
     shadow_of,
     sipf_field,
 )
@@ -413,6 +414,27 @@ class TestFieldInputs:
         with pytest.raises(InvalidArgumentError, match=message):
             coincident_pairs(random_cloud(rng, n_cloud), graph)
 
+    def test_coincident_pairs_reads_the_bits_of_np_linalg_norm(self, monkeypatch):
+        # At a floor of L and of the next double above L, an edge is counted exactly when its
+        # length is below L and when it is at most L: so every edge must read L bit for bit.
+        rng = np.random.default_rng(23)
+        pts = rng.uniform(-1.0, 1.0, (40, 3)) * 10.0 ** rng.uniform(-6.0, 3.0, (40, 1))
+        for i, offset in zip(range(0, 12, 2), (0.0, 1e-16, 7e-16, 1e-15, 3e-15, 1e-9)):
+            pts[i + 1] = pts[i] + rng.uniform(-1.0, 1.0, 3) * offset
+        cloud = PointCloud(points=pts)
+        graph = knn_graph(cloud, 4)
+        lengths = np.linalg.norm(pts[graph.indices] - pts[:, None, :], axis=-1)
+
+        def pairs_below(floor):
+            ref, slot = np.nonzero(lengths < floor)
+            return np.unique(np.sort(np.column_stack([ref, graph.indices[ref, slot]]), axis=1), axis=0)
+
+        assert (lengths < descriptors.COINCIDENT_DISTANCE_FLOOR).sum() > 2
+        for length in np.unique(lengths):
+            for floor in (length, np.nextafter(length, np.inf)):
+                monkeypatch.setattr(descriptors, "COINCIDENT_DISTANCE_FLOOR", floor)
+                assert np.array_equal(coincident_pairs(cloud, graph), pairs_below(floor))
+
 
 def _coincidence_case(pairs=(), shadows=(), shadow_on_neighbor=None):
     """A 40-point cloud, k = 4, in which each (i, j, exact) of ``pairs`` puts point j on point i,
@@ -558,6 +580,78 @@ class TestFieldBlocks:
         with pytest.raises(CoincidentPointError) as excinfo:
             sipf_field(cloud, frames, graph, shadow)
         assert str(excinfo.value) == f"coincident pair at index (10, {graph.indices[10, 0]})"
+
+def _deviation_case(n, break_shadow, seed=29):
+    """An n-point cloud (k = 5) with rows 3 and n - 2 dropped, its base field, and its points, primary
+    axes and shadow under one joint rotation (the shadow left unrotated with ``break_shadow``)."""
+    rng = np.random.default_rng(seed)
+    cloud = random_cloud(rng, n)
+    graph = knn_graph(cloud, 5)
+    frames = random_frames(rng, n)
+    shadow = shadow_of(cloud, frames, random_rotation(rng))
+    valid = np.ones(n, dtype=bool)
+    valid[[3, n - 2]] = False
+    base = sipf_field(cloud, frames, graph, shadow, valid=valid)
+    m = random_rotation(rng).matrix
+    shadow_r = shadow if break_shadow else ShadowCloud(points=shadow.points @ m, axes=shadow.axes @ m)
+    rotated = (PointCloud(points=cloud.points @ m), frames @ m, graph, shadow_r)
+    return rotated, base, valid
+
+
+def _deviation(rotated, base, valid):
+    cloud, frames, graph, shadow = rotated
+    return field_deviation(cloud.points, frames[:, 0, :], graph, shadow, base, valid)
+
+
+class TestFieldDeviation:
+    """field_deviation reduces each block of the rotated field to the maximum the whole field gives."""
+
+    @pytest.mark.parametrize("break_shadow", [False, True])
+    @pytest.mark.parametrize("n", [1024, 1025, 2100])
+    def test_matches_the_gathered_usable_edges(self, n, break_shadow):
+        rotated, base, valid = _deviation_case(n, break_shadow)
+        keep = valid[:, None] & valid[rotated[2].indices]
+        expected = np.abs(sipf_field(*rotated, valid=valid)[keep] - base[keep]).max()
+        assert np.array_equal(_bits(_deviation(rotated, base, valid)), _bits(expected))
+        assert (expected > 1e-3) == break_shadow
+
+    def test_dropped_edge_that_deviates_most_is_left_out(self):
+        rotated, base, valid = _deviation_case(2100, False)
+        graph = rotated[2]
+        row, slot = np.argwhere(valid[:, None] & ~valid[graph.indices])[-1]
+        assert row >= descriptors._FIELD_ROWS  # not in the first block
+        expected = _deviation(rotated, base, valid)
+        base[row, slot] = 100.0  # the largest deviation, on an edge to a dropped neighbour
+        assert _deviation(rotated, base, valid) == expected < 1e-9
+        assert _deviation(rotated, base, None) > 99.0
+
+    def test_nan_in_the_last_block_propagates(self):
+        rotated, base, valid = _deviation_case(2100, True)
+        base[2099, 0, 6] = np.nan
+        assert np.isnan(_deviation(rotated, base, valid))
+
+    def test_coincident_pair_in_the_second_block_raises_what_sipf_field_raises(self):
+        pts = np.random.default_rng(31).uniform(-1.0, 1.0, (2100, 3))
+        pts[1900] = pts[1100]
+        cloud = PointCloud(points=pts)
+        graph = knn_graph(cloud, 5)
+        frames = random_frames(np.random.default_rng(32), 2100)
+        shadow = shadow_of(cloud, frames, random_rotation(np.random.default_rng(33)))
+        # A shadow on point 5, in the first block: one pass over all rows names the pair first.
+        shadow = ShadowCloud(points=np.vstack([shadow.points[:5], pts[5:6], shadow.points[6:]]), axes=shadow.axes)
+        with pytest.raises(CoincidentPointError) as field_error:
+            sipf_field(cloud, frames, graph, shadow)
+        with pytest.raises(CoincidentPointError) as deviation_error:
+            field_deviation(pts, frames[:, 0, :], graph, shadow, np.zeros((2100, 5, 8)))
+        assert str(deviation_error.value) == str(field_error.value) == "coincident pair at index (1100, 1900)"
+
+    def test_inputs_must_have_the_graphs_shape(self, rng):
+        cloud, frames, graph, shadow = _field_case(rng, 40, 4, FRAME_MODE_BARYCENTER)
+        with pytest.raises(InvalidArgumentError, match=r"base field must be \(40, 4, 8\), got \(40, 4, 7\)"):
+            field_deviation(cloud.points, frames[:, 0, :], graph, shadow, np.zeros((40, 4, 7)))
+        with pytest.raises(InvalidArgumentError, match="do not match a graph of 40 rows"):
+            field_deviation(cloud.points, frames, graph, shadow, np.zeros((40, 4, 8)))
+
 
 class TestDegeneracyDetectors:
     def test_axis_alignment_extremes(self):
