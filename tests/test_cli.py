@@ -28,6 +28,15 @@ from conftest import sipf_stack
 GOLDEN_FEATURES_SHA256 = "5cd1c552c9fde81cbd41f4c3de3d75e19c34499a944eacad7690c5cb30eb601f"
 # ... for the 600-point cloud in test_golden_csv_bytes_several_chunks.
 GOLDEN_FEATURES_600_SHA256 = "1fb306ff1609e22c104cd658d408b8cfd8517ebab9c87e3f44c1a18bfe9f3a2c"
+# ... for the 2,500-point lattice of _write_lattice_cloud, with normals (three field blocks).
+GOLDEN_FEATURES_LATTICE_SHA256 = "fa289d84c802925b62364c036dd3003ef179d2c2f451895f71bd16605357b79c"
+# The 3-trial verify-invariance reports on that lattice without normals, without and with --break-shadow.
+GOLDEN_LATTICE_REPORTS = {
+    False: '{\n  "trials": 3,\n  "max_abs_deviation": 5.467848396278896e-14,\n  "threshold": 1e-08,\n'
+    '  "break_shadow": false,\n  "pass": true\n}\n',
+    True: '{\n  "trials": 3,\n  "max_abs_deviation": 1.9938802141994079,\n  "threshold": 1e-08,\n'
+    '  "break_shadow": true,\n  "pass": false\n}\n',
+}
 # ... of `bingham sample -n 2000 --seed 3`.
 GOLDEN_BINGHAM_SAMPLE_SHA256 = "b7e78a6ad6c33aae861b52e320cb7ad24acae061a541874ed5cb92b8c88d9613"
 
@@ -49,6 +58,29 @@ def coincident_cloud_file(tmp_path):
     path = tmp_path / "coincident.xyz"
     path.write_text("".join(" ".join(format(v, ".17g") for v in row) + "\n" for row in pts))
     return str(path)
+
+
+def _write_lattice_cloud(path, normals):
+    """2,500 points on a 1/256 lattice, with integer normals if ``normals``, so the file text is
+    exact.  Points 0-3 lie on the z axis, which the shadow rotation 0.6,0,0,0.8 (about z) leaves
+    fixed: the row policy drops them.  The 2,496 kept rows span three of sipf_field's blocks,
+    one of them on the second lane, and the kept-row gathers run."""
+    rng = np.random.default_rng(2500)
+    pts = rng.integers(-1024, 1025, size=(2500, 3)) / 256
+    dirs = rng.integers(-3, 4, size=(2500, 3))
+    dirs[:, 2] = rng.integers(1, 4, size=2500)
+    pts[:4] = [(0.0, 0.0, 0.0), (0.0, 0.0, 1.5), (0.0, 0.0, -2.25), (0.0, 0.0, 3.75)]
+    rows = [
+        f"{x!r} {y!r} {z!r}" + (f" {a} {b} {c}" if normals else "")
+        for (x, y, z), (a, b, c) in zip(pts.tolist(), dirs.tolist())
+    ]
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+LATTICE_WARNINGS = "".join(
+    f"warning: shadow coincides with point {i}; rows omitted\n" for i in range(4)
+) + "warning: 4 point(s) omitted\n"
 
 
 COINCIDENT_WARNINGS = "warning: coincident points 5 and 7; rows omitted\nwarning: 2 point(s) omitted\n"
@@ -216,6 +248,18 @@ class TestFeatures:
         data = out.read_bytes()
         assert data.count(b"\n") - 1 > 2 * _CSV_CHUNK_ROWS
         assert hashlib.sha256(data).hexdigest() == GOLDEN_FEATURES_600_SHA256
+
+    def test_golden_csv_bytes_several_field_blocks(self, tmp_path, capsys):
+        path = _write_lattice_cloud(tmp_path / "lattice.xyz", normals=True)
+        out = tmp_path / "lattice.csv"
+        code = main([
+            "features", "--input", path, "--k", "12", "--rotation=0.6,0,0,0.8", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == LATTICE_WARNINGS
+        data = out.read_bytes()
+        assert len({row.split(b",")[0] for row in data.splitlines()[1:]}) > 2 * descriptors._FIELD_ROWS
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_FEATURES_LATTICE_SHA256
 
     def test_stdout_matches_file_output(self, cloud_file, tmp_path, capsysbinary):
         out = tmp_path / "f.csv"
@@ -385,6 +429,18 @@ class TestVerifyInvariance:
         code = main([*argv, "--out", str(out)])
         assert code == (EXIT_INVARIANCE if break_shadow else EXIT_OK)
         assert out.read_text() == json.dumps(expected, indent=2) + "\n"
+
+    @pytest.mark.parametrize("break_shadow", [False, True])
+    def test_golden_report_bytes_several_field_blocks(self, tmp_path, capsys, break_shadow):
+        path = _write_lattice_cloud(tmp_path / "lattice.xyz", normals=False)
+        out = tmp_path / "report.json"
+        argv = [
+            "verify-invariance", "--input", path, "--k", "12", "--rotation=0.6,0,0,0.8",
+            "--trials", "3", "--seed", "3", "--out", str(out),
+        ]
+        assert main(argv + ["--break-shadow"] * break_shadow) == (EXIT_INVARIANCE if break_shadow else EXIT_OK)
+        assert capsys.readouterr().err == LATTICE_WARNINGS
+        assert out.read_text() == GOLDEN_LATTICE_REPORTS[break_shadow]
 
     @pytest.mark.parametrize("bad_trial, value", [(0, np.nan), (2, np.nan), (1, np.inf)])
     def test_non_finite_deviation_fails(self, cloud_file, tmp_path, monkeypatch, bad_trial, value):
