@@ -12,7 +12,9 @@ p_r' = p_r R_g with primary axis a1' = a1 R_g:
 
 an L2-normalized difference that degenerates to the exact zero vector when
 the difference norm falls below 1e-12.  Concatenating the two blocks gives
-the 8-dimensional descriptor used by the attention layer.
+the 8-dimensional descriptor used by the attention layer.  The field is computed
+on (3, ...) coordinate planes, and ``geometry.dot3`` sums each cosine as
+(x0 y0 + x2 y2) + x1 y1, ``np.einsum``'s order on (..., 3) rows, to keep its bits.
 
 Two scored degeneracy detectors cover the known failure geometries: shadow
 displacement along the primary axis with coinciding axes, and coincidence of
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidentPointError, InvalidArgumentError, InvalidInputError
-from .geometry import NeighborGraph, PointCloud, Rotation3, set_read_only
+from .geometry import NeighborGraph, PointCloud, Rotation3, dot3, set_read_only
 from .lanes import _buffers, run_blocks
 
 __all__ = [
@@ -115,19 +117,20 @@ def _norm(parts, out=None, square=None):
     return np.sqrt(out, out=out)
 
 
-def _pair_rows(out, p, a, q, b, name_pair, d=None, square=None):
+def _pair_rows(out, p, a, q, b, name_pair, d, square):
     """Pair features (|d|, cos(a, d), cos(b, d), cos(a, b)), d = q - p, into ``out[0]`` .. ``out[3]``; returns ``out``.
 
-    ``d`` and ``square``, if given, receive q - p and ``_norm``'s squares.  A coincident pair
-    raises the message that ``name_pair`` makes of the closest pair's (row, col).
+    The vectors are (3, ...) coordinate planes; ``dot3`` sums a cosine as einsum does on rows,
+    (x0 y0 + x2 y2) + x1 y1.  ``d`` and ``square`` receive q - p and the later squares and products.
+    A coincident pair raises the message that ``name_pair`` makes of the closest pair's (row, col).
     """
     d = np.subtract(q, p, out=d)
-    _norm(np.moveaxis(d, -1, 0), out=out[0], square=square)
+    _norm(d, out=out[0], square=square)
     if np.any(out[0] < COINCIDENT_DISTANCE_FLOOR):
         raise CoincidentPointError(name_pair(np.unravel_index(int(np.argmin(out[0])), out[0].shape)))
-    d /= out[0][..., None]
+    d /= out[0]
     for o, (x, y) in zip(out[1:], ((a, d), (b, d), (a, b))):
-        np.einsum("...d,...d->...", x, y, out=o)
+        dot3(x, y, out=o, work=square)
     np.clip(out[1:], -1.0, 1.0, out=out[1:])
     return out
 
@@ -138,38 +141,38 @@ _FIELD_ROWS = 1024
 
 def _field_arrays(m, k, mask):
     """What a block of m rows asks its allocator for in ``_field_rows``: ``run_blocks`` reserves it for lane 1."""
-    arrays = [("p_j", (m, k, 3)), ("a_j", (m, k, 3)), ("f", (8, m, k)), ("d", (m, k, 3)), ("square", (m, k))]
+    arrays = [("p_j", (3, m, k)), ("a_j", (3, m, k)), ("f", (8, m, k)), ("d", (3, m, k)), ("square", (m, k))]
     if mask != MASK_PPF:
-        arrays += [("ref", (4, m, 1)), ("norm", (m, k))]
+        arrays += [("ref", (4, m, 1)), ("ref_d", (3, m, 1)), ("ref_square", (m, 1)), ("norm", (m, k))]
     return [(name, shape, np.float64) for name, shape in arrays]
 
 
-def _field_rows(points, a1, shadow, mask, rows, idx, alloc):
+def _field_rows(points, a1, s_points, s_axes, mask, rows, idx, alloc):
     """The component-major (8, m, k) field of the kept rows ``rows``, whose neighbours are ``idx``,
-    in arrays from ``alloc``, a lane's allocator.
-
-    The neighbour gathers use mode "wrap", which writes into ``out`` without numpy's buffered
-    copy.  None wraps: ``NeighborGraph`` keeps every index in [0, N), and ``_field_blocks``
-    checks that the points and axes have N rows.
+    in arrays from ``alloc``, a lane's allocator.  The first four are the (3, N) coordinate planes of
+    the points, primary axes, shadow points and shadow axes; each step writes whole (m, k) planes, and
+    the cosines are ``_pair_rows``' einsum-ordered dots.  The neighbour gathers use mode "wrap",
+    which writes into ``out`` without numpy's buffered copy.  None wraps: ``NeighborGraph`` keeps
+    every index in [0, N), and ``_field_blocks`` checks that the points and axes have N rows.
     """
     m, k = idx.shape
-    p_r, a_r = points[rows][:, None, :], a1[rows][:, None, :]
-    p_j = np.take(points, idx, axis=0, out=alloc("p_j", (m, k, 3)), mode="wrap")
-    a_j = np.take(a1, idx, axis=0, out=alloc("a_j", (m, k, 3)), mode="wrap")
+    p_r, a_r = points[:, rows, None], a1[:, rows, None]
+    p_j = np.take(points, idx, axis=1, out=alloc("p_j", (3, m, k)), mode="wrap")
+    a_j = np.take(a1, idx, axis=1, out=alloc("a_j", (3, m, k)), mode="wrap")
 
     def pair(rc):
         return f"coincident pair at index ({int(rows[rc[0]])}, {int(idx[rc])})"
 
-    # Component-major, so that every step writes contiguous memory.
     f = alloc("f", (8, m, k))
-    d, square = alloc("d", (m, k, 3)), alloc("square", (m, k))
+    d, square = alloc("d", (3, m, k)), alloc("square", (m, k))
     _pair_rows(f[:4], p_r, a_r, p_j, a_j, pair, d, square)
     if mask == MASK_PPF:
         f[4:] = 0.0
         return f
-    s_p, s_a = shadow.points[rows][:, None, :], shadow.axes[rows][:, None, :]
+    s_p, s_a = s_points[:, rows, None], s_axes[:, rows, None]
     ref = _pair_rows(alloc("ref", (4, m, 1)), p_r, a_r, s_p, s_a,
-                     lambda rc: f"shadow coincides with point {int(rows[rc[0]])}")
+                     lambda rc: f"shadow coincides with point {int(rows[rc[0]])}",
+                     alloc("ref_d", (3, m, 1)), alloc("ref_square", (m, 1)))
     diff = _pair_rows(f[4:], p_j, a_j, s_p, s_a, pair, d, square)
     np.subtract(ref, diff, out=diff)
     norm = _norm(diff, out=alloc("norm", (m, k)), square=square)
@@ -205,6 +208,7 @@ def _field_blocks(points, axes, graph, shadow, valid):
             f"points {points.shape}, axes {axes.shape} and shadow of {len(shadow.points)} points "
             f"do not match a graph of {n} rows"
         )
+    planes = [np.ascontiguousarray(a.T) for a in (points, axes, shadow.points, shadow.axes)]
     rows = np.arange(n)
     if valid is not None:
         valid = np.asarray(valid, dtype=bool)
@@ -218,7 +222,7 @@ def _field_blocks(points, axes, graph, shadow, valid):
 
     def run(mask, consume):
         def step(lane, alloc, start, stop):
-            f = _field_rows(points, axes, shadow, mask, rows[start:stop], idx[start:stop], alloc)
+            f = _field_rows(*planes, mask, rows[start:stop], idx[start:stop], alloc)
             consume(start, slice(start, stop) if valid is None else rows[start:stop], idx[start:stop], f)
 
         try:
@@ -247,9 +251,9 @@ def sipf_field(
     flagged invalid in ``valid`` are skipped and left zero; their values must
     not be consumed.
 
-    pair(p_r, p_r') is computed once per row and broadcast over its k
-    neighbours.  Every value is bitwise that of the per-edge formulas with
-    ``np.linalg.norm`` norms and ``np.einsum`` cosines; the tests check it.
+    pair(p_r, p_r') is computed once per row and broadcast over its k neighbours, on (3, m, k)
+    coordinate planes with (x0 y0 + x2 y2) + x1 y1 cosines: bitwise the per-edge formulas with
+    ``np.linalg.norm`` norms and ``np.einsum`` cosines on (..., 3) rows; the tests check it.
 
     The kept rows run in ``_field_blocks``' blocks on the two lanes.  Each
     block writes the transpose of its (8, m, k) field into its own rows of

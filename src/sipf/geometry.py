@@ -57,6 +57,17 @@ def _as_float_array(values, name):
     return arr
 
 
+def dot3(x, y, out=None, work=None):
+    """Dot products of the 3-vectors with coordinate planes x[0..2] and y[0..2], with the bits of
+    ``np.einsum("...d,...d->...")`` on their rows: (x0 y0 + x2 y2) + x1 y1 from a +0 start, so that
+    three -0 products sum to +0.  ``work`` takes the later products; without ``out``, x[0] y[0] needs the full shape."""
+    out = np.multiply(x[0], y[0], out=out)
+    out += np.multiply(x[2], y[2], out=work)
+    out += np.multiply(x[1], y[1], out=work)
+    out += 0.0
+    return out
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """N x 3 positions with optional unit normals.

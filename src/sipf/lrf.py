@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateFrameError, InvalidArgumentError
-from .geometry import NeighborGraph, PointCloud
+from .geometry import NeighborGraph, PointCloud, dot3
 
 __all__ = [
     "FRAME_MODE_NORMAL",
@@ -97,7 +97,7 @@ def input_descriptor(cloud: PointCloud, frames: np.ndarray) -> np.ndarray:
     v = cloud.points - cloud.centroid
     rho = np.linalg.norm(v, axis=1)
     safe = np.where(rho > 0, rho, 1.0)
-    cos_a = np.einsum("nd,nd->n", frames[:, 0, :], v) / safe
+    cos_a = dot3(frames[:, 0, :].T, v.T) / safe
     cos_a = np.clip(cos_a, -1.0, 1.0)
     sin_a = np.sqrt(np.maximum(0.0, 1.0 - cos_a**2))
     out = np.stack([rho, sin_a, cos_a], axis=1)

@@ -12,6 +12,7 @@ from sipf.geometry import (
     PointCloud,
     Rotation3,
     UnitQuaternion,
+    dot3,
     is_near_identity,
     knn_graph,
     quat_to_matrix,
@@ -309,6 +310,56 @@ class TestRandomRotation:
             q = matrix_to_quat(random_rotation(rng)).array
             acc += np.outer(q, q)
         assert np.abs(acc / n - np.eye(4) / 4).max() < 0.01
+
+
+def _einsum_rows_and_dot3(x, y):
+    """np.einsum's dot over the rows of x and y, and dot3's over their coordinate planes."""
+    expected = np.einsum("...d,...d->...", x, y)
+    got = dot3(np.moveaxis(x, -1, 0), np.moveaxis(y, -1, 0), out=np.empty_like(expected),
+               work=np.empty_like(expected))
+    return expected.view(np.int64), got.view(np.int64)
+
+
+class TestDot3:
+    """dot3 is the production dot product: these pin its bits to np.einsum's, so a numpy whose
+    einsum associates its 3-term sum differently fails here by name."""
+
+    SHAPES = [((300, 7), (300, 7)), ((300, 1), (300, 7)), ((300, 1), (300, 1))]
+
+    @pytest.mark.parametrize("x_shape, y_shape", SHAPES)
+    def test_bits_of_einsum_from_1e_minus_300_to_1e300(self, x_shape, y_shape):
+        rng = np.random.default_rng(sum(x_shape + y_shape))
+
+        def triples(shape):
+            signs = rng.choice([-1.0, 1.0], (*shape, 3))
+            return signs * 10.0 ** rng.uniform(-300.0, 300.0, (*shape, 3))
+
+        for _ in range(20):
+            with np.errstate(all="ignore"):  # products overflow and underflow across this range
+                expected, got = _einsum_rows_and_dot3(triples(x_shape), triples(y_shape))
+            np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("x_shape, y_shape", SHAPES)
+    def test_bits_of_einsum_on_unit_scale_triples(self, x_shape, y_shape):
+        rng = np.random.default_rng(len(x_shape + y_shape))
+        expected, got = _einsum_rows_and_dot3(rng.normal(size=(*x_shape, 3)), rng.normal(size=(*y_shape, 3)))
+        np.testing.assert_array_equal(got, expected)
+
+    ZERO_AND_UNIT = np.array([0.0, -0.0, 1.0, -1.0])
+
+    @pytest.mark.parametrize("x_shape, y_shape", SHAPES)
+    def test_signed_zeros(self, x_shape, y_shape):
+        rng = np.random.default_rng(7)
+        x, y = rng.choice(self.ZERO_AND_UNIT, (*x_shape, 3)), rng.choice(self.ZERO_AND_UNIT, (*y_shape, 3))
+        expected, got = _einsum_rows_and_dot3(x, y)
+        np.testing.assert_array_equal(got, expected)
+
+    def test_every_sign_pattern_of_zero_and_unit_products(self):
+        # Three -0 products sum to +0, as from einsum's +0 start.
+        triples = np.array(np.meshgrid(*[self.ZERO_AND_UNIT] * 6)).reshape(6, -1).T
+        expected, got = _einsum_rows_and_dot3(triples[:, :3], triples[:, 3:])
+        np.testing.assert_array_equal(got, expected)
+        assert np.array([-0.0]).view(np.int64)[0] not in got
 
 
 class TestHelpers:

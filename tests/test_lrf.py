@@ -216,6 +216,15 @@ class TestInputDescriptor:
             worst = max(worst, np.abs(desc - base).max())
         assert worst < 1e-9
 
+    @pytest.mark.parametrize("mode", [FRAME_MODE_NORMAL, FRAME_MODE_BARYCENTER])
+    def test_cos_reads_the_bits_of_einsum(self, rng, mode):
+        cloud = random_cloud(rng, 400, with_normals=True)
+        frames, _ = try_build_all_lrfs(cloud, knn_graph(cloud, 8), mode)
+        v = cloud.points - cloud.centroid
+        cos_a = np.clip(np.einsum("nd,nd->n", frames[:, 0, :], v) / np.linalg.norm(v, axis=1), -1.0, 1.0)
+        got = input_descriptor(cloud, frames)[:, 2]
+        np.testing.assert_array_equal(got.view(np.int64), cos_a.view(np.int64))
+
     def test_sin_cos_identity(self, rng):
         cloud = random_cloud(rng, 30)
         graph = knn_graph(cloud, 6)
