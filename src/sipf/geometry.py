@@ -142,7 +142,10 @@ class UnitQuaternion:
         return np.array([self.w, self.x, self.y, self.z])
 
     def __neg__(self) -> "UnitQuaternion":
-        return UnitQuaternion(-self.w, -self.x, -self.y, -self.z)
+        """-q with each stored component negated exactly: renormalising could move the last bit."""
+        neg = object.__new__(UnitQuaternion)
+        vars(neg).update(w=-self.w, x=-self.x, y=-self.y, z=-self.z)
+        return neg
 
     def canonical(self) -> "UnitQuaternion":
         """Antipodal representative with w >= 0 (first nonzero positive on the w = 0 slice)."""

@@ -260,57 +260,47 @@ def _forward_cloud(layers, pose, feats, idx):
     return x, acts
 
 
-def _keep_points(clouds, labels, graphs, i, keep, k, what):
-    """Cloud i without the points outside ``keep``, with their labels, and its rebuilt graph."""
+def _keep(cloud, index, keep, k, i, what):
+    """Cloud ``i`` and its points' original ``index`` at the points in ``keep``, and the rebuilt graph."""
     if keep.sum() <= k:
         raise InvalidArgumentError(
             f"cloud {i}: {keep.sum()} point(s) left after dropping {what} points, k = {k} needs more"
         )
-    cloud = clouds[i]
     normals = None if cloud.normals is None else cloud.normals[keep]
-    clouds[i] = PointCloud(points=cloud.points[keep], normals=normals)
-    labels[i], graphs[i] = labels[i][keep], knn_graph(clouds[i], k)
+    cloud = PointCloud(points=cloud.points[keep], normals=normals)
+    return cloud, knn_graph(cloud, k), index[keep]
 
 
-# The field commands' row rules that the trainer applies first, in this order: (name, the points
-# the rule drops).  The origin lies on every shadow rotation's axis, so on its own shadow in every
-# epoch; a coincident pair drops both of its points.
-_DROP_RULES = (
-    ("origin", lambda cloud, graph: np.linalg.norm(cloud.points, axis=1) < COINCIDENT_DISTANCE_FLOOR),
-    ("coincident", lambda cloud, graph: np.isin(np.arange(len(cloud)), coincident_pairs(cloud, graph))),
-)
-
-
-def _drop_points(clouds, labels, graphs, k):
-    """Each rule of ``_DROP_RULES`` in turn, in place: the points it flags go, with their labels."""
-    for what, flags in _DROP_RULES:
-        for i, cloud in enumerate(clouds):
-            drop = flags(cloud, graphs[i])
-            if drop.any():
-                warnings.warn(f"cloud {i}: {drop.sum()} {what} point(s) dropped", stacklevel=3)
-                _keep_points(clouds, labels, graphs, i, ~drop, k, what)
-
-
-def _drop_degenerate_frames(clouds, labels, graphs, k, mode):
-    """The field commands' degenerate-frame rule, in place: such points go, with their labels.
+def _prepare_cloud(cloud, k, i):
+    """Cloud number ``i`` after :func:`train_toy`'s row rules: the kept cloud, its graph and
+    frames, and the original index of every kept point.
 
     Dropping a point moves its neighbours' frames, so the graph and frames are
-    rebuilt until every frame is valid.  Returns the frames.
+    rebuilt until every frame is valid.
     """
-    frames = []
-    for i in range(len(clouds)):
-        dropped = 0
-        while True:
-            try:  # a cloud whose frames are all valid takes one frame pass
-                frames.append(build_all_lrfs(clouds[i], graphs[i], mode))
-                break
-            except DegenerateFrameError:
-                valid = try_build_all_lrfs(clouds[i], graphs[i], mode)[1]
-            dropped += int((~valid).sum())
-            _keep_points(clouds, labels, graphs, i, valid, k, "degenerate-frame")
-        if dropped:
-            warnings.warn(f"cloud {i}: {dropped} degenerate-frame point(s) dropped", stacklevel=3)
-    return frames
+    mode = FRAME_MODE_NORMAL if cloud.normals is not None else FRAME_MODE_BARYCENTER
+    index = np.arange(len(cloud))
+    graph = knn_graph(cloud, k)
+    drop = np.linalg.norm(cloud.points, axis=1) < COINCIDENT_DISTANCE_FLOOR
+    if drop.any():
+        warnings.warn(f"cloud {i}: {drop.sum()} origin point(s) dropped", stacklevel=3)
+        cloud, graph, index = _keep(cloud, index, ~drop, k, i, "origin")
+    drop = np.isin(np.arange(len(cloud)), coincident_pairs(cloud, graph))
+    if drop.any():
+        warnings.warn(f"cloud {i}: {drop.sum()} coincident point(s) dropped", stacklevel=3)
+        cloud, graph, index = _keep(cloud, index, ~drop, k, i, "coincident")
+    dropped = 0
+    while True:
+        try:  # a cloud whose frames are all valid takes one frame pass
+            frames = build_all_lrfs(cloud, graph, mode)
+            break
+        except DegenerateFrameError:
+            valid = try_build_all_lrfs(cloud, graph, mode)[1]
+        dropped += int((~valid).sum())
+        cloud, graph, index = _keep(cloud, index, valid, k, i, "degenerate-frame")
+    if dropped:
+        warnings.warn(f"cloud {i}: {dropped} degenerate-frame point(s) dropped", stacklevel=3)
+    return cloud, graph, frames, index
 
 
 def _cloud_gradients(layers, acts, g_w, g_b, d_feats):
@@ -343,10 +333,11 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
     Emits one metrics dict per epoch: task loss, Bingham loss, total loss,
     full-dataset accuracy, and the epoch's rotation quaternion.  All
     randomness comes from one seeded generator, so runs are reproducible.
-    Before the first epoch, every point at the origin (on the axis of every
-    shadow rotation), both points of a coincident pair and every point with
-    a degenerate local frame are dropped with their labels, with one warning
-    per cloud and rule.
+    Before the first epoch, cloud by cloud, every point at the origin (on
+    the axis of every shadow rotation), both points of a coincident pair and
+    every point with a degenerate local frame are dropped with their labels,
+    with one warning per cloud and rule.  Each cloud's frames are
+    normal-based when it has normals and barycenter-based otherwise.
     """
     clouds = list(dataset.clouds)
     if not clouds:
@@ -357,10 +348,11 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
     symmetry = getattr(dataset, "symmetry", None)
     rng = np.random.default_rng(config.seed)
 
-    graphs = [knn_graph(c, config.k) for c in clouds]
-    _drop_points(clouds, labels, graphs, config.k)
-    mode_name = FRAME_MODE_NORMAL if clouds[0].normals is not None else FRAME_MODE_BARYCENTER
-    frames = _drop_degenerate_frames(clouds, labels, graphs, config.k, mode_name)
+    prepared = []
+    for i, cloud in enumerate(clouds):  # a comprehension's own frame would shift the warnings' stacklevel
+        prepared.append(_prepare_cloud(cloud, config.k, i))
+    clouds, graphs, frames, kept = zip(*prepared)
+    labels = [lab[index] for lab, index in zip(labels, kept)]
     feats0 = [input_descriptor(c, f) for c, f in zip(clouds, frames)]
 
     c_in = 3

@@ -202,7 +202,8 @@ class TestQuaternionMatrix:
         assert np.abs(rot.matrix @ np.array([0, 1, 0]) - np.array([0, 0, 1])).max() < 1e-15
 
     def test_antipodal_pair_same_matrix(self, rng):
-        for _ in range(20):
+        # Renormalising -q moves the last bit of the matrix for about 1 in 65 draws.
+        for _ in range(2000):
             v = rng.standard_normal(4)
             q = UnitQuaternion.from_array(v / np.linalg.norm(v))
             assert np.array_equal(quat_to_matrix(q).matrix, quat_to_matrix(-q).matrix)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from sipf.descriptors import MASK_PPF
 from sipf.errors import InvalidArgumentError
 from sipf.geometry import PointCloud, UnitQuaternion, is_near_identity, knn_graph, quat_to_matrix
-from sipf.lrf import FRAME_MODE_BARYCENTER, build_all_lrfs
+from sipf.lrf import FRAME_MODE_BARYCENTER, FRAME_MODE_NORMAL, build_all_lrfs
 from sipf.descriptors import shadow_of, sipf_field
 from sipf.training import (
     DEFAULT_N_CLOUDS,
@@ -283,6 +284,62 @@ class TestTrainToy:
         with pytest.warns(UserWarning, match=r"^cloud 1: 20 degenerate-frame point\(s\) dropped$"):
             log = metrics_to_jsonl(train_toy(patched, self._short_config()).metrics)
         assert log == metrics_to_jsonl(train_toy(dataset, self._short_config()).metrics)
+
+    def test_two_degenerate_clouds_warn_cloud_by_cloud(self):
+        # A coincident pair in cloud 0 and a point at the origin in cloud 1: each
+        # cloud goes through every rule before the next cloud, each warning names
+        # the trainer's caller, and the run equals one on the reduced clouds.
+        dataset = make_wingtip_dataset(2, 32, 0.0, 100)
+        first, second = dataset.clouds[0].points.copy(), dataset.clouds[1].points.copy()
+        first[6] = first[5]
+        second[3] = 0.0
+        degenerate = type(dataset)(
+            clouds=[PointCloud(points=first), PointCloud(points=second)],
+            labels=dataset.labels,
+            symmetry=dataset.symmetry,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            log = metrics_to_jsonl(train_toy(degenerate, self._short_config()).metrics)
+        assert [str(w.message) for w in caught] == [
+            "cloud 0: 2 coincident point(s) dropped",
+            "cloud 1: 1 origin point(s) dropped",
+        ]
+        assert {w.filename for w in caught} == {__file__}
+        keep0 = ~np.isin(np.arange(32), [5, 6])
+        keep1 = np.arange(32) != 3
+        reduced = type(dataset)(
+            clouds=[PointCloud(points=first[keep0]), PointCloud(points=second[keep1])],
+            labels=[dataset.labels[0][keep0], dataset.labels[1][keep1]],
+            symmetry=dataset.symmetry,
+        )
+        assert log == metrics_to_jsonl(train_toy(reduced, self._short_config()).metrics)
+
+    @pytest.mark.parametrize("with_normals", [0, 1])
+    def test_each_cloud_takes_its_frame_mode_from_its_own_normals(self, with_normals, monkeypatch):
+        # Normals on one cloud only: that cloud's frames are normal-based and the
+        # other's barycenter-based, whichever cloud comes first.
+        from sipf import training
+
+        modes = []
+        real = training.build_all_lrfs
+
+        def recorded(cloud, graph, mode):
+            modes.append(mode)
+            return real(cloud, graph, mode)
+
+        monkeypatch.setattr(training, "build_all_lrfs", recorded)
+        dataset = make_wingtip_dataset(2, 32, 0.0, 100)
+        normals = np.random.default_rng(7).standard_normal((32, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        clouds = list(dataset.clouds)
+        clouds[with_normals] = PointCloud(points=clouds[with_normals].points, normals=normals)
+        mixed = type(dataset)(clouds=clouds, labels=dataset.labels, symmetry=dataset.symmetry)
+        result = train_toy(mixed, self._short_config())
+        assert len(result.metrics) == 3
+        expected = [FRAME_MODE_BARYCENTER, FRAME_MODE_BARYCENTER]
+        expected[with_normals] = FRAME_MODE_NORMAL
+        assert modes == expected
 
     def test_cloud_left_with_k_points_or_fewer_is_named(self):
         dataset = make_wingtip_dataset(2, 32, 0.0, 100)
