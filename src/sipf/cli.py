@@ -29,9 +29,8 @@ from .descriptors import (
     DESCRIPTOR_MASKS,
     MASK_PPF,
     MASK_SIPF,
-    ShadowCloud,
     coincident_pairs,
-    field_deviation,
+    field_deviations,
     shadow_of,
     sipf_field,
 )
@@ -196,13 +195,13 @@ def cmd_verify_invariance(args) -> int:
     # half-turn, so a shared stream can make trial and shadow rotations agree
     # on axis points and produce exact coincidences.
     rng = np.random.default_rng([config.seed, 1])
-    axes = frames[:, 0, :]  # the field reads only the primary axes
+    # Every trial's rotation is drawn before the first trial runs: 72 bytes a trial.
+    rotations = np.array([random_rotation(rng).matrix for _ in range(args.trials)])
+    # --break-shadow is the negative control: the shadow is left out of the joint rotation.
+    deviations = field_deviations(cloud.points, frames[:, 0, :], graph, shadow, base, rotations, valid,
+                                  rotate_shadow=not args.break_shadow)
     worst = 0.0
-    for _ in range(args.trials):
-        m = random_rotation(rng).matrix
-        # --break-shadow is the negative control: the shadow is left out of the joint rotation.
-        shadow_r = shadow if args.break_shadow else ShadowCloud(points=shadow.points @ m, axes=shadow.axes @ m)
-        trial = field_deviation(cloud.points @ m, axes @ m, graph, shadow_r, base, valid)
+    for trial in deviations.tolist():
         # max() drops a NaN trial, as every comparison with NaN is false: keep it, so that it fails.
         worst = trial if np.isnan(trial) else max(worst, trial)
     passed = worst <= INVARIANCE_THRESHOLD

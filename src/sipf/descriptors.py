@@ -43,7 +43,7 @@ __all__ = [
     "ShadowCloud",
     "shadow_of",
     "sipf_field",
-    "field_deviation",
+    "field_deviations",
     "detect_axis_alignment",
     "detect_local_coincidence",
 ]
@@ -135,8 +135,19 @@ def _pair_rows(out, p, a, q, b, name_pair, d, square):
     return out
 
 
-# Kept rows per block of the field: a block's arrays stay in cache through every step.
+# Kept rows per block of the field, at most: a block's arrays stay in cache through every step.
+# ``_block_rows`` cuts the kept rows into the fewest blocks of one size (5,000 rows: 5 of 1,000),
+# the last one a few rows shorter where the size does not divide the rows (1,025: 513 and 512).
+# So a lane's blocks, over every trial of ``field_deviations`` too, ask for the same arrays, lane
+# 1's reserve; only a shorter last block makes its own.
 _FIELD_ROWS = 1024
+
+
+def _block_rows(n):
+    """Rows a block of the field's n kept rows: the fewest blocks of at most ``_FIELD_ROWS`` rows,
+    all of this size but the last, which is shorter by fewer rows than there are blocks."""
+    blocks = max(1, -(-n // _FIELD_ROWS))
+    return max(1, -(-n // blocks))
 
 
 def _field_arrays(m, k, mask):
@@ -153,7 +164,7 @@ def _field_rows(points, a1, s_points, s_axes, mask, rows, idx, alloc):
     the points, primary axes, shadow points and shadow axes; each step writes whole (m, k) planes, and
     the cosines are ``_pair_rows``' einsum-ordered dots.  The neighbour gathers use mode "wrap",
     which writes into ``out`` without numpy's buffered copy.  None wraps: ``NeighborGraph`` keeps
-    every index in [0, N), and ``_field_blocks`` checks that the points and axes have N rows.
+    every index in [0, N), and ``_check_rows`` checks that the points and axes have N rows.
     """
     m, k = idx.shape
     p_r, a_r = points[:, rows, None], a1[:, rows, None]
@@ -186,29 +197,41 @@ def _field_rows(points, a1, s_points, s_axes, mask, rows, idx, alloc):
     return f
 
 
-def _field_blocks(points, axes, graph, shadow, valid):
-    """The blocked driver of ``sipf_field`` and ``field_deviation``: checks that the points, the
-    primary axes (both (N, 3)) and the shadow have the graph's N rows, and selects the rows that
-    ``valid`` keeps.  Returns ``valid`` as a boolean mask, or None when it keeps every row, and
-    ``run(mask, consume)``.
-
-    ``run`` computes the kept rows in blocks of ``_FIELD_ROWS`` with ``sipf.lanes.run_blocks`` and
-    hands each block's component-major (8, m, k) field, in its lane's buffers, to
-    ``consume(start, rows, idx, f)``: ``start`` numbers the block's first kept row, ``rows``
-    selects its rows of an (N, ...) array (a slice when every row is kept) and ``idx`` holds their
-    neighbours.  A run whose blocks meet a coincident pair computes again as one block over all
-    kept rows, which raises the error that one pass over all rows meets first: the neighbour-pair
-    check over all rows comes before the shadow checks, and the pair named is the first closest
-    one in row-major order.
-    """
-    idx = graph.indices
-    n, k = idx.shape
+def _check_rows(points, axes, graph, shadow):
+    """Raise unless the points and primary axes, both (N, 3), and the shadow have the graph's N rows."""
+    n = len(graph)
     if points.shape != (n, 3) or axes.shape != (n, 3) or len(shadow.points) != n:
         raise InvalidArgumentError(
             f"points {points.shape}, axes {axes.shape} and shadow of {len(shadow.points)} points "
             f"do not match a graph of {n} rows"
         )
-    planes = [np.ascontiguousarray(a.T) for a in (points, axes, shadow.points, shadow.axes)]
+
+
+def _planes(*arrays):
+    """The (3, N) coordinate planes of (N, 3) arrays, each contiguous."""
+    return [np.ascontiguousarray(a.T) for a in arrays]
+
+
+def _field_blocks(graph, valid):
+    """The block runner of ``sipf_field`` and ``field_deviations``: selects the rows of the graph
+    that ``valid`` keeps.  Returns ``valid`` as a boolean mask, or None when it keeps every row,
+    the rows of a block (``_block_rows``) and ``run(planes, mask, consume, alloc=None)``.
+
+    ``run`` computes the kept rows of the field whose inputs are ``planes``, the (3, N) coordinate
+    planes of the points, primary axes, shadow points and shadow axes, in blocks, and hands each
+    block's component-major (8, m, k) field, in its lane's buffers, to
+    ``consume(start, rows, idx, f)``: ``start`` numbers the block's first kept row, ``rows``
+    selects its rows of an (N, ...) array (a slice when every row is kept) and ``idx`` holds their
+    neighbours.  Without ``alloc`` the blocks run on the two lanes of ``sipf.lanes.run_blocks``;
+    with a lane's allocator ``alloc`` they run first to last in the calling thread, in that lane's
+    buffers, as a step that already runs on a lane must: its own ``run_blocks`` call would queue
+    its lane 1 behind itself on the one executor thread.  A run whose blocks meet a coincident pair computes again as one block over all kept
+    rows, which raises the error that one pass over all rows meets first: the neighbour-pair check
+    over all rows comes before the shadow checks, and the pair named is the first closest one in
+    row-major order.
+    """
+    idx = graph.indices
+    n, k = idx.shape
     rows = np.arange(n)
     if valid is not None:
         valid = np.asarray(valid, dtype=bool)
@@ -219,20 +242,25 @@ def _field_blocks(points, axes, graph, shadow, valid):
         else:
             rows = rows[valid]
             idx = idx[rows]
+    size = _block_rows(len(rows))
 
-    def run(mask, consume):
+    def run(planes, mask, consume, alloc=None):
         def step(lane, alloc, start, stop):
             f = _field_rows(*planes, mask, rows[start:stop], idx[start:stop], alloc)
             consume(start, slice(start, stop) if valid is None else rows[start:stop], idx[start:stop], f)
 
         try:
-            run_blocks(len(rows), _FIELD_ROWS, step, _field_arrays(_FIELD_ROWS, k, mask))
+            if alloc is None:
+                run_blocks(len(rows), size, step, _field_arrays(size, k, mask))
+            else:
+                for start in range(0, max(len(rows), 1), size):
+                    step(0, alloc, start, min(start + size, len(rows)))
         except CoincidentPointError:
-            if len(rows) > _FIELD_ROWS:
+            if len(rows) > size:
                 step(0, _buffers(), 0, len(rows))  # raises the error of one pass over all rows
             raise
 
-    return valid, run
+    return valid, size, run
 
 
 def sipf_field(
@@ -255,52 +283,75 @@ def sipf_field(
     coordinate planes with (x0 y0 + x2 y2) + x1 y1 cosines: bitwise the per-edge formulas with
     ``np.linalg.norm`` norms and ``np.einsum`` cosines on (..., 3) rows; the tests check it.
 
-    The kept rows run in ``_field_blocks``' blocks on the two lanes.  Each
-    block writes the transpose of its (8, m, k) field into its own rows of
-    the output, so no bit depends on the blocks or the lanes.
+    The kept rows run in ``_field_blocks``' equal blocks on the two lanes.
+    Each block writes the transpose of its (8, m, k) field into its own rows
+    of the output, so no bit depends on the blocks or the lanes.
     """
     if mask not in DESCRIPTOR_MASKS:
         raise InvalidArgumentError(f"unknown descriptor mask {mask!r}")
     frames = np.asarray(frames, dtype=np.float64)
     if frames.shape[1:] != (3, 3):
         raise InvalidArgumentError(f"frames must be (N, 3, 3), got {frames.shape}")
-    valid, run = _field_blocks(cloud.points, frames[:, 0, :], graph, shadow, valid)
+    axes = frames[:, 0, :]
+    _check_rows(cloud.points, axes, graph, shadow)
+    valid, _, run = _field_blocks(graph, valid)
     out = (np.empty if valid is None else np.zeros)((*graph.indices.shape, 8))
 
     def fill(start, rows, idx, f):
         out[rows] = f.transpose(1, 2, 0)
 
-    run(mask, fill)
+    run(_planes(cloud.points, axes, shadow.points, shadow.axes), mask, fill)
     return out
 
 
-def field_deviation(points, axes, graph: NeighborGraph, shadow: ShadowCloud, base, valid=None) -> float:
-    """max |field - base| over the usable edges, where field is the full descriptor field
-    (``MASK_SIPF``) of ``points`` with primary axes ``axes``, both (N, 3), and ``shadow``.
+def field_deviations(points, axes, graph: NeighborGraph, shadow: ShadowCloud, base, rotations,
+                     valid=None, rotate_shadow=True) -> np.ndarray:
+    """The (T,) largest deviations max |field - base| over the usable edges, one for each of the T
+    joint rotations ``rotations``, (T, 3, 3).  Under the rotation m, field is the full descriptor
+    field (``MASK_SIPF``) of ``points @ m`` with primary axes ``axes @ m``, both (N, 3), and of the
+    shadow rotated by m too or, without ``rotate_shadow``, left as it is.
 
     ``base`` is an (N, k, 8) field with the same ``graph`` and ``valid``, such as ``sipf_field``'s
     of the unrotated inputs.  An edge is usable when ``valid`` keeps its reference point and its
-    neighbour.  Each block reduces its field in its lane's buffers to one maximum in its own slot,
-    so no (N, k, 8) field is made.  A maximum is exact, so the result does not depend on the
-    blocks, and a NaN deviation on a usable edge returns NaN.
+    neighbour.
+
+    The trials are the lanes' units: trial t is block [t, t + 1) of one ``run_blocks`` call, and
+    it runs the field's blocks first to last in its lane's buffers, so each lane makes its arrays
+    once a call.  Each block reduces its field to one maximum, so no (N, k, 8) field is made; a
+    maximum is exact, so a result does not depend on the blocks or the lanes, and a NaN deviation
+    on a usable edge gives NaN.  Of the trials that fail, the lowest one's error is raised.
     """
     points = np.asarray(points, dtype=np.float64)
     axes = np.asarray(axes, dtype=np.float64)
     base = np.asarray(base, dtype=np.float64)
+    rotations = np.asarray(rotations, dtype=np.float64)
+    if rotations.ndim != 3 or rotations.shape[1:] != (3, 3):
+        raise InvalidArgumentError(f"rotations must be (T, 3, 3), got {rotations.shape}")
     if base.shape != (*graph.indices.shape, 8):
         raise InvalidArgumentError(f"base field must be {(*graph.indices.shape, 8)}, got {base.shape}")
-    valid, run = _field_blocks(points, axes, graph, shadow, valid)
-    slots = {}
+    _check_rows(points, axes, graph, shadow)
+    valid, size, run = _field_blocks(graph, valid)
+    unrotated = None if rotate_shadow else _planes(shadow.points, shadow.axes)
+    out = np.empty(len(rotations))
 
-    def reduce(start, rows, idx, f):
-        dev = np.abs(np.subtract(f, base[rows].transpose(2, 0, 1), out=f), out=f)
-        if valid is not None:
-            dev[:, ~valid[idx]] = 0.0  # edges to a dropped neighbour; deviations are >= 0
-        slots[start] = dev.max(initial=0.0)
+    def trial(lane, alloc, t, stop):
+        m = rotations[t]
+        planes = _planes(points @ m, axes @ m) + (unrotated or _planes(shadow.points @ m, shadow.axes @ m))
+        maxima = []
 
-    run(MASK_SIPF, reduce)
-    # np.max keeps a NaN, where a comparison with NaN would drop it.
-    return float(np.max(list(slots.values())))
+        def reduce(start, rows, idx, f):
+            dev = np.abs(np.subtract(f, base[rows].transpose(2, 0, 1), out=f), out=f)
+            if valid is not None:
+                dev[:, ~valid[idx]] = 0.0  # edges to a dropped neighbour; deviations are >= 0
+            maxima.append(dev.max(initial=0.0))
+
+        run(planes, MASK_SIPF, reduce, alloc)
+        # np.max keeps a NaN, where a comparison with NaN would drop it.
+        out[t] = np.max(maxima)
+
+    if len(rotations):
+        run_blocks(len(rotations), 1, trial, _field_arrays(size, graph.k, MASK_SIPF))
+    return out
 
 
 def _row_dot(a, b):

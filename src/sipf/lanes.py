@@ -1,6 +1,7 @@
 """One blocked-stage runner for the per-row stages: the attention layer's
-forward and backward, ``sipf_field``, ``knn_graph``'s query and the CSV
-writer ``format_rows``.
+forward and backward, ``sipf_field``, ``knn_graph``'s query, the CSV writer
+``format_rows`` and the trials of ``field_deviations``, one trial a block,
+each running the field's blocks in its lane's buffers.
 
 ``run_blocks(n, rows, step, reserve, last_first)`` cuts the rows [0, n) into
 blocks of ``rows`` rows (n = 0 gives one empty block) and calls

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from sipf import descriptors
+from sipf import cli, descriptors
 from sipf.cli import (
     EXIT_INVARIANCE,
     EXIT_OK,
@@ -446,21 +446,34 @@ class TestVerifyInvariance:
     def test_non_finite_deviation_fails(self, cloud_file, tmp_path, monkeypatch, bad_trial, value):
         # One usable edge of one trial's field block is non-finite.  The deviation is then NaN
         # or inf: the command fails whichever trial it is, and the report stays strict JSON.
+        # The trials run on two lanes, so a block's trial is told by its rotated points.
+        points = load_cloud(cloud_file).points
+        drawn = []
+        draw = cli.random_rotation
+
+        def recorded(rng):
+            rotation = draw(rng)
+            drawn.append(rotation.matrix)
+            return rotation
+
         blocks = []
         field_rows = descriptors._field_rows
 
         def spoiled(*args):
             f = field_rows(*args)
-            if len(blocks) == bad_trial + 1:  # the first block is the unrotated field's
+            trials = [t for t, m in enumerate(drawn) if np.array_equal(args[0], (points @ m).T)]
+            if trials == [bad_trial]:
                 f[5, 0, 0] = value
-            blocks.append(f.shape)
+            blocks.append((trials, f.shape))
             return f
 
+        monkeypatch.setattr(cli, "random_rotation", recorded)
         monkeypatch.setattr(descriptors, "_field_rows", spoiled)
         out = tmp_path / "report.json"
         argv = ["verify-invariance", "--input", cloud_file, "--k", "2", "--trials", "3", "--seed", "5"]
         assert main([*argv, "--out", str(out)]) == EXIT_INVARIANCE
-        assert blocks == [(8, 5, 2)] * 4
+        # One block for the unrotated field, which no trial's rotation gives, and one a trial.
+        assert sorted(blocks) == [([], (8, 5, 2)), ([0], (8, 5, 2)), ([1], (8, 5, 2)), ([2], (8, 5, 2))]
         report = json.loads(out.read_text(), parse_constant=lambda name: pytest.fail(f"{name} in the report"))
         assert report == {
             "trials": 3, "max_abs_deviation": None, "threshold": INVARIANCE_THRESHOLD,

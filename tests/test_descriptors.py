@@ -17,7 +17,7 @@ from sipf.descriptors import (
     coincident_pairs,
     detect_axis_alignment,
     detect_local_coincidence,
-    field_deviation,
+    field_deviations,
     shadow_of,
     sipf_field,
 )
@@ -508,6 +508,31 @@ class TestFieldBlocks:
         monkeypatch.setattr(lanes, "_executor", Inline())
         assert np.array_equal(_bits(sipf_field(*case)), _bits(on_executor))
 
+    @pytest.mark.parametrize(
+        "n, sizes",
+        [(1, [1]), (1023, [1023]), (1024, [1024]), (1025, [513, 512]), (2049, [683] * 3), (5000, [1000] * 5)],
+    )
+    def test_blocks_are_equal_and_cover_the_rows_once(self, monkeypatch, n, sizes):
+        # The fewest blocks of at most 1,024 rows, of one size but a last one at most a few rows
+        # shorter, in the blocks of the lanes and of a lane's allocator alike.
+        blocks = []
+
+        def recorded(*args):
+            rows = args[5]
+            blocks.append(rows.tolist())
+            return np.zeros((8, len(rows), 1))
+
+        monkeypatch.setattr(descriptors, "_field_rows", recorded)
+        graph = NeighborGraph(k=1, indices=np.zeros((n, 1), dtype=np.int64))
+        _, size, run = descriptors._field_blocks(graph, None)
+        assert size == sizes[0]
+        for alloc in (None, lanes._buffers()):
+            blocks.clear()
+            run([None] * 4, MASK_SIPF, lambda *args: None, alloc)
+            blocks.sort()
+            assert [len(rows) for rows in blocks] == sizes
+            assert sum(blocks, []) == list(range(n))
+
     def test_single_block_call_stays_off_the_executor(self, rng, monkeypatch):
         def no_worker(fn):
             raise AssertionError("a single-block call reached the executor")
@@ -518,16 +543,19 @@ class TestFieldBlocks:
         assert np.array_equal(_bits(field), _bits(reference_sipf_field(cloud, frames, graph, shadow)))
 
     def test_threads_give_the_serial_bits(self, monkeypatch):
-        # More threads than cores build graphs and fields of different sizes at once, switching
-        # often, and all queue their lane 1 on the one executor thread: no call may write
-        # into another's arrays.
+        # More threads than cores build graphs, fields and trials' deviations of different sizes
+        # at once, switching often, and all queue their lane 1 on the one executor thread: no
+        # call may write into another's arrays.
         monkeypatch.setattr(descriptors, "_FIELD_ROWS", 7)
         monkeypatch.setattr(geometry, "_QUERY_ROWS", 7)
         rng = np.random.default_rng(13)
         cases = [_field_case(rng, 40 + 5 * i, 3 + i, FRAME_MODE_BARYCENTER) for i in range(4)]
+        rotations = np.array([random_rotation(rng).matrix for _ in range(3)])
 
         def bits(cloud, frames, graph, shadow):
-            return knn_graph(cloud, graph.k).indices.tobytes(), sipf_field(cloud, frames, graph, shadow).tobytes()
+            field = sipf_field(cloud, frames, graph, shadow)
+            deviations = field_deviations(cloud.points, frames[:, 0, :], graph, shadow, field, rotations)
+            return knn_graph(cloud, graph.k).indices.tobytes(), field.tobytes(), deviations.tobytes()
 
         serial = [bits(*case) for case in cases]
         mismatches, done = [], []
@@ -581,54 +609,71 @@ class TestFieldBlocks:
             sipf_field(cloud, frames, graph, shadow)
         assert str(excinfo.value) == f"coincident pair at index (10, {graph.indices[10, 0]})"
 
-def _deviation_case(n, break_shadow, seed=29):
-    """An n-point cloud (k = 5) with rows 3 and n - 2 dropped, its base field, and its points, primary
-    axes and shadow under one joint rotation (the shadow left unrotated with ``break_shadow``)."""
+def _deviation_case(n, trials=1, seed=29, valid=True):
+    """An n-point cloud (k = 5) with rows 3 and n - 2 dropped (none without ``valid``), as
+    (cloud, frames, graph, shadow), its base field, its row mask and ``trials`` joint rotations."""
     rng = np.random.default_rng(seed)
     cloud = random_cloud(rng, n)
     graph = knn_graph(cloud, 5)
     frames = random_frames(rng, n)
     shadow = shadow_of(cloud, frames, random_rotation(rng))
-    valid = np.ones(n, dtype=bool)
-    valid[[3, n - 2]] = False
-    base = sipf_field(cloud, frames, graph, shadow, valid=valid)
-    m = random_rotation(rng).matrix
+    keep = None
+    if valid:
+        keep = np.ones(n, dtype=bool)
+        keep[[3, n - 2]] = False
+    base = sipf_field(cloud, frames, graph, shadow, valid=keep)
+    rotations = np.array([random_rotation(rng).matrix for _ in range(trials)])
+    return (cloud, frames, graph, shadow), base, keep, rotations
+
+
+def _deviations(case, base, valid, rotations, break_shadow=False):
+    cloud, frames, graph, shadow = case
+    return field_deviations(cloud.points, frames[:, 0, :], graph, shadow, base, rotations, valid,
+                            rotate_shadow=not break_shadow)
+
+
+def _gathered_deviation(case, base, valid, m, break_shadow):
+    """The oracle: the whole rotated field, gathered at the usable edges, against ``base``.  The
+    rotated inputs are the products ``field_deviations`` forms, so the fields have the same bits."""
+    cloud, frames, graph, shadow = case
+    rotated = frames @ m
+    rotated[:, 0, :] = frames[:, 0, :] @ m
     shadow_r = shadow if break_shadow else ShadowCloud(points=shadow.points @ m, axes=shadow.axes @ m)
-    rotated = (PointCloud(points=cloud.points @ m), frames @ m, graph, shadow_r)
-    return rotated, base, valid
+    field = sipf_field(PointCloud(points=cloud.points @ m), rotated, graph, shadow_r, valid=valid)
+    keep = valid[:, None] & valid[graph.indices]
+    return np.abs(field[keep] - base[keep]).max()
 
 
-def _deviation(rotated, base, valid):
-    cloud, frames, graph, shadow = rotated
-    return field_deviation(cloud.points, frames[:, 0, :], graph, shadow, base, valid)
-
-
-class TestFieldDeviation:
-    """field_deviation reduces each block of the rotated field to the maximum the whole field gives."""
+class TestFieldDeviations:
+    """field_deviations reduces each block of each trial's rotated field to the maximum the whole field gives."""
 
     @pytest.mark.parametrize("break_shadow", [False, True])
     @pytest.mark.parametrize("n", [1024, 1025, 2100])
-    def test_matches_the_gathered_usable_edges(self, n, break_shadow):
-        rotated, base, valid = _deviation_case(n, break_shadow)
-        keep = valid[:, None] & valid[rotated[2].indices]
-        expected = np.abs(sipf_field(*rotated, valid=valid)[keep] - base[keep]).max()
-        assert np.array_equal(_bits(_deviation(rotated, base, valid)), _bits(expected))
-        assert (expected > 1e-3) == break_shadow
+    @pytest.mark.parametrize("trials", [1, 2, 5])
+    def test_matches_the_gathered_usable_edges(self, trials, n, break_shadow):
+        case, base, valid, rotations = _deviation_case(n, trials)
+        got = _deviations(case, base, valid, rotations, break_shadow)
+        expected = [_gathered_deviation(case, base, valid, m, break_shadow) for m in rotations]
+        assert got.shape == (trials,)
+        assert np.array_equal(_bits(got), _bits(np.array(expected)))
+        assert all((e > 1e-3) == break_shadow for e in expected)
 
     def test_dropped_edge_that_deviates_most_is_left_out(self):
-        rotated, base, valid = _deviation_case(2100, False)
-        graph = rotated[2]
+        case, base, valid, rotations = _deviation_case(2100, 2)
+        graph = case[2]
         row, slot = np.argwhere(valid[:, None] & ~valid[graph.indices])[-1]
-        assert row >= descriptors._FIELD_ROWS  # not in the first block
-        expected = _deviation(rotated, base, valid)
+        assert descriptors._block_rows(int(valid.sum())) == 700
+        assert row >= 700  # not in the first block
+        expected = _deviations(case, base, valid, rotations)
         base[row, slot] = 100.0  # the largest deviation, on an edge to a dropped neighbour
-        assert _deviation(rotated, base, valid) == expected < 1e-9
-        assert _deviation(rotated, base, None) > 99.0
+        got = _deviations(case, base, valid, rotations)
+        assert np.array_equal(got, expected) and (got < 1e-9).all()
+        assert (_deviations(case, base, None, rotations) > 99.0).all()
 
     def test_nan_in_the_last_block_propagates(self):
-        rotated, base, valid = _deviation_case(2100, True)
+        case, base, valid, rotations = _deviation_case(2100, 3)
         base[2099, 0, 6] = np.nan
-        assert np.isnan(_deviation(rotated, base, valid))
+        assert np.isnan(_deviations(case, base, valid, rotations, break_shadow=True)).all()
 
     def test_coincident_pair_in_the_second_block_raises_what_sipf_field_raises(self):
         pts = np.random.default_rng(31).uniform(-1.0, 1.0, (2100, 3))
@@ -642,15 +687,81 @@ class TestFieldDeviation:
         with pytest.raises(CoincidentPointError) as field_error:
             sipf_field(cloud, frames, graph, shadow)
         with pytest.raises(CoincidentPointError) as deviation_error:
-            field_deviation(pts, frames[:, 0, :], graph, shadow, np.zeros((2100, 5, 8)))
+            field_deviations(pts, frames[:, 0, :], graph, shadow, np.zeros((2100, 5, 8)), np.eye(3)[None])
         assert str(deviation_error.value) == str(field_error.value) == "coincident pair at index (1100, 1900)"
+
+    @pytest.mark.parametrize("failing", [(1, 3), (2, 3), (3, 4)])
+    def test_lowest_failing_trials_error_is_raised(self, monkeypatch, failing):
+        # The failing trials raise different errors; they run on both lanes or, for (1, 3), on lane 1.
+        case, base, valid, rotations = _deviation_case(1025, 5)
+        firsts = [(case[0].points @ m)[0] for m in rotations]
+        field_rows = descriptors._field_rows
+
+        def failing_rows(points, *args):
+            t = next(t for t, first in enumerate(firsts) if np.array_equal(points[:, 0], first))
+            if t in failing:
+                raise CoincidentPointError(f"trial {t}")
+            return field_rows(points, *args)
+
+        monkeypatch.setattr(descriptors, "_field_rows", failing_rows)
+        with pytest.raises(CoincidentPointError, match=f"^trial {failing[0]}$"):
+            _deviations(case, base, valid, rotations)
+
+    def test_each_lane_makes_its_arrays_once_in_the_calling_thread(self, monkeypatch):
+        # Six trials of three 700-row blocks: lane 0 makes each array as its first block asks for
+        # it, lane 1's are lane 1's reserve, made before the lanes start, and no block of any
+        # trial makes another.
+        case, base, valid, rotations = _deviation_case(2100, 6, valid=False)
+        caller = threading.current_thread()
+        ran_on = []
+        lane = lanes._lane
+
+        def recorded(blocks, step, number):
+            ran_on.append((number, threading.current_thread() is caller, [start for start, _ in blocks]))
+            return lane(blocks, step, number)
+
+        made = []
+        empty = np.empty
+
+        def recorded_empty(*args, **kwargs):
+            array = empty(*args, **kwargs)
+            made.append((threading.current_thread() is caller, array.shape))
+            return array
+
+        monkeypatch.setattr(lanes, "_lane", recorded)
+        monkeypatch.setattr(np, "empty", recorded_empty)
+        _deviations(case, base, valid, rotations)
+        assert sorted(ran_on) == [(0, True, [1, 3, 5]), (1, False, [0, 2, 4])]
+        assert all(on_caller for on_caller, _ in made)
+        arrays = [shape for _, shape, _ in descriptors._field_arrays(700, 5, MASK_SIPF)]
+        assert sorted(shape for _, shape in made) == sorted(arrays * 2 + [(6,)])
+
+    def test_one_rotation_stays_off_the_executor(self, monkeypatch):
+        def no_worker(fn):
+            raise AssertionError("a one-trial call reached the executor")
+
+        case, base, valid, rotations = _deviation_case(2100)
+        expected = _gathered_deviation(case, base, valid, rotations[0], False)
+        monkeypatch.setattr(lanes._executor, "submit", no_worker)
+        assert np.array_equal(_bits(_deviations(case, base, valid, rotations)), _bits(np.array([expected])))
+
+    def test_no_rotation_gives_no_deviation(self, monkeypatch):
+        def no_lanes(*args):
+            raise AssertionError("an empty call ran the lanes")
+
+        case, base, valid, _ = _deviation_case(40)
+        monkeypatch.setattr(descriptors, "run_blocks", no_lanes)
+        assert _deviations(case, base, valid, np.empty((0, 3, 3))).shape == (0,)
 
     def test_inputs_must_have_the_graphs_shape(self, rng):
         cloud, frames, graph, shadow = _field_case(rng, 40, 4, FRAME_MODE_BARYCENTER)
+        base, one = np.zeros((40, 4, 8)), np.eye(3)[None]
         with pytest.raises(InvalidArgumentError, match=r"base field must be \(40, 4, 8\), got \(40, 4, 7\)"):
-            field_deviation(cloud.points, frames[:, 0, :], graph, shadow, np.zeros((40, 4, 7)))
+            field_deviations(cloud.points, frames[:, 0, :], graph, shadow, np.zeros((40, 4, 7)), one)
         with pytest.raises(InvalidArgumentError, match="do not match a graph of 40 rows"):
-            field_deviation(cloud.points, frames, graph, shadow, np.zeros((40, 4, 8)))
+            field_deviations(cloud.points, frames, graph, shadow, base, one)
+        with pytest.raises(InvalidArgumentError, match=r"rotations must be \(T, 3, 3\), got \(3, 3\)"):
+            field_deviations(cloud.points, frames[:, 0, :], graph, shadow, base, np.eye(3))
 
 
 class TestDegeneracyDetectors:
