@@ -172,12 +172,12 @@ def _usable_edges(graph, valid):
 def cmd_features(args) -> int:
     _, cloud, graph, frames, shadow, valid = _field_inputs(args)
     field = sipf_field(cloud, frames, graph, shadow, mask=MASK_SIPF, valid=valid)
-    # np.nonzero walks the mask row-major: by reference point, then neighbour slot.
-    ref, col = np.nonzero(_usable_edges(graph, valid))
-    table = np.column_stack([ref, graph.indices[ref, col], field[ref, col]])
-    del field, ref, col  # freed before the text is built
+    # Flat edge numbers, row-major: by reference point, then neighbour slot.
+    e = np.flatnonzero(_usable_edges(graph, valid))
+    columns = (e // graph.k, np.take(graph.indices, e), np.take(field.reshape(-1, 8), e, axis=0))
+    del field, e  # freed before the text is built
     header = "ref_index,nbr_index,ppf1,ppf2,ppf3,ppf4,sippf1,sippf2,sippf3,sippf4\n"
-    _emit(format_rows(table, header=header), args.out)
+    _emit(format_rows(*columns, header=header), args.out)
     return EXIT_OK
 
 

@@ -5,6 +5,14 @@ finite numbers.  PLY support covers the ascii subset with float/double
 vertex properties x, y, z and optionally nx, ny, nz; binary PLY is rejected.
 Normals are re-normalized on load since scan data is noisy.
 
+The data rows of both formats go through one converter, _SLAB_LINES lines at
+a time into one preallocated float64 array.  A slab's lines are split once,
+every row's width is checked, all its fields are converted by one
+``map(float, ...)``, so a field is any text ``float`` reads, with its bits,
+and checked by one ``np.isfinite``.  Only a slab that fails a check is read
+again line by line, to raise the error a line-by-line reader raises first:
+width, then non-numeric, then non-finite, with its line number.
+
 CSV rows are written by one vectorised numpy kernel that emits exactly the
 bytes of ``"%.17g"``, with an exact fast path for almost every value and a
 per-value fallback for the rest, as in Grisu (Loitsch, "Printing
@@ -23,11 +31,16 @@ floating-point numbers quickly and accurately", PLDI 2010).
   constant bytes and marks where digits go, the digits come from a table of
   four-digit groups, and zero bytes are padding that compacting the chunk
   drops.
+
+``format_rows`` takes column blocks, (n,) or (n, c) arrays side by side, and
+copies each chunk's rows of them into one lane buffer, so a caller with
+index columns and a field block never stacks a whole table.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import secrets
@@ -35,7 +48,7 @@ import stat
 
 import numpy as np
 
-from .errors import InvalidInputError, ParseError
+from .errors import InvalidArgumentError, InvalidInputError, ParseError
 from .geometry import PointCloud
 from .lanes import run_blocks
 
@@ -136,6 +149,7 @@ _POW10 = np.array([float(10**p) for p in range(23)], dtype=np.float64)
 _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
 _WRITE_SLICE = 1 << 20  # characters encoded and written at a time by write_text_atomic
+_SLAB_LINES = 1024  # lines split and converted at a time by load_cloud
 
 
 def _exact_scaled(a, d):
@@ -222,22 +236,29 @@ def _fields(x, line_end, out, groups, words):
     return layout, fast
 
 
-def format_rows(table, header: str = "") -> str:
-    """``header``, then the CSV lines of a 2-D table, every value as ``%.17g``.
+def format_rows(*columns, header: str = "") -> str:
+    """``header``, then the CSV lines of the column blocks side by side, every value as ``%.17g``.
 
-    17 significant digits round-trip any double bitwise, and an integer
-    below 10**17 in magnitude, such as an index column, prints as ``%d``
-    would print it.  The text is byte for byte that of the ``%`` operator.
-    The vectorised kernel of the module docstring writes every value with a
-    decimal exponent in [-6, 16], and ±0; ``"%.17g" % v`` writes the others.
+    Each column block is an (n,) or (n, c) array, all with the same n; a
+    bare 2-D table is one block.  A chunk copies its rows of every block
+    into one (rows, columns) float64 buffer of its lane, so the caller forms
+    no whole table.  17 significant digits round-trip any double bitwise,
+    and an integer below 10**17 in magnitude, such as an index column,
+    prints as ``%d`` would print it.  The text is byte for byte that of the
+    ``%`` operator.  The vectorised kernel of the module docstring writes
+    every value with a decimal exponent in [-6, 16], and ±0;
+    ``"%.17g" % v`` writes the others.
 
     Chunks of ``_CSV_CHUNK_ROWS`` rows run on the two lanes of
     ``sipf.lanes.run_blocks``, each decoded into its own slot of the parts
     list.  ``header`` is the first part, so the caller's header is joined
     in place instead of being prepended to a second copy of the text.
     """
-    table = np.asarray(table, dtype=np.float64)
-    n_rows, n_cols = table.shape
+    blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, columns)]
+    if len({len(b) for b in blocks}) != 1:
+        raise InvalidArgumentError(f"column blocks need one row count, got {[len(b) for b in blocks]}")
+    n_rows = len(blocks[0])
+    n_cols = sum(b.shape[1] for b in blocks)
     _tables()  # built here, not by both lanes at once
     rows = min(n_rows, _CSV_CHUNK_ROWS)
     size = rows * n_cols
@@ -245,24 +266,26 @@ def format_rows(table, header: str = "") -> str:
     parts = [header] + [""] * max(1, -(-n_rows // _CSV_CHUNK_ROWS))
 
     def fill(lane, alloc, start, stop):
-        block = table[start:stop]
-        k = block.size
+        table = alloc("table", (rows, n_cols), np.float64)[: stop - start]
+        np.concatenate([b[start:stop] for b in blocks], axis=1, out=table)
+        k = table.size
         fields = alloc("fields", (size, _FIELD // 8), np.uint64)[:k]
         # The digit words, then the keep mask: both are k * _FIELD bytes.
         scratch = alloc("scratch", (size, _FIELD // 8), np.uint64)
         groups = alloc("groups", (6, size), np.intp)
         groups[-1] = _ALL_KEPT
-        layout, fast = _fields(block.ravel(), line_end[:k], fields, groups[:, :k], scratch[:k])
+        layout, fast = _fields(table.ravel(), line_end[:k], fields, groups[:, :k], scratch[:k])
         raw = fields.view(np.uint8).ravel()
         kept = np.not_equal(raw, 0, out=scratch.view(bool).ravel()[: len(raw)])
         if fast.all():
             text = alloc("text", (size * _MAX_TEXT,), np.uint8)
             chunk = np.compress(kept, raw, out=text[: np.count_nonzero(kept)])
         else:
-            chunk = _insert_fallbacks(np.compress(kept, raw), block, layout, fast)
+            chunk = _insert_fallbacks(np.compress(kept, raw), table, layout, fast)
         parts[1 + start // _CSV_CHUNK_ROWS] = str(memoryview(chunk), "ascii")
 
     reserve = [
+        ("table", (rows, n_cols), np.float64),
         ("fields", (size, _FIELD // 8), np.uint64),
         ("scratch", (size, _FIELD // 8), np.uint64),
         ("groups", (6, size), np.intp),
@@ -324,22 +347,73 @@ def _read_lines(path):
         raise ParseError(str(exc), path=path) from exc
 
 
-def _row_values(fields, path, lineno):
+def _raise_first_error(lines, first, path, width_error, comment, expect):
+    """Raise the ParseError of the first bad data row of ``lines``, whose first line is number
+    ``first``, checked as a line-by-line reader checks it: width, then non-numeric, then non-finite."""
+    for lineno, line in enumerate(lines, start=first):
+        fields = line.split()
+        if not fields or fields[0][0] == comment:
+            continue
+        message = width_error(len(fields), expect)
+        if message:
+            raise ParseError(message, path=path, line=lineno)
+        try:
+            values = [float(f) for f in fields]
+        except ValueError as exc:
+            raise ParseError(f"non-numeric field: {exc}", path=path, line=lineno) from exc
+        if not all(map(math.isfinite, values)):
+            raise ParseError("non-finite value", path=path, line=lineno)
+
+
+def _slab_values(rows, width):
+    """The (len(rows), width) doubles of one slab's split rows, or None if a row fails a check."""
+    if any(len(fields) != width for fields in rows):
+        return None
     try:
-        values = [float(f) for f in fields]
-    except ValueError as exc:
-        raise ParseError(f"non-numeric field: {exc}", path=path, line=lineno) from exc
-    if not all(map(math.isfinite, values)):
-        raise ParseError("non-finite value", path=path, line=lineno)
-    return values
+        values = np.fromiter(map(float, itertools.chain.from_iterable(rows)), np.float64, len(rows) * width)
+    except ValueError:
+        return None
+    return values.reshape(-1, width) if np.isfinite(values).all() else None
+
+
+def _convert_rows(lines, lineno, path, width_error, limit, comment=None):
+    """The first ``limit`` data rows of ``lines`` as one (rows, width) float64 array, or None.
+
+    A data row is a line with a field whose first field does not start with
+    ``comment``; ``lineno`` is the line number of ``lines[0]``.  The first
+    row's width is the expected one, and ``width_error(found, expected)``
+    gives the message of a bad width, or None.  Each slab of _SLAB_LINES
+    lines is split once, and all its fields are converted by one
+    ``map(float, ...)`` (the syntax and bits of ``float``) and checked by one
+    ``np.isfinite``; only a slab that fails is read again line by line, so
+    the error is the one a line-by-line reader raises first.
+    """
+    out = None
+    n = 0
+    for start in range(0, len(lines), _SLAB_LINES):
+        if n == limit:
+            break
+        slab = lines[start : start + _SLAB_LINES]
+        rows = [fields for fields in map(str.split, slab) if fields and fields[0][0] != comment][: limit - n]
+        if not rows:
+            continue
+        if n == 0:
+            width = len(rows[0])
+            if not width_error(width, width):
+                out = np.empty((min(limit, len(lines) - start), width))
+        values = None if out is None else _slab_values(rows, width)
+        if values is None:
+            _raise_first_error(slab, lineno + start, path, width_error, comment, width)
+        out[n : n + len(values)] = values
+        n += len(values)
+    return None if out is None else out[:n]
 
 
 def _finish(points, normals, path):
-    pts = np.asarray(points, dtype=np.float64)
+    pts = np.ascontiguousarray(points)
     if len(pts) < 2:
         raise ParseError("a point cloud needs at least 2 points", path=path)
     if normals is not None:
-        normals = np.asarray(normals, dtype=np.float64)
         lengths = np.linalg.norm(normals, axis=1)
         if np.any(lengths == 0):
             bad = int(np.nonzero(lengths == 0)[0][0])
@@ -348,34 +422,18 @@ def _finish(points, normals, path):
     return PointCloud(points=pts, normals=normals)
 
 
+def _xyz_width_error(found, expect):
+    if found not in (3, 6):
+        return f"expected 3 or 6 columns, found {found}"
+    if found != expect:
+        return f"inconsistent column count (expected {expect}, found {found})"
+
+
 def _parse_xyz(lines, path):
-    points = []
-    normals = []
-    expect = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) not in (3, 6):
-            raise ParseError(
-                f"expected 3 or 6 columns, found {len(fields)}", path=path, line=lineno
-            )
-        if expect is None:
-            expect = len(fields)
-        elif len(fields) != expect:
-            raise ParseError(
-                f"inconsistent column count (expected {expect}, found {len(fields)})",
-                path=path,
-                line=lineno,
-            )
-        values = _row_values(fields, path, lineno)
-        points.append(values[:3])
-        if expect == 6:
-            normals.append(values[3:])
-    if expect is None:
+    values = _convert_rows(lines, 1, path, _xyz_width_error, len(lines), comment="#")
+    if values is None:
         raise ParseError("file contains no data rows", path=path)
-    return _finish(points, normals if normals else None, path)
+    return _finish(values[:, :3], values[:, 3:] if values.shape[1] == 6 else None, path)
 
 
 def _parse_ply(lines, path):
@@ -421,29 +479,18 @@ def _parse_ply(lines, path):
             raise ParseError(f"vertex property {name!r} not declared", path=path)
     has_normals = all(name in properties for name in ("nx", "ny", "nz"))
     col = {name: i for i, name in enumerate(properties)}
-    points = []
-    normals = [] if has_normals else None
-    row = 0
-    for lineno, raw in enumerate(lines[header_end:], start=header_end + 1):
-        line = raw.strip()
-        if not line:
-            continue
-        if row >= n_vertices:
-            break
-        fields = line.split()
-        if len(fields) != len(properties):
-            raise ParseError(
-                f"expected {len(properties)} vertex fields, found {len(fields)}",
-                path=path,
-                line=lineno,
-            )
-        values = _row_values(fields, path, lineno)
-        points.append([values[col["x"]], values[col["y"]], values[col["z"]]])
-        if has_normals:
-            normals.append([values[col["nx"]], values[col["ny"]], values[col["nz"]]])
-        row += 1
-    if row != n_vertices:
-        raise ParseError(f"expected {n_vertices} vertices, found {row}", path=path)
+
+    def width_error(found, expect):
+        return None if found == len(properties) else f"expected {len(properties)} vertex fields, found {found}"
+
+    # The data rows are the first n_vertices non-blank lines; faces and the like follow them.
+    values = _convert_rows(lines[header_end:], header_end + 1, path, width_error, max(n_vertices, 0))
+    if values is None:
+        values = np.empty((0, len(properties)))
+    if len(values) != n_vertices:
+        raise ParseError(f"expected {n_vertices} vertices, found {len(values)}", path=path)
+    points = values[:, [col["x"], col["y"], col["z"]]]
+    normals = values[:, [col["nx"], col["ny"], col["nz"]]] if has_normals else None
     return _finish(points, normals, path)
 
 

@@ -342,7 +342,7 @@ def field_deviations(points, axes, graph: NeighborGraph, shadow: ShadowCloud, ba
         def reduce(start, rows, idx, f):
             dev = np.abs(np.subtract(f, base[rows].transpose(2, 0, 1), out=f), out=f)
             if valid is not None:
-                dev[:, ~valid[idx]] = 0.0  # edges to a dropped neighbour; deviations are >= 0
+                np.copyto(dev, 0.0, where=~valid[idx])  # edges to a dropped neighbour; deviations are >= 0
             maxima.append(dev.max(initial=0.0))
 
         run(planes, MASK_SIPF, reduce, alloc)

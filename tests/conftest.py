@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from sipf.errors import (
     DegenerateGeometryError,
     InvalidArgumentError,
     InvalidInputError,
+    ParseError,
 )
 from sipf.geometry import (
     NeighborGraph,
@@ -420,6 +422,87 @@ def bingham_moments_oracle(lambdas3):
     grad = np.array([moment(*unit[i]) for i in range(3)])
     hess = np.array([[moment(*(unit[i] + unit[j])) for j in range(3)] for i in range(3)])
     return f, grad, hess
+
+
+# Line-by-line reference of the cloud loader: one float() a field, one list a line.
+
+
+def _oracle_row_values(fields, path, lineno):
+    try:
+        values = [float(f) for f in fields]
+    except ValueError as exc:
+        raise ParseError(f"non-numeric field: {exc}", path=path, line=lineno) from exc
+    if not all(map(math.isfinite, values)):
+        raise ParseError("non-finite value", path=path, line=lineno)
+    return values
+
+
+def _oracle_finish(points, normals, path):
+    pts = np.asarray(points, dtype=np.float64)
+    if len(pts) < 2:
+        raise ParseError("a point cloud needs at least 2 points", path=path)
+    if normals is not None:
+        normals = np.asarray(normals, dtype=np.float64)
+        lengths = np.linalg.norm(normals, axis=1)
+        if np.any(lengths == 0):
+            bad = int(np.nonzero(lengths == 0)[0][0])
+            raise ParseError(f"zero-length normal for point {bad}", path=path)
+        normals = normals / lengths[:, None]
+    return PointCloud(points=pts, normals=normals)
+
+
+def oracle_parse_xyz(lines, path):
+    points = []
+    normals = []
+    expect = None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) not in (3, 6):
+            raise ParseError(f"expected 3 or 6 columns, found {len(fields)}", path=path, line=lineno)
+        if expect is None:
+            expect = len(fields)
+        elif len(fields) != expect:
+            raise ParseError(
+                f"inconsistent column count (expected {expect}, found {len(fields)})", path=path, line=lineno
+            )
+        values = _oracle_row_values(fields, path, lineno)
+        points.append(values[:3])
+        if expect == 6:
+            normals.append(values[3:])
+    if expect is None:
+        raise ParseError("file contains no data rows", path=path)
+    return _oracle_finish(points, normals if normals else None, path)
+
+
+def oracle_parse_ply_body(lines, header_end, properties, n_vertices, path):
+    """The vertex rows of an ascii PLY whose header, with ``properties``, ends at line ``header_end``."""
+    has_normals = all(name in properties for name in ("nx", "ny", "nz"))
+    col = {name: i for i, name in enumerate(properties)}
+    points = []
+    normals = [] if has_normals else None
+    row = 0
+    for lineno, raw in enumerate(lines[header_end:], start=header_end + 1):
+        line = raw.strip()
+        if not line:
+            continue
+        if row >= n_vertices:
+            break
+        fields = line.split()
+        if len(fields) != len(properties):
+            raise ParseError(
+                f"expected {len(properties)} vertex fields, found {len(fields)}", path=path, line=lineno
+            )
+        values = _oracle_row_values(fields, path, lineno)
+        points.append([values[col["x"]], values[col["y"]], values[col["z"]]])
+        if has_normals:
+            normals.append([values[col["nx"]], values[col["ny"]], values[col["nz"]]])
+        row += 1
+    if row != n_vertices:
+        raise ParseError(f"expected {n_vertices} vertices, found {row}", path=path)
+    return _oracle_finish(points, normals, path)
 
 
 def random_cloud(rng: np.random.Generator, n: int, with_normals: bool = False) -> PointCloud:

@@ -1,16 +1,19 @@
 import os
 import stat
 import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sipf import cloudio
 from sipf.cloudio import _CSV_CHUNK_ROWS, format_rows, load_cloud, write_text_atomic
-from sipf.errors import ParseError
+from sipf.errors import InvalidArgumentError, InvalidInputError, ParseError
 
-from conftest import format_float
+from conftest import format_float, oracle_parse_ply_body, oracle_parse_xyz
 
 
 def oracle_rows(table):
@@ -134,6 +137,144 @@ class TestPly:
         assert load_cloud(str(path)).points.shape == (3, 3)
 
 
+# Tokens that fail or parse oddly: float() takes "1_0", "nan" and "inf", and
+# U+FFFD stands for an undecodable byte.  "#1" starts a comment row in xyz.
+_ODD_TOKENS = ["abc", "1_0", "\ufffd", "nan", "inf", "-inf", "#1", "1e400", "-0"]
+_NUMBERS = st.one_of(st.floats(-1e3, 1e3).map(repr), st.integers(-9, 9).map(str))
+_BLANK_OR_COMMENT = ["", "  ", "\t", "# comment", "  #x 1 2"]
+
+
+@st.composite
+def _token(draw):
+    """A number, or now and then one of the odd tokens."""
+    if draw(st.integers(0, 29)) == 0:
+        return draw(st.sampled_from(_ODD_TOKENS))
+    return draw(_NUMBERS)
+
+
+@st.composite
+def _row(draw, width):
+    sep = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+    lead = draw(st.sampled_from(["", " ", "\t"]))
+    return lead + sep.join(draw(_token()) for _ in range(width))
+
+
+def _join_lines(draw, lines):
+    """The lines with CRLF, LF or lone-CR endings, the last one sometimes without."""
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@st.composite
+def _xyz_texts(draw):
+    width = draw(st.sampled_from([3, 6]))
+    lines = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(_BLANK_OR_COMMENT)))
+        else:
+            # Now and then the width changes mid-file.
+            lines.append(draw(_row(width if kind > 1 else draw(st.sampled_from([2, 3, 4, 6, 7])))))
+    return _join_lines(draw, lines)
+
+
+_PLY_PROPERTIES = [
+    ["x", "y", "z"],
+    ["x", "y", "z", "nx", "ny", "nz"],
+    ["nx", "x", "ny", "y", "nz", "z"],
+    ["x", "y", "z", "intensity"],
+]
+
+
+@st.composite
+def _ply_texts(draw):
+    """(text, vertex properties, declared vertex count) of an ascii PLY."""
+    properties = draw(st.sampled_from(_PLY_PROPERTIES))
+    n_rows = draw(st.integers(1, 8))
+    declared = n_rows + draw(st.sampled_from([0, 0, 0, 1, -1, -n_rows, -n_rows - 1]))
+    faces = draw(st.booleans())
+    header = ["ply", "format ascii 1.0", "comment generated", f"element vertex {declared}"]
+    header += [f"property double {name}" for name in properties]
+    if faces:
+        header += ["element face 1", "property list uchar int vertex_indices"]
+    body = []
+    for _ in range(n_rows):
+        if draw(st.integers(0, 9)) == 0:
+            body.append(draw(st.sampled_from(["", " \t"])))
+        odd_width = draw(st.integers(0, 19)) == 0
+        body.append(draw(_row(draw(st.integers(2, 7)) if odd_width else len(properties))))
+    if faces:
+        body.append("3 0 1 2")
+    return _join_lines(draw, header + ["end_header"] + body), properties, declared
+
+
+def _outcome(load):
+    """The bits of a loaded cloud, or the type and text of the error it raises."""
+    try:
+        cloud = load()
+    except InvalidInputError as exc:
+        return type(exc).__name__, str(exc)
+    normals = None if cloud.normals is None else (cloud.normals.shape, cloud.normals.tobytes())
+    return cloud.points.shape, cloud.points.tobytes(), normals
+
+
+def _loaded_and_oracle(text, name, oracle, slab_lines):
+    """Outcomes of load_cloud, with slabs of ``slab_lines`` lines, and of ``oracle(lines, path)``."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, name)
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        with open(path, "r", errors="replace") as handle:
+            lines = handle.readlines()
+        with mock.patch.object(cloudio, "_SLAB_LINES", slab_lines):
+            loaded = _outcome(lambda: load_cloud(path))
+        return loaded, _outcome(lambda: oracle(lines, path))
+
+
+class TestLoaderOracle:
+    """load_cloud against the line-by-line parsers, on slabs of 1 to 1,024 lines."""
+
+    @settings(deadline=None)
+    @given(_xyz_texts(), st.sampled_from([1, 2, 3, 1024]))
+    @example("1 2 3\n", 1024)  # one point
+    @example("# c\r\n\r\n0 0 0 1 0 0\r1\t2 3\n4 5 6\n", 2)  # 6 columns, then 3
+    @example("0 0 0\n1 1_0 nan\n", 1)
+    def test_xyz_matches_line_by_line_parser(self, text, slab_lines):
+        loaded, expected = _loaded_and_oracle(text, "cloud.xyz", oracle_parse_xyz, slab_lines)
+        assert loaded == expected
+
+    @settings(deadline=None)
+    @given(_ply_texts(), st.sampled_from([1, 2, 3, 1024]))
+    @example(
+        ("ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\nproperty float y\n"
+         "property float z\nelement face 1\nproperty list uchar int vertex_indices\nend_header\n"
+         "0 0 0\n1 0 0\n3 0 1 2\n", ["x", "y", "z"], 2),
+        1024,
+    )  # a face after the vertices, in their slab
+    @example(("ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\nproperty float y\n"
+              "property float z\nend_header\n0 0 0\n1 0 0\n", ["x", "y", "z"], 3), 1024)
+    def test_ply_matches_line_by_line_parser(self, ply, slab_lines):
+        text, properties, declared = ply
+
+        def oracle(lines, path):
+            header_end = [line.strip() for line in lines].index("end_header") + 1
+            return oracle_parse_ply_body(lines, header_end, properties, declared, path)
+
+        loaded, expected = _loaded_and_oracle(text, "cloud.ply", oracle, slab_lines)
+        assert loaded == expected
+
+    def test_errors_in_a_later_slab_report_their_line(self, tmp_path):
+        path = tmp_path / "cloud.xyz"
+        rows = ["0 0 0", "1 0 0", "", "# c", "0 1 0"] * 500
+        for bad, message in [("1 x 0", "non-numeric field"), ("1 0", "expected 3 or 6 columns"),
+                             ("1 inf 0", "non-finite value"), ("1 0 0 0 0 1", "inconsistent column count")]:
+            path.write_text("\n".join(rows + [bad, "0 0 1"]) + "\n")
+            with pytest.raises(ParseError, match=message) as excinfo:
+                load_cloud(str(path))
+            assert excinfo.value.line == len(rows) + 1
+
+
 class TestFormatting:
     def test_format_float_round_trips_bitwise(self, rng):
         values = rng.standard_normal(1000) * 10.0 ** rng.integers(-20, 20, size=1000)
@@ -193,6 +334,30 @@ class TestFormatting:
         n_rows = 2 * _CSV_CHUNK_ROWS + 1
         table = np.column_stack([rng.integers(0, 5000, size=(n_rows, 2)), rng.uniform(-1, 1, (n_rows, 8))])
         assert format_rows(table) == oracle_rows(table)
+
+    # No rows, one row, one chunk and one row past it, and three chunks (both lanes).
+    @pytest.mark.parametrize("n_rows", [0, 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1, 2 * _CSV_CHUNK_ROWS + 1])
+    def test_column_blocks_match_the_stacked_table(self, rng, n_rows):
+        ref = rng.integers(0, 100_000, size=n_rows)
+        nbr = rng.integers(-(2**53), 2**53, size=(n_rows, 1))
+        values = rng.standard_normal((n_rows, 8)) * 10.0 ** rng.integers(-20, 20, size=(n_rows, 8))
+        values[::97, 3] = np.inf
+        single = rng.standard_normal(n_rows)
+        expected = oracle_rows(np.column_stack([ref, nbr, values, single]))
+        assert format_rows(ref, nbr, values, single) == expected
+        assert format_rows(ref, nbr, values, single, header="h\n") == "h\n" + expected
+
+    def test_one_dimensional_block_is_one_column(self):
+        assert format_rows(np.array([3, -1])) == "3\n-1\n"
+
+    @pytest.mark.parametrize("columns", [
+        (np.zeros(3), np.zeros((4, 2))),
+        (np.zeros((3, 8)), np.zeros(2, dtype=np.int64)),
+        (),
+    ])
+    def test_bad_column_blocks_are_refused(self, columns):
+        with pytest.raises(InvalidArgumentError):
+            format_rows(*columns)
 
     def test_atomic_write(self, tmp_path):
         path = tmp_path / "out.csv"
