@@ -200,10 +200,8 @@ def cmd_verify_invariance(args) -> int:
     # --break-shadow is the negative control: the shadow is left out of the joint rotation.
     deviations = field_deviations(cloud.points, frames[:, 0, :], graph, shadow, base, rotations, valid,
                                   rotate_shadow=not args.break_shadow)
-    worst = 0.0
-    for trial in deviations.tolist():
-        # max() drops a NaN trial, as every comparison with NaN is false: keep it, so that it fails.
-        worst = trial if np.isnan(trial) else max(worst, trial)
+    # np.max keeps a NaN trial, which then fails; a comparison with NaN would drop it.
+    worst = float(np.max(deviations))
     passed = worst <= INVARIANCE_THRESHOLD
     report = {
         "trials": args.trials,

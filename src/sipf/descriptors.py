@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CoincidentPointError, InvalidArgumentError, InvalidInputError
 from .geometry import NeighborGraph, PointCloud, Rotation3, dot3, set_read_only
-from .lanes import _buffers, run_blocks
+from .lanes import run_blocks
 
 __all__ = [
     "MASK_SIPF",
@@ -139,7 +139,9 @@ def _pair_rows(out, p, a, q, b, name_pair, d, square):
 # ``_block_rows`` cuts the kept rows into the fewest blocks of one size (5,000 rows: 5 of 1,000),
 # the last one a few rows shorter where the size does not divide the rows (1,025: 513 and 512).
 # So a lane's blocks, over every trial of ``field_deviations`` too, ask for the same arrays, lane
-# 1's reserve; only a shorter last block makes its own.
+# 1's reserve; only a shorter last block makes its own.  Equal blocks are kept for speed: cutting
+# 5,000 rows as 4 x 1,024 + 904 made a 5k x 20 ``sipf_field`` take 9.7-14.2 ms against 6.3-9.3 ms
+# (medians of 20 calls in 6 alternating processes a side, one BLAS thread, 2-CPU x86-64 host).
 _FIELD_ROWS = 1024
 
 
@@ -225,10 +227,12 @@ def _field_blocks(graph, valid):
     neighbours.  Without ``alloc`` the blocks run on the two lanes of ``sipf.lanes.run_blocks``;
     with a lane's allocator ``alloc`` they run first to last in the calling thread, in that lane's
     buffers, as a step that already runs on a lane must: its own ``run_blocks`` call would queue
-    its lane 1 behind itself on the one executor thread.  A run whose blocks meet a coincident pair computes again as one block over all kept
-    rows, which raises the error that one pass over all rows meets first: the neighbour-pair check
-    over all rows comes before the shadow checks, and the pair named is the first closest one in
-    row-major order.
+    its lane 1 behind itself on the one executor thread.
+
+    Errors follow ``run_blocks``' rule: a run raises the first error of its lowest failing block.
+    Within a block the neighbour-pair check comes before the shadow checks, and the pair named is
+    the block's first closest one in row-major order.  The block size depends only on the kept
+    rows, so the error does not depend on the lanes or the host.
     """
     idx = graph.indices
     n, k = idx.shape
@@ -249,16 +253,11 @@ def _field_blocks(graph, valid):
             f = _field_rows(*planes, mask, rows[start:stop], idx[start:stop], alloc)
             consume(start, slice(start, stop) if valid is None else rows[start:stop], idx[start:stop], f)
 
-        try:
-            if alloc is None:
-                run_blocks(len(rows), size, step, _field_arrays(size, k, mask))
-            else:
-                for start in range(0, max(len(rows), 1), size):
-                    step(0, alloc, start, min(start + size, len(rows)))
-        except CoincidentPointError:
-            if len(rows) > size:
-                step(0, _buffers(), 0, len(rows))  # raises the error of one pass over all rows
-            raise
+        if alloc is None:
+            run_blocks(len(rows), size, step, _field_arrays(size, k, mask))
+        else:
+            for start in range(0, max(len(rows), 1), size):
+                step(0, alloc, start, min(start + size, len(rows)))
 
     return valid, size, run
 
@@ -359,21 +358,21 @@ def _row_dot(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def detect_axis_alignment(p_r, axis_r, shadow_point, shadow_axis):
-    """Score in [0, 1] for the shadow-on-primary-axis degeneracy.
+def detect_axis_alignment(p_r, axis_r, shadow_point, shadow_axis) -> np.ndarray:
+    """(N,) scores in [0, 1] for the shadow-on-primary-axis degeneracy of N points.
 
     Product of |cos| between the shadow displacement and the primary axis and
-    |cos| between the two primary axes; 1 means fully degenerate.  Takes one
-    point, (3,) positions and primary axes, and returns a float; or N points,
-    (N, 3) each, and returns an (N,) array.
+    |cos| between the two primary axes; 1 means fully degenerate.  Takes (N, 3)
+    positions and primary axes.
     """
     p_r, axis_r, shadow_point, shadow_axis = (
         np.asarray(a, dtype=np.float64) for a in (p_r, axis_r, shadow_point, shadow_axis)
     )
-    if not (p_r.shape[-1:] == (3,) and p_r.shape == axis_r.shape == shadow_point.shape == shadow_axis.shape):
+    if not (p_r.ndim == 2 and p_r.shape[1:] == (3,) and p_r.shape == axis_r.shape == shadow_point.shape
+            == shadow_axis.shape):
         raise InvalidInputError(
-            f"points {p_r.shape} and {shadow_point.shape} do not match "
-            f"axes {axis_r.shape} and {shadow_axis.shape}"
+            f"points {p_r.shape} and {shadow_point.shape} and axes {axis_r.shape} and {shadow_axis.shape} "
+            "must all be (N, 3)"
         )
     d = shadow_point - p_r
     norm = np.sqrt(_row_dot(d, d))
@@ -381,8 +380,7 @@ def detect_axis_alignment(p_r, axis_r, shadow_point, shadow_axis):
         raise CoincidentPointError("shadow coincides with the point")
     c_disp = np.minimum(1.0, np.abs(_row_dot(axis_r, d)) / norm)
     c_axes = np.minimum(1.0, np.abs(_row_dot(axis_r, shadow_axis)))
-    score = c_disp * c_axes
-    return float(score) if score.ndim == 0 else score
+    return c_disp * c_axes
 
 
 def detect_local_coincidence(r_g: Rotation3, r_j: Rotation3) -> float:

@@ -23,16 +23,20 @@ when a block first asks for it, in use order.  Lane 1's makes the arrays of
 ``reserve``, a list of (name, shape, dtype), in the calling thread before the
 lane starts, so the executor thread's malloc arena holds none of them
 between calls; it raises ``RuntimeError`` for a name not on the list, and
-only a reserved name asked for in another shape (the attention layer's error
-path re-runs part of a block) is allocated on the executor.  A call shares
+only a reserved name asked for in another shape (the shorter last field block
+of a ``field_deviations`` trial) is allocated on the executor.  A call shares
 no buffer with another.
 
 ``_run_lanes`` joins both lanes before it returns or raises.  A lane stops at
-its first error, and of the two lanes' errors the lower block's is raised,
-as in a one-lane loop.  numpy's floating-point error state is per thread:
-the executor's lane runs under the caller's.  Lanes write disjoint rows of
-their outputs, so the bits of a result do not depend on the lanes; where a
-caller adds per-lane partial sums, it fixes their order itself.
+its first error, and of the two lanes' errors the lower block's is raised.
+This is the one error rule of every blocked stage, whose callers add none of
+their own: a call raises the first error of its lowest failing block, as a
+one-lane loop would.  Each stage's block size depends only on its rows, so
+the error does not depend on the lanes, their timing or the CPU count.
+numpy's floating-point error state is per thread: the executor's lane runs
+under the caller's.  Lanes write disjoint rows of their outputs, so the bits
+of a result do not depend on the lanes; where a caller adds per-lane partial
+sums, it fixes their order itself.
 
 The executor runs lanes one at a time, and each lane waits only on itself,
 so calls from several threads are safe.  A fork hook gives a forked child a

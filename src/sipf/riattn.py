@@ -43,7 +43,12 @@ softmax takes one max over the slots, which is both its shift and the
 non-finite check (a NaN or +inf score reaches it), scales by 1/sqrt(c_in)
 after the shift, and divides by one leading-axis sum that adds the k slots
 in slot order, 0 first.  The max misses a -inf score, which makes x_hat
-non-finite: ``layer_forward`` checks x_hat, above a bad score first.
+non-finite, so ``layer_forward`` checks each block's x_hat too.
+
+Errors: a failing forward raises the first error of its lowest failing block,
+``run_blocks``' rule.  A block checks its scores before its x_hat, so a NaN
+score row is named before a -inf row above it in the same block; the block
+size is a constant, so the error does not depend on the lanes or the host.
 """
 
 from __future__ import annotations
@@ -150,8 +155,6 @@ class LayerActivation:
     features: np.ndarray          # (N, c_in) reference features, the caller's array if float64
     neighbor_idx: np.ndarray      # (N, k), the caller's array if int64, range-checked again by backward
     aggregated: np.ndarray        # (N, c_in) x_hat
-    fused_input: np.ndarray       # (N, 2 c_in)
-    output: np.ndarray            # (N, c_out)
     last_block: _Block = field(repr=False)
 
 
@@ -183,11 +186,9 @@ def _rows(a):
     return a.transpose(1, 0, 2)
 
 
-class _BadScores(NumericError):
-    """Non-finite attention scores, first at reference row ``row``."""
-    def __init__(self, row):
-        super().__init__(f"non-finite attention scores at reference row {row}")
-        self.row = row
+def _fused_input(x_hat, x):
+    """The fusion map's (N, 2 c_in) input (x_hat - x) ++ x; ``backward`` rebuilds forward's bits."""
+    return np.concatenate([x_hat - x, x], axis=1)
 
 
 def _attend(layer: RIAttnLayer, p, x, idx, start: int, stop: int, alloc) -> _Block:
@@ -219,8 +220,9 @@ def _attend(layer: RIAttnLayer, p, x, idx, start: int, stop: int, alloc) -> _Blo
     # Softmax over the slots j, in place.  The slot max is both the shift and the
     # non-finite check: a NaN or +inf score reaches it.
     shift = scores.max(axis=0)
-    if not np.isfinite(shift).all():
-        raise _BadScores(start + int(np.nonzero(~np.isfinite(shift).all(axis=1))[0][0]))
+    finite = np.isfinite(shift).all(axis=1)
+    if not finite.all():
+        raise NumericError(f"non-finite attention scores at reference row {start + int(np.argmin(finite))}")
     scores -= shift
     scores *= 1.0 / np.sqrt(c)
     np.exp(scores, out=scores)
@@ -252,7 +254,7 @@ def layer_forward(
     x_hat = np.empty((n, layer.c_in))
     kept = []
 
-    def aggregate(alloc, start, stop):
+    def aggregate(lane, alloc, start, stop):
         block = _attend(layer, p, x, idx, start, stop, alloc)
         np.max(block.attn_out, axis=0, out=x_hat[start:stop])
         # A -inf score beside finite ones passes the slot max; its value reaches x_hat as 0 * inf.
@@ -262,27 +264,15 @@ def layer_forward(
         if stop == n:
             kept.append(block)
 
-    def step(lane, alloc, start, stop):
-        try:
-            aggregate(alloc, start, stop)
-        except _BadScores as exc:
-            # A -inf score above the first bad one shows only in x_hat: check those rows first.
-            if exc.row > start:
-                aggregate(alloc, start, exc.row)
-            raise
-
     # Each lane runs its blocks first to last, so the last block's arrays, lane 0's, survive
     # in its buffers for the record.
-    run_blocks(n, _CHUNK_ROWS, step, _worker_arrays(layer, k, backward=False))
-    fused_input = np.concatenate([x_hat - x, x], axis=1)
-    out = fused_input @ layer.fuse_w + layer.fuse_b
+    run_blocks(n, _CHUNK_ROWS, aggregate, _worker_arrays(layer, k, backward=False))
+    out = _fused_input(x_hat, x) @ layer.fuse_w + layer.fuse_b
     act = LayerActivation(
         pose_stack=p,
         features=x,
         neighbor_idx=idx,
         aggregated=x_hat,
-        fused_input=fused_input,
-        output=out,
         last_block=kept[0],
     )
     return out, act
@@ -311,10 +301,10 @@ def backward(
     """
     d_out = np.asarray(d_output, dtype=np.float64)
     n, c = act.features.shape
-    if d_out.shape != act.output.shape:
-        raise InvalidArgumentError(f"d_output shape {d_out.shape} != output {act.output.shape}")
+    if d_out.shape != (n, layer.c_out):
+        raise InvalidArgumentError(f"d_output shape {d_out.shape} != output {(n, layer.c_out)}")
     _check_neighbors(act.neighbor_idx, n)
-    g_fuse_w = act.fused_input.T @ d_out
+    g_fuse_w = _fused_input(act.aggregated, act.features).T @ d_out
     g_fuse_b = d_out.sum(axis=0)
     d_fused = d_out @ layer.fuse_w.T
     d_xhat = d_fused[:, :c]

@@ -140,7 +140,8 @@ def lexsort_knn(points: np.ndarray, k: int) -> np.ndarray:
 
 
 def scalar_axis_alignment(p_r, axis_r, shadow_point, shadow_axis) -> float:
-    """One-point transcription of the B1 score: |cos(a_r, d)| * |cos(a_r, a_s)|, each capped at 1."""
+    """One-point form of ``detect_axis_alignment``, the oracle its (N, 3) results match bit for bit:
+    |cos(a_r, d)| * |cos(a_r, a_s)|, each capped at 1."""
     a_r = np.asarray(axis_r, dtype=np.float64)
     a_s = np.asarray(shadow_axis, dtype=np.float64)
     d = np.asarray(shadow_point, dtype=np.float64) - np.asarray(p_r, dtype=np.float64)

@@ -458,7 +458,8 @@ def _coincidence_case(pairs=(), shadows=(), shadow_on_neighbor=None):
 
 
 class TestFieldBlocks:
-    """Blocks of 1, 7 and N rows, on the lanes, give the one-block field's bits and errors."""
+    """Blocks of 1, 7 and N rows, on the lanes, give the one-block field's bits; a failing call
+    raises the first error of its lowest failing block."""
 
     @pytest.mark.parametrize("rows", [1, 7, 40])
     @pytest.mark.parametrize("mask", DESCRIPTOR_MASKS)
@@ -582,24 +583,72 @@ class TestFieldBlocks:
 
     @pytest.mark.parametrize("rows", [1, 7, 40])
     @pytest.mark.parametrize(
-        "case, message",
+        "case, one_block, blocked",
         [
-            # The neighbour-pair check over all rows comes before the shadow checks.
-            (dict(pairs=[(30, 33, True)], shadows=[(2, True)]), "coincident pair at index (30, 33)"),
-            # Of several close pairs, the first closest in row-major order is named.
-            (dict(pairs=[(4, 5, False), (30, 33, True)]), "coincident pair at index (30, 33)"),
-            (dict(pairs=[(4, 5, True), (30, 33, True)]), "coincident pair at index (4, 5)"),
-            (dict(shadows=[(3, False), (20, True)]), "shadow coincides with point 20"),
-            (dict(shadows=[(3, True), (20, True)]), "shadow coincides with point 3"),
-            # A row's shadow on itself is checked over all rows before one on a neighbour.
-            (dict(shadows=[(25, True)], shadow_on_neighbor=10), "shadow coincides with point 25"),
+            # In one block the neighbour-pair check comes before the shadow checks.
+            (dict(pairs=[(30, 33, True)], shadows=[(2, True)]),
+             "coincident pair at index (30, 33)", "shadow coincides with point 2"),
+            # Of several close pairs in one block, the first closest in row-major order is named.
+            (dict(pairs=[(4, 5, False), (30, 33, True)]),
+             "coincident pair at index (30, 33)", "coincident pair at index (4, 5)"),
+            (dict(pairs=[(4, 5, True), (30, 33, True)]),
+             "coincident pair at index (4, 5)", "coincident pair at index (4, 5)"),
+            (dict(shadows=[(3, False), (20, True)]),
+             "shadow coincides with point 20", "shadow coincides with point 3"),
+            (dict(shadows=[(3, True), (20, True)]),
+             "shadow coincides with point 3", "shadow coincides with point 3"),
+            # In one block a row's shadow on itself is checked before one on a neighbour.
+            (dict(shadows=[(25, True)], shadow_on_neighbor=10),
+             "shadow coincides with point 25", "coincident pair at index (10, 21)"),
         ],
     )
-    def test_errors_in_different_blocks_name_what_one_block_names(self, monkeypatch, rows, case, message):
+    def test_the_lowest_failing_block_names_its_first_error(self, monkeypatch, rows, case, one_block, blocked):
+        # Blocks of 1 and 7 rows put the two faults in different blocks; 40 rows make one block.
         monkeypatch.setattr(descriptors, "_FIELD_ROWS", rows)
         with pytest.raises(CoincidentPointError) as excinfo:
             sipf_field(*_coincidence_case(**case))
-        assert str(excinfo.value) == message
+        assert str(excinfo.value) == (one_block if rows == 40 else blocked)
+
+    @pytest.mark.parametrize("slow_lane", [0, 1])
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            # Seven-row blocks over 40 rows: lane 1 runs the blocks from rows 0, 14 and 28,
+            # lane 0 those from 7, 21 and 35.  The lower fault is in lane 1's block, then in lane 0's.
+            (dict(pairs=[(4, 5, True)], shadows=[(25, True)]), "coincident pair at index (4, 5)"),
+            (dict(pairs=[(30, 33, True)], shadows=[(10, True)]), "shadow coincides with point 10"),
+        ],
+    )
+    def test_lowest_failing_block_across_lanes_is_named(self, monkeypatch, slow_lane, case, message):
+        # The slow lane starts only after the other has finished.  sipf_field runs the blocks on
+        # the lanes; field_deviations runs two trials, one a lane, each running every block.
+        cloud, frames, graph, shadow = _coincidence_case(**case)
+        monkeypatch.setattr(descriptors, "_FIELD_ROWS", 7)
+        finished = {0: threading.Event(), 1: threading.Event()}
+        lane = lanes._lane
+
+        def ordered(blocks, step, number):
+            if number == slow_lane:
+                assert finished[1 - number].wait(60)
+            try:
+                return lane(blocks, step, number)
+            finally:
+                finished[number].set()
+
+        monkeypatch.setattr(lanes, "_lane", ordered)
+        calls = [
+            lambda: sipf_field(cloud, frames, graph, shadow),
+            # Identity rotations keep the coincidences exact.
+            lambda: field_deviations(cloud.points, frames[:, 0, :], graph, shadow, np.zeros((40, 4, 8)),
+                                     np.stack([np.eye(3)] * 2)),
+        ]
+        for call in calls:
+            for event in finished.values():
+                event.clear()
+            with pytest.raises(CoincidentPointError) as excinfo:
+                call()
+            assert str(excinfo.value) == message
+            assert finished[0].is_set() and finished[1].is_set()
 
     @pytest.mark.parametrize("rows", [1, 7, 40])
     def test_shadow_on_a_neighbour_names_the_pair(self, monkeypatch, rows):
@@ -682,13 +731,13 @@ class TestFieldDeviations:
         graph = knn_graph(cloud, 5)
         frames = random_frames(np.random.default_rng(32), 2100)
         shadow = shadow_of(cloud, frames, random_rotation(np.random.default_rng(33)))
-        # A shadow on point 5, in the first block: one pass over all rows names the pair first.
+        # A shadow on point 5, in the first of the three 700-row blocks, the lowest failing one.
         shadow = ShadowCloud(points=np.vstack([shadow.points[:5], pts[5:6], shadow.points[6:]]), axes=shadow.axes)
         with pytest.raises(CoincidentPointError) as field_error:
             sipf_field(cloud, frames, graph, shadow)
         with pytest.raises(CoincidentPointError) as deviation_error:
             field_deviations(pts, frames[:, 0, :], graph, shadow, np.zeros((2100, 5, 8)), np.eye(3)[None])
-        assert str(deviation_error.value) == str(field_error.value) == "coincident pair at index (1100, 1900)"
+        assert str(deviation_error.value) == str(field_error.value) == "shadow coincides with point 5"
 
     @pytest.mark.parametrize("failing", [(1, 3), (2, 3), (3, 4)])
     def test_lowest_failing_trials_error_is_raised(self, monkeypatch, failing):
@@ -767,19 +816,22 @@ class TestFieldDeviations:
 class TestDegeneracyDetectors:
     def test_axis_alignment_extremes(self):
         axis = build_lrf([1, 0, 0], [0, 1, 0]).axes[0]
-        p = np.array([0.0, 0.0, 0.0])
-        assert detect_axis_alignment(p, axis, p + np.array([2.0, 0, 0]), axis) == pytest.approx(1.0)
-        assert detect_axis_alignment(p, axis, p + np.array([0.0, 3.0, 0]), axis) == pytest.approx(0.0, abs=1e-15)
+        p = np.zeros((2, 3))
+        axes = np.array([axis, axis])
+        got = detect_axis_alignment(p, axes, p + np.array([[2.0, 0, 0], [0.0, 3.0, 0]]), axes)
+        assert got[0] == pytest.approx(1.0)
+        assert got[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_axis_alignment_transcription(self, rng):
-        for _ in range(100):
-            p = rng.standard_normal(3)
-            f_r, f_s = random_frames(rng, 2)
-            s = p + rng.standard_normal(3)
-            d = s - p
-            expected = abs(f_r[0] @ d) / np.linalg.norm(d) * abs(f_r[0] @ f_s[0])
-            got = detect_axis_alignment(p, f_r[0], s, f_s[0])
-            assert abs(got - min(1.0, expected)) < 1e-12
+        n = 100
+        p = rng.standard_normal((n, 3))
+        a_r = random_frames(rng, n)[:, 0]
+        a_s = random_frames(rng, n)[:, 0]
+        s = p + rng.standard_normal((n, 3))
+        d = s - p
+        expected = np.minimum(1.0, np.abs((a_r * d).sum(axis=1)) / np.linalg.norm(d, axis=1))
+        expected *= np.abs((a_r * a_s).sum(axis=1))
+        assert np.abs(detect_axis_alignment(p, a_r, s, a_s) - expected).max() < 1e-12
 
     def test_axis_alignment_batch_matches_scalar_oracle(self, rng):
         n = 200
@@ -793,11 +845,8 @@ class TestDegeneracyDetectors:
         got = detect_axis_alignment(p, a_r, s, a_s)
         assert got.shape == (n,)
         expected = np.array([scalar_axis_alignment(p[i], a_r[i], s[i], a_s[i]) for i in range(n)])
-        assert np.abs(got - expected).max() <= 1e-15
+        assert np.array_equal(_bits(got), _bits(expected))
         assert np.abs(got[:3] - 1.0).max() <= 1e-15
-        single = [detect_axis_alignment(p[i], a_r[i], s[i], a_s[i]) for i in range(n)]
-        assert all(isinstance(v, float) for v in single)
-        assert np.array_equal(np.array(single), got)
 
     def test_axis_alignment_batch_rejects_coincident_shadow(self, rng):
         p = rng.standard_normal((5, 3))
@@ -810,8 +859,10 @@ class TestDegeneracyDetectors:
     def test_axis_alignment_shape_mismatch(self, rng):
         p = rng.standard_normal((5, 3))
         axes = random_frames(rng, 4)[:, 0]
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="must all be"):
             detect_axis_alignment(p, axes, p + 1.0, axes)
+        with pytest.raises(InvalidInputError, match=r"points \(3,\) and \(3,\)"):
+            detect_axis_alignment(p[0], axes[0], p[0] + 1.0, axes[0])
 
     def test_local_coincidence_zero_and_pi(self, rng):
         rot = random_rotation(rng)
@@ -846,10 +897,10 @@ class TestB1Regression:
     def test_detector_tracks_the_sweep(self):
         p_r, f_r, _, _, _, _, axis = circle_ambiguous_pair()
         side = _unit(np.cross(axis, [1.0, 0.0, 0.0]))
-        scores = [
-            detect_axis_alignment(p_r, f_r[0], p_r + 0.6 * (np.cos(b) * axis + np.sin(b) * side), f_r[0])
-            for b in np.linspace(0.0, np.pi / 2, 12)
-        ]
+        betas = np.linspace(0.0, np.pi / 2, 12)[:, None]
+        shadow_points = p_r + 0.6 * (np.cos(betas) * axis + np.sin(betas) * side)
+        axes = np.tile(f_r[0], (12, 1))
+        scores = detect_axis_alignment(np.tile(p_r, (12, 1)), axes, shadow_points, axes)
         assert all(scores[i] >= scores[i + 1] - 1e-12 for i in range(len(scores) - 1))
         assert scores[0] == pytest.approx(1.0)
 

@@ -478,7 +478,7 @@ class TestEinsumOracle:
             outputs.append(out)
             assert np.abs(out - ref_out).max() <= 1e-12
             assert np.array_equal(act.neighbor_idx, inter["neighbor_idx"])
-            for name in ("pose_stack", "features", "aggregated", "fused_input", "output"):
+            for name in ("pose_stack", "features", "aggregated"):
                 got = getattr(act, name)
                 assert got.shape == inter[name].shape, name
                 assert np.abs(got - inter[name]).max() <= 1e-12, name
@@ -573,8 +573,8 @@ class TestEinsumOracle:
         pose = rng.standard_normal((n, k, 8))
         _, act = layer_forward(layer, pose, rng.standard_normal((n, c)), rng.integers(0, n, (n, k)))
         assert act.pose_stack is pose
-        # features, neighbor_idx, aggregated, fused_input, output
-        per_point = 8 * n * (c + k + c + 2 * c + c)
+        # features, neighbor_idx, aggregated
+        per_point = 8 * n * (c + k + c)
         # pose_stack (slot-major rows), neighbor_features, mlp_hidden, kernel, attention,
         # values, attn_out
         one_block = 8 * riattn._CHUNK_ROWS * k * (8 + c + c + c + k + c + c)
@@ -588,6 +588,13 @@ class TestEinsumOracle:
         assert out.shape == (0, 4) and d_x.shape == (0, 3)
         for name, p in layer.parameters().items():
             assert np.array_equal(grads[name], np.zeros_like(p)), name
+
+    def test_backward_rejects_d_output_of_another_shape(self, rng):
+        layer, inputs, d_out = _layer_problem(rng, 6, 3, 2, 4)
+        _, act = layer_forward(layer, *inputs)
+        for bad in (d_out[:5], d_out[:, :3]):
+            with pytest.raises(InvalidArgumentError, match=r"^d_output shape \(\d, \d\) != output \(6, 4\)$"):
+                backward(layer, bad, act)
 
     @pytest.mark.parametrize("chunk", [1, 7, 20])
     def test_minus_inf_score_beside_finite_ones_raises(self, rng, monkeypatch, chunk):
@@ -605,10 +612,15 @@ class TestEinsumOracle:
                 np.errstate(invalid="ignore"):
             layer_forward(layer, rng.standard_normal((n, 3, 8)), feats, idx)
 
-    @pytest.mark.parametrize("chunk", [1, 5, 7, 128])
-    def test_minus_inf_row_above_a_nan_score_row_is_named_at_every_block_size(self, rng, monkeypatch, chunk):
+    @pytest.mark.parametrize(
+        "chunk, message",
+        [(1, "aggregated features at reference row 2"), (5, "aggregated features at reference row 2"),
+         (7, "aggregated features at reference row 2"), (128, "attention scores at reference row 7")],
+    )
+    def test_minus_inf_row_above_a_nan_score_row_is_named_in_a_lower_block(self, rng, monkeypatch, chunk, message):
         # A constant kernel: the -inf feature at point 5 reaches only x_hat of rows 2-4, and
-        # the NaN feature at point 10 the scores of rows 7-9.  Row 2 comes first in every block.
+        # the NaN feature at point 10 the scores of rows 7-9.  Row 2 is named when its block
+        # lies below row 7's; in one block the scores are checked first.
         monkeypatch.setattr(riattn, "_CHUNK_ROWS", chunk)
         n = 20
         layer = _zero_layer(2, 2)
@@ -616,8 +628,7 @@ class TestEinsumOracle:
         feats = rng.standard_normal((n, 2))
         feats[5, 0], feats[10, 0] = -np.inf, np.nan
         idx = (np.arange(n)[:, None] + np.arange(1, 4)) % n
-        with pytest.raises(NumericError, match="^non-finite aggregated features at reference row 2$"), \
-                np.errstate(invalid="ignore"):
+        with pytest.raises(NumericError, match=f"^non-finite {message}$"), np.errstate(invalid="ignore"):
             layer_forward(layer, rng.standard_normal((n, 3, 8)), feats, idx)
 
     def test_infinite_feature_seen_by_a_row_always_raises(self):
