@@ -1,10 +1,11 @@
 """Rotation-invariant point-cloud descriptors with a learned shadow reference.
 
-The pipeline: per-point local reference frames feed pairwise pose
-descriptors; a shared "shadow" rotation augments them with global pose
-context; an attention-based convolution layer consumes the descriptor
-stacks; a Bingham distribution over unit quaternions supplies and adapts the
-shadow rotation during training.
+The pipeline: per-point primary axes, each point's local frame (its normal
+or its barycenter axis), feed pairwise pose descriptors; a shared "shadow"
+rotation augments them with global pose context; an attention-based
+convolution layer consumes the descriptor stacks; a Bingham distribution
+over unit quaternions supplies and adapts the shadow rotation during
+training.
 
 The construction is rotation invariant under joint rotations of the cloud
 and its shadow.  The shadow is computed from the input's world coordinates,

@@ -46,9 +46,6 @@ __all__ = [
     "BinghamParams",
     "NormalizationResult",
     "IdentityModeWarning",
-    "LOSS_ENTROPY",
-    "LOSS_NLL_MODE",
-    "BINGHAM_LOSS_KINDS",
     "birdal_V",
     "lambda_from",
     "params_from_seed",
@@ -58,10 +55,6 @@ __all__ = [
     "sample_with_rate",
     "bingham_loss_and_seed_gradient",
 ]
-
-LOSS_ENTROPY = "entropy"
-LOSS_NLL_MODE = "nll_mode"
-BINGHAM_LOSS_KINDS = (LOSS_ENTROPY, LOSS_NLL_MODE)
 
 _STALL_RATE_FLOOR = 1e-4
 _STALL_BATCH_CAP = 200
@@ -324,23 +317,15 @@ _LAMBDA_JACOBIAN = np.array(
 )
 
 
-def bingham_loss_and_seed_gradient(seed: BinghamSeed, kind: str = LOSS_ENTROPY):
-    """Loss value and its gradient w.r.t. z2.
+def bingham_loss_and_seed_gradient(seed: BinghamSeed):
+    """The differential entropy and its gradient w.r.t. z2.
 
-    ``entropy`` is the differential entropy; ``nll_mode`` is the negative log
-    density at the mode, which equals log F.  Both depend on the eigenvalues
-    only, so they do not depend on z1.
+    The entropy depends on the eigenvalues only, so it does not depend on z1.
     """
-    if kind not in BINGHAM_LOSS_KINDS:
-        raise InvalidArgumentError(f"unknown bingham loss kind {kind!r}")
     lam3 = lambda_from(seed.z2)[:3]
-    f, grad, hess = _moments(lam3, hessian=kind == LOSS_ENTROPY)
-    if kind == LOSS_ENTROPY:
-        value = _entropy(f, grad, lam3)
-        d_lam = -(hess @ lam3) / f + (lam3 @ grad) * grad / f**2
-    else:
-        value = float(np.log(f))
-        d_lam = grad / f
+    f, grad, hess = _moments(lam3, hessian=True)
+    value = _entropy(f, grad, lam3)
+    d_lam = -(hess @ lam3) / f + (lam3 @ grad) * grad / f**2
     sigmoid = expit(seed.z2)
     d_z2 = (d_lam @ _LAMBDA_JACOBIAN) * sigmoid
     return value, d_z2

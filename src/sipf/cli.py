@@ -131,23 +131,24 @@ def _seeded_shadow_rotation(seed: int):
 
 
 def _field_inputs(args):
-    """The inputs of ``features`` and ``verify-invariance``: config, cloud, graph, frames, shadow, valid.
+    """The inputs of ``features`` and ``verify-invariance``: config, cloud, graph, axes, shadow, valid.
 
-    Row policy: a point with a degenerate frame, on its own shadow (on the
-    rotation axis; the origin for every rotation) or coincident with one of
-    its neighbours is dropped with a warning line, and the number dropped is
-    reported after them.  A coincident pair drops both of its points.
+    Row policy: a point whose primary axis is undefined (a degenerate frame),
+    on its own shadow (on the rotation axis; the origin for every rotation)
+    or coincident with one of its neighbours is dropped with a warning line,
+    and the number dropped is reported after them.  A coincident pair drops
+    both of its points.
     """
     config = _apply_overrides(load_config(args.config), args)
     cloud = load_cloud(args.input)
     graph = knn_graph(cloud, config.k)
     mode_name = FRAME_MODE_NORMAL if cloud.normals is not None else FRAME_MODE_BARYCENTER
-    frames, frame_valid = try_build_all_lrfs(cloud, graph, mode_name)
+    axes, frame_valid = try_build_all_lrfs(cloud, graph, mode_name)
     if args.rotation is not None:
         rot = quat_to_matrix(_parse_quaternion(args.rotation))
     else:
         rot = _seeded_shadow_rotation(config.seed)
-    shadow = shadow_of(cloud, frames, rot)
+    shadow = shadow_of(cloud, axes, rot)
     moved = np.linalg.norm(shadow.points - cloud.points, axis=1) >= COINCIDENT_DISTANCE_FLOOR
     for i in np.nonzero(~frame_valid)[0]:
         sys.stderr.write(f"warning: degenerate frame at point {int(i)}; rows omitted\n")
@@ -161,7 +162,7 @@ def _field_inputs(args):
     n_bad = int((~valid).sum())
     if n_bad:
         sys.stderr.write(f"warning: {n_bad} point(s) omitted\n")
-    return config, cloud, graph, frames, shadow, valid
+    return config, cloud, graph, axes, shadow, valid
 
 
 def _usable_edges(graph, valid):
@@ -170,8 +171,8 @@ def _usable_edges(graph, valid):
 
 
 def cmd_features(args) -> int:
-    _, cloud, graph, frames, shadow, valid = _field_inputs(args)
-    field = sipf_field(cloud, frames, graph, shadow, mask=MASK_SIPF, valid=valid)
+    _, cloud, graph, axes, shadow, valid = _field_inputs(args)
+    field = sipf_field(cloud, axes, graph, shadow, mask=MASK_SIPF, valid=valid)
     # Flat edge numbers, row-major: by reference point, then neighbour slot.
     e = np.flatnonzero(_usable_edges(graph, valid))
     columns = (e // graph.k, np.take(graph.indices, e), np.take(field.reshape(-1, 8), e, axis=0))
@@ -184,12 +185,12 @@ def cmd_features(args) -> int:
 def cmd_verify_invariance(args) -> int:
     if args.trials < 1:
         raise InvalidArgumentError("--trials must be >= 1")
-    # Dropped points stay dropped under every joint rotation: a frame and a
+    # Dropped points stay dropped under every joint rotation: an axis and a
     # shadow offset rotate with the cloud.
-    config, cloud, graph, frames, shadow, valid = _field_inputs(args)
+    config, cloud, graph, axes, shadow, valid = _field_inputs(args)
     if not _usable_edges(graph, valid).any():
         raise InvalidInputError("no descriptor row is usable: every point or every neighbor was omitted")
-    base = sipf_field(cloud, frames, graph, shadow, mask=MASK_SIPF, valid=valid)
+    base = sipf_field(cloud, axes, graph, shadow, mask=MASK_SIPF, valid=valid)
     # Trial rotations draw from a stream decoupled from the shadow seed: the
     # seed-derived mode is the raw seed quaternion composed with a fixed
     # half-turn, so a shared stream can make trial and shadow rotations agree
@@ -198,7 +199,7 @@ def cmd_verify_invariance(args) -> int:
     # Every trial's rotation is drawn before the first trial runs: 72 bytes a trial.
     rotations = np.array([random_rotation(rng).matrix for _ in range(args.trials)])
     # --break-shadow is the negative control: the shadow is left out of the joint rotation.
-    deviations = field_deviations(cloud.points, frames[:, 0, :], graph, shadow, base, rotations, valid,
+    deviations = field_deviations(cloud.points, axes, graph, shadow, base, rotations, valid,
                                   rotate_shadow=not args.break_shadow)
     # np.max keeps a NaN trial, which then fails; a comparison with NaN would drop it.
     worst = float(np.max(deviations))

@@ -4,9 +4,10 @@ The plain pair feature for two oriented points is
 
     (|d|, cos(a1, d), cos(aj, d), cos(a1, aj)),    d = p_j - p_r,
 
-where a1/aj are the primary frame axes.  The shadow-informed block compares
-both endpoints against a shared reference copy of the point ("shadow"),
-p_r' = p_r R_g with primary axis a1' = a1 R_g:
+where a1/aj are the points' primary axes, their frames in ``sipf.lrf``, given
+as (N, 3) arrays.  The shadow-informed block compares both endpoints against
+a shared reference copy of the point ("shadow"), p_r' = p_r R_g with primary
+axis a1' = a1 R_g:
 
     (pair(p_r, p_r') - pair(p_j, p_r')) / |...|_2,
 
@@ -86,15 +87,13 @@ class ShadowCloud:
         set_read_only(self, "axes", axes)
 
 
-def shadow_of(cloud: PointCloud, frames: np.ndarray, rotation: Rotation3) -> ShadowCloud:
-    """Shadow points p' = p @ R_g with transported primary axes a' = a1 @ R_g."""
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.shape != (len(cloud), 3, 3):
-        raise InvalidArgumentError(
-            f"frames shape {frames.shape} does not match cloud of {len(cloud)} points"
-        )
+def shadow_of(cloud: PointCloud, axes: np.ndarray, rotation: Rotation3) -> ShadowCloud:
+    """Shadow points p' = p @ R_g with transported primary axes a' = a1 @ R_g; ``axes`` is (N, 3)."""
+    axes = np.asarray(axes, dtype=np.float64)
+    if axes.shape != (len(cloud), 3):
+        raise InvalidArgumentError(f"axes shape {axes.shape} does not match cloud of {len(cloud)} points")
     m = rotation.matrix
-    return ShadowCloud(points=cloud.points @ m, axes=frames[:, 0, :] @ m)
+    return ShadowCloud(points=cloud.points @ m, axes=axes @ m)
 
 
 def coincident_pairs(cloud: PointCloud, graph: NeighborGraph) -> np.ndarray:
@@ -264,13 +263,13 @@ def _field_blocks(graph, valid):
 
 def sipf_field(
     cloud: PointCloud,
-    frames: np.ndarray,
+    axes: np.ndarray,
     graph: NeighborGraph,
     shadow: ShadowCloud,
     mask: str = MASK_SIPF,
     valid: np.ndarray | None = None,
 ) -> np.ndarray:
-    """All descriptor stacks at once as an (N, k, 8) array.
+    """All descriptor stacks at once as an (N, k, 8) array, from the (N, 3) primary ``axes``.
 
     ``mask`` selects the descriptor variant: the full 8-dim descriptor, the
     plain pair feature with a zeroed shadow block, or the direction-free
@@ -288,10 +287,7 @@ def sipf_field(
     """
     if mask not in DESCRIPTOR_MASKS:
         raise InvalidArgumentError(f"unknown descriptor mask {mask!r}")
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.shape[1:] != (3, 3):
-        raise InvalidArgumentError(f"frames must be (N, 3, 3), got {frames.shape}")
-    axes = frames[:, 0, :]
+    axes = np.asarray(axes, dtype=np.float64)
     _check_rows(cloud.points, axes, graph, shadow)
     valid, _, run = _field_blocks(graph, valid)
     out = (np.empty if valid is None else np.zeros)((*graph.indices.shape, 8))

@@ -41,7 +41,7 @@ class DegenerateGeometryError(SipfError):
 
 
 class DegenerateFrameError(DegenerateGeometryError):
-    """The two frame-defining directions are parallel within tolerance."""
+    """A point's primary axis, its frame, is undefined: the normal or barycenter axis has norm below 1e-12."""
 
 
 class CoincidentPointError(SipfError):

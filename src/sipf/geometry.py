@@ -179,10 +179,6 @@ class Rotation3:
     def __post_init__(self):
         set_read_only(self, "matrix", _rotation_matrix(self.matrix, _ROTATION_TOL))
 
-    @classmethod
-    def identity(cls) -> "Rotation3":
-        return cls(np.eye(3))
-
 
 @dataclass(frozen=True)
 class NeighborGraph:

@@ -1,11 +1,10 @@
-"""Per-point local reference frames and the centroid-based input descriptor.
+"""Per-point primary axes and the centroid-based input descriptor.
 
-A frame is built from two direction vectors by Gram-Schmidt:
-
-    a1 = e1 / |e1|,   a3 = (a1 x e2) / |a1 x e2|,   a2 = a3 x a1.
-
-With normals available the pair is (e1, e2) = (normal, barycenter axis);
-for coordinates-only input it is (barycenter axis, centroid-to-point).
+A point's frame is its primary axis, the one direction that the pair feature
+and its shadow difference read: the unit normal when the cloud has normals,
+and otherwise the unit barycenter axis, from the point to the mean of its k
+neighbours.  A frame is degenerate only where that axis is undefined: the
+direction's norm is below 1e-12.
 """
 
 from __future__ import annotations
@@ -26,78 +25,58 @@ __all__ = [
 FRAME_MODE_NORMAL = "normal"
 FRAME_MODE_BARYCENTER = "barycenter"
 
-_PARALLEL_SIN_TOL = 1e-7
 _ZERO_AXIS_TOL = 1e-12
 
 
-def _frame_inputs(cloud: PointCloud, graph: NeighborGraph, mode: str):
+def _direction(cloud: PointCloud, graph: NeighborGraph, mode: str) -> np.ndarray:
+    """The (N, 3) unnormalised primary direction of every point: its normal or its barycenter axis."""
     if len(cloud) != len(graph):
         raise InvalidArgumentError(f"cloud of {len(cloud)} points does not match a graph of {len(graph)} rows")
-    pts = cloud.points
-    bary = pts[graph.indices].mean(axis=1) - pts
     if mode == FRAME_MODE_NORMAL:
         if cloud.normals is None:
             raise InvalidArgumentError("normal-based frames require normals in the cloud")
-        return cloud.normals, bary
+        return cloud.normals
     if mode == FRAME_MODE_BARYCENTER:
-        return bary, pts - cloud.centroid
+        pts = cloud.points
+        return pts[graph.indices].mean(axis=1) - pts
     raise InvalidArgumentError(f"unknown frame mode {mode!r}")
 
 
-def _frames_from_pairs(e1: np.ndarray, e2: np.ndarray):
-    """Vectorized Gram-Schmidt; returns (frames, sin_angle, e1_norms, e2_norms)."""
-    n1 = np.linalg.norm(e1, axis=1)
-    n2 = np.linalg.norm(e2, axis=1)
-    safe1 = np.where(n1 > 0, n1, 1.0)
-    safe2 = np.where(n2 > 0, n2, 1.0)
-    a1 = e1 / safe1[:, None]
-    cross = np.cross(a1, e2 / safe2[:, None])
-    sin_angle = np.linalg.norm(cross, axis=1)
-    safe_sin = np.where(sin_angle > 0, sin_angle, 1.0)
-    a3 = cross / safe_sin[:, None]
-    a2 = np.cross(a3, a1)
-    return np.stack([a1, a2, a3], axis=1), sin_angle, n1, n2
-
-
 def try_build_all_lrfs(cloud: PointCloud, graph: NeighborGraph, mode: str = FRAME_MODE_NORMAL):
-    """Like :func:`build_all_lrfs` but returns ``(frames, valid)`` instead of raising.
+    """Like :func:`build_all_lrfs` but returns ``(axes, valid)`` instead of raising.
 
-    Rows of ``frames`` with ``valid[i] == False`` are filled with the identity
-    basis and must not be consumed.
+    Rows of ``axes`` with ``valid[i] == False`` hold (1, 0, 0) and must not be consumed.
     """
-    e1, e2 = _frame_inputs(cloud, graph, mode)
-    frames, sin_angle, n1, n2 = _frames_from_pairs(e1, e2)
-    valid = (n1 >= _ZERO_AXIS_TOL) & (n2 >= _ZERO_AXIS_TOL) & (sin_angle >= _PARALLEL_SIN_TOL)
-    if not valid.all():
-        frames = frames.copy()
-        frames[~valid] = np.eye(3)
-    return frames, valid
+    e = _direction(cloud, graph, mode)
+    norm = np.linalg.norm(e, axis=1)
+    valid = norm >= _ZERO_AXIS_TOL
+    axes = e / np.where(valid, norm, 1.0)[:, None]
+    axes[~valid] = (1.0, 0.0, 0.0)
+    return axes, valid
 
 
 def build_all_lrfs(cloud: PointCloud, graph: NeighborGraph, mode: str = FRAME_MODE_NORMAL) -> np.ndarray:
-    """Frames for every point as an (N, 3, 3) stack of axis rows."""
-    frames, valid = try_build_all_lrfs(cloud, graph, mode)
+    """The (N, 3) unit primary axis of every point; raises on the first undefined one."""
+    axes, valid = try_build_all_lrfs(cloud, graph, mode)
     if not valid.all():
         bad = int(np.nonzero(~valid)[0][0])
         raise DegenerateFrameError("degenerate local frame", index=bad)
-    return frames
+    return axes
 
 
-def input_descriptor(cloud: PointCloud, frames: np.ndarray) -> np.ndarray:
+def input_descriptor(cloud: PointCloud, axes: np.ndarray) -> np.ndarray:
     """Per-point (distance to centroid, sin, cos of the angle to the primary axis).
 
     A point coinciding with the centroid gets (0, 0, 1), the continuous limit
     along its own primary axis.
     """
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.shape != (len(cloud), 3, 3):
-        raise InvalidArgumentError(
-            f"frames shape {frames.shape} does not match cloud of {len(cloud)} points"
-        )
+    axes = np.asarray(axes, dtype=np.float64)
+    if axes.shape != (len(cloud), 3):
+        raise InvalidArgumentError(f"axes shape {axes.shape} does not match cloud of {len(cloud)} points")
     v = cloud.points - cloud.centroid
     rho = np.linalg.norm(v, axis=1)
     safe = np.where(rho > 0, rho, 1.0)
-    cos_a = dot3(frames[:, 0, :].T, v.T) / safe
+    cos_a = dot3(axes.T, v.T) / safe
     cos_a = np.clip(cos_a, -1.0, 1.0)
     sin_a = np.sqrt(np.maximum(0.0, 1.0 - cos_a**2))
     out = np.stack([rho, sin_a, cos_a], axis=1)

@@ -7,8 +7,7 @@ seed jointly, then resample at the epoch boundary.  The joint objective is
 
     total = task + delta * |bingham - 0.1 * task|
 
-with the Bingham term given by the distribution entropy (or, behind a
-config switch, the negative log density at the mode).
+with the Bingham term given by the distribution entropy.
 
 The synthetic wing-tip dataset pairs two congruent patches related by an
 exact half-turn and connects them with a thin strip.  Every point has a
@@ -91,10 +90,6 @@ _CONFIG_RULES = {
     "delta": (lambda v: _is_real(v) and v >= 0, "a number >= 0"),
     "descriptor_mask": (lambda v: v in DESCRIPTOR_MASKS, f"one of {DESCRIPTOR_MASKS}"),
     "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
-    "bingham_loss_kind": (
-        lambda v: v in bingham.BINGHAM_LOSS_KINDS,
-        f"one of {bingham.BINGHAM_LOSS_KINDS}",
-    ),
 }
 
 
@@ -112,7 +107,6 @@ class ToyTaskConfig:
     delta: float = 0.8
     descriptor_mask: str = MASK_SIPF
     seed: int = 0
-    bingham_loss_kind: str = bingham.LOSS_ENTROPY
 
     def __post_init__(self):
         for name, (accepts, requirement) in _CONFIG_RULES.items():
@@ -273,10 +267,10 @@ def _keep(cloud, index, keep, k, i, what):
 
 def _prepare_cloud(cloud, k, i):
     """Cloud number ``i`` after :func:`train_toy`'s row rules: the kept cloud, its graph and
-    frames, and the original index of every kept point.
+    (N, 3) primary axes, and the original index of every kept point.
 
-    Dropping a point moves its neighbours' frames, so the graph and frames are
-    rebuilt until every frame is valid.
+    Dropping a point moves its neighbours' barycenter axes, so the graph and
+    axes are rebuilt until every axis is defined.
     """
     mode = FRAME_MODE_NORMAL if cloud.normals is not None else FRAME_MODE_BARYCENTER
     index = np.arange(len(cloud))
@@ -291,8 +285,8 @@ def _prepare_cloud(cloud, k, i):
         cloud, graph, index = _keep(cloud, index, ~drop, k, i, "coincident")
     dropped = 0
     while True:
-        try:  # a cloud whose frames are all valid takes one frame pass
-            frames = build_all_lrfs(cloud, graph, mode)
+        try:  # a cloud whose axes are all defined takes one pass
+            axes = build_all_lrfs(cloud, graph, mode)
             break
         except DegenerateFrameError:
             valid = try_build_all_lrfs(cloud, graph, mode)[1]
@@ -300,7 +294,7 @@ def _prepare_cloud(cloud, k, i):
         cloud, graph, index = _keep(cloud, index, valid, k, i, "degenerate-frame")
     if dropped:
         warnings.warn(f"cloud {i}: {dropped} degenerate-frame point(s) dropped", stacklevel=3)
-    return cloud, graph, frames, index
+    return cloud, graph, axes, index
 
 
 def _cloud_gradients(layers, acts, g_w, g_b, d_feats):
@@ -335,9 +329,10 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
     randomness comes from one seeded generator, so runs are reproducible.
     Before the first epoch, cloud by cloud, every point at the origin (on
     the axis of every shadow rotation), both points of a coincident pair and
-    every point with a degenerate local frame are dropped with their labels,
-    with one warning per cloud and rule.  Each cloud's frames are
-    normal-based when it has normals and barycenter-based otherwise.
+    every point whose primary axis is undefined (a degenerate frame) are
+    dropped with their labels, with one warning per cloud and rule.  Each
+    cloud's primary axes are its normals when it has them and its barycenter
+    axes otherwise.
     """
     clouds = list(dataset.clouds)
     if not clouds:
@@ -351,9 +346,9 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
     prepared = []
     for i, cloud in enumerate(clouds):  # a comprehension's own frame would shift the warnings' stacklevel
         prepared.append(_prepare_cloud(cloud, config.k, i))
-    clouds, graphs, frames, kept = zip(*prepared)
+    clouds, graphs, axes, kept = zip(*prepared)
     labels = [lab[index] for lab, index in zip(labels, kept)]
-    feats0 = [input_descriptor(c, f) for c, f in zip(clouds, frames)]
+    feats0 = [input_descriptor(c, a) for c, a in zip(clouds, axes)]
 
     c_in = 3
     hid = DEFAULT_HIDDEN_DIM
@@ -376,10 +371,10 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
             z1 = z1 + _IDENTITY_PERTURB * rng.standard_normal(4)
             q_g = _sample_rotation(z1, z2, rng)
         rot = quat_to_matrix(q_g)
-        shadows = [shadow_of(c, f, rot) for c, f in zip(clouds, frames)]
+        shadows = [shadow_of(c, a, rot) for c, a in zip(clouds, axes)]
         fields = [
-            sipf_field(c, f, g, s, mask=config.descriptor_mask)
-            for c, f, g, s in zip(clouds, frames, graphs, shadows)
+            sipf_field(c, a, g, s, mask=config.descriptor_mask)
+            for c, a, g, s in zip(clouds, axes, graphs, shadows)
         ]
 
         for start in range(0, len(clouds), DEFAULT_BATCH_SIZE):
@@ -401,9 +396,7 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
                 raise NumericError(f"non-finite task loss at epoch {epoch}, batch {start}")
 
             # Both depend on z2 alone, so the epoch-end pair serves the next epoch's first batch.
-            b_loss, d_z2 = bingham_terms or bingham.bingham_loss_and_seed_gradient(
-                bingham.BinghamSeed(z1, z2), config.bingham_loss_kind
-            )
+            b_loss, d_z2 = bingham_terms or bingham.bingham_loss_and_seed_gradient(bingham.BinghamSeed(z1, z2))
             d_task, d_bingham = total_loss_gradients(task_loss, b_loss, config.delta)
 
             lr = config.learning_rate
@@ -425,9 +418,7 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
             eval_loss += loss * n_pts
         accuracy = total_correct / total_points
         eval_loss /= total_points
-        bingham_terms = bingham.bingham_loss_and_seed_gradient(
-            bingham.BinghamSeed(z1, z2), config.bingham_loss_kind
-        )
+        bingham_terms = bingham.bingham_loss_and_seed_gradient(bingham.BinghamSeed(z1, z2))
         b_loss = bingham_terms[0]
         result.metrics.append(
             {
@@ -441,8 +432,8 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
         )
 
         # Degeneracy audit for the epoch's rotation.
-        for cloud, f, sh in zip(clouds, frames, shadows):
-            scores = detect_axis_alignment(cloud.points, f[:, 0, :], sh.points, sh.axes)
+        for cloud, a, sh in zip(clouds, axes, shadows):
+            scores = detect_axis_alignment(cloud.points, a, sh.points, sh.axes)
             result.b1_max_score = max(result.b1_max_score, float(scores.max()))
         if symmetry is not None:
             dist = detect_local_coincidence(rot, symmetry)

@@ -1,5 +1,4 @@
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from sipf.errors import (
     DegenerateFrameError,
     DegenerateGeometryError,
     InvalidArgumentError,
-    InvalidInputError,
     ParseError,
 )
 from sipf.geometry import (
@@ -32,7 +30,7 @@ from sipf.geometry import (
     _rotation_matrix,
     random_rotation,
 )
-from sipf.lrf import _PARALLEL_SIN_TOL, _ZERO_AXIS_TOL
+from sipf.lrf import _ZERO_AXIS_TOL
 
 
 # A large budget for the CSV formatter's bit-pattern property; only the CI
@@ -151,36 +149,8 @@ def scalar_axis_alignment(p_r, axis_r, shadow_point, shadow_axis) -> float:
     return min(1.0, abs(float(a_r @ d)) / norm) * min(1.0, abs(float(a_r @ a_s)))
 
 
-# One-point oracles of the frames that try_build_all_lrfs computes for a whole
-# cloud; they share its degeneracy thresholds.
-
-_FRAME_ORTHO_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class LocalFrame:
-    """Right-handed orthonormal basis; rows are the three axes."""
-
-    axes: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.axes, dtype=np.float64)
-        if a.shape != (3, 3):
-            raise InvalidInputError(f"frame axes must be 3x3, got {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise InvalidInputError("frame axes contain non-finite values")
-        gram = np.abs(a @ a.T - np.eye(3)).max()
-        if gram > _FRAME_ORTHO_TOL:
-            raise InvalidInputError(f"frame rows not orthonormal (deviation {gram:.3e})")
-        if np.abs(np.cross(a[0], a[1]) - a[2]).max() > _FRAME_ORTHO_TOL:
-            raise InvalidInputError("frame is not right-handed")
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "axes", a)
-
-    @property
-    def primary(self) -> np.ndarray:
-        return self.axes[0]
+# One-point oracles of the primary axes that try_build_all_lrfs computes for a
+# whole cloud; they share its degeneracy threshold.
 
 
 def barycenter_axis(cloud: PointCloud, graph: NeighborGraph, i: int) -> np.ndarray:
@@ -194,33 +164,20 @@ def barycenter_axis(cloud: PointCloud, graph: NeighborGraph, i: int) -> np.ndarr
     return v
 
 
-def build_lrf(e1, e2) -> LocalFrame:
-    """Gram-Schmidt frame from two directions; scale of e1 and the component
-    of e2 along e1 do not affect the result."""
-    e1 = np.asarray(e1, dtype=np.float64)
-    e2 = np.asarray(e2, dtype=np.float64)
-    n1 = np.linalg.norm(e1)
-    n2 = np.linalg.norm(e2)
-    if n1 == 0.0 or n2 == 0.0:
-        raise DegenerateFrameError("frame directions must be nonzero")
-    a1 = e1 / n1
-    cross = np.cross(a1, e2 / n2)
-    sin_angle = np.linalg.norm(cross)
-    if sin_angle < _PARALLEL_SIN_TOL:
-        raise DegenerateFrameError(
-            f"frame directions are parallel within tolerance (sin angle {sin_angle:.3e})"
-        )
-    a3 = cross / sin_angle
-    a2 = np.cross(a3, a1)
-    return LocalFrame(np.stack([a1, a2, a3]))
-
-
+def primary_axis(direction) -> np.ndarray:
+    """The unit primary axis along ``direction``, a point's normal or barycenter axis; the scale
+    of ``direction`` does not affect it.  Raises where the axis is undefined (norm below 1e-12)."""
+    e = np.asarray(direction, dtype=np.float64)
+    norm = np.linalg.norm(e)
+    if norm < _ZERO_AXIS_TOL:
+        raise DegenerateFrameError(f"primary direction has norm {norm:.3e}")
+    return e / norm
 
 
 # One-pair oracles of the descriptor that sipf_field computes for a whole cloud.
 
 
-def _pair_feature(p, a, q, b) -> np.ndarray:
+def ppf(p, a, q, b) -> np.ndarray:
     """4-vector (distance, three angle cosines) for points p and q with primary axes a and b."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -241,41 +198,33 @@ def _pair_feature(p, a, q, b) -> np.ndarray:
     )
 
 
-def ppf(p_r, frame_r, p_j, frame_j) -> np.ndarray:
-    """4-vector (distance, three angle cosines) for one directed pair."""
-    return _pair_feature(p_r, np.asarray(frame_r)[0], p_j, np.asarray(frame_j)[0])
-
-
-def sippf(p_r, frame_r, p_j, frame_j, shadow_point, shadow_axis) -> np.ndarray:
+def sippf(p_r, a_r, p_j, a_j, shadow_point, shadow_axis) -> np.ndarray:
     """Unit direction of the pair-feature difference against the shadow point and its primary axis.
 
     Returns the exact zero vector when the difference norm is below 1e-12;
     this configuration is reachable (shadow on the primary axis) and carries
     no directional information.
     """
-    a_r, a_j = np.asarray(frame_r)[0], np.asarray(frame_j)[0]
-    diff = _pair_feature(p_r, a_r, shadow_point, shadow_axis) - _pair_feature(
-        p_j, a_j, shadow_point, shadow_axis
-    )
+    diff = ppf(p_r, a_r, shadow_point, shadow_axis) - ppf(p_j, a_j, shadow_point, shadow_axis)
     norm = np.linalg.norm(diff)
     if norm < 1e-12:
         return np.zeros(4)
     return diff / norm
 
 
-def sipf(p_r, frame_r, p_j, frame_j, shadow_point, shadow_axis) -> np.ndarray:
+def sipf(p_r, a_r, p_j, a_j, shadow_point, shadow_axis) -> np.ndarray:
     """8-vector: plain pair block followed by the shadow-informed block."""
     return np.concatenate(
         [
-            ppf(p_r, frame_r, p_j, frame_j),
-            sippf(p_r, frame_r, p_j, frame_j, shadow_point, shadow_axis),
+            ppf(p_r, a_r, p_j, a_j),
+            sippf(p_r, a_r, p_j, a_j, shadow_point, shadow_axis),
         ]
     )
 
 
 def sipf_stack(
     cloud: PointCloud,
-    frames: np.ndarray,
+    axes: np.ndarray,
     graph: NeighborGraph,
     shadow: ShadowCloud,
     r: int,
@@ -283,16 +232,16 @@ def sipf_stack(
     """k x 8 descriptor stack for reference point r, rows in graph order."""
     if not 0 <= r < len(cloud):
         raise InvalidArgumentError(f"reference index {r} out of range")
-    frames = np.asarray(frames, dtype=np.float64)
+    axes = np.asarray(axes, dtype=np.float64)
     rows = []
     for j in graph.indices[r]:
         try:
             rows.append(
                 sipf(
                     cloud.points[r],
-                    frames[r],
+                    axes[r],
                     cloud.points[j],
-                    frames[j],
+                    axes[j],
                     shadow.points[r],
                     shadow.axes[r],
                 )
@@ -315,21 +264,20 @@ def _reference_ppf_rows(p_r, a_r, p_j, a_j, ref, nbr):
     return np.stack([norm, c1, c2, c3], axis=-1)
 
 
-def reference_sipf_field(cloud, frames, graph, shadow, mask=MASK_SIPF, valid=None) -> np.ndarray:
+def reference_sipf_field(cloud, axes, graph, shadow, mask=MASK_SIPF, valid=None) -> np.ndarray:
     """Frozen per-edge formulation of ``sipf_field``: the bitwise oracle of the production field.
 
     Every pair block, the reference-to-shadow one included, is evaluated on
     (m, k) broadcasts with ``np.linalg.norm`` norms, ``np.einsum`` cosines and
     ``np.where`` normalisation; the production field must reproduce its bits.
     """
-    frames = np.asarray(frames, dtype=np.float64)
+    a1 = np.asarray(axes, dtype=np.float64)
     pts = cloud.points
     idx = graph.indices
     n, k = idx.shape
     rows = np.arange(n) if valid is None else np.arange(n)[np.asarray(valid, dtype=bool)]
     idx = idx[rows]
     m = len(rows)
-    a1 = frames[:, 0, :]
     p_r = np.broadcast_to(pts[rows][:, None, :], (m, k, 3))
     a_r = np.broadcast_to(a1[rows][:, None, :], (m, k, 3))
     p_j = pts[idx]
@@ -352,16 +300,17 @@ def reference_sipf_field(cloud, frames, graph, shadow, mask=MASK_SIPF, valid=Non
     return out
 
 
-def pair_rows(p_r, frame_r, neighbors, shadow_point, shadow_axis, mask=MASK_SIPF) -> np.ndarray:
+def pair_rows(p_r, a_r, neighbors, shadow_point, shadow_axis, mask=MASK_SIPF) -> np.ndarray:
     """Production descriptor rows of one reference point against chosen neighbors.
 
     Runs ``sipf_field`` on the cloud (p_r, *neighbor points) with row 0
     listing the neighbors in order and every other row marked invalid, so
-    only the reference row is computed.  The shadow point and primary axis
+    only the reference row is computed.  ``neighbors`` holds (point, primary
+    axis) pairs.  The shadow point and primary axis
     are free inputs, not the image of p_r and its axis under a rotation.
     """
     points = np.array([p_r, *(p for p, _ in neighbors)], dtype=np.float64)
-    frames = np.array([frame_r, *(f for _, f in neighbors)], dtype=np.float64)
+    axes = np.array([a_r, *(a for _, a in neighbors)], dtype=np.float64)
     n, k = len(points), len(neighbors)
     graph = NeighborGraph(k=k, indices=[list(range(1, n))] + [[0] * k] * k)
     shadow = ShadowCloud(
@@ -369,7 +318,7 @@ def pair_rows(p_r, frame_r, neighbors, shadow_point, shadow_axis, mask=MASK_SIPF
         axes=np.tile(np.asarray(shadow_axis, dtype=np.float64), (n, 1)),
     )
     valid = np.arange(n) == 0
-    return sipf_field(PointCloud(points=points), frames, graph, shadow, mask=mask, valid=valid)[0]
+    return sipf_field(PointCloud(points=points), axes, graph, shadow, mask=mask, valid=valid)[0]
 
 
 def _quat_array(q) -> np.ndarray:
@@ -515,9 +464,9 @@ def random_cloud(rng: np.random.Generator, n: int, with_normals: bool = False) -
     return PointCloud(points=pts, normals=normals)
 
 
-def random_frames(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Stack of random orthonormal right-handed row bases."""
-    return np.stack([random_rotation(rng).matrix for _ in range(n)])
+def random_axes(rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, 3) random unit primary axes, each the first row of a uniform random rotation."""
+    return np.stack([random_rotation(rng).matrix[0] for _ in range(n)])
 
 
 def mirrored_blob_cloud(rng: np.random.Generator, n_half: int = 16):

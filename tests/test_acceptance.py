@@ -17,7 +17,7 @@ from sipf.lrf import FRAME_MODE_BARYCENTER, build_all_lrfs, input_descriptor
 from sipf.riattn import RIAttnLayer, layer_forward, total_loss
 from sipf.training import ToyTaskConfig
 
-from conftest import build_lrf, mirrored_blob_cloud, pair_rows, random_cloud, random_frames
+from conftest import mirrored_blob_cloud, pair_rows, primary_axis, random_axes, random_cloud
 from test_descriptors import circle_ambiguous_pair
 from test_riattn import run_gradcheck
 
@@ -36,10 +36,10 @@ class TestCriterion1RotationInvariance:
         for _ in range(1000):
             cloud = random_cloud(rng, 10)
             graph = knn_graph(cloud, 3)
-            frames = random_frames(rng, 10)
-            shadow = shadow_of(cloud, frames, random_rotation(rng))
-            feats = input_descriptor(cloud, frames)
-            base_field = sipf_field(cloud, frames, graph, shadow)
+            axes = random_axes(rng, 10)
+            shadow = shadow_of(cloud, axes, random_rotation(rng))
+            feats = input_descriptor(cloud, axes)
+            base_field = sipf_field(cloud, axes, graph, shadow)
             x = feats
             base_outs = []
             for layer in layers:
@@ -48,10 +48,10 @@ class TestCriterion1RotationInvariance:
 
             rot = random_rotation(rng).matrix
             cloud_r = PointCloud(points=cloud.points @ rot)
-            frames_r = frames @ rot
+            axes_r = axes @ rot
             shadow_r = ShadowCloud(points=shadow.points @ rot, axes=shadow.axes @ rot)
-            feats_r = input_descriptor(cloud_r, frames_r)
-            field_r = sipf_field(cloud_r, frames_r, graph, shadow_r)
+            feats_r = input_descriptor(cloud_r, axes_r)
+            field_r = sipf_field(cloud_r, axes_r, graph, shadow_r)
             worst_descriptor = max(worst_descriptor, np.abs(field_r - base_field).max())
             x = feats_r
             for layer, base_out in zip(layers, base_outs):
@@ -70,10 +70,10 @@ class TestCriterion1RotationInvariance:
 
 class TestCriterion2CircleAmbiguity:
     def test_equal_ppf_separated_sipf(self):
-        p_r, f_r, p_j, f_j, p_j2, f_j2, _ = circle_ambiguous_pair()
+        p_r, a_r, p_j, a_j, p_j2, a_j2, _ = circle_ambiguous_pair()
         shadow_p = p_r + np.array([0.4, -0.7, 0.25])
-        shadow_f = build_lrf([-0.3, 0.8, 0.52], [1.0, 0.0, 0.0]).axes
-        a, b = pair_rows(p_r, f_r, [(p_j, f_j), (p_j2, f_j2)], shadow_p, shadow_f[0])
+        shadow_a = primary_axis([-0.3, 0.8, 0.52])
+        a, b = pair_rows(p_r, a_r, [(p_j, a_j), (p_j2, a_j2)], shadow_p, shadow_a)
         ppf_gap = np.abs(a[:4] - b[:4]).max()
         separation = np.linalg.norm(a - b)
         assert ppf_gap < 1e-12
@@ -83,9 +83,9 @@ class TestCriterion2CircleAmbiguity:
 
 class TestCriterion3DegeneracyRegressions:
     def test_b1_axis_alignment_collapse(self):
-        p_r, f_r, p_j, f_j, p_j2, f_j2, axis = circle_ambiguous_pair()
+        p_r, a_r, p_j, a_j, p_j2, a_j2, axis = circle_ambiguous_pair()
         shadow_p = p_r + 0.6 * axis
-        a, b = pair_rows(p_r, f_r, [(p_j, f_j), (p_j2, f_j2)], shadow_p, f_r[0])
+        a, b = pair_rows(p_r, a_r, [(p_j, a_j), (p_j2, a_j2)], shadow_p, a_r)
         separation = np.linalg.norm(a[4:] - b[4:])
         assert separation < 1e-6
         _report(3, "B.1 shadow-axis alignment", f"shadow-block separation {separation:.2e}")
@@ -94,9 +94,9 @@ class TestCriterion3DegeneracyRegressions:
         rng = np.random.default_rng(31)
         cloud, half_turn = mirrored_blob_cloud(rng)
         graph = knn_graph(cloud, 6)
-        frames = build_all_lrfs(cloud, graph, FRAME_MODE_BARYCENTER)
-        shadow = shadow_of(cloud, frames, Rotation3(half_turn))
-        field = sipf_field(cloud, frames, graph, shadow, mask=MASK_SIPF)
+        axes = build_all_lrfs(cloud, graph, FRAME_MODE_BARYCENTER)
+        shadow = shadow_of(cloud, axes, Rotation3(half_turn))
+        field = sipf_field(cloud, axes, graph, shadow, mask=MASK_SIPF)
         half = len(cloud) // 2
         gap = np.abs(field[:half] - field[half:]).max()
         assert gap < 1e-9

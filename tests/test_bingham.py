@@ -322,24 +322,12 @@ class TestSeedGradient:
     def test_entropy_gradient_matches_finite_differences(self, rng):
         z2 = rng.standard_normal(3)
         seed = BinghamSeed(rng.standard_normal(4), z2)
-        _, d_z2 = bingham_loss_and_seed_gradient(seed, "entropy")
+        _, d_z2 = bingham_loss_and_seed_gradient(seed)
         for i in range(3):
             step = np.zeros(3)
             step[i] = 1e-5
-            up, _ = bingham_loss_and_seed_gradient(BinghamSeed(seed.z1, z2 + step), "entropy")
-            down, _ = bingham_loss_and_seed_gradient(BinghamSeed(seed.z1, z2 - step), "entropy")
+            up, _ = bingham_loss_and_seed_gradient(BinghamSeed(seed.z1, z2 + step))
+            down, _ = bingham_loss_and_seed_gradient(BinghamSeed(seed.z1, z2 - step))
             fd = (up - down) / 2e-5
             assert abs(d_z2[i] - fd) <= 1e-7 + 1e-4 * abs(fd)
 
-    def test_nll_mode_equals_log_f(self, rng):
-        seed = BinghamSeed(rng.standard_normal(4), rng.standard_normal(3))
-        value, _ = bingham_loss_and_seed_gradient(seed, "nll_mode")
-        params = params_from_seed(seed)
-        assert value == pytest.approx(np.log(normalization(params).F), abs=1e-12)
-        # Equal to NLL at the mode: density exponent vanishes there.
-        assert log_unnormalized_density(mode(params), params) == pytest.approx(0.0, abs=1e-12)
-
-    def test_unknown_kind(self, rng):
-        seed = BinghamSeed(rng.standard_normal(4), rng.standard_normal(3))
-        with pytest.raises(InvalidArgumentError):
-            bingham_loss_and_seed_gradient(seed, "bogus")

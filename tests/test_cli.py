@@ -99,7 +99,6 @@ class TestConfig:
         assert config.k == 20
         assert config.delta == 0.8
         assert config.descriptor_mask == "sipf"
-        assert config.bingham_loss_kind == "entropy"
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -161,9 +160,9 @@ class TestFeatures:
 
         cloud = load_cloud(str(path))
         graph = knn_graph(cloud, 1)
-        frames = build_all_lrfs(cloud, graph, FRAME_MODE_BARYCENTER)
-        shadow = shadow_of(cloud, frames, _seeded_shadow_rotation(3))
-        field = sipf_field(cloud, frames, graph, shadow)
+        axes = build_all_lrfs(cloud, graph, FRAME_MODE_BARYCENTER)
+        shadow = shadow_of(cloud, axes, _seeded_shadow_rotation(3))
+        field = sipf_field(cloud, axes, graph, shadow)
         for line in lines[1:]:
             fields = line.split(",")
             r, j = int(fields[0]), int(fields[1])
@@ -172,7 +171,7 @@ class TestFeatures:
             # Bitwise round trip against the in-memory values ...
             assert np.array_equal(values, field[r, 0])
             # ... and agreement with the per-pair reference route.
-            assert np.abs(values - sipf_stack(cloud, frames, graph, shadow, r)[0]).max() < 1e-12
+            assert np.abs(values - sipf_stack(cloud, axes, graph, shadow, r)[0]).max() < 1e-12
 
     def test_byte_identical_across_runs(self, cloud_file, tmp_path):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -295,13 +294,27 @@ class TestFeatures:
         out = tmp_path / "deg.csv"
         code = main(["features", "--input", str(path), "--k", "2", "--out", str(out)])
         assert code == EXIT_OK
-        err = capsys.readouterr().err
-        assert "degenerate frame" in err
+        # Only point 0's primary axis is undefined; its neighbours' barycenter axes are not.
+        assert capsys.readouterr().err == (
+            "warning: degenerate frame at point 0; rows omitted\nwarning: 1 point(s) omitted\n"
+        )
         rows = out.read_text().strip().split("\n")[1:]
-        for row in rows:
-            r, j = map(int, row.split(",")[:2])
-            assert 0 not in (r, j)
+        assert [tuple(map(int, row.split(",")[:2])) for row in rows] == [(1, 2), (2, 1), (3, 1), (4, 1)]
 
+    def test_planar_grid_with_normals_keeps_every_row(self, tmp_path, capsys):
+        # A 30 x 30 unit grid in the plane z = 3 with unit normals.  An interior
+        # point's barycenter axis is zero, but its primary axis is its normal: no
+        # point is dropped, and all 900 x 20 rows are written.
+        path = tmp_path / "grid.xyz"
+        xs, ys = np.meshgrid(np.arange(30.0) + 0.5, np.arange(30.0) - 7.25)
+        path.write_text("".join(f"{x!r} {y!r} 3.0 0 0 1\n" for x, y in zip(xs.ravel().tolist(), ys.ravel().tolist())))
+        out, report = tmp_path / "grid.csv", tmp_path / "grid.json"
+        assert main(["features", "--input", str(path), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert len(out.read_text().splitlines()) == 1 + 900 * 20
+        assert main(["verify-invariance", "--input", str(path), "--trials", "3", "--out", str(report)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert json.loads(report.read_text())["pass"] is True
 
     def test_coincident_points_warn_and_omit(self, coincident_cloud_file, tmp_path, capsys):
         out = tmp_path / "coincident.csv"
@@ -351,11 +364,11 @@ class TestPathErrors:
         self._assert_one_error(["demo-wingtip", "--config", fast_config, "--out", str(out)], out, capsys)
 
 
-def _rotate_field_inputs(cloud, frames, shadow, rotation):
-    """Positions, whole frames and shadow under one joint rotation; the field reads no normals."""
+def _rotate_field_inputs(cloud, axes, shadow, rotation):
+    """Positions, primary axes and shadow under one joint rotation; the field reads no normals."""
     m = rotation.matrix
     shadow_r = ShadowCloud(points=shadow.points @ m, axes=shadow.axes @ m)
-    return PointCloud(points=cloud.points @ m), frames @ m, shadow_r
+    return PointCloud(points=cloud.points @ m), axes @ m, shadow_r
 
 
 class TestVerifyInvariance:
@@ -388,16 +401,16 @@ class TestVerifyInvariance:
         Also returns keep and the largest deviation over all edges, dropped ones included.
         """
         args = _build_parser().parse_args(argv)
-        config, cloud, graph, frames, shadow, valid = _field_inputs(args)
+        config, cloud, graph, axes, shadow, valid = _field_inputs(args)
         keep = _usable_edges(graph, valid)
-        base = sipf_field(cloud, frames, graph, shadow, mask=MASK_SIPF, valid=valid)
+        base = sipf_field(cloud, axes, graph, shadow, mask=MASK_SIPF, valid=valid)
         rng = np.random.default_rng([config.seed, 1])
         worst = worst_all = 0.0
         for _ in range(args.trials):
-            cloud_r, frames_r, shadow_r = _rotate_field_inputs(cloud, frames, shadow, random_rotation(rng))
+            cloud_r, axes_r, shadow_r = _rotate_field_inputs(cloud, axes, shadow, random_rotation(rng))
             if args.break_shadow:
                 shadow_r = shadow
-            rotated = sipf_field(cloud_r, frames_r, graph, shadow_r, mask=MASK_SIPF, valid=valid)
+            rotated = sipf_field(cloud_r, axes_r, graph, shadow_r, mask=MASK_SIPF, valid=valid)
             worst = max(worst, float(np.abs(rotated[keep] - base[keep]).max()))
             worst_all = max(worst_all, float(np.abs(rotated - base).max()))
         report = {
@@ -483,9 +496,9 @@ class TestVerifyInvariance:
     def test_zero_trials_usage_error(self, cloud_file):
         assert main(["verify-invariance", "--input", cloud_file, "--trials", "0"]) == EXIT_VALIDATION
 
-    def _stderr_of_both(self, path, capsys, tmp_path):
+    def _stderr_of_both(self, path, capsys, tmp_path, *options):
         """stderr of ``features`` and of ``verify-invariance`` on one cloud, and the latter's exit code."""
-        common = ["--input", str(path), "--k", "2"]
+        common = ["--input", str(path), "--k", "2", *options]
         assert main(["features", *common, "--out", str(tmp_path / "f.csv")]) == EXIT_OK
         features_err = capsys.readouterr().err
         code = main(["verify-invariance", *common, "--trials", "4", "--out", str(tmp_path / "r.json")])
@@ -524,10 +537,13 @@ class TestVerifyInvariance:
         assert json.loads((tmp_path / "r.json").read_text())["pass"] is True
 
     def test_no_usable_row_is_a_validation_error(self, tmp_path, capsys):
-        # Every point of the TestFeatures cloud is dropped or has only dropped neighbors.
+        # Every point of the TestFeatures cloud is dropped or has only dropped
+        # neighbors: point 0's frame is degenerate, and a quarter turn about x
+        # puts points 1 and 2 on their own shadows.
         path = tmp_path / "deg.xyz"
         path.write_text("0 0 0\n1 0 0\n-1 0 0\n0 5 0\n0 -5 0\n")
-        features_err, err, code = self._stderr_of_both(path, capsys, tmp_path)
+        features_err, err, code = self._stderr_of_both(
+            path, capsys, tmp_path, "--rotation=0.7071067811865476,0.7071067811865476,0,0")
         assert code == EXIT_VALIDATION
         assert err.startswith(features_err)
         assert err[len(features_err):].startswith("error: no descriptor row is usable")

@@ -31,17 +31,17 @@ from sipf.geometry import (
     quat_to_matrix,
     random_rotation,
 )
-from sipf.lrf import FRAME_MODE_BARYCENTER, FRAME_MODE_NORMAL, build_all_lrfs, try_build_all_lrfs
+from sipf.lrf import FRAME_MODE_BARYCENTER, FRAME_MODE_NORMAL, build_all_lrfs, input_descriptor, try_build_all_lrfs
 from sipf.training import make_wingtip_dataset
 
 from conftest import (
-    build_lrf,
     matrix_to_quat,
     mirrored_blob_cloud,
     pair_rows,
     ppf,
+    primary_axis,
+    random_axes,
     random_cloud,
-    random_frames,
     reference_sipf_field,
     rotation_from_axis_angle,
     scalar_axis_alignment,
@@ -59,36 +59,36 @@ def _unit(v):
 def circle_ambiguous_pair(azimuth=1.1):
     """Reference point with two neighbors on a circle around its primary axis.
 
-    The second neighbor (and its frame) is the first rotated about the axis
-    line through the reference point, which leaves the plain pair feature
+    The second neighbor (and its primary axis) is the first rotated about the
+    axis line through the reference point, which leaves the plain pair feature
     unchanged by construction.
     """
     p_r = np.array([0.3, -0.2, 0.5])
     axis = _unit([0.2, 0.4, 0.9])
-    frame_r = build_lrf(axis, [1.0, 0.0, 0.0]).axes
+    a_r = primary_axis(axis)
     side = _unit(np.cross(axis, [1.0, 0.0, 0.0]))
     p_j = p_r + 0.8 * side + 0.3 * axis
-    frame_j = build_lrf(axis + 0.7 * side, [0.1, 0.9, -0.3]).axes
+    a_j = primary_axis(axis + 0.7 * side)
     # Row-convention transport: x -> p_r + (x - p_r) @ m rotates about the axis.
     m = rotation_from_axis_angle(axis, azimuth).matrix.T
     p_j2 = p_r + (p_j - p_r) @ m
-    frame_j2 = frame_j @ m
-    return p_r, frame_r, p_j, frame_j, p_j2, frame_j2, axis
+    a_j2 = a_j @ m
+    return p_r, a_r, p_j, a_j, p_j2, a_j2, axis
 
 
-def field_ppf(p_r, f_r, p_j, f_j):
+def field_ppf(p_r, a_r, p_j, a_j):
     """Plain pair block of sipf_field for one pair; the plain mask never reads the shadow."""
-    return pair_rows(p_r, f_r, [(p_j, f_j)], np.asarray(p_r, dtype=float) + 1.0, f_r[0], mask=MASK_PPF)[0, :4]
+    return pair_rows(p_r, a_r, [(p_j, a_j)], np.asarray(p_r, dtype=float) + 1.0, a_r, mask=MASK_PPF)[0, :4]
 
 
-def field_sippf(p_r, f_r, p_j, f_j, shadow_p, shadow_f):
-    """Shadow-informed block of sipf_field for one pair; the shadow's axis is row 0 of ``shadow_f``."""
-    return pair_rows(p_r, f_r, [(p_j, f_j)], shadow_p, np.asarray(shadow_f)[0])[0, 4:]
+def field_sippf(p_r, a_r, p_j, a_j, shadow_p, shadow_a):
+    """Shadow-informed block of sipf_field for one pair."""
+    return pair_rows(p_r, a_r, [(p_j, a_j)], shadow_p, shadow_a)[0, 4:]
 
 
-def field_sipf(p_r, f_r, p_j, f_j, shadow_p, shadow_f):
-    """Full 8-dim sipf_field row for one pair; the shadow's axis is row 0 of ``shadow_f``."""
-    return pair_rows(p_r, f_r, [(p_j, f_j)], shadow_p, np.asarray(shadow_f)[0])[0]
+def field_sipf(p_r, a_r, p_j, a_j, shadow_p, shadow_a):
+    """Full 8-dim sipf_field row for one pair."""
+    return pair_rows(p_r, a_r, [(p_j, a_j)], shadow_p, shadow_a)[0]
 
 
 def transcription_sippf(p_r, a_r, p_j, a_j, p_s, a_s):
@@ -106,141 +106,141 @@ def transcription_sippf(p_r, a_r, p_j, a_j, p_s, a_s):
 
 class TestPpf:
     def test_all_aligned(self):
-        f_r = build_lrf([1, 0, 0], [0, 1, 0]).axes
-        out = field_ppf([0, 0, 0], f_r, [2, 0, 0], f_r)
+        a_r = primary_axis([1, 0, 0])
+        out = field_ppf([0, 0, 0], a_r, [2, 0, 0], a_r)
         assert np.allclose(out, [2, 1, 1, 1], atol=1e-15)
 
     def test_orthogonal_axes(self):
-        f_r = build_lrf([1, 0, 0], [0, 1, 0]).axes
-        f_j = build_lrf([0, 1, 0], [0, 0, 1]).axes
-        out = field_ppf([0, 0, 0], f_r, [2, 0, 0], f_j)
+        a_r = primary_axis([1, 0, 0])
+        a_j = primary_axis([0, 1, 0])
+        out = field_ppf([0, 0, 0], a_r, [2, 0, 0], a_j)
         assert np.allclose(out, [2, 1, 0, 0], atol=1e-15)
 
     def test_coincident_points(self):
-        f = np.eye(3)
+        a = np.array([1.0, 0.0, 0.0])
         with pytest.raises(CoincidentPointError):
-            field_ppf([1, 2, 3], f, [1, 2, 3], f)
+            field_ppf([1, 2, 3], a, [1, 2, 3], a)
 
     def test_circle_ambiguity(self):
-        p_r, f_r, p_j, f_j, p_j2, f_j2, _ = circle_ambiguous_pair()
-        a = field_ppf(p_r, f_r, p_j, f_j)
-        b = field_ppf(p_r, f_r, p_j2, f_j2)
+        p_r, a_r, p_j, a_j, p_j2, a_j2, _ = circle_ambiguous_pair()
+        a = field_ppf(p_r, a_r, p_j, a_j)
+        b = field_ppf(p_r, a_r, p_j2, a_j2)
         assert not np.allclose(p_j, p_j2)
         assert np.abs(a - b).max() < 1e-12
 
     def test_rotation_invariance(self, rng):
         for _ in range(200):
             p_r, p_j = rng.standard_normal(3), rng.standard_normal(3)
-            f_r, f_j = random_frames(rng, 2)
+            a_r, a_j = random_axes(rng, 2)
             rot = random_rotation(rng).matrix
-            a = field_ppf(p_r, f_r, p_j, f_j)
-            b = field_ppf(p_r @ rot, f_r @ rot, p_j @ rot, f_j @ rot)
+            a = field_ppf(p_r, a_r, p_j, a_j)
+            b = field_ppf(p_r @ rot, a_r @ rot, p_j @ rot, a_j @ rot)
             assert np.abs(a - b).max() < 1e-12
 
 
 class TestShadowOf:
     def test_identity_rotation_keeps_cloud(self, rng):
         cloud = random_cloud(rng, 12)
-        frames = random_frames(rng, 12)
-        shadow = shadow_of(cloud, frames, quat_to_matrix(UnitQuaternion(1, 0, 0, 0)))
+        axes = random_axes(rng, 12)
+        shadow = shadow_of(cloud, axes, quat_to_matrix(UnitQuaternion(1, 0, 0, 0)))
         assert np.array_equal(shadow.points, cloud.points)
-        assert np.array_equal(shadow.axes, frames[:, 0, :])
+        assert np.array_equal(shadow.axes, axes)
 
     def test_half_turn_about_z(self):
         cloud = PointCloud(points=[[1, 0, 0], [0, 0, 1]])
-        frames = np.tile(np.eye(3), (2, 1, 1))
+        axes = np.tile([1.0, 0.0, 0.0], (2, 1))
         rot = rotation_from_axis_angle([0, 0, 1], np.pi)
-        shadow = shadow_of(cloud, frames, rot)
+        shadow = shadow_of(cloud, axes, rot)
         assert np.abs(shadow.points[0] - np.array([-1, 0, 0])).max() < 1e-15
 
     def test_norms_preserved(self, rng):
         cloud = random_cloud(rng, 30)
-        frames = random_frames(rng, 30)
-        shadow = shadow_of(cloud, frames, random_rotation(rng))
+        axes = random_axes(rng, 30)
+        shadow = shadow_of(cloud, axes, random_rotation(rng))
         n0 = np.linalg.norm(cloud.points, axis=1)
         n1 = np.linalg.norm(shadow.points, axis=1)
         assert (np.abs(n0 - n1) / np.maximum(n0, 1e-30)).max() < 1e-12
 
     def test_axes_equal_row_zero_of_the_transported_frames_bitwise(self, rng):
-        # Row 0 of the whole transported frame stack is what the field read
-        # when the shadow carried frames; the axes alone give the same bits.
+        # Transporting the (N, 3) primary axes alone gives row 0 of the
+        # transported whole bases, bit for bit.
         for n in (2, 7, 600):
             cloud = random_cloud(rng, n)
-            frames = random_frames(rng, n)
+            frames = np.stack([random_rotation(rng).matrix for _ in range(n)])
             rot = random_rotation(rng)
-            shadow = shadow_of(cloud, frames, rot)
+            shadow = shadow_of(cloud, np.ascontiguousarray(frames[:, 0, :]), rot)
             assert np.array_equal(shadow.axes, (frames @ rot.matrix)[:, 0, :])
             assert shadow.axes.shape == shadow.points.shape == (n, 3)
 
 
 class TestSippf:
     def test_zero_for_symmetric_configuration(self):
-        frame = build_lrf([0, 1, 0], [0, 0, 1]).axes
-        out = field_sippf([1, 0, 0], frame, [-1, 0, 0], frame, [0, 1, 0], frame)
+        axis = primary_axis([0, 1, 0])
+        out = field_sippf([1, 0, 0], axis, [-1, 0, 0], axis, [0, 1, 0], axis)
         assert np.array_equal(out, np.zeros(4))
 
     def test_norm_is_zero_or_one(self, rng):
         for _ in range(300):
             pts = rng.standard_normal((3, 3))
-            f = random_frames(rng, 3)
-            out = field_sippf(pts[0], f[0], pts[1], f[1], pts[2], f[2])
+            a = random_axes(rng, 3)
+            out = field_sippf(pts[0], a[0], pts[1], a[1], pts[2], a[2])
             n = np.linalg.norm(out)
             assert n == 0.0 or abs(n - 1.0) < 1e-9
 
     def test_matches_transcription_oracle(self, rng):
         for _ in range(200):
             pts = rng.standard_normal((3, 3))
-            f = random_frames(rng, 3)
-            ours = field_sippf(pts[0], f[0], pts[1], f[1], pts[2], f[2])
-            ref = transcription_sippf(pts[0], f[0][0], pts[1], f[1][0], pts[2], f[2][0])
+            a = random_axes(rng, 3)
+            ours = field_sippf(pts[0], a[0], pts[1], a[1], pts[2], a[2])
+            ref = transcription_sippf(pts[0], a[0], pts[1], a[1], pts[2], a[2])
             assert np.abs(ours - ref).max() < 1e-12
 
     def test_coincident_shadow(self):
-        f = np.eye(3)
+        a = np.array([1.0, 0.0, 0.0])
         with pytest.raises(CoincidentPointError):
-            field_sippf([1, 0, 0], f, [0, 1, 0], f, [1, 0, 0], f)
+            field_sippf([1, 0, 0], a, [0, 1, 0], a, [1, 0, 0], a)
 
 
 class TestSipf:
     def test_concatenation(self, rng):
         pts = rng.standard_normal((3, 3))
-        f = random_frames(rng, 3)
-        full = field_sipf(pts[0], f[0], pts[1], f[1], pts[2], f[2])
-        assert np.array_equal(full[:4], field_ppf(pts[0], f[0], pts[1], f[1]))
-        oracle = sipf(pts[0], f[0], pts[1], f[1], pts[2], f[2][0])
-        assert np.array_equal(oracle[:4], ppf(pts[0], f[0], pts[1], f[1]))
-        assert np.array_equal(oracle[4:], sippf(pts[0], f[0], pts[1], f[1], pts[2], f[2][0]))
+        a = random_axes(rng, 3)
+        full = field_sipf(pts[0], a[0], pts[1], a[1], pts[2], a[2])
+        assert np.array_equal(full[:4], field_ppf(pts[0], a[0], pts[1], a[1]))
+        oracle = sipf(pts[0], a[0], pts[1], a[1], pts[2], a[2])
+        assert np.array_equal(oracle[:4], ppf(pts[0], a[0], pts[1], a[1]))
+        assert np.array_equal(oracle[4:], sippf(pts[0], a[0], pts[1], a[1], pts[2], a[2]))
         assert np.abs(full - oracle).max() < 1e-12
 
     def test_joint_rotation_invariance(self, rng):
         worst = 0.0
         for _ in range(300):
             pts = rng.standard_normal((3, 3))
-            f = random_frames(rng, 3)
-            base = field_sipf(pts[0], f[0], pts[1], f[1], pts[2], f[2])
+            a = random_axes(rng, 3)
+            base = field_sipf(pts[0], a[0], pts[1], a[1], pts[2], a[2])
             rot = random_rotation(rng).matrix
             moved = field_sipf(
-                pts[0] @ rot, f[0] @ rot, pts[1] @ rot, f[1] @ rot, pts[2] @ rot, f[2] @ rot
+                pts[0] @ rot, a[0] @ rot, pts[1] @ rot, a[1] @ rot, pts[2] @ rot, a[2] @ rot
             )
             worst = max(worst, np.abs(base - moved).max())
         assert worst < 1e-9
 
     def test_circle_pair_resolved_by_generic_shadow(self):
-        p_r, f_r, p_j, f_j, p_j2, f_j2, _ = circle_ambiguous_pair()
+        p_r, a_r, p_j, a_j, p_j2, a_j2, _ = circle_ambiguous_pair()
         shadow_p = p_r + np.array([0.4, -0.7, 0.25])
-        shadow_f = build_lrf([-0.3, 0.8, 0.52], [1, 0, 0]).axes
-        a = field_sipf(p_r, f_r, p_j, f_j, shadow_p, shadow_f)
-        b = field_sipf(p_r, f_r, p_j2, f_j2, shadow_p, shadow_f)
+        shadow_a = primary_axis([-0.3, 0.8, 0.52])
+        a = field_sipf(p_r, a_r, p_j, a_j, shadow_p, shadow_a)
+        b = field_sipf(p_r, a_r, p_j2, a_j2, shadow_p, shadow_a)
         assert np.abs(a[:4] - b[:4]).max() < 1e-12  # plain block still ambiguous
         assert np.abs(a[4:] - b[4:]).max() > 1e-3   # shadow block separates
 
     def test_axis_aligned_shadow_degenerates_to_plain_pair(self):
         # Shadow displaced along the primary axis with coinciding primary
         # axes: the shadow block is identical for both ambiguous neighbors.
-        p_r, f_r, p_j, f_j, p_j2, f_j2, axis = circle_ambiguous_pair()
+        p_r, a_r, p_j, a_j, p_j2, a_j2, axis = circle_ambiguous_pair()
         shadow_p = p_r + 0.6 * axis
-        a = field_sipf(p_r, f_r, p_j, f_j, shadow_p, f_r)
-        b = field_sipf(p_r, f_r, p_j2, f_j2, shadow_p, f_r)
+        a = field_sipf(p_r, a_r, p_j, a_j, shadow_p, a_r)
+        b = field_sipf(p_r, a_r, p_j2, a_j2, shadow_p, a_r)
         assert np.abs(a[4:] - b[4:]).max() < 1e-6
 
 
@@ -248,13 +248,13 @@ class TestSipfStack:
     def test_k1_equals_single_call(self, rng):
         cloud = random_cloud(rng, 6)
         graph = knn_graph(cloud, 1)
-        frames = random_frames(rng, 6)
-        shadow = shadow_of(cloud, frames, random_rotation(rng))
-        field = sipf_field(cloud, frames, graph, shadow)
-        stack = sipf_stack(cloud, frames, graph, shadow, 2)
+        axes = random_axes(rng, 6)
+        shadow = shadow_of(cloud, axes, random_rotation(rng))
+        field = sipf_field(cloud, axes, graph, shadow)
+        stack = sipf_stack(cloud, axes, graph, shadow, 2)
         j = graph.indices[2][0]
         direct = sipf(
-            cloud.points[2], frames[2], cloud.points[j], frames[j], shadow.points[2], shadow.axes[2]
+            cloud.points[2], axes[2], cloud.points[j], axes[j], shadow.points[2], shadow.axes[2]
         )
         assert np.array_equal(stack, direct[None, :])
         assert np.abs(field[2] - direct[None, :]).max() < 1e-12
@@ -262,13 +262,13 @@ class TestSipfStack:
     def test_rows_follow_graph_order(self, rng):
         cloud = random_cloud(rng, 12)
         graph = knn_graph(cloud, 4)
-        frames = random_frames(rng, 12)
-        shadow = shadow_of(cloud, frames, random_rotation(rng))
-        field = sipf_field(cloud, frames, graph, shadow)
-        stack = sipf_stack(cloud, frames, graph, shadow, 0)
+        axes = random_axes(rng, 12)
+        shadow = shadow_of(cloud, axes, random_rotation(rng))
+        field = sipf_field(cloud, axes, graph, shadow)
+        stack = sipf_stack(cloud, axes, graph, shadow, 0)
         for col, j in enumerate(graph.indices[0]):
             direct = sipf(
-                cloud.points[0], frames[0], cloud.points[j], frames[j],
+                cloud.points[0], axes[0], cloud.points[j], axes[j],
                 shadow.points[0], shadow.axes[0],
             )
             assert np.array_equal(stack[col], direct)
@@ -277,39 +277,39 @@ class TestSipfStack:
     def test_error_carries_pair_context(self, rng):
         cloud = random_cloud(rng, 6)
         graph = knn_graph(cloud, 2)
-        frames = random_frames(rng, 6)
+        axes = random_axes(rng, 6)
         # Identity-rotation shadow coincides with every source point.
-        shadow = shadow_of(cloud, frames, quat_to_matrix(UnitQuaternion(1, 0, 0, 0)))
+        shadow = shadow_of(cloud, axes, quat_to_matrix(UnitQuaternion(1, 0, 0, 0)))
         with pytest.raises(CoincidentPointError) as excinfo:
-            sipf_field(cloud, frames, graph, shadow)
+            sipf_field(cloud, axes, graph, shadow)
         assert str(excinfo.value) == "shadow coincides with point 0"
         with pytest.raises(CoincidentPointError) as excinfo:
-            sipf_stack(cloud, frames, graph, shadow, 3)
+            sipf_stack(cloud, axes, graph, shadow, 3)
         assert "(3," in str(excinfo.value)
 
     def test_field_matches_per_pair_loop(self, rng):
         cloud = random_cloud(rng, 16)
         graph = knn_graph(cloud, 5)
-        frames = random_frames(rng, 16)
-        shadow = shadow_of(cloud, frames, random_rotation(rng))
-        field = sipf_field(cloud, frames, graph, shadow, mask=MASK_SIPF)
+        axes = random_axes(rng, 16)
+        shadow = shadow_of(cloud, axes, random_rotation(rng))
+        field = sipf_field(cloud, axes, graph, shadow, mask=MASK_SIPF)
         for r in range(len(cloud)):
-            assert np.abs(field[r] - sipf_stack(cloud, frames, graph, shadow, r)).max() < 1e-12
+            assert np.abs(field[r] - sipf_stack(cloud, axes, graph, shadow, r)).max() < 1e-12
 
     def test_masks(self, rng):
         cloud = random_cloud(rng, 16)
         graph = knn_graph(cloud, 5)
-        frames = random_frames(rng, 16)
-        shadow = shadow_of(cloud, frames, random_rotation(rng))
-        full = sipf_field(cloud, frames, graph, shadow, mask=MASK_SIPF)
-        plain = sipf_field(cloud, frames, graph, shadow, mask=MASK_PPF)
-        nod = sipf_field(cloud, frames, graph, shadow, mask=MASK_SIPF_NO_DIRECTION)
+        axes = random_axes(rng, 16)
+        shadow = shadow_of(cloud, axes, random_rotation(rng))
+        full = sipf_field(cloud, axes, graph, shadow, mask=MASK_SIPF)
+        plain = sipf_field(cloud, axes, graph, shadow, mask=MASK_PPF)
+        nod = sipf_field(cloud, axes, graph, shadow, mask=MASK_SIPF_NO_DIRECTION)
         assert np.array_equal(full[..., :4], plain[..., :4])
         assert np.array_equal(plain[..., 4:], np.zeros_like(plain[..., 4:]))
         assert np.array_equal(nod[..., 5:], np.zeros_like(nod[..., 5:]))
         assert (nod[..., 4] >= 0).all()
         with pytest.raises(InvalidArgumentError):
-            sipf_field(cloud, frames, graph, shadow, mask="bogus")
+            sipf_field(cloud, axes, graph, shadow, mask="bogus")
 
     def test_coincident_pair_message_prints_plain_ints(self, rng):
         cloud = random_cloud(rng, 8)
@@ -317,21 +317,21 @@ class TestSipfStack:
         pts[7] = pts[5]
         cloud = PointCloud(points=pts)
         graph = knn_graph(cloud, 2)
-        frames = random_frames(rng, 8)
-        shadow = shadow_of(cloud, frames, random_rotation(rng))
+        axes = random_axes(rng, 8)
+        shadow = shadow_of(cloud, axes, random_rotation(rng))
         # Reference point 5 and neighbor point 7 by point index, also when
         # masked rows shift the positions of the computed rows.
         for valid in (None, np.arange(8) != 0):
             with pytest.raises(CoincidentPointError) as excinfo:
-                sipf_field(cloud, frames, graph, shadow, valid=valid)
+                sipf_field(cloud, axes, graph, shadow, valid=valid)
             assert str(excinfo.value) == "coincident pair at index (5, 7)"
 
 
 def _field_case(rng, n, k, frame_mode):
     cloud = random_cloud(rng, n, with_normals=True)
     graph = knn_graph(cloud, k)
-    frames, _ = try_build_all_lrfs(cloud, graph, frame_mode)
-    return cloud, frames, graph, shadow_of(cloud, frames, random_rotation(rng))
+    axes, _ = try_build_all_lrfs(cloud, graph, frame_mode)
+    return cloud, axes, graph, shadow_of(cloud, axes, random_rotation(rng))
 
 
 def _bits(a):
@@ -345,24 +345,24 @@ class TestFieldBitwise:
     @pytest.mark.parametrize("frame_mode", [FRAME_MODE_NORMAL, FRAME_MODE_BARYCENTER])
     @pytest.mark.parametrize("n, k", [(200, 10), (12, 1), (7, 6)])
     def test_matches_reference(self, rng, mask, frame_mode, n, k):
-        cloud, frames, graph, shadow = _field_case(rng, n, k, frame_mode)
+        cloud, axes, graph, shadow = _field_case(rng, n, k, frame_mode)
         for valid in (None, np.arange(n) % 3 != 1, np.zeros(n, dtype=bool)):
-            field = sipf_field(cloud, frames, graph, shadow, mask=mask, valid=valid)
-            ref = reference_sipf_field(cloud, frames, graph, shadow, mask=mask, valid=valid)
+            field = sipf_field(cloud, axes, graph, shadow, mask=mask, valid=valid)
+            ref = reference_sipf_field(cloud, axes, graph, shadow, mask=mask, valid=valid)
             assert field.shape == (n, k, 8)
             assert np.array_equal(_bits(field), _bits(ref))
         assert np.array_equal(_bits(field), _bits(np.zeros((n, k, 8))))
 
     @pytest.mark.parametrize("mask", DESCRIPTOR_MASKS)
     def test_zero_difference_rows_match_reference(self, mask):
-        # Both points are equidistant from their shadows and share one frame,
+        # Both points are equidistant from their shadows and share one primary axis,
         # so each row's difference is exactly the zero vector.
         cloud = PointCloud(points=np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 3.0, 0.0]]))
-        frames = np.tile(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), (3, 1, 1))
+        axes = np.tile([0.0, 0.0, 1.0], (3, 1))
         graph = NeighborGraph(k=1, indices=[[1], [0], [0]])
-        shadow = ShadowCloud(points=np.tile([0.0, 1.0, 0.5], (3, 1)), axes=frames[:, 0, :])
-        field = sipf_field(cloud, frames, graph, shadow, mask=mask)
-        ref = reference_sipf_field(cloud, frames, graph, shadow, mask=mask)
+        shadow = ShadowCloud(points=np.tile([0.0, 1.0, 0.5], (3, 1)), axes=axes)
+        field = sipf_field(cloud, axes, graph, shadow, mask=mask)
+        ref = reference_sipf_field(cloud, axes, graph, shadow, mask=mask)
         assert np.array_equal(_bits(field), _bits(ref))
         assert np.array_equal(field[:2, 0, 4:], np.zeros((2, 4)))
         assert mask == MASK_PPF or np.abs(field[2, 0, 4:]).max() > 0.0
@@ -370,41 +370,57 @@ class TestFieldBitwise:
 
 class TestFieldInputs:
     def test_read_only_frames_and_inputs_untouched(self, rng):
-        cloud, frames, graph, shadow = _field_case(rng, 30, 5, FRAME_MODE_BARYCENTER)
-        read_only = frames.copy()
+        cloud, axes, graph, shadow = _field_case(rng, 30, 5, FRAME_MODE_BARYCENTER)
+        read_only = axes.copy()
         read_only.setflags(write=False)
-        writable = frames.copy()
+        writable = axes.copy()
         before = [a.copy() for a in (cloud.points, shadow.points, shadow.axes)]
         for mask in DESCRIPTOR_MASKS:
             for valid in (None, np.arange(30) % 4 != 0):
                 first = sipf_field(cloud, read_only, graph, shadow, mask=mask, valid=valid)
                 second = sipf_field(cloud, writable, graph, shadow, mask=mask, valid=valid)
                 assert np.array_equal(_bits(first), _bits(second))
-                assert np.array_equal(_bits(writable), _bits(frames))
+                assert np.array_equal(_bits(writable), _bits(axes))
         after = [cloud.points, shadow.points, shadow.axes]
         assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(before, after))
 
     @pytest.mark.parametrize("bad", [-3, -1, 40])
     def test_neighbour_index_outside_the_graph_is_rejected(self, bad):
         # A negative index would read a point counted from the end, as numpy indexes.
-        cloud, frames, graph, shadow = _field_case(np.random.default_rng(5), 40, 4, FRAME_MODE_BARYCENTER)
+        cloud, axes, graph, shadow = _field_case(np.random.default_rng(5), 40, 4, FRAME_MODE_BARYCENTER)
         idx = graph.indices.copy()
         idx[35, 2] = bad
         with pytest.raises(InvalidInputError, match=r"neighbor indices must lie in \[0, 40\)"):
             NeighborGraph(k=4, indices=idx)
 
-    @pytest.mark.parametrize("short", ["cloud", "frames", "shadow"])
+    @pytest.mark.parametrize("short", ["cloud", "axes", "shadow"])
     def test_inputs_must_have_the_graphs_rows(self, rng, short):
-        cloud, frames, graph, shadow = _field_case(rng, 40, 4, FRAME_MODE_BARYCENTER)
-        inputs = dict(cloud=cloud, frames=frames, graph=graph, shadow=shadow)
+        cloud, axes, graph, shadow = _field_case(rng, 40, 4, FRAME_MODE_BARYCENTER)
+        inputs = dict(cloud=cloud, axes=axes, graph=graph, shadow=shadow)
         if short == "cloud":
             inputs["cloud"] = PointCloud(points=cloud.points[:39])
-        elif short == "frames":
-            inputs["frames"] = frames[:39]
+        elif short == "axes":
+            inputs["axes"] = axes[:39]
         else:
             inputs["shadow"] = ShadowCloud(points=shadow.points[:39], axes=shadow.axes[:39])
         with pytest.raises(InvalidArgumentError, match="do not match a graph of 40 rows"):
             sipf_field(**inputs)
+
+    @pytest.mark.parametrize("stage", ["shadow_of", "sipf_field", "field_deviations", "input_descriptor"])
+    def test_a_whole_frame_stack_is_rejected(self, rng, stage):
+        # An (N, 3, 3) stack of full bases, whose row 0 was the primary axis, is
+        # rejected: no stage reads some other row of it as N axes.
+        cloud, _, graph, shadow = _field_case(rng, 40, 4, FRAME_MODE_BARYCENTER)
+        frames = np.stack([random_rotation(rng).matrix for _ in range(40)])
+        calls = {
+            "shadow_of": lambda: shadow_of(cloud, frames, random_rotation(rng)),
+            "sipf_field": lambda: sipf_field(cloud, frames, graph, shadow),
+            "field_deviations": lambda: field_deviations(
+                cloud.points, frames, graph, shadow, np.zeros((40, 4, 8)), np.eye(3)[None]),
+            "input_descriptor": lambda: input_descriptor(cloud, frames),
+        }
+        with pytest.raises(InvalidArgumentError, match=r"axes.*\(40, 3, 3\)"):
+            calls[stage]()
 
     # A graph shorter than the cloud made numpy's broadcast error, a longer one an IndexError.
     @pytest.mark.parametrize("n_cloud, n_graph", [(50, 30), (30, 50)])
@@ -446,15 +462,15 @@ def _coincidence_case(pairs=(), shadows=(), shadow_on_neighbor=None):
         pts[j] = pts[i] if exact else [np.nextafter(pts[i, 0], 2.0), *pts[i, 1:]]
     cloud = PointCloud(points=pts)
     graph = knn_graph(cloud, 4)
-    frames = random_frames(rng, 40)
+    axes = random_axes(rng, 40)
     rotation = random_rotation(rng)
     shadow_pts = pts @ rotation.matrix
     for i, exact in shadows:
         shadow_pts[i] = pts[i] if exact else [np.nextafter(pts[i, 0], 2.0), *pts[i, 1:]]
     if shadow_on_neighbor is not None:
         shadow_pts[shadow_on_neighbor] = pts[graph.indices[shadow_on_neighbor, 0]]
-    shadow = ShadowCloud(points=shadow_pts, axes=frames[:, 0, :] @ rotation.matrix)
-    return cloud, frames, graph, shadow
+    shadow = ShadowCloud(points=shadow_pts, axes=axes @ rotation.matrix)
+    return cloud, axes, graph, shadow
 
 
 class TestFieldBlocks:
@@ -465,10 +481,10 @@ class TestFieldBlocks:
     @pytest.mark.parametrize("mask", DESCRIPTOR_MASKS)
     def test_matches_reference_at_every_block_size(self, rng, monkeypatch, mask, rows):
         monkeypatch.setattr(descriptors, "_FIELD_ROWS", rows)
-        cloud, frames, graph, shadow = _field_case(rng, 40, 6, FRAME_MODE_BARYCENTER)
+        cloud, axes, graph, shadow = _field_case(rng, 40, 6, FRAME_MODE_BARYCENTER)
         for valid in (None, np.arange(40) % 3 != 1, np.zeros(40, dtype=bool)):
-            field = sipf_field(cloud, frames, graph, shadow, mask=mask, valid=valid)
-            ref = reference_sipf_field(cloud, frames, graph, shadow, mask=mask, valid=valid)
+            field = sipf_field(cloud, axes, graph, shadow, mask=mask, valid=valid)
+            ref = reference_sipf_field(cloud, axes, graph, shadow, mask=mask, valid=valid)
             assert np.array_equal(_bits(field), _bits(ref))
 
     @pytest.mark.parametrize("rows", [1, 7])
@@ -539,9 +555,9 @@ class TestFieldBlocks:
             raise AssertionError("a single-block call reached the executor")
 
         monkeypatch.setattr(lanes._executor, "submit", no_worker)
-        cloud, frames, graph, shadow = _field_case(rng, descriptors._FIELD_ROWS, 3, FRAME_MODE_BARYCENTER)
-        field = sipf_field(cloud, frames, graph, shadow)
-        assert np.array_equal(_bits(field), _bits(reference_sipf_field(cloud, frames, graph, shadow)))
+        cloud, axes, graph, shadow = _field_case(rng, descriptors._FIELD_ROWS, 3, FRAME_MODE_BARYCENTER)
+        field = sipf_field(cloud, axes, graph, shadow)
+        assert np.array_equal(_bits(field), _bits(reference_sipf_field(cloud, axes, graph, shadow)))
 
     def test_threads_give_the_serial_bits(self, monkeypatch):
         # More threads than cores build graphs, fields and trials' deviations of different sizes
@@ -553,9 +569,9 @@ class TestFieldBlocks:
         cases = [_field_case(rng, 40 + 5 * i, 3 + i, FRAME_MODE_BARYCENTER) for i in range(4)]
         rotations = np.array([random_rotation(rng).matrix for _ in range(3)])
 
-        def bits(cloud, frames, graph, shadow):
-            field = sipf_field(cloud, frames, graph, shadow)
-            deviations = field_deviations(cloud.points, frames[:, 0, :], graph, shadow, field, rotations)
+        def bits(cloud, axes, graph, shadow):
+            field = sipf_field(cloud, axes, graph, shadow)
+            deviations = field_deviations(cloud.points, axes, graph, shadow, field, rotations)
             return knn_graph(cloud, graph.k).indices.tobytes(), field.tobytes(), deviations.tobytes()
 
         serial = [bits(*case) for case in cases]
@@ -622,7 +638,7 @@ class TestFieldBlocks:
     def test_lowest_failing_block_across_lanes_is_named(self, monkeypatch, slow_lane, case, message):
         # The slow lane starts only after the other has finished.  sipf_field runs the blocks on
         # the lanes; field_deviations runs two trials, one a lane, each running every block.
-        cloud, frames, graph, shadow = _coincidence_case(**case)
+        cloud, axes, graph, shadow = _coincidence_case(**case)
         monkeypatch.setattr(descriptors, "_FIELD_ROWS", 7)
         finished = {0: threading.Event(), 1: threading.Event()}
         lane = lanes._lane
@@ -637,9 +653,9 @@ class TestFieldBlocks:
 
         monkeypatch.setattr(lanes, "_lane", ordered)
         calls = [
-            lambda: sipf_field(cloud, frames, graph, shadow),
+            lambda: sipf_field(cloud, axes, graph, shadow),
             # Identity rotations keep the coincidences exact.
-            lambda: field_deviations(cloud.points, frames[:, 0, :], graph, shadow, np.zeros((40, 4, 8)),
+            lambda: field_deviations(cloud.points, axes, graph, shadow, np.zeros((40, 4, 8)),
                                      np.stack([np.eye(3)] * 2)),
         ]
         for call in calls:
@@ -653,40 +669,39 @@ class TestFieldBlocks:
     @pytest.mark.parametrize("rows", [1, 7, 40])
     def test_shadow_on_a_neighbour_names_the_pair(self, monkeypatch, rows):
         monkeypatch.setattr(descriptors, "_FIELD_ROWS", rows)
-        cloud, frames, graph, shadow = _coincidence_case(shadow_on_neighbor=10)
+        cloud, axes, graph, shadow = _coincidence_case(shadow_on_neighbor=10)
         with pytest.raises(CoincidentPointError) as excinfo:
-            sipf_field(cloud, frames, graph, shadow)
+            sipf_field(cloud, axes, graph, shadow)
         assert str(excinfo.value) == f"coincident pair at index (10, {graph.indices[10, 0]})"
 
 def _deviation_case(n, trials=1, seed=29, valid=True):
     """An n-point cloud (k = 5) with rows 3 and n - 2 dropped (none without ``valid``), as
-    (cloud, frames, graph, shadow), its base field, its row mask and ``trials`` joint rotations."""
+    (cloud, axes, graph, shadow), its base field, its row mask and ``trials`` joint rotations."""
     rng = np.random.default_rng(seed)
     cloud = random_cloud(rng, n)
     graph = knn_graph(cloud, 5)
-    frames = random_frames(rng, n)
-    shadow = shadow_of(cloud, frames, random_rotation(rng))
+    axes = random_axes(rng, n)
+    shadow = shadow_of(cloud, axes, random_rotation(rng))
     keep = None
     if valid:
         keep = np.ones(n, dtype=bool)
         keep[[3, n - 2]] = False
-    base = sipf_field(cloud, frames, graph, shadow, valid=keep)
+    base = sipf_field(cloud, axes, graph, shadow, valid=keep)
     rotations = np.array([random_rotation(rng).matrix for _ in range(trials)])
-    return (cloud, frames, graph, shadow), base, keep, rotations
+    return (cloud, axes, graph, shadow), base, keep, rotations
 
 
 def _deviations(case, base, valid, rotations, break_shadow=False):
-    cloud, frames, graph, shadow = case
-    return field_deviations(cloud.points, frames[:, 0, :], graph, shadow, base, rotations, valid,
+    cloud, axes, graph, shadow = case
+    return field_deviations(cloud.points, axes, graph, shadow, base, rotations, valid,
                             rotate_shadow=not break_shadow)
 
 
 def _gathered_deviation(case, base, valid, m, break_shadow):
     """The oracle: the whole rotated field, gathered at the usable edges, against ``base``.  The
     rotated inputs are the products ``field_deviations`` forms, so the fields have the same bits."""
-    cloud, frames, graph, shadow = case
-    rotated = frames @ m
-    rotated[:, 0, :] = frames[:, 0, :] @ m
+    cloud, axes, graph, shadow = case
+    rotated = axes @ m
     shadow_r = shadow if break_shadow else ShadowCloud(points=shadow.points @ m, axes=shadow.axes @ m)
     field = sipf_field(PointCloud(points=cloud.points @ m), rotated, graph, shadow_r, valid=valid)
     keep = valid[:, None] & valid[graph.indices]
@@ -729,14 +744,14 @@ class TestFieldDeviations:
         pts[1900] = pts[1100]
         cloud = PointCloud(points=pts)
         graph = knn_graph(cloud, 5)
-        frames = random_frames(np.random.default_rng(32), 2100)
-        shadow = shadow_of(cloud, frames, random_rotation(np.random.default_rng(33)))
+        axes = random_axes(np.random.default_rng(32), 2100)
+        shadow = shadow_of(cloud, axes, random_rotation(np.random.default_rng(33)))
         # A shadow on point 5, in the first of the three 700-row blocks, the lowest failing one.
         shadow = ShadowCloud(points=np.vstack([shadow.points[:5], pts[5:6], shadow.points[6:]]), axes=shadow.axes)
         with pytest.raises(CoincidentPointError) as field_error:
-            sipf_field(cloud, frames, graph, shadow)
+            sipf_field(cloud, axes, graph, shadow)
         with pytest.raises(CoincidentPointError) as deviation_error:
-            field_deviations(pts, frames[:, 0, :], graph, shadow, np.zeros((2100, 5, 8)), np.eye(3)[None])
+            field_deviations(pts, axes, graph, shadow, np.zeros((2100, 5, 8)), np.eye(3)[None])
         assert str(deviation_error.value) == str(field_error.value) == "shadow coincides with point 5"
 
     @pytest.mark.parametrize("failing", [(1, 3), (2, 3), (3, 4)])
@@ -803,19 +818,19 @@ class TestFieldDeviations:
         assert _deviations(case, base, valid, np.empty((0, 3, 3))).shape == (0,)
 
     def test_inputs_must_have_the_graphs_shape(self, rng):
-        cloud, frames, graph, shadow = _field_case(rng, 40, 4, FRAME_MODE_BARYCENTER)
+        cloud, axes, graph, shadow = _field_case(rng, 40, 4, FRAME_MODE_BARYCENTER)
         base, one = np.zeros((40, 4, 8)), np.eye(3)[None]
         with pytest.raises(InvalidArgumentError, match=r"base field must be \(40, 4, 8\), got \(40, 4, 7\)"):
-            field_deviations(cloud.points, frames[:, 0, :], graph, shadow, np.zeros((40, 4, 7)), one)
+            field_deviations(cloud.points, axes, graph, shadow, np.zeros((40, 4, 7)), one)
         with pytest.raises(InvalidArgumentError, match="do not match a graph of 40 rows"):
-            field_deviations(cloud.points, frames, graph, shadow, base, one)
+            field_deviations(cloud.points, axes[:39], graph, shadow, base, one)
         with pytest.raises(InvalidArgumentError, match=r"rotations must be \(T, 3, 3\), got \(3, 3\)"):
-            field_deviations(cloud.points, frames[:, 0, :], graph, shadow, base, np.eye(3))
+            field_deviations(cloud.points, axes, graph, shadow, base, np.eye(3))
 
 
 class TestDegeneracyDetectors:
     def test_axis_alignment_extremes(self):
-        axis = build_lrf([1, 0, 0], [0, 1, 0]).axes[0]
+        axis = primary_axis([1, 0, 0])
         p = np.zeros((2, 3))
         axes = np.array([axis, axis])
         got = detect_axis_alignment(p, axes, p + np.array([[2.0, 0, 0], [0.0, 3.0, 0]]), axes)
@@ -825,8 +840,8 @@ class TestDegeneracyDetectors:
     def test_axis_alignment_transcription(self, rng):
         n = 100
         p = rng.standard_normal((n, 3))
-        a_r = random_frames(rng, n)[:, 0]
-        a_s = random_frames(rng, n)[:, 0]
+        a_r = random_axes(rng, n)
+        a_s = random_axes(rng, n)
         s = p + rng.standard_normal((n, 3))
         d = s - p
         expected = np.minimum(1.0, np.abs((a_r * d).sum(axis=1)) / np.linalg.norm(d, axis=1))
@@ -836,8 +851,8 @@ class TestDegeneracyDetectors:
     def test_axis_alignment_batch_matches_scalar_oracle(self, rng):
         n = 200
         p = rng.standard_normal((n, 3))
-        a_r = random_frames(rng, n)[:, 0]
-        a_s = random_frames(rng, n)[:, 0]
+        a_r = random_axes(rng, n)
+        a_s = random_axes(rng, n)
         s = p + rng.standard_normal((n, 3))
         # Fully degenerate rows: shadow on the primary axis, axes shared.
         s[:3] = p[:3] + 2.0 * a_r[:3]
@@ -850,7 +865,7 @@ class TestDegeneracyDetectors:
 
     def test_axis_alignment_batch_rejects_coincident_shadow(self, rng):
         p = rng.standard_normal((5, 3))
-        axes = random_frames(rng, 5)[:, 0]
+        axes = random_axes(rng, 5)
         s = p + 1.0
         s[3] = p[3]
         with pytest.raises(CoincidentPointError):
@@ -858,7 +873,7 @@ class TestDegeneracyDetectors:
 
     def test_axis_alignment_shape_mismatch(self, rng):
         p = rng.standard_normal((5, 3))
-        axes = random_frames(rng, 4)[:, 0]
+        axes = random_axes(rng, 4)
         with pytest.raises(InvalidInputError, match="must all be"):
             detect_axis_alignment(p, axes, p + 1.0, axes)
         with pytest.raises(InvalidInputError, match=r"points \(3,\) and \(3,\)"):
@@ -882,24 +897,24 @@ class TestDegeneracyDetectors:
 
 class TestB1Regression:
     def test_separation_grows_from_axis_to_orthogonal(self):
-        p_r, f_r, p_j, f_j, p_j2, f_j2, axis = circle_ambiguous_pair()
+        p_r, a_r, p_j, a_j, p_j2, a_j2, axis = circle_ambiguous_pair()
         side = _unit(np.cross(axis, [1.0, 0.0, 0.0]))
         seps = []
         for beta in np.linspace(0.0, np.pi / 2, 12):
             shadow_p = p_r + 0.6 * (np.cos(beta) * axis + np.sin(beta) * side)
-            a = field_sippf(p_r, f_r, p_j, f_j, shadow_p, f_r)
-            b = field_sippf(p_r, f_r, p_j2, f_j2, shadow_p, f_r)
+            a = field_sippf(p_r, a_r, p_j, a_j, shadow_p, a_r)
+            b = field_sippf(p_r, a_r, p_j2, a_j2, shadow_p, a_r)
             seps.append(np.linalg.norm(a - b))
         assert seps[0] < 1e-6
         assert all(seps[i] <= seps[i + 1] + 1e-9 for i in range(len(seps) - 1))
         assert seps[-1] >= 10 * max(seps[0], 1e-12)
 
     def test_detector_tracks_the_sweep(self):
-        p_r, f_r, _, _, _, _, axis = circle_ambiguous_pair()
+        p_r, a_r, _, _, _, _, axis = circle_ambiguous_pair()
         side = _unit(np.cross(axis, [1.0, 0.0, 0.0]))
         betas = np.linspace(0.0, np.pi / 2, 12)[:, None]
         shadow_points = p_r + 0.6 * (np.cos(betas) * axis + np.sin(betas) * side)
-        axes = np.tile(f_r[0], (12, 1))
+        axes = np.tile(a_r, (12, 1))
         scores = detect_axis_alignment(np.tile(p_r, (12, 1)), axes, shadow_points, axes)
         assert all(scores[i] >= scores[i + 1] - 1e-12 for i in range(len(scores) - 1))
         assert scores[0] == pytest.approx(1.0)
@@ -910,15 +925,15 @@ class TestWingTipCollapse:
         dataset = make_wingtip_dataset(1, 64, 0.0, seed=7)
         cloud, labels = dataset.clouds[0], dataset.labels[0]
         graph = knn_graph(cloud, 12)
-        frames = build_all_lrfs(cloud, graph, FRAME_MODE_BARYCENTER)
+        axes = build_all_lrfs(cloud, graph, FRAME_MODE_BARYCENTER)
         half = len(cloud) // 2
         rng = np.random.default_rng(5)
         generic = random_rotation(rng)
         # Generic rotation is far from both failure geometries.
         assert detect_local_coincidence(generic, dataset.symmetry) > 0.1
-        shadow = shadow_of(cloud, frames, generic)
-        plain = sipf_field(cloud, frames, graph, shadow, mask=MASK_PPF)
-        full = sipf_field(cloud, frames, graph, shadow, mask=MASK_SIPF)
+        shadow = shadow_of(cloud, axes, generic)
+        plain = sipf_field(cloud, axes, graph, shadow, mask=MASK_PPF)
+        full = sipf_field(cloud, axes, graph, shadow, mask=MASK_SIPF)
         assert np.abs(plain[:half] - plain[half:]).max() < 1e-9
         assert max(np.abs(full[i] - full[i + half]).max() for i in range(half)) > 1e-3
 
@@ -928,10 +943,10 @@ class TestWingTipCollapse:
         rng = np.random.default_rng(11)
         cloud, half_turn = mirrored_blob_cloud(rng)
         graph = knn_graph(cloud, 6)
-        frames = build_all_lrfs(cloud, graph, FRAME_MODE_BARYCENTER)
+        axes = build_all_lrfs(cloud, graph, FRAME_MODE_BARYCENTER)
         half = len(cloud) // 2
-        shadow = shadow_of(cloud, frames, Rotation3(half_turn))
-        full = sipf_field(cloud, frames, graph, shadow, mask=MASK_SIPF)
+        shadow = shadow_of(cloud, axes, Rotation3(half_turn))
+        full = sipf_field(cloud, axes, graph, shadow, mask=MASK_SIPF)
         assert np.abs(full[:half] - full[half:]).max() < 1e-9
 
 
@@ -940,7 +955,7 @@ class TestWingTipCollapse:
 def test_sippf_norm_never_intermediate(seed):
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((3, 3)) * rng.uniform(0.1, 10)
-    frames = random_frames(rng, 3)
-    out = field_sippf(pts[0], frames[0], pts[1], frames[1], pts[2], frames[2])
+    axes = random_axes(rng, 3)
+    out = field_sippf(pts[0], axes[0], pts[1], axes[1], pts[2], axes[2])
     n = np.linalg.norm(out)
     assert n == 0.0 or abs(n - 1.0) < 1e-9

@@ -219,7 +219,7 @@ class TestQuaternionMatrix:
             quat_to_matrix([1.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_matrix_to_quat_identity(self):
-        q = matrix_to_quat(Rotation3.identity())
+        q = matrix_to_quat(Rotation3(np.eye(3)))
         assert (q.w, q.x, q.y, q.z) == (1.0, 0.0, 0.0, 0.0)
 
     def test_matrix_to_quat_pi_about_z(self):
@@ -265,7 +265,7 @@ class TestQuaternionMatrix:
 class TestApplyRotation:
     def test_identity_rotation(self, rng):
         cloud = random_cloud(rng, 10, with_normals=True)
-        out = apply_rotation(cloud, Rotation3.identity())
+        out = apply_rotation(cloud, Rotation3(np.eye(3)))
         assert np.array_equal(out.points, cloud.points)
         assert np.array_equal(out.normals, cloud.normals)
 

@@ -54,17 +54,17 @@ def _zero_layer(c_in, c_out, hidden=None):
 def _random_instance(rng, n=10, k=4, c_in=3, c_out=5):
     cloud = random_cloud(rng, n)
     graph = knn_graph(cloud, k)
-    frames = build_all_lrfs(cloud, graph, FRAME_MODE_BARYCENTER)
-    shadow = shadow_of(cloud, frames, random_rotation(rng))
-    pose = sipf_field(cloud, frames, graph, shadow)
-    feats = input_descriptor(cloud, frames)
+    axes = build_all_lrfs(cloud, graph, FRAME_MODE_BARYCENTER)
+    shadow = shadow_of(cloud, axes, random_rotation(rng))
+    pose = sipf_field(cloud, axes, graph, shadow)
+    feats = input_descriptor(cloud, axes)
     layer = RIAttnLayer.init(c_in, c_out, rng)
-    return cloud, graph, frames, shadow, pose, feats, layer
+    return cloud, graph, axes, shadow, pose, feats, layer
 
 
-def _encode(cloud, frames, graph, shadow, feats, layer, mask=MASK_SIPF):
+def _encode(cloud, axes, graph, shadow, feats, layer, mask=MASK_SIPF):
     """Descriptor field plus one layer pass, as a library caller composes them."""
-    pose = sipf_field(cloud, frames, graph, shadow, mask=mask)
+    pose = sipf_field(cloud, axes, graph, shadow, mask=mask)
     out, _ = layer_forward(layer, pose, feats, graph.indices)
     return out
 
@@ -224,12 +224,12 @@ class TestLayerForward:
     def test_layer_rotation_invariance(self, rng):
         worst = 0.0
         for _ in range(30):
-            cloud, graph, frames, shadow, pose, feats, layer = _random_instance(rng)
-            base = _encode(cloud, frames, graph, shadow, feats, layer)
+            cloud, graph, axes, shadow, pose, feats, layer = _random_instance(rng)
+            base = _encode(cloud, axes, graph, shadow, feats, layer)
             rot = random_rotation(rng)
             m = rot.matrix
             shadow_r = type(shadow)(points=shadow.points @ m, axes=shadow.axes @ m)
-            moved = _encode(apply_rotation(cloud, rot), frames @ m, graph, shadow_r, feats, layer)
+            moved = _encode(apply_rotation(cloud, rot), axes @ m, graph, shadow_r, feats, layer)
             worst = max(worst, np.abs(moved - base).max())
         assert worst < 1e-8
 
@@ -237,14 +237,14 @@ class TestLayerForward:
         dataset = make_wingtip_dataset(1, 64, 0.0, seed=3)
         cloud = dataset.clouds[0]
         graph = knn_graph(cloud, 12)
-        frames = build_all_lrfs(cloud, graph, FRAME_MODE_BARYCENTER)
-        feats = input_descriptor(cloud, frames)
+        axes = build_all_lrfs(cloud, graph, FRAME_MODE_BARYCENTER)
+        feats = input_descriptor(cloud, axes)
         layer = RIAttnLayer.init(3, 6, rng)
         half = len(cloud) // 2
         generic = random_rotation(rng)
-        shadow = shadow_of(cloud, frames, generic)
-        plain_out = _encode(cloud, frames, graph, shadow, feats, layer, mask=MASK_PPF)
-        full_out = _encode(cloud, frames, graph, shadow, feats, layer, mask=MASK_SIPF)
+        shadow = shadow_of(cloud, axes, generic)
+        plain_out = _encode(cloud, axes, graph, shadow, feats, layer, mask=MASK_PPF)
+        full_out = _encode(cloud, axes, graph, shadow, feats, layer, mask=MASK_SIPF)
         assert np.abs(plain_out[:half] - plain_out[half:]).max() < 1e-9
         assert np.abs(full_out[:half] - full_out[half:]).max() > 1e-3
 
@@ -253,8 +253,8 @@ class TestGoldenTinyInstance:
     def _hand_setup(self):
         p0 = np.array([0.2, 0.1, -0.3])
         p1 = np.array([1.0, -0.4, 0.5])
-        f0 = np.eye(3)
-        f1 = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        a0 = np.array([1.0, 0.0, 0.0])
+        a1 = np.array([0.0, 1.0, 0.0])
         rot = rotation_from_axis_angle([0.0, 0.0, 1.0], np.pi / 2)
         feats = np.array([[0.3, -0.2], [-0.1, 0.4]])
         layer = RIAttnLayer(
@@ -267,38 +267,38 @@ class TestGoldenTinyInstance:
             fuse_w=np.array([[0.5, -0.1], [0.2, 0.3], [-0.4, 0.2], [0.1, 0.6]]),
             fuse_b=np.array([0.01, -0.02]),
         )
-        return p0, p1, f0, f1, rot, feats, layer
+        return p0, p1, a0, a1, rot, feats, layer
 
-    def _hand_sipf(self, pa, fa, pb, fb, sa_p, sa_f):
+    def _hand_sipf(self, pa, aa, pb, ab, sa_p, sa_a):
         def pair(px, ax, py, ay):
             d = [py[0] - px[0], py[1] - px[1], py[2] - px[2]]
             n = (d[0] ** 2 + d[1] ** 2 + d[2] ** 2) ** 0.5
             dot = lambda u, v: u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
             return [n, dot(ax, d) / n, dot(ay, d) / n, dot(ax, ay)]
 
-        plain = pair(pa, fa[0], pb, fb[0])
-        da = pair(pa, fa[0], sa_p, sa_f[0])
-        db = pair(pb, fb[0], sa_p, sa_f[0])
+        plain = pair(pa, aa, pb, ab)
+        da = pair(pa, aa, sa_p, sa_a)
+        db = pair(pb, ab, sa_p, sa_a)
         diff = [da[i] - db[i] for i in range(4)]
         nd = sum(v * v for v in diff) ** 0.5
         shadow_block = [v / nd for v in diff] if nd >= 1e-12 else [0.0] * 4
         return plain + shadow_block
 
     def test_hand_unrolled_two_point_layer(self):
-        p0, p1, f0, f1, rot, feats, layer = self._hand_setup()
+        p0, p1, a0, a1, rot, feats, layer = self._hand_setup()
         cloud = PointCloud(points=[p0, p1])
-        frames = np.stack([f0, f1])
+        axes = np.stack([a0, a1])
         graph = knn_graph(cloud, 1)
-        shadow = shadow_of(cloud, frames, rot)
-        out = _encode(cloud, frames, graph, shadow, feats, layer)
+        shadow = shadow_of(cloud, axes, rot)
+        out = _encode(cloud, axes, graph, shadow, feats, layer)
 
         m = rot.matrix
         expected = []
-        for (pa, fa, xa), (pb, fb, xb) in (((p0, f0, feats[0]), (p1, f1, feats[1])),
-                                           ((p1, f1, feats[1]), (p0, f0, feats[0]))):
+        for (pa, aa, xa), (pb, ab, xb) in (((p0, a0, feats[0]), (p1, a1, feats[1])),
+                                           ((p1, a1, feats[1]), (p0, a0, feats[0]))):
             sa_p = pa @ m
-            sa_f = fa @ m
-            pose = self._hand_sipf(pa, fa, pb, fb, sa_p, sa_f)
+            sa_a = aa @ m
+            pose = self._hand_sipf(pa, aa, pb, ab, sa_p, sa_a)
             hidden = [
                 sum(pose[i] * layer.mlp_w1[i, h] for i in range(8)) + layer.mlp_b1[h]
                 for h in range(2)
@@ -948,10 +948,10 @@ class TestLanes:
 def build_gradcheck_problem(rng, n, k, c_in, hidden, c_out):
     cloud = random_cloud(rng, n)
     graph = knn_graph(cloud, k)
-    frames = build_all_lrfs(cloud, graph, FRAME_MODE_BARYCENTER)
-    shadow = shadow_of(cloud, frames, random_rotation(rng))
-    pose = sipf_field(cloud, frames, graph, shadow)
-    feats = input_descriptor(cloud, frames)
+    axes = build_all_lrfs(cloud, graph, FRAME_MODE_BARYCENTER)
+    shadow = shadow_of(cloud, axes, random_rotation(rng))
+    pose = sipf_field(cloud, axes, graph, shadow)
+    feats = input_descriptor(cloud, axes)
     labels = rng.integers(0, 2, n)
     layers = [RIAttnLayer.init(c_in, hidden, rng), RIAttnLayer.init(hidden, c_out, rng)]
     head = ClassifierHead.init(c_out, rng)

@@ -69,11 +69,11 @@ class TestWingTipDataset:
         dataset = make_wingtip_dataset(1, 64, 0.0, 21)
         cloud = dataset.clouds[0]
         graph = knn_graph(cloud, 20)
-        frames = build_all_lrfs(cloud, graph, FRAME_MODE_BARYCENTER)
+        axes = build_all_lrfs(cloud, graph, FRAME_MODE_BARYCENTER)
         from sipf.geometry import random_rotation
 
-        shadow = shadow_of(cloud, frames, random_rotation(rng))
-        plain = sipf_field(cloud, frames, graph, shadow, mask=MASK_PPF)
+        shadow = shadow_of(cloud, axes, random_rotation(rng))
+        plain = sipf_field(cloud, axes, graph, shadow, mask=MASK_PPF)
         half = len(cloud) // 2
         assert np.abs(plain[:half] - plain[half:]).max() < 1e-9
 
@@ -88,8 +88,6 @@ class TestToyTaskConfig:
             ToyTaskConfig(k=0)
         with pytest.raises(InvalidArgumentError):
             ToyTaskConfig(descriptor_mask="bogus")
-        with pytest.raises(InvalidArgumentError):
-            ToyTaskConfig(bingham_loss_kind="bogus")
         with pytest.raises(InvalidArgumentError):
             ToyTaskConfig(k=2.5)
         with pytest.raises(InvalidArgumentError):
@@ -110,7 +108,6 @@ class TestToyTaskConfig:
             "delta",
             "descriptor_mask",
             "seed",
-            "bingham_loss_kind",
         ]
 
 
@@ -186,12 +183,10 @@ class TestTrainToy:
         for entry in result.metrics:
             rot = quat_to_matrix(UnitQuaternion(*entry["rg_quaternion"]))
             for cloud in dataset.clouds:
-                frames = build_all_lrfs(cloud, knn_graph(cloud, config.k), FRAME_MODE_BARYCENTER)
-                shadow = shadow_of(cloud, frames, rot)
+                axes = build_all_lrfs(cloud, knn_graph(cloud, config.k), FRAME_MODE_BARYCENTER)
+                shadow = shadow_of(cloud, axes, rot)
                 for i in range(len(cloud)):
-                    score = scalar_axis_alignment(
-                        cloud.points[i], frames[i, 0], shadow.points[i], shadow.axes[i]
-                    )
+                    score = scalar_axis_alignment(cloud.points[i], axes[i], shadow.points[i], shadow.axes[i])
                     expected = max(expected, score)
         assert abs(result.b1_max_score - expected) <= 1e-15
 
@@ -266,24 +261,30 @@ class TestTrainToy:
         assert log == metrics_to_jsonl(train_toy(reduced, config).metrics)
 
     def test_degenerate_frame_points_dropped_before_training(self):
-        # Two collinear patches of 10 points on a line through the centroid of
-        # cloud 1, far from its body: each patch point's barycenter axis and
-        # centroid direction both run along the line, so its frame is degenerate.
-        # The patches go, with their labels, and the run equals one without them.
+        # Two 9-point stars far above and below cloud 1: each centre's 8
+        # neighbours are the rest of its star, in opposite pairs, so its
+        # barycenter axis is zero and its frame undefined.  The centres go, with
+        # their labels; the graph is rebuilt, and the run equals one without them.
         dataset = make_wingtip_dataset(2, 32, 0.0, 100)
         body = dataset.clouds[1].points
-        line = np.array([1.0, 2.0, 0.5]) / np.linalg.norm([1.0, 2.0, 0.5])
-        offsets = np.concatenate([np.arange(5.0, 6.0, 0.1), -np.arange(5.0, 6.0, 0.1)])
-        points = np.vstack([body, body.mean(axis=0) + offsets[:, None] * line])
-        labels = np.concatenate([dataset.labels[1], np.arange(20) % 2])
+        spokes = np.vstack([np.eye(3), -np.eye(3), [[1.5, 1.5, 1.5], [-1.5, -1.5, -1.5]] / np.sqrt(3.0)])
+        stars = [body.mean(axis=0) + [0.0, 0.0, z] + 0.1 * np.vstack([np.zeros(3), spokes]) for z in (4.0, -4.0)]
+        points = np.vstack([body, *stars])
+        labels = np.concatenate([dataset.labels[1], np.arange(18) % 2])
         patched = type(dataset)(
             clouds=[dataset.clouds[0], PointCloud(points=points)],
             labels=[dataset.labels[0], labels],
             symmetry=dataset.symmetry,
         )
-        with pytest.warns(UserWarning, match=r"^cloud 1: 20 degenerate-frame point\(s\) dropped$"):
+        with pytest.warns(UserWarning, match=r"^cloud 1: 2 degenerate-frame point\(s\) dropped$"):
             log = metrics_to_jsonl(train_toy(patched, self._short_config()).metrics)
-        assert log == metrics_to_jsonl(train_toy(dataset, self._short_config()).metrics)
+        keep = ~np.isin(np.arange(len(points)), [32, 41])
+        reduced = type(dataset)(
+            clouds=[dataset.clouds[0], PointCloud(points=points[keep])],
+            labels=[dataset.labels[0], labels[keep]],
+            symmetry=dataset.symmetry,
+        )
+        assert log == metrics_to_jsonl(train_toy(reduced, self._short_config()).metrics)
 
     def test_two_degenerate_clouds_warn_cloud_by_cloud(self):
         # A coincident pair in cloud 0 and a point at the origin in cloud 1: each
@@ -342,16 +343,19 @@ class TestTrainToy:
         assert modes == expected
 
     def test_cloud_left_with_k_points_or_fewer_is_named(self):
+        # A 9-point star about (1, 2, 0.5) and the origin: with k = 8 the star's
+        # centre sees the other 8 star points, in opposite pairs, so its frame is undefined.
         dataset = make_wingtip_dataset(2, 32, 0.0, 100)
-        collinear = PointCloud(points=np.arange(12.0)[:, None] * np.array([1.0, 2.0, 0.5]))
+        spokes = np.vstack([np.eye(3), -np.eye(3), [[1.5, 1.5, 1.5], [-1.5, -1.5, -1.5]] / np.sqrt(3.0)])
+        star = PointCloud(points=np.vstack([np.zeros(3), [1.0, 2.0, 0.5] + 0.1 * np.vstack([np.zeros(3), spokes])]))
         degenerate = type(dataset)(
-            clouds=[dataset.clouds[0], collinear],
-            labels=[dataset.labels[0], np.zeros(12, dtype=np.int64)],
+            clouds=[dataset.clouds[0], star],
+            labels=[dataset.labels[0], np.zeros(10, dtype=np.int64)],
             symmetry=dataset.symmetry,
         )
-        # Point 0 of the line sits at the origin and goes first, under its own rule.
+        # The origin goes first, under its own rule, and then the centre, leaving k points.
         with pytest.warns(UserWarning, match=r"^cloud 1: 1 origin point\(s\) dropped$"):
-            with pytest.raises(InvalidArgumentError, match=r"^cloud 1: 0 point\(s\) left after dropping degenerate-frame"):
+            with pytest.raises(InvalidArgumentError, match=r"^cloud 1: 8 point\(s\) left after dropping degenerate-frame"):
                 train_toy(degenerate, self._short_config())
 
     def test_bingham_terms_computed_once_per_concentration_seed(self, monkeypatch):
@@ -362,9 +366,9 @@ class TestTrainToy:
         seen = []
         real = bingham.bingham_loss_and_seed_gradient
 
-        def counted(seed, kind):
+        def counted(seed):
             seen.append(seed.z2.tobytes())
-            return real(seed, kind)
+            return real(seed)
 
         monkeypatch.setattr(bingham, "bingham_loss_and_seed_gradient", counted)
         dataset = make_wingtip_dataset(4, 32, 0.0, 100)
