@@ -1,0 +1,8 @@
+"""``python -m sipf``: the ``sipf`` command line, ``sipf.cli.main``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

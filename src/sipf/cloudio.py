@@ -250,9 +250,10 @@ def format_rows(*columns, header: str = "") -> str:
     ``"%.17g" % v`` writes the others.
 
     Chunks of ``_CSV_CHUNK_ROWS`` rows run on the two lanes of
-    ``sipf.lanes.run_blocks``, each decoded into its own slot of the parts
-    list.  ``header`` is the first part, so the caller's header is joined
-    in place instead of being prepended to a second copy of the text.
+    ``sipf.lanes.run_blocks``, each lane in buffers it makes for its first
+    chunk, and each chunk is decoded into its own slot of the parts list.
+    ``header`` is the first part, so the caller's header is joined in place
+    instead of being prepended to a second copy of the text.
     """
     blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, columns)]
     if len({len(b) for b in blocks}) != 1:
@@ -284,14 +285,7 @@ def format_rows(*columns, header: str = "") -> str:
             chunk = _insert_fallbacks(np.compress(kept, raw), table, layout, fast)
         parts[1 + start // _CSV_CHUNK_ROWS] = str(memoryview(chunk), "ascii")
 
-    reserve = [
-        ("table", (rows, n_cols), np.float64),
-        ("fields", (size, _FIELD // 8), np.uint64),
-        ("scratch", (size, _FIELD // 8), np.uint64),
-        ("groups", (6, size), np.intp),
-        ("text", (size * _MAX_TEXT,), np.uint8),
-    ]
-    run_blocks(n_rows, _CSV_CHUNK_ROWS, fill, reserve)
+    run_blocks(n_rows, _CSV_CHUNK_ROWS, fill)
     return "".join(parts)
 
 

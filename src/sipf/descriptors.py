@@ -136,11 +136,12 @@ def _pair_rows(out, p, a, q, b, name_pair, d, square):
 
 # Kept rows per block of the field, at most: a block's arrays stay in cache through every step.
 # ``_block_rows`` cuts the kept rows into the fewest blocks of one size (5,000 rows: 5 of 1,000),
-# the last one a few rows shorter where the size does not divide the rows (1,025: 513 and 512).
-# So a lane's blocks, over every trial of ``field_deviations`` too, ask for the same arrays, lane
-# 1's reserve; only a shorter last block makes its own.  Equal blocks are kept for speed: cutting
-# 5,000 rows as 4 x 1,024 + 904 made a 5k x 20 ``sipf_field`` take 9.7-14.2 ms against 6.3-9.3 ms
-# (medians of 20 calls in 6 alternating processes a side, one BLAS thread, 2-CPU x86-64 host).
+# the last one a few rows shorter where the size does not divide the rows (1,025: 513 and 512).  So
+# a lane's blocks, over every trial of ``field_deviations`` too, ask for the same arrays, which the
+# lane makes once a call; only a shorter last block makes its own.  Equal blocks are kept for
+# speed: cutting 5,000 rows as 4 x 1,024 + 904 made a 5k x 20 ``sipf_field`` take 9.7-14.2 ms
+# against 6.3-9.3 ms (medians of 20 calls in 6 alternating processes a side, one BLAS thread, 2-CPU
+# x86-64 host).
 _FIELD_ROWS = 1024
 
 
@@ -149,14 +150,6 @@ def _block_rows(n):
     all of this size but the last, which is shorter by fewer rows than there are blocks."""
     blocks = max(1, -(-n // _FIELD_ROWS))
     return max(1, -(-n // blocks))
-
-
-def _field_arrays(m, k, mask):
-    """What a block of m rows asks its allocator for in ``_field_rows``: ``run_blocks`` reserves it for lane 1."""
-    arrays = [("p_j", (3, m, k)), ("a_j", (3, m, k)), ("f", (8, m, k)), ("d", (3, m, k)), ("square", (m, k))]
-    if mask != MASK_PPF:
-        arrays += [("ref", (4, m, 1)), ("ref_d", (3, m, 1)), ("ref_square", (m, 1)), ("norm", (m, k))]
-    return [(name, shape, np.float64) for name, shape in arrays]
 
 
 def _field_rows(points, a1, s_points, s_axes, mask, rows, idx, alloc):
@@ -200,6 +193,8 @@ def _field_rows(points, a1, s_points, s_axes, mask, rows, idx, alloc):
 
 def _check_rows(points, axes, graph, shadow):
     """Raise unless the points and primary axes, both (N, 3), and the shadow have the graph's N rows."""
+    if axes.ndim != 2 or axes.shape[1] != 3:
+        raise InvalidArgumentError(f"axes must be (N, 3) primary axes, got {axes.shape}")
     n = len(graph)
     if points.shape != (n, 3) or axes.shape != (n, 3) or len(shadow.points) != n:
         raise InvalidArgumentError(
@@ -216,11 +211,11 @@ def _planes(*arrays):
 def _field_blocks(graph, valid):
     """The block runner of ``sipf_field`` and ``field_deviations``: selects the rows of the graph
     that ``valid`` keeps.  Returns ``valid`` as a boolean mask, or None when it keeps every row,
-    the rows of a block (``_block_rows``) and ``run(planes, mask, consume, alloc=None)``.
+    and ``run(planes, mask, consume, alloc=None)``.
 
     ``run`` computes the kept rows of the field whose inputs are ``planes``, the (3, N) coordinate
-    planes of the points, primary axes, shadow points and shadow axes, in blocks, and hands each
-    block's component-major (8, m, k) field, in its lane's buffers, to
+    planes of the points, primary axes, shadow points and shadow axes, in blocks of ``_block_rows``
+    rows, and hands each block's component-major (8, m, k) field, in its lane's buffers, to
     ``consume(start, rows, idx, f)``: ``start`` numbers the block's first kept row, ``rows``
     selects its rows of an (N, ...) array (a slice when every row is kept) and ``idx`` holds their
     neighbours.  Without ``alloc`` the blocks run on the two lanes of ``sipf.lanes.run_blocks``;
@@ -234,7 +229,7 @@ def _field_blocks(graph, valid):
     rows, so the error does not depend on the lanes or the host.
     """
     idx = graph.indices
-    n, k = idx.shape
+    n = len(idx)
     rows = np.arange(n)
     if valid is not None:
         valid = np.asarray(valid, dtype=bool)
@@ -253,12 +248,12 @@ def _field_blocks(graph, valid):
             consume(start, slice(start, stop) if valid is None else rows[start:stop], idx[start:stop], f)
 
         if alloc is None:
-            run_blocks(len(rows), size, step, _field_arrays(size, k, mask))
+            run_blocks(len(rows), size, step)
         else:
             for start in range(0, max(len(rows), 1), size):
                 step(0, alloc, start, min(start + size, len(rows)))
 
-    return valid, size, run
+    return valid, run
 
 
 def sipf_field(
@@ -289,7 +284,7 @@ def sipf_field(
         raise InvalidArgumentError(f"unknown descriptor mask {mask!r}")
     axes = np.asarray(axes, dtype=np.float64)
     _check_rows(cloud.points, axes, graph, shadow)
-    valid, _, run = _field_blocks(graph, valid)
+    valid, run = _field_blocks(graph, valid)
     out = (np.empty if valid is None else np.zeros)((*graph.indices.shape, 8))
 
     def fill(start, rows, idx, f):
@@ -325,7 +320,7 @@ def field_deviations(points, axes, graph: NeighborGraph, shadow: ShadowCloud, ba
     if base.shape != (*graph.indices.shape, 8):
         raise InvalidArgumentError(f"base field must be {(*graph.indices.shape, 8)}, got {base.shape}")
     _check_rows(points, axes, graph, shadow)
-    valid, size, run = _field_blocks(graph, valid)
+    valid, run = _field_blocks(graph, valid)
     unrotated = None if rotate_shadow else _planes(shadow.points, shadow.axes)
     out = np.empty(len(rotations))
 
@@ -345,12 +340,14 @@ def field_deviations(points, axes, graph: NeighborGraph, shadow: ShadowCloud, ba
         out[t] = np.max(maxima)
 
     if len(rotations):
-        run_blocks(len(rotations), 1, trial, _field_arrays(size, graph.k, MASK_SIPF))
+        run_blocks(len(rotations), 1, trial)
     return out
 
 
 def _row_dot(a, b):
-    """Dot products over the last axis, through the same BLAS route as a 1-D ``a @ b``."""
+    """Dot products over the last axis, each a stacked (1 x 3) @ (3 x 1) matmul.  Its bits equal a
+    1-D ``a @ b``'s on some OpenBLAS cores only: under ``OPENBLAS_CORETYPE=Prescott`` some rows
+    differ from that one-point form in the last bit."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 

@@ -3,8 +3,8 @@ forward and backward, ``sipf_field``, ``knn_graph``'s query, the CSV writer
 ``format_rows`` and the trials of ``field_deviations``, one trial a block,
 each running the field's blocks in its lane's buffers.
 
-``run_blocks(n, rows, step, reserve, last_first)`` cuts the rows [0, n) into
-blocks of ``rows`` rows (n = 0 gives one empty block) and calls
+``run_blocks(n, rows, step, last_first)`` cuts the rows [0, n) into blocks
+of ``rows`` rows (n = 0 gives one empty block) and calls
 ``step(lane, alloc, start, stop)`` once for each.  The blocks go to two fixed
 lanes that alternate counting down from the last block (``_lanes``), so lane
 0 holds the last block.  Each lane runs its blocks first to last, or last to
@@ -18,14 +18,11 @@ lane 1 empty: it runs inline and submits nothing.
 Lane buffers: ``alloc(name, shape, dtype)`` is the lane's allocator of
 named arrays.  Asking again for a name and shape returns the same memory, so
 a lane's blocks write into the arrays its block before used instead of
-allocating (and page-faulting) anew.  Lane 0's allocator makes each array
-when a block first asks for it, in use order.  Lane 1's makes the arrays of
-``reserve``, a list of (name, shape, dtype), in the calling thread before the
-lane starts, so the executor thread's malloc arena holds none of them
-between calls; it raises ``RuntimeError`` for a name not on the list, and
-only a reserved name asked for in another shape (the shorter last field block
-of a ``field_deviations`` trial) is allocated on the executor.  A call shares
-no buffer with another.
+allocating (and page-faulting) anew.  Each lane's allocator makes an array
+when a block first asks for it, in use order, on the lane's own thread; a
+name asked for in another shape (the shorter last field block of a
+``field_deviations`` trial) is made again.  A call shares no buffer with
+another, nor one lane with the other.
 
 ``_run_lanes`` joins both lanes before it returns or raises.  A lane stops at
 its first error, and of the two lanes' errors the lower block's is raised.
@@ -51,15 +48,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 
-def _buffers(reserve=None):
+def _buffers():
     """One lane's allocator of named arrays: asking again for a name and shape returns the same
-    memory.  ``reserve``, if given, lists (name, shape, dtype) to allocate now, in the calling
-    thread, and the allocator refuses any other name."""
-    arrays = {name: np.empty(shape, dtype) for name, shape, dtype in reserve or ()}
+    memory."""
+    arrays = {}
 
     def alloc(name, shape, dtype=np.float64):
-        if reserve is not None and name not in arrays:
-            raise RuntimeError(f"lane array {name!r} was not reserved")
         if name not in arrays or arrays[name].shape != shape:
             arrays[name] = np.empty(shape, dtype)
         return arrays[name]
@@ -118,11 +112,11 @@ def _run_lanes(lanes, step):
         raise min(failures, key=lambda f: f[0])[1]
 
 
-def run_blocks(n, rows, step, reserve=(), last_first=False):
+def run_blocks(n, rows, step, last_first=False):
     """``step(lane, alloc, start, stop)`` over the blocks of ``rows`` rows that cover [0, n), on
-    the two lanes, each first to last or, with ``last_first``, last to first.  ``reserve`` lists
-    the (name, shape, dtype) of every array a lane-1 block asks ``alloc`` for."""
+    the two lanes, each first to last or, with ``last_first``, last to first; ``alloc`` is the
+    lane's allocator of named arrays, one for each lane and call."""
     blocks = [(start, min(start + rows, n)) for start in range(0, max(n, 1), rows)]
     lanes = _lanes(blocks) if last_first else [lane[::-1] for lane in _lanes(blocks)]
-    allocs = [_buffers(), _buffers(reserve if lanes[1] else ())]
+    allocs = [_buffers(), _buffers()]
     _run_lanes(lanes, lambda lane, start, stop: step(lane, allocs[lane], start, stop))

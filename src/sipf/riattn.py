@@ -29,7 +29,8 @@ row by row, so the output does not depend on the block size wherever BLAS
 rounds a product row independently of the rows around it.
 
 Forward and backward run their blocks with ``sipf.lanes.run_blocks`` (blocks,
-lanes and lane buffers are described there).  Forward output and the
+lanes and lane buffers are described there); each lane makes its block arrays
+on its own thread, as its first block asks for them.  Forward output and the
 parameter gradients are bitwise those of a single-lane loop: lanes write
 disjoint ``x_hat`` rows, and ``backward`` keeps each block's kernel-MLP
 gradients and adds them up last block first.  ``d_x`` adds one
@@ -158,23 +159,6 @@ class LayerActivation:
     last_block: _Block = field(repr=False)
 
 
-def _worker_arrays(layer: RIAttnLayer, k: int, backward: bool):
-    """What a lane-1 block asks its allocator for, in ``_attend`` and, if ``backward``, in
-    backward's block step: ``run_blocks`` reserves it, so the executor thread allocates none."""
-    c, h, m = layer.c_in, layer.mlp_w1.shape[1], _CHUNK_ROWS
-    f = np.float64
-    arrays = [
-        ("xn", (k, m, c), f), ("pose", (k, m, 8), f), ("hidden", (k * m, h), f), ("slope", (k * m, h), f),
-        ("kernel", (k * m, c), f), ("attention", (k, m, k), f), ("values", (k, m, c), f), ("attn_out", (k, m, c), f),
-    ]
-    if backward:
-        arrays += [
-            ("d_attn_out", (k, m, c), f), ("d_values", (k, m, c), f), ("d_scores", (k, m, k), f),
-            ("d_kernel", (k, m, c), f), ("d_xn", (k, m, c), f), ("d_pre", (k * m, h), f), ("bins", (k, m, c), np.int64),
-        ]
-    return arrays
-
-
 def _check_neighbors(idx, n):
     """Raise unless every neighbor index lies in [0, n): the blocks gather with mode "clip"."""
     if idx.size and (idx.min() < 0 or idx.max() >= n):
@@ -266,7 +250,7 @@ def layer_forward(
 
     # Each lane runs its blocks first to last, so the last block's arrays, lane 0's, survive
     # in its buffers for the record.
-    run_blocks(n, _CHUNK_ROWS, aggregate, _worker_arrays(layer, k, backward=False))
+    run_blocks(n, _CHUNK_ROWS, aggregate)
     out = _fused_input(x_hat, x) @ layer.fuse_w + layer.fuse_b
     act = LayerActivation(
         pose_stack=p,
@@ -364,8 +348,7 @@ def backward(
             d_nbr[lane] = np.zeros(n * c)
         d_nbr[lane] += np.bincount(bins.ravel(), weights=d_xn.ravel(), minlength=n * c)
 
-    reserve = _worker_arrays(layer, act.neighbor_idx.shape[1], backward=True)
-    run_blocks(n, _CHUNK_ROWS, step, reserve, last_first=True)
+    run_blocks(n, _CHUNK_ROWS, step, last_first=True)
     grads = {}
     for start in sorted(block_grads, reverse=True):
         grads = {name: grads[name] + g if grads else g for name, g in block_grads[start].items()}

@@ -361,7 +361,6 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
     q_g = _sample_rotation(z1, z2, rng)
 
     result = TrainResult(layers=layers, head=head, seed_params=bingham.BinghamSeed(z1, z2))
-    order = list(range(len(clouds)))
     bingham_terms = None  # the Bingham loss and z2 gradient at the current z2, once computed
 
     for epoch in range(1, config.epochs + 1):
@@ -378,11 +377,10 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
         ]
 
         for start in range(0, len(clouds), DEFAULT_BATCH_SIZE):
-            batch = order[start : start + DEFAULT_BATCH_SIZE]
             batch_loss = 0.0
             batch_points = 0
             grad_sum = {}
-            for ci in batch:
+            for ci in range(start, min(start + DEFAULT_BATCH_SIZE, len(clouds))):
                 x, acts = _forward_cloud(layers, fields[ci], feats0[ci], graphs[ci].indices)
                 loss, _, g_w, g_b, d_feats = _cross_entropy(head, x, labels[ci])
                 weight = len(labels[ci])

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -712,3 +715,28 @@ class TestDemoWingtip:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert "sipf_no_direction_accuracy" in summary
         assert (out_dir / "metrics-sipf-no-direction.jsonl").exists()
+
+
+class TestPythonDashM:
+    def test_features_and_verify_invariance_drop_three_points_alike(self, tmp_path):
+        # 2,100 points, three field blocks, through ``python -m sipf`` in child processes: point 0
+        # lies on its own shadow and point 1500 on point 1400, so both commands drop the three,
+        # warn alike and exit 0.
+        pts = np.random.default_rng(0).uniform(-1, 1, (2100, 3))
+        pts[0] = 0.0
+        pts[1500] = pts[1400]
+        np.savetxt(tmp_path / "c2100.xyz", pts, fmt="%.17g")
+        expected = (
+            "warning: shadow coincides with point 0; rows omitted\n"
+            "warning: coincident points 1400 and 1500; rows omitted\n"
+            "warning: 3 point(s) omitted\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for args in (
+            ["features", "--input", "c2100.xyz", "--seed", "0", "--out", "f2100.csv"],
+            ["verify-invariance", "--input", "c2100.xyz", "--trials", "3", "--seed", "0"],
+        ):
+            child = subprocess.run([sys.executable, "-m", "sipf", *args], cwd=tmp_path, env=env,
+                                   capture_output=True, text=True, timeout=300)
+            assert (child.returncode, child.stderr) == (EXIT_OK, expected), args

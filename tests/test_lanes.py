@@ -113,16 +113,15 @@ def test_both_lanes_are_joined_before_an_error_is_raised(error):
     assert lane_one_done.is_set()
 
 
-def test_buffers_are_reused_by_name_and_shape_and_reserved_ahead():
-    alloc = _buffers([("a", (2, 3), np.float64), ("b", (4,), np.int64)])
+def test_buffers_are_reused_by_name_and_shape():
+    alloc = _buffers()
     a, b = alloc("a", (2, 3)), alloc("b", (4,), np.int64)
     assert b.dtype == np.int64
     assert alloc("a", (2, 3)) is a and alloc("b", (4,), np.int64) is b
-    assert alloc("a", (3, 2)) is not a
-    # A reserved allocator refuses a name its list left out, before allocating anything.
-    with pytest.raises(RuntimeError, match="'c' was not reserved"):
-        alloc("c", (2, 3))
-    assert _buffers()("c", (2, 3)).shape == (2, 3)
+    # Another shape makes the name's array anew; another allocator shares none of them.
+    a_t = alloc("a", (3, 2))
+    assert a_t is not a and alloc("a", (3, 2)) is a_t
+    assert _buffers()("a", (3, 2)) is not a_t
 
 
 def _record_blocks(n, rows, last_first=False):
@@ -151,31 +150,45 @@ def test_run_blocks_orders_each_lane(last_first, lanes):
     assert [[start for start, _ in ran[lane]] for lane in (0, 1)] == lanes
 
 
-def test_run_blocks_allocates_lane_ones_arrays_in_the_calling_thread(monkeypatch):
+def test_run_blocks_makes_each_lanes_arrays_once_on_its_own_thread(monkeypatch):
     caller = threading.current_thread()
-    made_in = []
+    made_on = []
     empty = np.empty
 
     def recorded_empty(*args, **kwargs):
-        made_in.append(threading.current_thread() is caller)
-        return empty(*args, **kwargs)
+        array = empty(*args, **kwargs)
+        made_on.append((threading.current_thread(), array))
+        return array
 
     monkeypatch.setattr(np, "empty", recorded_empty)
-    arrays = {0: [], 1: []}
 
-    def step(lane, alloc, start, stop):
-        arrays[lane].append((threading.current_thread() is caller, alloc("a", (2,)), alloc("b", (3,), np.int64)))
+    def run():
+        arrays = {0: [], 1: []}
 
-    run_blocks(4, 1, step, [("a", (2,), np.float64), ("b", (3,), np.int64)])
-    # Lane 1 runs on the executor, in the arrays made here before it started; lane 0 makes its
-    # own as its first block asks for them.  Each lane's blocks reuse its arrays.
-    assert made_in == [True] * 4
-    for lane, on_caller in ((0, True), (1, False)):
-        first = arrays[lane][0]
-        assert len(arrays[lane]) == 2 and {r[0] for r in arrays[lane]} == {on_caller}
-        assert all(r[1] is first[1] and r[2] is first[2] for r in arrays[lane])
-        assert first[2].dtype == np.int64
-    assert arrays[0][0][1] is not arrays[1][0][1]
+        def step(lane, alloc, start, stop):
+            # Lane 1 asks for a name that lane 0 never asks for: no list of names is declared.
+            names = [("a", (2,), np.float64), ("b", (3,), np.int64)] + [("c", (1,), np.float64)] * lane
+            arrays[lane].append((threading.current_thread(), [alloc(*name) for name in names]))
+
+        made_on.clear()
+        run_blocks(4, 1, step)
+        return arrays, list(made_on)
+
+    first, made = run()
+    # Each lane's two blocks run on its own thread, lane 1's on the executor, and reuse the
+    # arrays its first block asked for, made then, on that thread, once each.
+    assert len(made) == 5
+    for lane in (0, 1):
+        (thread, arrays), (again, reused) = first[lane]
+        assert again is thread and (thread is caller) == (lane == 0)
+        assert len(arrays) == 2 + lane and all(a is b for a, b in zip(arrays, reused))
+        assert all(any(t is thread and m is a for t, m in made) for a in arrays)
+        assert arrays[1].dtype == np.int64
+    assert first[0][0][1][0] is not first[1][0][1][0]
+    # A second call makes its own arrays again: no buffer is shared between calls.
+    second, made = run()
+    assert len(made) == 5
+    assert all(a is not b for lane in (0, 1) for a, b in zip(first[lane][0][1], second[lane][0][1]))
 
 
 def test_forked_child_gets_its_own_executor():

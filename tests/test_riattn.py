@@ -802,10 +802,10 @@ def _nan_feature_problem(n, bad_points):
 
 class TestLanes:
     @pytest.mark.parametrize("chunk", [1, 7, 40])
-    def test_lane_one_runs_on_the_executor_in_caller_allocated_arrays(self, monkeypatch, chunk):
-        # Lane 1 runs on the executor's thread whenever it holds a block, and every block
-        # array, lane 1's included, is allocated by the calling thread.  Every returned
-        # array has the bits of a run whose lane 1 runs in the calling thread.
+    def test_lane_one_runs_on_the_executor_in_its_own_arrays(self, monkeypatch, chunk):
+        # Lane 1 runs on the executor's thread whenever it holds a block, and makes its block
+        # arrays there, once each however many blocks it runs: forward's 8 and backward's 15.
+        # Every returned array has the bits of a run whose lane 1 runs in the calling thread.
         monkeypatch.setattr(riattn, "_CHUNK_ROWS", chunk)
         problem = _layer_problem(np.random.default_rng(17), 40, 6, 4, 3)
         caller = threading.current_thread()
@@ -829,7 +829,7 @@ class TestLanes:
         on_executor = {name: v.tobytes() for name, v in _result_arrays(*_forward_backward(*problem)).items()}
         # Forward and backward each run lane 0 here and, given a second block, lane 1 on the executor.
         assert sorted(ran_on) == [(0, "caller")] * 2 + [(1, "sipf-lane")] * 2 * (chunk < 40)
-        assert allocated_here and all(allocated_here)
+        assert allocated_here.count(False) == (8 + 15) * (chunk < 40) and any(allocated_here)
 
         class Inline:
             def submit(self, fn):
