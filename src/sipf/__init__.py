@@ -18,7 +18,6 @@ from .bingham import (
     BinghamSeed,
     NormalizationResult,
     birdal_V,
-    entropy,
     lambda_from,
     mode,
     normalization,
@@ -55,12 +54,7 @@ from .geometry import (
     random_rotation,
 )
 from .lrf import build_all_lrfs, input_descriptor
-from .riattn import (
-    RIAttnLayer,
-    backward,
-    layer_forward,
-    total_loss,
-)
-from .training import ToyTaskConfig, make_wingtip_dataset, train_toy
+from .riattn import RIAttnLayer, backward, layer_forward
+from .training import ToyTaskConfig, make_wingtip_dataset, total_loss, train_toy
 
 __version__ = "0.1.0"

@@ -50,7 +50,6 @@ __all__ = [
     "lambda_from",
     "params_from_seed",
     "normalization",
-    "entropy",
     "mode",
     "sample_with_rate",
     "bingham_loss_and_seed_gradient",
@@ -234,11 +233,6 @@ def normalization(params: BinghamParams) -> NormalizationResult:
     """Normalization constant F, its three lambda-derivatives and the entropy; V does not enter."""
     f, grad, _ = _moments(params.lambdas[:3])
     return NormalizationResult(F=f, gradF=grad, entropy=_entropy(f, grad, params.lambdas[:3]))
-
-
-def entropy(params: BinghamParams) -> float:
-    """Differential entropy log F - (L . grad F) / F."""
-    return normalization(params).entropy
 
 
 def mode(params: BinghamParams) -> UnitQuaternion:

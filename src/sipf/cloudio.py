@@ -5,13 +5,14 @@ finite numbers.  PLY support covers the ascii subset with float/double
 vertex properties x, y, z and optionally nx, ny, nz; binary PLY is rejected.
 Normals are re-normalized on load since scan data is noisy.
 
-The data rows of both formats go through one converter, _SLAB_LINES lines at
-a time into one preallocated float64 array.  A slab's lines are split once,
-every row's width is checked, all its fields are converted by one
-``map(float, ...)``, so a field is any text ``float`` reads, with its bits,
-and checked by one ``np.isfinite``.  Only a slab that fails a check is read
-again line by line, to raise the error a line-by-line reader raises first:
-width, then non-numeric, then non-finite, with its line number.
+The data rows of both formats go through one ``np.loadtxt`` call, whose C
+reader splits a line on the whitespace of ``str.split`` and reads a number
+with the bits of ``float``; its result is checked for the width and for
+finite values.  Only when that call raises, or a check fails, are the lines
+read again one by one with ``float``, which raises the error a line-by-line
+reader raises first (width, then non-numeric, then non-finite, with its line
+number) or returns the values of text that ``float`` reads and numpy does
+not, such as ``1_0``.
 
 CSV rows are written by one vectorised numpy kernel that emits exactly the
 bytes of ``"%.17g"``, with an exact fast path for almost every value and a
@@ -40,7 +41,6 @@ index columns and a field block never stacks a whole table.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 import secrets
@@ -149,7 +149,6 @@ _POW10 = np.array([float(10**p) for p in range(23)], dtype=np.float64)
 _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
 _WRITE_SLICE = 1 << 20  # characters encoded and written at a time by write_text_atomic
-_SLAB_LINES = 1024  # lines split and converted at a time by load_cloud
 
 
 def _exact_scaled(a, d):
@@ -341,33 +340,30 @@ def _read_lines(path):
         raise ParseError(str(exc), path=path) from exc
 
 
-def _raise_first_error(lines, first, path, width_error, comment, expect):
-    """Raise the ParseError of the first bad data row of ``lines``, whose first line is number
-    ``first``, checked as a line-by-line reader checks it: width, then non-numeric, then non-finite."""
-    for lineno, line in enumerate(lines, start=first):
+def _read_rows(lines, lineno, path, width_error, limit, comment):
+    """The first ``limit`` data rows of ``lines``, read one line at a time with ``float``.
+
+    Raises the ParseError of the first bad row, checked in this order:
+    width, then non-numeric, then non-finite, with its line number.
+    """
+    rows = []
+    for number, line in enumerate(lines, start=lineno):
+        if len(rows) == limit:
+            break
         fields = line.split()
         if not fields or fields[0][0] == comment:
             continue
-        message = width_error(len(fields), expect)
+        message = width_error(len(fields), len(rows[0]) if rows else len(fields))
         if message:
-            raise ParseError(message, path=path, line=lineno)
+            raise ParseError(message, path=path, line=number)
         try:
             values = [float(f) for f in fields]
         except ValueError as exc:
-            raise ParseError(f"non-numeric field: {exc}", path=path, line=lineno) from exc
+            raise ParseError(f"non-numeric field: {exc}", path=path, line=number) from exc
         if not all(map(math.isfinite, values)):
-            raise ParseError("non-finite value", path=path, line=lineno)
-
-
-def _slab_values(rows, width):
-    """The (len(rows), width) doubles of one slab's split rows, or None if a row fails a check."""
-    if any(len(fields) != width for fields in rows):
-        return None
-    try:
-        values = np.fromiter(map(float, itertools.chain.from_iterable(rows)), np.float64, len(rows) * width)
-    except ValueError:
-        return None
-    return values.reshape(-1, width) if np.isfinite(values).all() else None
+            raise ParseError("non-finite value", path=path, line=number)
+        rows.append(values)
+    return np.array(rows)
 
 
 def _convert_rows(lines, lineno, path, width_error, limit, comment=None):
@@ -376,31 +372,20 @@ def _convert_rows(lines, lineno, path, width_error, limit, comment=None):
     A data row is a line with a field whose first field does not start with
     ``comment``; ``lineno`` is the line number of ``lines[0]``.  The first
     row's width is the expected one, and ``width_error(found, expected)``
-    gives the message of a bad width, or None.  Each slab of _SLAB_LINES
-    lines is split once, and all its fields are converted by one
-    ``map(float, ...)`` (the syntax and bits of ``float``) and checked by one
-    ``np.isfinite``; only a slab that fails is read again line by line, so
-    the error is the one a line-by-line reader raises first.
+    gives the message of a bad width, or None.  The rows go through one
+    ``np.loadtxt`` call; ``_read_rows`` reads the lines again only when it
+    raises or its result has a bad width or a non-finite value.
     """
-    out = None
-    n = 0
-    for start in range(0, len(lines), _SLAB_LINES):
-        if n == limit:
-            break
-        slab = lines[start : start + _SLAB_LINES]
-        rows = [fields for fields in map(str.split, slab) if fields and fields[0][0] != comment][: limit - n]
-        if not rows:
-            continue
-        if n == 0:
-            width = len(rows[0])
-            if not width_error(width, width):
-                out = np.empty((min(limit, len(lines) - start), width))
-        values = None if out is None else _slab_values(rows, width)
-        if values is None:
-            _raise_first_error(slab, lineno + start, path, width_error, comment, width)
-        out[n : n + len(values)] = values
-        n += len(values)
-    return None if out is None else out[:n]
+    rows = [line for line in lines if (text := line.lstrip()) and text[0] != comment][:limit]
+    if not rows:
+        return None
+    try:
+        values = np.loadtxt(rows, comments=None, ndmin=2)
+    except ValueError:
+        values = None
+    if values is None or width_error(values.shape[1], values.shape[1]) or not np.isfinite(values).all():
+        values = _read_rows(lines, lineno, path, width_error, limit, comment)
+    return values
 
 
 def _finish(points, normals, path):

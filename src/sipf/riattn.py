@@ -67,12 +67,9 @@ __all__ = [
     "LayerActivation",
     "layer_forward",
     "backward",
-    "total_loss",
-    "total_loss_gradients",
 ]
 
 LEAKY_SLOPE = 0.01
-_LOSS_SMOOTHING = 1e-12
 
 
 @dataclass
@@ -358,19 +355,3 @@ def backward(
     grads["fuse_b"] = g_fuse_b
     return grads, d_x
 
-
-def total_loss(task_loss: float, bingham_loss: float, delta: float) -> float:
-    """task + delta * |bingham - 0.1 task|, with a 1e-12 smoothing under the root."""
-    if delta < 0:
-        raise InvalidArgumentError(f"delta must be >= 0, got {delta}")
-    resid = bingham_loss - 0.1 * task_loss
-    return float(task_loss + delta * np.sqrt(resid * resid + _LOSS_SMOOTHING))
-
-
-def total_loss_gradients(task_loss: float, bingham_loss: float, delta: float):
-    """(d total / d task, d total / d bingham) of the smoothed absolute penalty."""
-    if delta < 0:
-        raise InvalidArgumentError(f"delta must be >= 0, got {delta}")
-    resid = bingham_loss - 0.1 * task_loss
-    root = np.sqrt(resid * resid + _LOSS_SMOOTHING)
-    return float(1.0 - 0.1 * delta * resid / root), float(delta * resid / root)

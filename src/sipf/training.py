@@ -48,7 +48,7 @@ from .geometry import (
     quat_to_matrix,
 )
 from .lrf import FRAME_MODE_BARYCENTER, FRAME_MODE_NORMAL, build_all_lrfs, input_descriptor, try_build_all_lrfs
-from .riattn import RIAttnLayer, backward, layer_forward, total_loss, total_loss_gradients
+from .riattn import RIAttnLayer, backward, layer_forward
 
 __all__ = [
     "ToyTaskConfig",
@@ -58,6 +58,8 @@ __all__ = [
     "make_wingtip_dataset",
     "train_toy",
     "metrics_to_jsonl",
+    "total_loss",
+    "total_loss_gradients",
 ]
 
 # Trainer-internal defaults for the wing-tip demonstration.
@@ -72,6 +74,7 @@ WING_Z_OFFSET = 1.0
 _Z2_INIT_LOC = np.array([600.0, 20.0, 20.0])
 _Z2_INIT_SCALE = 0.25
 _IDENTITY_PERTURB = 1e-3
+_LOSS_SMOOTHING = 1e-12
 
 
 def _is_int(v) -> bool:
@@ -225,6 +228,23 @@ class TrainResult:
     metrics: list = field(default_factory=list)
     b1_max_score: float = 0.0
     b2_min_distance_rad: float = float("inf")
+
+
+def total_loss(task_loss: float, bingham_loss: float, delta: float) -> float:
+    """task + delta * |bingham - 0.1 task|, with a 1e-12 smoothing under the root."""
+    if delta < 0:
+        raise InvalidArgumentError(f"delta must be >= 0, got {delta}")
+    resid = bingham_loss - 0.1 * task_loss
+    return float(task_loss + delta * np.sqrt(resid * resid + _LOSS_SMOOTHING))
+
+
+def total_loss_gradients(task_loss: float, bingham_loss: float, delta: float):
+    """(d total / d task, d total / d bingham) of the smoothed absolute penalty."""
+    if delta < 0:
+        raise InvalidArgumentError(f"delta must be >= 0, got {delta}")
+    resid = bingham_loss - 0.1 * task_loss
+    root = np.sqrt(resid * resid + _LOSS_SMOOTHING)
+    return float(1.0 - 0.1 * delta * resid / root), float(delta * resid / root)
 
 
 def _normalize_labels(labels, n_points, cloud):

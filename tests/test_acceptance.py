@@ -14,8 +14,8 @@ from sipf.cli import load_config, main
 from sipf.descriptors import MASK_SIPF, ShadowCloud, shadow_of, sipf_field
 from sipf.geometry import PointCloud, Rotation3, knn_graph, random_rotation
 from sipf.lrf import FRAME_MODE_BARYCENTER, build_all_lrfs, input_descriptor
-from sipf.riattn import RIAttnLayer, layer_forward, total_loss
-from sipf.training import ToyTaskConfig
+from sipf.riattn import RIAttnLayer, layer_forward
+from sipf.training import ToyTaskConfig, total_loss
 
 from conftest import mirrored_blob_cloud, pair_rows, primary_axis, random_axes, random_cloud
 from test_descriptors import circle_ambiguous_pair
@@ -176,11 +176,11 @@ class TestCriterion6EntropyFormula:
             proj = qs @ params.V
             log_density = (proj**2 * params.lambdas).sum(axis=1) - np.log(res.F)
             mc_entropy = -log_density.mean()
-            gaps[name] = abs(bingham.entropy(params) - mc_entropy)
+            gaps[name] = abs(res.entropy - mc_entropy)
             assert gaps[name] < 0.02
 
         uniform = bingham.BinghamParams(V=v, lambdas=np.array([-3e-6, -2e-6, -1e-6, 0.0]))
-        uniform_gap = abs(bingham.entropy(uniform) - np.log(2 * np.pi**2))
+        uniform_gap = abs(bingham.normalization(uniform).entropy - np.log(2 * np.pi**2))
         assert uniform_gap < 1e-3
         detail = ", ".join(f"{k} {v:.4f}" for k, v in gaps.items())
         _report(6, "entropy formula", f"MC gaps: {detail}; uniform gap {uniform_gap:.1e}")

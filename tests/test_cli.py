@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -717,11 +718,51 @@ class TestDemoWingtip:
         assert (out_dir / "metrics-sipf-no-direction.jsonl").exists()
 
 
+def _sipf(cwd, *args, one_cpu=False):
+    """``python -m sipf *args`` in a child process in ``cwd``, as the installed console script runs.
+
+    ``one_cpu`` pins the child to the lowest CPU this process may use with ``taskset``, and skips the
+    calling test, saying why, where ``taskset`` is not installed.
+    """
+    prefix = []
+    if one_cpu:
+        if shutil.which("taskset") is None:
+            pytest.skip("taskset is not installed, so the one-CPU comparison did not run")
+        prefix = ["taskset", "-c", str(min(os.sched_getaffinity(0)))]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([*prefix, sys.executable, "-m", "sipf", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def _succeeds(cwd, *args, one_cpu=False):
+    """Run ``python -m sipf *args`` and assert that it exits 0."""
+    child = _sipf(cwd, *args, one_cpu=one_cpu)
+    assert child.returncode == EXIT_OK, (args, child.stderr)
+    return child
+
+
+@pytest.fixture(scope="class")
+def command_inputs(tmp_path_factory):
+    """A directory with 1,500 uniform points (c1500.xyz), the same points as CRLF text with a comment
+    and blank lines (c1500-crlf.xyz), and a 30 x 30 planar grid with unit normals (grid.xyz)."""
+    directory = tmp_path_factory.mktemp("commands")
+    np.savetxt(directory / "c1500.xyz", np.random.default_rng(0).uniform(-1, 1, (1500, 3)), fmt="%.17g")
+    text = (directory / "c1500.xyz").read_text()
+    with open(directory / "c1500-crlf.xyz", "w", newline="") as handle:
+        handle.write("# 1,500 points\r\n\r\n" + text.replace("\n", "\r\n\r\n"))
+    x, y = np.meshgrid(np.arange(30.0) + 0.5, np.arange(30.0) - 7.25)
+    o = np.ones(x.size)
+    np.savetxt(directory / "grid.xyz", np.column_stack([x.ravel(), y.ravel(), 3 * o, 0 * o, 0 * o, o]), fmt="%.17g")
+    return directory
+
+
 class TestPythonDashM:
+    """The commands' checks through ``python -m sipf`` in child processes, as on the command line."""
+
     def test_features_and_verify_invariance_drop_three_points_alike(self, tmp_path):
-        # 2,100 points, three field blocks, through ``python -m sipf`` in child processes: point 0
-        # lies on its own shadow and point 1500 on point 1400, so both commands drop the three,
-        # warn alike and exit 0.
+        # 2,100 points, three field blocks: point 0 lies on its own shadow and point 1500 on point
+        # 1400, so both commands drop the three, warn alike and exit 0.
         pts = np.random.default_rng(0).uniform(-1, 1, (2100, 3))
         pts[0] = 0.0
         pts[1500] = pts[1400]
@@ -731,12 +772,47 @@ class TestPythonDashM:
             "warning: coincident points 1400 and 1500; rows omitted\n"
             "warning: 3 point(s) omitted\n"
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         for args in (
             ["features", "--input", "c2100.xyz", "--seed", "0", "--out", "f2100.csv"],
             ["verify-invariance", "--input", "c2100.xyz", "--trials", "3", "--seed", "0"],
         ):
-            child = subprocess.run([sys.executable, "-m", "sipf", *args], cwd=tmp_path, env=env,
-                                   capture_output=True, text=True, timeout=300)
+            child = _sipf(tmp_path, *args)
             assert (child.returncode, child.stderr) == (EXIT_OK, expected), args
+
+    def test_crlf_comment_and_blank_lines_read_as_the_same_cloud(self, command_inputs, tmp_path):
+        for name in ("c1500", "c1500-crlf"):
+            _succeeds(tmp_path, "features", "--input", str(command_inputs / f"{name}.xyz"), "--seed", "0",
+                      "--out", f"f-{name}.csv")
+        assert (tmp_path / "f-c1500.csv").read_bytes() == (tmp_path / "f-c1500-crlf.csv").read_bytes()
+
+    def test_verify_invariance_passes_and_break_shadow_exits_2(self, command_inputs):
+        args = ["verify-invariance", "--input", "c1500.xyz", "--trials", "3", "--seed", "0"]
+        _succeeds(command_inputs, *args)
+        assert _sipf(command_inputs, *args, "--break-shadow").returncode == 2
+
+    def test_one_and_five_trials_and_five_on_one_cpu(self, command_inputs, tmp_path):
+        # One trial leaves lane 1 empty; five split 3 : 2 over the lanes, on two CPUs and on one.
+        cloud = str(command_inputs / "c1500.xyz")
+        for trials, out, one_cpu in (("1", "r1.json", False), ("5", "r5.json", False), ("5", "r5-one-cpu.json", True)):
+            _succeeds(tmp_path, "verify-invariance", "--input", cloud, "--trials", trials, "--seed", "0",
+                      "--out", out, one_cpu=one_cpu)
+        assert (tmp_path / "r5.json").read_bytes() == (tmp_path / "r5-one-cpu.json").read_bytes()
+
+    def test_planar_grid_keeps_every_point_and_writes_the_same_csv_on_one_cpu(self, command_inputs, tmp_path):
+        # The grid's normals give normal-mode axes: no point is dropped, nothing reaches stderr,
+        # all 900 x 20 rows are written, and one CPU writes the same CSV.
+        grid = str(command_inputs / "grid.xyz")
+        child = _succeeds(tmp_path, "features", "--input", grid, "--seed", "0", "--out", "grid.csv")
+        assert child.stderr == ""
+        text = (tmp_path / "grid.csv").read_bytes()
+        assert text.count(b"\n") == 18001
+        _succeeds(tmp_path, "features", "--input", grid, "--seed", "0", "--out", "grid-one-cpu.csv", one_cpu=True)
+        assert (tmp_path / "grid-one-cpu.csv").read_bytes() == text
+
+    def test_train_toy_twice_writes_the_same_bytes(self, tmp_path):
+        (tmp_path / "train3.json").write_text('{"epochs": 3}\n')
+        for out in ("train-a.jsonl", "train-b.jsonl"):
+            _succeeds(tmp_path, "train-toy", "--config", "train3.json", "--out", out)
+        text = (tmp_path / "train-a.jsonl").read_bytes()
+        assert text.count(b"\n") == 3
+        assert (tmp_path / "train-b.jsonl").read_bytes() == text

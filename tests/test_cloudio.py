@@ -2,14 +2,13 @@ import os
 import stat
 import sys
 import tempfile
-from unittest import mock
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sipf import cloudio
 from sipf.cloudio import _CSV_CHUNK_ROWS, format_rows, load_cloud, write_text_atomic
 from sipf.errors import InvalidArgumentError, InvalidInputError, ParseError
 
@@ -219,52 +218,49 @@ def _outcome(load):
     return cloud.points.shape, cloud.points.tobytes(), normals
 
 
-def _loaded_and_oracle(text, name, oracle, slab_lines):
-    """Outcomes of load_cloud, with slabs of ``slab_lines`` lines, and of ``oracle(lines, path)``."""
+def _loaded_and_oracle(text, name, oracle):
+    """Outcomes of load_cloud and of ``oracle(lines, path)``."""
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, name)
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         with open(path, "r", errors="replace") as handle:
             lines = handle.readlines()
-        with mock.patch.object(cloudio, "_SLAB_LINES", slab_lines):
-            loaded = _outcome(lambda: load_cloud(path))
-        return loaded, _outcome(lambda: oracle(lines, path))
+        return _outcome(lambda: load_cloud(path)), _outcome(lambda: oracle(lines, path))
 
 
 class TestLoaderOracle:
-    """load_cloud against the line-by-line parsers, on slabs of 1 to 1,024 lines."""
+    """load_cloud against the line-by-line parsers."""
 
     @settings(deadline=None)
-    @given(_xyz_texts(), st.sampled_from([1, 2, 3, 1024]))
-    @example("1 2 3\n", 1024)  # one point
-    @example("# c\r\n\r\n0 0 0 1 0 0\r1\t2 3\n4 5 6\n", 2)  # 6 columns, then 3
-    @example("0 0 0\n1 1_0 nan\n", 1)
-    def test_xyz_matches_line_by_line_parser(self, text, slab_lines):
-        loaded, expected = _loaded_and_oracle(text, "cloud.xyz", oracle_parse_xyz, slab_lines)
+    @given(_xyz_texts())
+    @example("1 2 3\n")  # one point
+    @example("# c\r\n\r\n0 0 0 1 0 0\r1\t2 3\n4 5 6\n")  # 6 columns, then 3
+    @example("0 0 0\n1 1_0 nan\n")
+    def test_xyz_matches_line_by_line_parser(self, text):
+        loaded, expected = _loaded_and_oracle(text, "cloud.xyz", oracle_parse_xyz)
         assert loaded == expected
 
     @settings(deadline=None)
-    @given(_ply_texts(), st.sampled_from([1, 2, 3, 1024]))
+    @given(_ply_texts())
     @example(
         ("ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\nproperty float y\n"
          "property float z\nelement face 1\nproperty list uchar int vertex_indices\nend_header\n"
          "0 0 0\n1 0 0\n3 0 1 2\n", ["x", "y", "z"], 2),
-        1024,
-    )  # a face after the vertices, in their slab
+    )  # a face after the vertices
     @example(("ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\nproperty float y\n"
-              "property float z\nend_header\n0 0 0\n1 0 0\n", ["x", "y", "z"], 3), 1024)
-    def test_ply_matches_line_by_line_parser(self, ply, slab_lines):
+              "property float z\nend_header\n0 0 0\n1 0 0\n", ["x", "y", "z"], 3))
+    def test_ply_matches_line_by_line_parser(self, ply):
         text, properties, declared = ply
 
         def oracle(lines, path):
             header_end = [line.strip() for line in lines].index("end_header") + 1
             return oracle_parse_ply_body(lines, header_end, properties, declared, path)
 
-        loaded, expected = _loaded_and_oracle(text, "cloud.ply", oracle, slab_lines)
+        loaded, expected = _loaded_and_oracle(text, "cloud.ply", oracle)
         assert loaded == expected
 
-    def test_errors_in_a_later_slab_report_their_line(self, tmp_path):
+    def test_errors_after_thousands_of_rows_report_their_line(self, tmp_path):
         path = tmp_path / "cloud.xyz"
         rows = ["0 0 0", "1 0 0", "", "# c", "0 1 0"] * 500
         for bad, message in [("1 x 0", "non-numeric field"), ("1 0", "expected 3 or 6 columns"),
@@ -273,6 +269,43 @@ class TestLoaderOracle:
             with pytest.raises(ParseError, match=message) as excinfo:
                 load_cloud(str(path))
             assert excinfo.value.line == len(rows) + 1
+
+    def test_text_numpy_rejects_loads_with_the_values_of_float(self, tmp_path):
+        path = tmp_path / "cloud.xyz"
+        path.write_text("1_0 2 3\n\u0661 0 0\n")
+        for row in ("1_0 2 3", "\u0661 0 0"):
+            with pytest.raises(ValueError):
+                np.loadtxt([row], comments=None, ndmin=2)
+        assert load_cloud(str(path)).points.tolist() == [[10.0, 2.0, 3.0], [1.0, 0.0, 0.0]]
+
+    def test_a_trailing_comment_is_a_wrong_width(self, tmp_path):
+        path = tmp_path / "cloud.xyz"
+        path.write_text("0 0 0\n1 2 3 # note\n")
+        with pytest.raises(ParseError, match="expected 3 or 6 columns, found 5") as excinfo:
+            load_cloud(str(path))
+        assert excinfo.value.line == 2
+
+    @pytest.mark.parametrize("name, text, n_points", [
+        ("blank-lines.ply", "ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\nproperty float y\n"
+         "property float z\nelement face 1\nproperty list uchar int vertex_indices\nend_header\n"
+         "0 0 0\n\n1 0 0\n \n0 1 0\n3 0 1 2\n", 3),
+        ("late-comment.xyz", "\n".join([f"{i} 0 1" for i in range(2000)] + ["# late", "0 5 0"]) + "\n", 2001),
+    ])
+    def test_no_numpy_warning_escapes(self, tmp_path, name, text, n_points):
+        path = tmp_path / name
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cloud = load_cloud(str(path))
+        assert len(cloud.points) == n_points
+
+    def test_no_data_rows_raise_without_a_numpy_warning(self, tmp_path):
+        path = tmp_path / "cloud.xyz"
+        path.write_text("# only a comment\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="file contains no data rows"):
+                load_cloud(str(path))
 
 
 class TestFormatting:

@@ -29,10 +29,8 @@ from sipf.riattn import (
     _attend,
     backward,
     layer_forward,
-    total_loss,
-    total_loss_gradients,
 )
-from sipf.training import ClassifierHead, _cross_entropy, make_wingtip_dataset
+from sipf.training import ClassifierHead, _cross_entropy, make_wingtip_dataset, total_loss, total_loss_gradients
 
 from conftest import apply_rotation, random_cloud, rotation_from_axis_angle
 
