@@ -40,6 +40,7 @@ from .descriptors import (
 )
 from .errors import DegenerateFrameError, InvalidArgumentError, NumericError
 from .geometry import (
+    NeighborGraph,
     PointCloud,
     Rotation3,
     UnitQuaternion,
@@ -317,22 +318,45 @@ def _prepare_cloud(cloud, k, i):
     return cloud, graph, axes, index
 
 
-def _cloud_gradients(layers, acts, g_w, g_b, d_feats):
-    """Every parameter gradient of one cloud, keyed like :func:`_named_parameters`."""
+def _flatten_parameters(layers, head):
+    """Move every head and layer parameter into one float64 vector, each owner keeping a view of
+    its part under the same attribute, so a step on the vector updates them all in place.  Returns
+    the vector and the parameter names in its order."""
+    slots = [("head.weight", head, "weight"), ("head.bias", head, "bias")]
+    slots += [(f"layer{i}.{name}", layer, name) for i, layer in enumerate(layers) for name in layer.parameters()]
+    flat = np.concatenate([getattr(owner, attr).ravel() for _, owner, attr in slots])
+    start = 0
+    for _, owner, attr in slots:
+        p = getattr(owner, attr)
+        setattr(owner, attr, flat[start:start + p.size].reshape(p.shape))
+        start += p.size
+    return flat, [name for name, _, _ in slots]
+
+
+def _cloud_gradient(layers, acts, g_w, g_b, d_feats, names):
+    """One cloud's gradient of every parameter as one vector, in the order of ``names``."""
     grads = {"head.weight": g_w, "head.bias": g_b}
     d_x = d_feats
     for i in reversed(range(len(layers))):
         layer_grads, d_x = backward(layers[i], d_x, acts[i])
         grads.update((f"layer{i}.{name}", g) for name, g in layer_grads.items())
-    return grads
+    return np.concatenate([grads[name].ravel() for name in names])
 
 
-def _named_parameters(layers, head):
-    """The head and layer parameter arrays under one name each; updates act in place."""
-    params = {"head.weight": head.weight, "head.bias": head.bias}
-    for i, layer in enumerate(layers):
-        params.update((f"layer{i}.{name}", p) for name, p in layer.parameters().items())
-    return params
+def _stack_clouds(clouds, axes, graphs):
+    """The prepared clouds as one cloud, in cloud order: its points, (N, 3) primary axes and graph,
+    each cloud's neighbour indices offset by its first row, and the rows at which ``np.split`` cuts
+    an (N, ...) array of the stack back into the clouds' parts.
+
+    Shadow, field and audit compute each point from its own row and its neighbours' rows alone, so
+    on the stack they give each cloud's bits; the tests check it.  The audit's dots are BLAS
+    products, which some OpenBLAS cores (Prescott) round by a row's address, so there a cloud
+    after one of odd size may differ from its own audit in the last bit.
+    """
+    ends = np.cumsum([len(c) for c in clouds])
+    starts = [0, *ends[:-1]]
+    graph = NeighborGraph(graphs[0].k, np.concatenate([g.indices + s for g, s in zip(graphs, starts)]))
+    return PointCloud(points=np.concatenate([c.points for c in clouds])), np.concatenate(axes), graph, ends[:-1]
 
 
 def _sample_rotation(seed_z1, seed_z2, rng):
@@ -353,6 +377,11 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
     dropped with their labels, with one warning per cloud and rule.  Each
     cloud's primary axes are its normals when it has them and its barycenter
     axes otherwise.
+
+    Each epoch makes one shadow, field and audit call on every cloud stacked
+    (``_stack_clouds``); the layers, the loss and the evaluation run cloud by
+    cloud, and each batch steps every parameter at once through the flat
+    vector of ``_flatten_parameters``.
     """
     clouds = list(dataset.clouds)
     if not clouds:
@@ -369,16 +398,17 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
     clouds, graphs, axes, kept = zip(*prepared)
     labels = [lab[index] for lab, index in zip(labels, kept)]
     feats0 = [input_descriptor(c, a) for c, a in zip(clouds, axes)]
+    stack, stack_axes, stack_graph, splits = _stack_clouds(clouds, axes, graphs)
 
     c_in = 3
     hid = DEFAULT_HIDDEN_DIM
     layers = [RIAttnLayer.init(c_in, hid, rng), RIAttnLayer.init(hid, hid, rng)]
     head = ClassifierHead.init(hid, rng)
-    params = _named_parameters(layers, head)
 
     z1 = rng.standard_normal(4)
     z2 = _Z2_INIT_LOC + _Z2_INIT_SCALE * rng.standard_normal(3)
     q_g = _sample_rotation(z1, z2, rng)
+    flat, names = _flatten_parameters(layers, head)
 
     result = TrainResult(layers=layers, head=head, seed_params=bingham.BinghamSeed(z1, z2))
     bingham_terms = None  # the Bingham loss and z2 gradient at the current z2, once computed
@@ -390,25 +420,25 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
             z1 = z1 + _IDENTITY_PERTURB * rng.standard_normal(4)
             q_g = _sample_rotation(z1, z2, rng)
         rot = quat_to_matrix(q_g)
-        shadows = [shadow_of(c, a, rot) for c, a in zip(clouds, axes)]
-        fields = [
-            sipf_field(c, a, g, s, mask=config.descriptor_mask)
-            for c, a, g, s in zip(clouds, axes, graphs, shadows)
-        ]
+        shadow = shadow_of(stack, stack_axes, rot)
+        fields = np.split(sipf_field(stack, stack_axes, stack_graph, shadow, mask=config.descriptor_mask), splits)
 
         for start in range(0, len(clouds), DEFAULT_BATCH_SIZE):
             batch_loss = 0.0
             batch_points = 0
-            grad_sum = {}
+            grad_sum = None
             for ci in range(start, min(start + DEFAULT_BATCH_SIZE, len(clouds))):
                 x, acts = _forward_cloud(layers, fields[ci], feats0[ci], graphs[ci].indices)
                 loss, _, g_w, g_b, d_feats = _cross_entropy(head, x, labels[ci])
                 weight = len(labels[ci])
                 batch_loss += loss * weight
                 batch_points += weight
-                for name, g in _cloud_gradients(layers, acts, g_w, g_b, d_feats).items():
-                    g = g * weight
-                    grad_sum[name] = grad_sum[name] + g if name in grad_sum else g
+                g = _cloud_gradient(layers, acts, g_w, g_b, d_feats, names)
+                g *= weight
+                if grad_sum is None:
+                    grad_sum = g
+                else:
+                    grad_sum += g
             task_loss = batch_loss / batch_points
             if not np.isfinite(task_loss):
                 raise NumericError(f"non-finite task loss at epoch {epoch}, batch {start}")
@@ -418,8 +448,7 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
             d_task, d_bingham = total_loss_gradients(task_loss, b_loss, config.delta)
 
             lr = config.learning_rate
-            for name, p in params.items():
-                p -= lr * d_task * (grad_sum[name] / batch_points)
+            flat -= lr * d_task * (grad_sum / batch_points)
             z2 = z2 - lr * d_bingham * d_z2
             bingham_terms = None
 
@@ -450,9 +479,8 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
         )
 
         # Degeneracy audit for the epoch's rotation.
-        for cloud, a, sh in zip(clouds, axes, shadows):
-            scores = detect_axis_alignment(cloud.points, a, sh.points, sh.axes)
-            result.b1_max_score = max(result.b1_max_score, float(scores.max()))
+        scores = detect_axis_alignment(stack.points, stack_axes, shadow.points, shadow.axes)
+        result.b1_max_score = max(result.b1_max_score, float(scores.max()))
         if symmetry is not None:
             dist = detect_local_coincidence(rot, symmetry)
             result.b2_min_distance_rad = min(result.b2_min_distance_rad, dist)

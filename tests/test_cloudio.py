@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sipf import cloudio
 from sipf.cloudio import _CSV_CHUNK_ROWS, format_rows, load_cloud, write_text_atomic
 from sipf.errors import InvalidArgumentError, InvalidInputError, ParseError
 
@@ -229,6 +230,20 @@ def _loaded_and_oracle(text, name, oracle):
         return _outcome(lambda: load_cloud(path)), _outcome(lambda: oracle(lines, path))
 
 
+# Clean inputs of both formats: (file name, text, points, unit normals or None).
+_CLEAN_FILES = [
+    ("comments.xyz", "# 3 points\n\n0 0 0\n  # indented comment\n1 2 3\n\t\n-4 5e-1 6\n",
+     [[0, 0, 0], [1, 2, 3], [-4, 0.5, 6]], None),
+    ("crlf-normals.xyz", "# x y z nx ny nz\r\n0 0 0 0 0 2\r\n\r\n1 0 0 0 3 0\r\n",
+     [[0, 0, 0], [1, 0, 0]], [[0, 0, 1], [0, 1, 0]]),
+    ("basic.ply", PLY_BASIC, [[0, 0, 0], [1, 0, 0], [0, 1, 0]], None),
+    ("normals.ply", PLY_NORMALS, [[0, 0, 0], [1, 0, 0]], [[0, 0, 1], [0, 1, 0]]),
+    ("face.ply", "ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\nproperty float y\n"
+     "property float z\nelement face 1\nproperty list uchar int vertex_indices\nend_header\n"
+     "0 0 0\n\n1 0 0\n3 0 1 2\n", [[0, 0, 0], [1, 0, 0]], None),
+]
+
+
 class TestLoaderOracle:
     """load_cloud against the line-by-line parsers."""
 
@@ -298,6 +313,21 @@ class TestLoaderOracle:
             warnings.simplefilter("error")
             cloud = load_cloud(str(path))
         assert len(cloud.points) == n_points
+
+    @pytest.mark.parametrize("name, text, points, normals", _CLEAN_FILES, ids=[case[0] for case in _CLEAN_FILES])
+    def test_clean_files_load_in_one_numpy_call(self, tmp_path, monkeypatch, name, text, points, normals):
+        # The line-by-line reader gives the same values, so only its absence shows
+        # that numpy's reader took these rows: a row filter that let a comment,
+        # blank line or face row through would fall back to it here.
+        def no_fallback(*args):
+            raise AssertionError("clean rows went to the line-by-line reader")
+
+        monkeypatch.setattr(cloudio, "_read_rows", no_fallback)
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        cloud = load_cloud(str(path))
+        assert cloud.points.tolist() == points
+        assert (cloud.normals is None if normals is None else cloud.normals.tolist() == normals)
 
     def test_no_data_rows_raise_without_a_numpy_warning(self, tmp_path):
         path = tmp_path / "cloud.xyz"

@@ -5,11 +5,18 @@ import warnings
 import numpy as np
 import pytest
 
-from sipf.descriptors import MASK_PPF
-from sipf.errors import InvalidArgumentError
-from sipf.geometry import PointCloud, UnitQuaternion, is_near_identity, knn_graph, quat_to_matrix
+from sipf import descriptors, training
+from sipf.descriptors import DESCRIPTOR_MASKS, MASK_PPF, detect_axis_alignment, shadow_of, sipf_field
+from sipf.errors import CoincidentPointError, InvalidArgumentError
+from sipf.geometry import (
+    PointCloud,
+    UnitQuaternion,
+    is_near_identity,
+    knn_graph,
+    quat_to_matrix,
+    random_rotation,
+)
 from sipf.lrf import FRAME_MODE_BARYCENTER, FRAME_MODE_NORMAL, build_all_lrfs
-from sipf.descriptors import shadow_of, sipf_field
 from sipf.training import (
     DEFAULT_N_CLOUDS,
     DEFAULT_POINTS_PER_CLOUD,
@@ -70,8 +77,6 @@ class TestWingTipDataset:
         cloud = dataset.clouds[0]
         graph = knn_graph(cloud, 20)
         axes = build_all_lrfs(cloud, graph, FRAME_MODE_BARYCENTER)
-        from sipf.geometry import random_rotation
-
         shadow = shadow_of(cloud, axes, random_rotation(rng))
         plain = sipf_field(cloud, axes, graph, shadow, mask=MASK_PPF)
         half = len(cloud) // 2
@@ -358,6 +363,27 @@ class TestTrainToy:
             with pytest.raises(InvalidArgumentError, match=r"^cloud 1: 8 point\(s\) left after dropping degenerate-frame"):
                 train_toy(degenerate, self._short_config())
 
+    @pytest.mark.parametrize("mask, message", [
+        ("sipf", "shadow coincides with point 52"),
+        ("sipf-no-direction", "shadow coincides with point 52"),
+        ("ppf", "shadow coincides with the point"),
+    ])
+    def test_shadow_coincidence_raises(self, monkeypatch, mask, message):
+        # Every epoch turns about z, so point 20 of cloud 1, put on the z axis,
+        # is its own shadow.  The field names it by its row of the stacked
+        # clouds, 32 + 20; the plain-pair field has no shadow block, and the
+        # audit raises.
+        dataset = make_wingtip_dataset(2, 32, 0.0, 100)
+        points = dataset.clouds[1].points.copy()
+        points[20] = [0.0, 0.0, 1.0]
+        on_axis = type(dataset)(
+            clouds=[dataset.clouds[0], PointCloud(points=points)], labels=dataset.labels, symmetry=dataset.symmetry
+        )
+        about_z = UnitQuaternion(np.cos(0.5), 0.0, 0.0, np.sin(0.5))
+        monkeypatch.setattr(training, "_sample_rotation", lambda z1, z2, rng: about_z)
+        with pytest.raises(CoincidentPointError, match=f"^{message}$"):
+            train_toy(on_axis, self._short_config(descriptor_mask=mask))
+
     def test_bingham_terms_computed_once_per_concentration_seed(self, monkeypatch):
         # The loss and its z2 gradient depend on z2 alone: the epoch-end pair
         # serves the next epoch's first batch, so no two calls see one z2.
@@ -376,6 +402,55 @@ class TestTrainToy:
         # 2 batches an epoch: 2 + 1 calls in the first epoch, 1 + 1 in each later one.
         assert len(seen) == 7
         assert len(set(seen)) == len(seen)
+
+
+def _stacked_case(mode):
+    """Three clouds of unequal size with their graphs and primary axes, k = 8, and a rotation."""
+    rng = np.random.default_rng(29)
+    clouds = []
+    for n in (40, 57, 64):
+        normals = rng.standard_normal((n, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        points = rng.standard_normal((n, 3)) + [0.0, 0.0, 2.0]
+        clouds.append(PointCloud(points=points, normals=normals if mode == FRAME_MODE_NORMAL else None))
+    graphs = [knn_graph(c, 8) for c in clouds]
+    axes = [build_all_lrfs(c, g, mode) for c, g in zip(clouds, graphs)]
+    return clouds, axes, graphs, random_rotation(rng)
+
+
+class TestStackedClouds:
+    """The trainer's one shadow, field and audit call an epoch on its stacked clouds."""
+
+    @pytest.mark.parametrize("field_rows", [None, 7])
+    @pytest.mark.parametrize("mask", DESCRIPTOR_MASKS)
+    @pytest.mark.parametrize("mode", [FRAME_MODE_NORMAL, FRAME_MODE_BARYCENTER])
+    def test_stacked_shadow_and_field_give_each_clouds_bits(self, monkeypatch, field_rows, mask, mode):
+        # 7-row field blocks straddle the clouds' boundaries.
+        if field_rows:
+            monkeypatch.setattr(descriptors, "_FIELD_ROWS", field_rows)
+        clouds, axes, graphs, rot = _stacked_case(mode)
+        stack, stack_axes, stack_graph, splits = training._stack_clouds(clouds, axes, graphs)
+        shadow = shadow_of(stack, stack_axes, rot)
+        field = sipf_field(stack, stack_axes, stack_graph, shadow, mask=mask)
+        parts = zip(np.split(shadow.points, splits), np.split(shadow.axes, splits), np.split(field, splits))
+        for cloud, a, graph, (s_points, s_axes, f) in zip(clouds, axes, graphs, parts, strict=True):
+            own = shadow_of(cloud, a, rot)
+            assert s_points.tobytes() == own.points.tobytes()
+            assert s_axes.tobytes() == own.axes.tobytes()
+            assert f.tobytes() == sipf_field(cloud, a, graph, own, mask=mask).tobytes()
+
+    @pytest.mark.parametrize("mode", [FRAME_MODE_NORMAL, FRAME_MODE_BARYCENTER])
+    def test_stacked_audit_gives_each_clouds_bits_on_this_hosts_kernels(self, mode):
+        # Host-specific: the audit's dots are BLAS products, and under
+        # OPENBLAS_CORETYPE=Prescott a row's last bit depends on its address, so
+        # the 57-point cloud, which moves the next one's rows by 8 bytes, fails.
+        clouds, axes, graphs, rot = _stacked_case(mode)
+        stack, stack_axes, _, splits = training._stack_clouds(clouds, axes, graphs)
+        shadow = shadow_of(stack, stack_axes, rot)
+        scores = np.split(detect_axis_alignment(stack.points, stack_axes, shadow.points, shadow.axes), splits)
+        for cloud, a, score in zip(clouds, axes, scores, strict=True):
+            own = shadow_of(cloud, a, rot)
+            assert score.tobytes() == detect_axis_alignment(cloud.points, a, own.points, own.axes).tobytes()
 
 
 # Per-epoch metrics of a 3-epoch run on the demo dataset at seed 0 (the
