@@ -14,8 +14,8 @@ axis a1' = a1 R_g:
 an L2-normalized difference that degenerates to the exact zero vector when
 the difference norm falls below 1e-12.  Concatenating the two blocks gives
 the 8-dimensional descriptor used by the attention layer.  The field is computed
-on (3, ...) coordinate planes, and ``geometry.dot3`` sums each cosine as
-(x0 y0 + x2 y2) + x1 y1, ``np.einsum``'s order on (..., 3) rows, to keep its bits.
+on (3, ...) coordinate planes and sums each cosine as (x0 y0 + x2 y2) + x1 y1 + 0,
+the order of ``geometry.dot3`` and of ``np.einsum`` on (..., 3) rows, to keep its bits.
 
 Two scored degeneracy detectors cover the known failure geometries: shadow
 displacement along the primary axis with coinciding axes, and coincidence of
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidentPointError, InvalidArgumentError, InvalidInputError
-from .geometry import NeighborGraph, PointCloud, Rotation3, dot3, set_read_only
+from .geometry import NeighborGraph, PointCloud, Rotation3, set_read_only
 from .lanes import run_blocks
 
 __all__ = [
@@ -106,42 +106,60 @@ def coincident_pairs(cloud: PointCloud, graph: NeighborGraph) -> np.ndarray:
     return np.unique(np.sort(np.column_stack([ref, graph.indices[ref, slot]]), axis=1), axis=0)
 
 
-def _norm(parts, out=None, square=None):
-    """Norm of the vector with components ``parts``, summed left to right as ``np.linalg.norm`` does.
-
-    ``square``, if given, receives each later component's square in turn."""
-    out = np.multiply(parts[0], parts[0], out=out)
+def _norm(parts):
+    """Norm of the vector with components ``parts``, summed left to right as ``np.linalg.norm`` does."""
+    out = parts[0] * parts[0]
     for p in parts[1:]:
-        out += np.multiply(p, p, out=square)
+        out += p * p
     return np.sqrt(out, out=out)
 
 
-def _pair_rows(out, p, a, q, b, name_pair, d, square):
+def _pair_rows(out, p, a, q, b, d, prod, name_pair=None):
     """Pair features (|d|, cos(a, d), cos(b, d), cos(a, b)), d = q - p, into ``out[0]`` .. ``out[3]``; returns ``out``.
 
-    The vectors are (3, ...) coordinate planes; ``dot3`` sums a cosine as einsum does on rows,
-    (x0 y0 + x2 y2) + x1 y1.  ``d`` and ``square`` receive q - p and the later squares and products.
-    A coincident pair raises the message that ``name_pair`` makes of the closest pair's (row, col).
+    The vectors are (3, ...) coordinate planes.  Each squared norm and cosine takes one three-plane
+    product into ``prod`` and sums it in the order of ``_norm`` and ``geometry.dot3``: (x0² + x1²) + x2²,
+    and (x0 y0 + x2 y2) + x1 y1 + 0.  ``d`` receives q - p.  A coincident pair raises the message that
+    ``name_pair`` makes of the closest pair's (row, col), before d is divided; without ``name_pair``
+    nothing is checked here and such a pair's d is divided by the floor instead, which raises no
+    floating-point error, so its caller must check ``out[0]`` before it reads the pair.
     """
-    d = np.subtract(q, p, out=d)
-    _norm(d, out=out[0], square=square)
-    if np.any(out[0] < COINCIDENT_DISTANCE_FLOOR):
-        raise CoincidentPointError(name_pair(np.unravel_index(int(np.argmin(out[0])), out[0].shape)))
-    d /= out[0]
+    np.subtract(q, p, out=d)
+    square = np.multiply(d, d, out=prod)
+    norm = np.add(square[0], square[1], out=out[0])
+    norm += square[2]
+    np.sqrt(norm, out=norm)
+    if name_pair is None:
+        d /= np.maximum(norm, COINCIDENT_DISTANCE_FLOOR, out=prod[0])
+    else:
+        _check_pairs(norm, name_pair)
+        d /= norm
     for o, (x, y) in zip(out[1:], ((a, d), (b, d), (a, b))):
-        dot3(x, y, out=o, work=square)
-    np.clip(out[1:], -1.0, 1.0, out=out[1:])
+        product = np.multiply(x, y, out=prod)
+        np.add(product[0], product[2], out=o)
+        o += product[1]
+    cos = out[1:]
+    cos += 0.0
+    np.maximum(cos, -1.0, out=cos)
+    np.minimum(cos, 1.0, out=cos)
     return out
+
+
+def _check_pairs(norm, name_pair):
+    """Raise the message ``name_pair`` makes of the first closest (row, col) if a norm is below the
+    floor.  ``np.fmin`` skips a NaN as a comparison does."""
+    if np.fmin.reduce(norm, axis=None, initial=np.inf) < COINCIDENT_DISTANCE_FLOOR:
+        raise CoincidentPointError(name_pair(np.unravel_index(int(np.argmin(norm)), norm.shape)))
 
 
 # Kept rows per block of the field, at most: a block's arrays stay in cache through every step.
 # ``_block_rows`` cuts the kept rows into the fewest blocks of one size (5,000 rows: 5 of 1,000),
-# the last one a few rows shorter where the size does not divide the rows (1,025: 513 and 512).  So
-# a lane's blocks, over every trial of ``field_deviations`` too, ask for the same arrays, which the
-# lane makes once a call; only a shorter last block makes its own.  Equal blocks are kept for
-# speed: cutting 5,000 rows as 4 x 1,024 + 904 made a 5k x 20 ``sipf_field`` take 9.7-14.2 ms
-# against 6.3-9.3 ms (medians of 20 calls in 6 alternating processes a side, one BLAS thread, 2-CPU
-# x86-64 host).
+# the last one a few rows shorter where the size does not divide the rows (1,025: 513 and 512),
+# which writes into the first part of its lane's arrays.  So a lane's blocks, over every trial of
+# ``field_deviations`` too, use the same arrays, which the lane makes once a call.  Equal blocks
+# are kept for speed: cutting 5,000 rows as 4 x 1,024 + 904 made a 5k x 20 ``sipf_field`` take
+# 9.7-14.2 ms against 6.3-9.3 ms (medians of 20 calls in 6 alternating processes a side, one BLAS
+# thread, 2-CPU x86-64 host).
 _FIELD_ROWS = 1024
 
 
@@ -152,42 +170,46 @@ def _block_rows(n):
     return max(1, -(-n // blocks))
 
 
-def _field_rows(points, a1, s_points, s_axes, mask, rows, idx, alloc):
-    """The component-major (8, m, k) field of the kept rows ``rows``, whose neighbours are ``idx``,
-    in arrays from ``alloc``, a lane's allocator.  The first four are the (3, N) coordinate planes of
-    the points, primary axes, shadow points and shadow axes; each step writes whole (m, k) planes, and
-    the cosines are ``_pair_rows``' einsum-ordered dots.  The neighbour gathers use mode "wrap",
-    which writes into ``out`` without numpy's buffered copy.  None wraps: ``NeighborGraph`` keeps
-    every index in [0, N), and ``_check_rows`` checks that the points and axes have N rows.
+def _field_rows(planes, own, shadow, ref, mask, rows, idx, arrays):
+    """The component-major (8, m, k) field of the kept rows ``rows``, whose neighbours are ``idx``.
+
+    ``planes`` holds the (6, N) stacked coordinate planes of the points and primary axes; ``own``
+    and ``shadow`` hold the block's (6, m, 1) planes of its points and of their shadow points and
+    axes, and ``ref`` its (4, m, 1) pairs pair(p_r, p_r'), which this block checks (None for
+    ``MASK_PPF``).  ``arrays`` are the block's (9, m, k) work planes, (8, m, k) field and (m, k)
+    mask.  Each step writes whole (m, k) planes, and the cosines are ``_pair_rows``' einsum-ordered
+    dots.  The neighbours' points and axes are one gather with mode "wrap", which writes into the
+    work planes without numpy's buffered copy.  None wraps: ``NeighborGraph`` keeps every index in
+    [0, N), and ``_check_rows`` checks that the points and axes have N rows.
     """
-    m, k = idx.shape
-    p_r, a_r = points[:, rows, None], a1[:, rows, None]
-    p_j = np.take(points, idx, axis=1, out=alloc("p_j", (3, m, k)), mode="wrap")
-    a_j = np.take(a1, idx, axis=1, out=alloc("a_j", (3, m, k)), mode="wrap")
+    work, f, zero = arrays
+    gathered = np.take(planes, idx, axis=1, out=work[:6], mode="wrap")
+    p_j, a_j = gathered[:3], gathered[3:]
 
     def pair(rc):
         return f"coincident pair at index ({int(rows[rc[0]])}, {int(idx[rc])})"
 
-    f = alloc("f", (8, m, k))
-    d, square = alloc("d", (3, m, k)), alloc("square", (m, k))
-    _pair_rows(f[:4], p_r, a_r, p_j, a_j, pair, d, square)
+    # The products go to planes not yet written: f's shadow block, then p_j once d is made of it.
+    _pair_rows(f[:4], own[:3], own[3:], p_j, a_j, work[6:], f[4:7], pair)
     if mask == MASK_PPF:
         f[4:] = 0.0
         return f
-    s_p, s_a = s_points[:, rows, None], s_axes[:, rows, None]
-    ref = _pair_rows(alloc("ref", (4, m, 1)), p_r, a_r, s_p, s_a,
-                     lambda rc: f"shadow coincides with point {int(rows[rc[0]])}",
-                     alloc("ref_d", (3, m, 1)), alloc("ref_square", (m, 1)))
-    diff = _pair_rows(f[4:], p_j, a_j, s_p, s_a, pair, d, square)
+    _check_pairs(ref[0], lambda rc: f"shadow coincides with point {int(rows[rc[0]])}")
+    diff = _pair_rows(f[4:], p_j, a_j, shadow[:3], shadow[3:], work[6:], work[:3], pair)
     np.subtract(ref, diff, out=diff)
-    norm = _norm(diff, out=alloc("norm", (m, k)), square=square)
+    # Every work plane is free now.
+    square = np.multiply(diff, diff, out=work[:4])
+    norm = np.add(square[0], square[1], out=work[4])
+    norm += square[2]
+    norm += square[3]
+    np.sqrt(norm, out=norm)
     if mask == MASK_SIPF_NO_DIRECTION:
         diff[0] = norm
         diff[1:] = 0.0
     else:
-        zero = ~(norm >= _ZERO_DIFF_TOL)
+        np.logical_not(np.greater_equal(norm, _ZERO_DIFF_TOL, out=zero), out=zero)
         diff /= np.maximum(norm, _ZERO_DIFF_TOL, out=norm)
-        diff[:, zero] = 0.0
+        np.copyto(diff, 0.0, where=zero)
     return f
 
 
@@ -203,33 +225,45 @@ def _check_rows(points, axes, graph, shadow):
         )
 
 
-def _planes(*arrays):
-    """The (3, N) coordinate planes of (N, 3) arrays, each contiguous."""
-    return [np.ascontiguousarray(a.T) for a in arrays]
+def _planes(out, points, axes):
+    """The (6, N) coordinate planes of (N, 3) points and axes, stacked in ``out``."""
+    np.copyto(out[:3], points.T)
+    np.copyto(out[3:], axes.T)
+    return out
+
+
+def _new_array(name, shape, dtype=np.float64):
+    """The allocator of a run without a lane: every array is new."""
+    return np.empty(shape, dtype)
 
 
 def _field_blocks(graph, valid):
     """The block runner of ``sipf_field`` and ``field_deviations``: selects the rows of the graph
     that ``valid`` keeps.  Returns ``valid`` as a boolean mask, or None when it keeps every row,
-    and ``run(planes, mask, consume, alloc=None)``.
+    and ``run(planes, shadow, mask, consume, alloc=None)``.
 
-    ``run`` computes the kept rows of the field whose inputs are ``planes``, the (3, N) coordinate
-    planes of the points, primary axes, shadow points and shadow axes, in blocks of ``_block_rows``
-    rows, and hands each block's component-major (8, m, k) field, in its lane's buffers, to
-    ``consume(start, rows, idx, f)``: ``start`` numbers the block's first kept row, ``rows``
-    selects its rows of an (N, ...) array (a slice when every row is kept) and ``idx`` holds their
-    neighbours.  Without ``alloc`` the blocks run on the two lanes of ``sipf.lanes.run_blocks``;
-    with a lane's allocator ``alloc`` they run first to last in the calling thread, in that lane's
-    buffers, as a step that already runs on a lane must: its own ``run_blocks`` call would queue
-    its lane 1 behind itself on the one executor thread.
+    ``run`` computes the kept rows of the field whose inputs are ``planes`` and ``shadow``, the
+    (6, N) stacked coordinate planes of the points and primary axes and of the shadow points and
+    axes, in blocks of ``_block_rows`` rows, and hands each block's component-major (8, m, k) field,
+    in its lane's buffers, to ``consume(start, rows, idx, f)``: ``start`` numbers the block's first
+    kept row, ``rows`` selects its rows of an (N, ...) array (a slice when every row is kept) and
+    ``idx`` holds their neighbours.  Without ``alloc`` the blocks run on the two lanes of
+    ``sipf.lanes.run_blocks``; with a lane's allocator ``alloc`` they run first to last in the
+    calling thread, in that lane's buffers, as a step that already runs on a lane must: its own
+    ``run_blocks`` call would queue its lane 1 behind itself on the one executor thread.  Each
+    lane's arrays fit its longest block; a shorter block writes into their first part.
 
-    Errors follow ``run_blocks``' rule: a run raises the first error of its lowest failing block.
-    Within a block the neighbour-pair check comes before the shadow checks, and the pair named is
-    the block's first closest one in row-major order.  The block size depends only on the kept
-    rows, so the error does not depend on the lanes or the host.
+    pair(p_r, p_r') is computed once a run for every kept row, in the work array of ``alloc`` (a
+    new one without it), and each block checks its rows of it.  Errors follow ``run_blocks``' rule:
+    a run raises the first error of its lowest failing block.  Within a block the neighbour-pair
+    check comes before the shadow checks, and the pair named is the block's first closest one in
+    row-major order.  The block size depends only on the kept rows, so the error does not depend
+    on the lanes or the host.  Under a floating-point error state that raises on underflow or
+    overflow (``np.errstate``), such an error in the reference pairs (from a shadow offset or axis
+    component below about 1e-154 or above 1e154) is raised before the first block runs.
     """
     idx = graph.indices
-    n = len(idx)
+    n, k = idx.shape
     rows = np.arange(n)
     if valid is not None:
         valid = np.asarray(valid, dtype=bool)
@@ -240,18 +274,37 @@ def _field_blocks(graph, valid):
         else:
             rows = rows[valid]
             idx = idx[rows]
-    size = _block_rows(len(rows))
+    kept = len(rows)
+    size = _block_rows(kept)
+    # The work array holds a block's nine work planes or the reference pairs' d and products.
+    work_size = max(9 * size * k, 6 * kept)
 
-    def run(planes, mask, consume, alloc=None):
+    def run(planes, shadow, mask, consume, alloc=None):
+        call_alloc = alloc or _new_array
+        own, own_shadow, ref = planes, shadow, None
+        if valid is not None:
+            own = np.take(planes, rows, axis=1, out=call_alloc("own", (6, kept)), mode="wrap")
+            own_shadow = np.take(shadow, rows, axis=1, out=call_alloc("own_shadow", (6, kept)), mode="wrap")
+        if mask != MASK_PPF:
+            # In a lane, the reference pairs' d and products take the first part of its work array.
+            work = (np.empty(6 * kept) if alloc is None else alloc("work", (work_size,)))[:6 * kept].reshape(6, kept)
+            ref = _pair_rows(call_alloc("ref", (4, kept)), own[:3], own[3:], own_shadow[:3], own_shadow[3:],
+                             work[:3], work[3:])
+
         def step(lane, alloc, start, stop):
-            f = _field_rows(*planes, mask, rows[start:stop], idx[start:stop], alloc)
-            consume(start, slice(start, stop) if valid is None else rows[start:stop], idx[start:stop], f)
+            block, m = slice(start, stop), stop - start
+            arrays = (alloc("work", (work_size,))[:9 * m * k].reshape(9, m, k),
+                      alloc("f", (8 * size * k,))[:8 * m * k].reshape(8, m, k),
+                      alloc("zero", (size * k,), bool)[:m * k].reshape(m, k))
+            f = _field_rows(planes, own[:, block, None], own_shadow[:, block, None],
+                            None if ref is None else ref[:, block, None], mask, rows[block], idx[block], arrays)
+            consume(start, block if valid is None else rows[block], idx[block], f)
 
         if alloc is None:
-            run_blocks(len(rows), size, step)
+            run_blocks(kept, size, step)
         else:
-            for start in range(0, max(len(rows), 1), size):
-                step(0, alloc, start, min(start + size, len(rows)))
+            for start in range(0, max(kept, 1), size):
+                step(0, alloc, start, min(start + size, kept))
 
     return valid, run
 
@@ -290,7 +343,9 @@ def sipf_field(
     def fill(start, rows, idx, f):
         out[rows] = f.transpose(1, 2, 0)
 
-    run(_planes(cloud.points, axes, shadow.points, shadow.axes), mask, fill)
+    n = len(graph)
+    run(_planes(np.empty((6, n)), cloud.points, axes), _planes(np.empty((6, n)), shadow.points, shadow.axes),
+        mask, fill)
     return out
 
 
@@ -321,21 +376,26 @@ def field_deviations(points, axes, graph: NeighborGraph, shadow: ShadowCloud, ba
         raise InvalidArgumentError(f"base field must be {(*graph.indices.shape, 8)}, got {base.shape}")
     _check_rows(points, axes, graph, shadow)
     valid, run = _field_blocks(graph, valid)
-    unrotated = None if rotate_shadow else _planes(shadow.points, shadow.axes)
+    n = len(graph)
+    unrotated = None if rotate_shadow else _planes(np.empty((6, n)), shadow.points, shadow.axes)
     out = np.empty(len(rotations))
 
     def trial(lane, alloc, t, stop):
         m = rotations[t]
-        planes = _planes(points @ m, axes @ m) + (unrotated or _planes(shadow.points @ m, shadow.axes @ m))
+        planes = _planes(alloc("planes", (6, n)), points @ m, axes @ m)
+        if unrotated is None:
+            shadow_planes = _planes(alloc("shadow_planes", (6, n)), shadow.points @ m, shadow.axes @ m)
+        else:
+            shadow_planes = unrotated
         maxima = []
 
         def reduce(start, rows, idx, f):
             dev = np.abs(np.subtract(f, base[rows].transpose(2, 0, 1), out=f), out=f)
             if valid is not None:
                 np.copyto(dev, 0.0, where=~valid[idx])  # edges to a dropped neighbour; deviations are >= 0
-            maxima.append(dev.max(initial=0.0))
+            maxima.append(np.maximum.reduce(dev, axis=None, initial=0.0))
 
-        run(planes, MASK_SIPF, reduce, alloc)
+        run(planes, shadow_planes, MASK_SIPF, reduce, alloc)
         # np.max keeps a NaN, where a comparison with NaN would drop it.
         out[t] = np.max(maxima)
 

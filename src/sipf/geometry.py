@@ -209,8 +209,20 @@ def _row_distances(points, i):
     return d
 
 
-# Query points per block of ``knn_graph``.
+# Query points per block of ``knn_graph``, at most.
 _QUERY_ROWS = 1024
+
+
+def _query_rows(n):
+    """Rows a block of ``knn_graph``'s query of n points: the fewest blocks of at most
+    ``_QUERY_ROWS`` rows, made even when there is more than one, so the two lanes get as many
+    blocks each (5,000 points: 6 of 834, the last 830).  All blocks have this size but the last,
+    which is shorter by fewer rows than there are blocks.  Below a million points at 1,024 rows
+    the count stays even."""
+    blocks = -(-n // _QUERY_ROWS)
+    if blocks > 1:
+        blocks += blocks % 2
+    return max(1, -(-n // blocks))
 
 
 def knn_graph(cloud: PointCloud, k: int) -> NeighborGraph:
@@ -218,16 +230,21 @@ def knn_graph(cloud: PointCloud, k: int) -> NeighborGraph:
 
     Deterministic under the (distance, index) tie-break regardless of how the
     kd-tree orders equidistant candidates.  The tree returns each candidate
-    window sorted by distance, so only the rows with a tie (two equal
+    window of k + 8 points sorted by distance.  Where every row of a block
+    has its own index first, that entry is sliced off; otherwise (a block
+    with duplicate points) each row's self entry moves last at infinite
+    distance by a stable argsort.  Only the rows with a tie (two equal
     adjacent distances) are re-sorted by (distance, index); any row whose
     k-th distance ties with the window edge falls back to a full scan so
-    hidden ties beyond the window cannot change membership.
+    hidden ties beyond the window cannot change membership.  The window
+    stays k + 8 wide because that scan is O(N) a row: a k + 2 window sends
+    216 of a 30 x 30 grid's 900 rows to it at k = 20.
 
-    The query, the self-entry move and the tie re-sort run in blocks of
-    ``_QUERY_ROWS`` points with ``sipf.lanes.run_blocks`` (the query
-    releases the GIL); the window-edge fallback runs after them, in this
-    thread.  Each row is found on its own, so the indices do not depend on
-    the blocks or the lanes.
+    The query, the self-entry step and the tie re-sort run in the even
+    number of equal blocks of ``_query_rows`` with ``sipf.lanes.run_blocks``
+    (the query releases the GIL); the window-edge fallback runs after them,
+    in this thread.  Each row is found on its own, so the indices do not
+    depend on the blocks or the lanes.
     """
     n = len(cloud)
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
@@ -242,12 +259,16 @@ def knn_graph(cloud: PointCloud, k: int) -> NeighborGraph:
 
     def step(lane, alloc, start, stop):
         dist, idx = tree.query(pts[start:stop], k=pad)
-        # The self entry moves last, at infinite distance; the rest keep their order.
-        self_mask = idx == np.arange(start, stop)[:, None]
-        dist[self_mask] = np.inf
-        order = np.argsort(self_mask, axis=1, kind="stable")
-        dist = np.take_along_axis(dist, order, axis=1)
-        idx = np.take_along_axis(idx, order, axis=1)
+        own = np.arange(start, stop)
+        if (idx[:, 0] == own).all():
+            dist, idx = dist[:, 1:], idx[:, 1:]
+        else:
+            # The self entry moves last, at infinite distance; the rest keep their order.
+            self_mask = idx == own[:, None]
+            dist[self_mask] = np.inf
+            order = np.argsort(self_mask, axis=1, kind="stable")
+            dist = np.take_along_axis(dist, order, axis=1)
+            idx = np.take_along_axis(idx, order, axis=1)
         # Ties sort by ascending point index.  A non-increasing step also catches
         # a window the tree did not return in order.
         tied = np.nonzero((dist[:, 1:] <= dist[:, :-1]).any(axis=1))[0]
@@ -258,11 +279,11 @@ def knn_graph(cloud: PointCloud, k: int) -> NeighborGraph:
         out[start:stop] = idx[:, :k]
         if pad < n:
             # A tie at the window edge may hide equal-distance candidates outside
-            # the window.  The last slot is the masked self entry, so the true
-            # edge is the slot before it.
+            # the window.  Slot pad - 2 is the last one before the self entry, or
+            # the last one once the self entry is sliced off.
             unsure[start:stop] = dist[:, k - 1] >= dist[:, pad - 2]
 
-    run_blocks(n, _QUERY_ROWS, step)
+    run_blocks(n, _query_rows(n), step)
     # Resolve the unsure rows exactly.
     for i in np.nonzero(unsure)[0]:
         d = _row_distances(pts, i)

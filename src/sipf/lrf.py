@@ -38,7 +38,7 @@ def _direction(cloud: PointCloud, graph: NeighborGraph, mode: str) -> np.ndarray
         return cloud.normals
     if mode == FRAME_MODE_BARYCENTER:
         pts = cloud.points
-        return pts[graph.indices].mean(axis=1) - pts
+        return pts.take(graph.indices, axis=0).mean(axis=1) - pts
     raise InvalidArgumentError(f"unknown frame mode {mode!r}")
 
 

@@ -38,7 +38,7 @@ from .descriptors import (
     shadow_of,
     sipf_field,
 )
-from .errors import DegenerateFrameError, InvalidArgumentError, NumericError
+from .errors import CoincidentPointError, DegenerateFrameError, InvalidArgumentError, NumericError
 from .geometry import (
     NeighborGraph,
     PointCloud,
@@ -359,6 +359,17 @@ def _stack_clouds(clouds, axes, graphs):
     return PointCloud(points=np.concatenate([c.points for c in clouds])), np.concatenate(axes), graph, ends[:-1]
 
 
+def _check_shadow(stack, shadow, splits, kept):
+    """Raise if a point of the stacked clouds is its own shadow, naming its cloud and the index it
+    had there before the row rules (``kept``, each cloud's original indices)."""
+    on_shadow = np.linalg.norm(shadow.points - stack.points, axis=1) < COINCIDENT_DISTANCE_FLOOR
+    if on_shadow.any():
+        row = int(np.argmax(on_shadow))
+        i = int(np.searchsorted(splits, row, side="right"))
+        first = splits[i - 1] if i else 0
+        raise CoincidentPointError(f"cloud {i}: shadow coincides with point {int(kept[i][row - first])}")
+
+
 def _sample_rotation(seed_z1, seed_z2, rng):
     params = bingham.params_from_seed(bingham.BinghamSeed(seed_z1, seed_z2))
     q = bingham.sample_with_rate(params, rng, 1)[0][0]
@@ -376,7 +387,8 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
     every point whose primary axis is undefined (a degenerate frame) are
     dropped with their labels, with one warning per cloud and rule.  Each
     cloud's primary axes are its normals when it has them and its barycenter
-    axes otherwise.
+    axes otherwise.  A point on its own shadow raises ``CoincidentPointError``
+    naming its cloud and its index in that cloud's input.
 
     Each epoch makes one shadow, field and audit call on every cloud stacked
     (``_stack_clouds``); the layers, the loss and the evaluation run cloud by
@@ -421,6 +433,7 @@ def train_toy(dataset, config: ToyTaskConfig) -> TrainResult:
             q_g = _sample_rotation(z1, z2, rng)
         rot = quat_to_matrix(q_g)
         shadow = shadow_of(stack, stack_axes, rot)
+        _check_shadow(stack, shadow, splits, kept)
         fields = np.split(sipf_field(stack, stack_axes, stack_graph, shadow, mask=config.descriptor_mask), splits)
 
         for start in range(0, len(clouds), DEFAULT_BATCH_SIZE):

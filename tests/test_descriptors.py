@@ -1,6 +1,7 @@
 import concurrent.futures
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -492,8 +493,8 @@ class TestFieldBlocks:
 
     @pytest.mark.parametrize("rows", [1, 7])
     def test_lane_one_runs_on_the_executor_in_its_own_arrays(self, monkeypatch, rows):
-        # Lane 1 runs on the executor's thread and makes the nine arrays its blocks ask for
-        # there, once each however many blocks it runs.  The field has the bits of a run
+        # Lane 1 runs on the executor's thread and makes the three arrays its blocks ask for
+        # there (work planes, field and mask), once each however many blocks it runs.  The field has the bits of a run
         # whose lane 1 runs in the calling thread.
         monkeypatch.setattr(descriptors, "_FIELD_ROWS", rows)
         case = _field_case(np.random.default_rng(17), 40, 6, FRAME_MODE_BARYCENTER)
@@ -517,7 +518,7 @@ class TestFieldBlocks:
         monkeypatch.setattr(np, "empty", recorded_empty)
         on_executor = sipf_field(*case)
         assert sorted(ran_on) == [(0, "caller"), (1, "sipf-lane")]
-        assert allocated_here.count(False) == 9 and any(allocated_here)
+        assert allocated_here.count(False) == 3 and any(allocated_here)
 
         class Inline:
             def submit(self, fn):
@@ -548,7 +549,7 @@ class TestFieldBlocks:
         assert descriptors._block_rows(n) == sizes[0]
         for alloc in (None, lanes._buffers()):
             blocks.clear()
-            run([None] * 4, MASK_SIPF, lambda *args: None, alloc)
+            run(np.zeros((6, n)), np.zeros((6, n)), MASK_SIPF, lambda *args: None, alloc)
             blocks.sort()
             assert [len(rows) for rows in blocks] == sizes
             assert sum(blocks, []) == list(range(n))
@@ -677,18 +678,51 @@ class TestFieldBlocks:
             sipf_field(cloud, axes, graph, shadow)
         assert str(excinfo.value) == f"coincident pair at index (10, {graph.indices[10, 0]})"
 
-def _deviation_case(n, trials=1, seed=29, valid=True):
-    """An n-point cloud (k = 5) with rows 3 and n - 2 dropped (none without ``valid``), as
-    (cloud, axes, graph, shadow), its base field, its row mask and ``trials`` joint rotations."""
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            (dict(shadows=[(25, True)]), "shadow coincides with point 25"),
+            # The shadows on points 30 and 33, in later blocks, make reference pairs of length 0,
+            # which the call computes with every other one before its first block runs.
+            (dict(pairs=[(8, 9, True)], shadows=[(30, True)]), "coincident pair at index (8, 9)"),
+            (dict(shadows=[(33, True)], shadow_on_neighbor=10), "coincident pair at index (10, 21)"),
+            (dict(), None),
+        ],
+    )
+    def test_no_floating_point_error_comes_before_the_coincidence(self, monkeypatch, case, message):
+        # Seven-row blocks over 40 rows; every numpy floating-point error and warning raises.
+        monkeypatch.setattr(descriptors, "_FIELD_ROWS", 7)
+        cloud, axes, graph, shadow = _coincidence_case(**case)
+        calls = [
+            lambda: sipf_field(cloud, axes, graph, shadow),
+            # Identity rotations keep the coincidences exact.
+            lambda: field_deviations(cloud.points, axes, graph, shadow, np.zeros((40, 4, 8)),
+                                     np.stack([np.eye(3)] * 2)),
+        ]
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                if message is None:
+                    call()
+                    continue
+                with pytest.raises(CoincidentPointError) as excinfo:
+                    call()
+                assert str(excinfo.value) == message
+
+
+def _deviation_case(n, trials=1, seed=29, dropped=(3, -2)):
+    """An n-point cloud (k = 5) with the rows ``dropped`` dropped (rows 3 and n - 2 by default), as
+    (cloud, axes, graph, shadow), its base field, its row mask (None when none is dropped) and
+    ``trials`` joint rotations."""
     rng = np.random.default_rng(seed)
     cloud = random_cloud(rng, n)
     graph = knn_graph(cloud, 5)
     axes = random_axes(rng, n)
     shadow = shadow_of(cloud, axes, random_rotation(rng))
     keep = None
-    if valid:
+    if dropped:
         keep = np.ones(n, dtype=bool)
-        keep[[3, n - 2]] = False
+        keep[list(dropped)] = False
     base = sipf_field(cloud, axes, graph, shadow, valid=keep)
     rotations = np.array([random_rotation(rng).matrix for _ in range(trials)])
     return (cloud, axes, graph, shadow), base, keep, rotations
@@ -764,20 +798,23 @@ class TestFieldDeviations:
         firsts = [(case[0].points @ m)[0] for m in rotations]
         field_rows = descriptors._field_rows
 
-        def failing_rows(points, *args):
-            t = next(t for t, first in enumerate(firsts) if np.array_equal(points[:, 0], first))
+        def failing_rows(planes, *args):
+            t = next(t for t, first in enumerate(firsts) if np.array_equal(planes[:3, 0], first))
             if t in failing:
                 raise CoincidentPointError(f"trial {t}")
-            return field_rows(points, *args)
+            return field_rows(planes, *args)
 
         monkeypatch.setattr(descriptors, "_field_rows", failing_rows)
         with pytest.raises(CoincidentPointError, match=f"^trial {failing[0]}$"):
             _deviations(case, base, valid, rotations)
 
-    def test_each_lane_makes_its_arrays_once_on_its_own_thread(self, monkeypatch):
-        # Six trials of three 700-row blocks: each lane makes each array on its own thread as
-        # its first block asks for it, and no block of any trial makes another.
-        case, base, valid, rotations = _deviation_case(2100, 6, valid=False)
+    @pytest.mark.parametrize("n, dropped, size", [(2100, (), 700), (5000, (3, 2500, -2), 1000)])
+    def test_each_lane_makes_its_arrays_once_on_its_own_thread(self, monkeypatch, n, dropped, size):
+        # Six trials of three 700-row blocks, or of five 1,000-row blocks over 4,997 kept rows, the
+        # last one 997 rows: each lane makes each array on its own thread as its first trial asks
+        # for it, and no block of any trial makes another; the shorter block writes into the
+        # first part of its lane's arrays.
+        case, base, valid, rotations = _deviation_case(n, 6, dropped=dropped)
         caller = threading.current_thread()
         ran_on = []
         lane = lanes._lane
@@ -798,10 +835,13 @@ class TestFieldDeviations:
         monkeypatch.setattr(np, "empty", recorded_empty)
         _deviations(case, base, valid, rotations)
         assert sorted(ran_on) == [(0, True, [1, 3, 5]), (1, False, [0, 2, 4])]
-        # A block's arrays: neighbour points and axes, the field, d and its squares; the
-        # reference pair, its d and squares; the difference norm.
-        arrays = [(3, 700, 5), (3, 700, 5), (8, 700, 5), (3, 700, 5), (700, 5),
-                  (4, 700, 1), (3, 700, 1), (700, 1), (700, 5)]
+        # A trial's stacked planes of the points and axes and of the shadow; with rows dropped,
+        # those of the kept rows; the work array, which first holds the reference pairs' d and
+        # products; the reference pairs; a block's field and zero-difference mask, flat.
+        kept = n - len(dropped)
+        arrays = [(6, n), (6, n), (max(9 * size * 5, 6 * kept),), (4, kept), (8 * size * 5,), (size * 5,)]
+        if dropped:
+            arrays += [(6, kept), (6, kept)]
         assert sorted(shape for on_caller, shape in made if on_caller) == sorted(arrays + [(6,)])
         assert sorted(shape for on_caller, shape in made if not on_caller) == sorted(arrays)
 

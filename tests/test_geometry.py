@@ -140,6 +140,28 @@ class TestKnnGraph:
         assert np.array_equal(graph.indices, lexsort_knn(pts, k))
         assert bool(full_scans) == (kind in ("lattice", "duplicates"))
 
+    @pytest.mark.parametrize("n, size", [(21, 21), (1024, 1024), (1025, 513), (3000, 750), (5000, 834), (9000, 900)])
+    def test_query_blocks_are_even_and_equal(self, monkeypatch, n, size):
+        # One block, or an even number of one size but a shorter last, so the lanes query as many.
+        calls = []
+        run_blocks = geometry.run_blocks
+
+        def recorded(total, rows, step):
+            calls.append((total, rows))
+            return run_blocks(total, rows, step)
+
+        monkeypatch.setattr(geometry, "run_blocks", recorded)
+        pts = np.random.default_rng(n).uniform(-1, 1, (n, 3))
+        graph = knn_graph(PointCloud(points=pts), 20)
+        assert calls == [(n, size)]
+        blocks = -(-n // size)
+        assert blocks == 1 or blocks % 2 == 0
+        assert n - (blocks - 1) * size > size - blocks
+        for i in range(0, n, 499):
+            d = np.sqrt(((pts - pts[i]) ** 2).sum(axis=1))
+            d[i] = np.inf
+            assert np.array_equal(graph.indices[i], np.lexsort((np.arange(n), d))[:20])
+
     def test_lane_one_queries_on_the_executor(self, rng, monkeypatch):
         monkeypatch.setattr(geometry, "_QUERY_ROWS", 16)
         threads = set()

@@ -364,15 +364,14 @@ class TestTrainToy:
                 train_toy(degenerate, self._short_config())
 
     @pytest.mark.parametrize("mask, message", [
-        ("sipf", "shadow coincides with point 52"),
-        ("sipf-no-direction", "shadow coincides with point 52"),
-        ("ppf", "shadow coincides with the point"),
+        ("sipf", "cloud 1: shadow coincides with point 20"),
+        ("sipf-no-direction", "cloud 1: shadow coincides with point 20"),
+        ("ppf", "cloud 1: shadow coincides with point 20"),
     ])
     def test_shadow_coincidence_raises(self, monkeypatch, mask, message):
         # Every epoch turns about z, so point 20 of cloud 1, put on the z axis,
-        # is its own shadow.  The field names it by its row of the stacked
-        # clouds, 32 + 20; the plain-pair field has no shadow block, and the
-        # audit raises.
+        # is its own shadow.  The check before the field names it by its cloud
+        # and index under every mask, not by its row of the stacked clouds.
         dataset = make_wingtip_dataset(2, 32, 0.0, 100)
         points = dataset.clouds[1].points.copy()
         points[20] = [0.0, 0.0, 1.0]
@@ -383,6 +382,22 @@ class TestTrainToy:
         monkeypatch.setattr(training, "_sample_rotation", lambda z1, z2, rng: about_z)
         with pytest.raises(CoincidentPointError, match=f"^{message}$"):
             train_toy(on_axis, self._short_config(descriptor_mask=mask))
+
+    def test_shadow_coincidence_names_the_index_before_the_row_rules(self, monkeypatch):
+        # Point 5 of cloud 1, at the origin, is dropped first: point 20 is then row 19 of its
+        # cloud and row 51 of the stack, and the error still names point 20 of cloud 1.
+        dataset = make_wingtip_dataset(2, 32, 0.0, 100)
+        points = dataset.clouds[1].points.copy()
+        points[5] = 0.0
+        points[20] = [0.0, 0.0, 1.0]
+        on_axis = type(dataset)(
+            clouds=[dataset.clouds[0], PointCloud(points=points)], labels=dataset.labels, symmetry=dataset.symmetry
+        )
+        about_z = UnitQuaternion(np.cos(0.5), 0.0, 0.0, np.sin(0.5))
+        monkeypatch.setattr(training, "_sample_rotation", lambda z1, z2, rng: about_z)
+        with pytest.warns(UserWarning, match=r"^cloud 1: 1 origin point\(s\) dropped$"):
+            with pytest.raises(CoincidentPointError, match="^cloud 1: shadow coincides with point 20$"):
+                train_toy(on_axis, self._short_config())
 
     def test_bingham_terms_computed_once_per_concentration_seed(self, monkeypatch):
         # The loss and its z2 gradient depend on z2 alone: the epoch-end pair
