@@ -33,7 +33,11 @@ block's fixed cost stalls both lanes.  A field block's fixed cost, timed on
 1-row blocks of a 20-neighbour field in one thread, fell from about 190 to
 about 96 microseconds (medians of six processes a side, 2-CPU x86-64 host)
 when its 100 or so calls, many of them wrappers, became about 50 ufunc
-calls and C-level methods.
+calls and C-level methods.  An attention block's, timed on 1-row blocks of
+a 256-point 16-channel layer with 20 neighbours, fell from about 35 to about
+30 microseconds forward and from about 74 to about 71 backward, recompute
+included (best of ten rounds, three processes, same host), when its
+reductions and finite checks became ufunc reduces into lane buffers.
 
 ``_run_lanes`` joins both lanes before it returns or raises.  A lane stops at
 its first error, and of the two lanes' errors the lower block's is raised.

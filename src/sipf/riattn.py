@@ -15,10 +15,15 @@ applying per-neighbor kernel weights to per-neighbor features.  The kernel
 MLP is two affine maps around a leaky rectifier (slope 0.01), hidden width
 c_in; the fusion map is a single affine layer.
 
-``backward`` provides exact reverse-mode gradients for all parameters and
-the input features.  Forward records only x_hat; ``backward`` routes the
-max's gradient to the slot whose attention output equals it, the lowest slot
-on an exact tie (the rule of ``argmax``).
+``backward`` provides exact reverse-mode gradients for all parameters and,
+unless called with ``input_grad=False``, the input features; without them a
+block skips the neighbour-feature products and the binning, and the
+parameter gradients keep their bits.  A stack's first layer needs no input
+gradient.  Forward records only x_hat; ``backward`` marks, in a bool mask,
+the slots whose attention output equals it, keeps the lowest slot of an
+exact tie (the rule of ``argmax``), and routes the max's gradient as the
+mask times d_x_hat, so a slot off the max holds 0.0 * d_x_hat, -0.0 where
+that is negative.
 
 Memory: ``layer_forward`` runs the reference rows in blocks of
 ``_CHUNK_ROWS`` and keeps only per-point arrays plus the last block's
@@ -44,7 +49,11 @@ softmax takes one max over the slots, which is both its shift and the
 non-finite check (a NaN or +inf score reaches it), scales by 1/sqrt(c_in)
 after the shift, and divides by one leading-axis sum that adds the k slots
 in slot order, 0 first.  The max misses a -inf score, which makes x_hat
-non-finite, so ``layer_forward`` checks each block's x_hat too.
+non-finite, so ``layer_forward`` checks each block's x_hat too.  The block
+code keeps ``sipf.lanes``' per-block rule: the max and sum reductions are
+ufunc reduces with ``out=``, each finite check is ``np.isfinite`` into a
+lane's bool buffer and one ``logical_and`` reduce, and the failing row is
+searched for only after a check fails.
 
 Errors: a failing forward raises the first error of its lowest failing block,
 ``run_blocks``' rule.  A block checks its scores before its x_hat, so a NaN
@@ -54,6 +63,7 @@ size is a constant, so the error does not depend on the lanes or the host.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,13 +182,27 @@ def _fused_input(x_hat, x):
     return np.concatenate([x_hat - x, x], axis=1)
 
 
+def _finite(a, alloc, k, c):
+    """``np.isfinite`` of a block's (m, k) slot maxima or (m, c) x_hat rows ``a``, in the first
+    entries of the lane's bool buffer of m max(k, c) entries, which forward's two checks share.
+    The mask is contiguous: numpy 2.4's ``isfinite`` leaves most of a strided bool ``out``
+    unwritten (seen on an AVX-512 x86-64 host)."""
+    mask = alloc("finite", (len(a) * max(k, c),), bool)
+    return np.isfinite(a, out=mask[: a.size].reshape(a.shape))
+
+
+def _first_bad_row(finite):
+    """The first row of an (m, .) bool mask that holds a False: the error path's row search."""
+    return int(np.argmin(np.logical_and.reduce(finite, axis=1)))
+
+
 def _attend(layer: RIAttnLayer, p, x, idx, start: int, stop: int, alloc) -> _Block:
     """Kernel MLP, attention and values of the reference rows [start, stop), in arrays from ``alloc``."""
     nbrs = idx[start:stop].T
     k, m = nbrs.shape
     c, h = layer.c_in, layer.mlp_w1.shape[1]
     # The callers range-check the indices; mode "clip" lets take write into out unbuffered.
-    xn = np.take(x, nbrs, axis=0, out=alloc("xn", (k, m, c)), mode="clip")
+    xn = x.take(nbrs, axis=0, out=alloc("xn", (k, m, c)), mode="clip")
     pose = alloc("pose", (k, m, 8))
     np.copyto(pose, _rows(p[start:stop]))
     # Kernel MLP as flat GEMMs over all (slot, reference) rows, biases added in place.
@@ -199,15 +223,15 @@ def _attend(layer: RIAttnLayer, p, x, idx, start: int, stop: int, alloc) -> _Blo
     scores = alloc("attention", (k, m, k))
     np.matmul(_rows(xn), kernel.transpose(1, 2, 0), out=_rows(scores))
     # Softmax over the slots j, in place.  The slot max is both the shift and the
-    # non-finite check: a NaN or +inf score reaches it.
-    shift = scores.max(axis=0)
-    finite = np.isfinite(shift).all(axis=1)
-    if not finite.all():
-        raise NumericError(f"non-finite attention scores at reference row {start + int(np.argmin(finite))}")
+    # non-finite check: a NaN or +inf score reaches it.  Its buffer then takes the sum.
+    shift = np.maximum.reduce(scores, axis=0, out=alloc("shift", (m, k)))
+    finite = _finite(shift, alloc, k, c)
+    if not np.logical_and.reduce(finite, axis=None):
+        raise NumericError(f"non-finite attention scores at reference row {start + _first_bad_row(finite)}")
     scores -= shift
-    scores *= 1.0 / np.sqrt(c)
+    scores *= 1.0 / math.sqrt(c)
     np.exp(scores, out=scores)
-    scores /= scores.sum(axis=0)
+    scores /= np.add.reduce(scores, axis=0, out=shift)
     values = np.multiply(kernel, xn, out=alloc("values", (k, m, c)))
     attn_out = alloc("attn_out", (k, m, c))
     np.matmul(scores.transpose(1, 2, 0), _rows(values), out=_rows(attn_out))
@@ -237,11 +261,11 @@ def layer_forward(
 
     def aggregate(lane, alloc, start, stop):
         block = _attend(layer, p, x, idx, start, stop, alloc)
-        np.max(block.attn_out, axis=0, out=x_hat[start:stop])
+        rows = np.maximum.reduce(block.attn_out, axis=0, out=x_hat[start:stop])
         # A -inf score beside finite ones passes the slot max; its value reaches x_hat as 0 * inf.
-        finite = np.isfinite(x_hat[start:stop]).all(axis=1)
-        if not finite.all():
-            raise NumericError(f"non-finite aggregated features at reference row {start + int(np.argmin(finite))}")
+        finite = _finite(rows, alloc, k, layer.c_in)
+        if not np.logical_and.reduce(finite, axis=None):
+            raise NumericError(f"non-finite aggregated features at reference row {start + _first_bad_row(finite)}")
         if stop == n:
             kept.append(block)
 
@@ -260,10 +284,10 @@ def layer_forward(
 
 
 def backward(
-    layer: RIAttnLayer, d_output: np.ndarray, act: LayerActivation
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    layer: RIAttnLayer, d_output: np.ndarray, act: LayerActivation, *, input_grad: bool = True
+) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
     """Parameter gradients, keyed like ``layer.parameters()``, and input-feature
-    gradients for one recorded pass.
+    gradients for one recorded pass, or ``None`` for them with ``input_grad=False``.
 
     Each lane runs its blocks last to first: the recorded last block is
     reused, and every other block is recomputed by the function forward ran,
@@ -278,7 +302,9 @@ def backward(
     vector, last block first, and the lanes' vectors are added onto the
     point's own fused-map gradient, lane 0's first.  The summation order is
     fixed by the neighbor graph and the block size alone, so the result is
-    bitwise repeatable across runs and CPU counts.
+    bitwise repeatable across runs and CPU counts.  Without ``input_grad``
+    the blocks skip the neighbour-feature products and the binning, and the
+    parameter gradients keep their bits.
     """
     d_out = np.asarray(d_output, dtype=np.float64)
     n, c = act.features.shape
@@ -288,11 +314,12 @@ def backward(
     g_fuse_w = _fused_input(act.aggregated, act.features).T @ d_out
     g_fuse_b = d_out.sum(axis=0)
     d_fused = d_out @ layer.fuse_w.T
-    d_xhat = d_fused[:, :c]
-    d_x = d_fused[:, c:] - d_xhat
+    # Contiguous, for the blocks' products with their masks.
+    d_xhat = d_fused[:, :c].copy()
     h = layer.mlp_w1.shape[1]
-    scale = 1.0 / np.sqrt(c)
+    scale = 1.0 / math.sqrt(c)
     last = act.last_block
+    channels = np.arange(c)
     # Neighbor-row gradients summed per (point, channel) bin, one vector per lane that runs:
     # adding a lane's all-zero vector would turn a -0.0 of d_x into +0.0.
     d_nbr = {}
@@ -305,53 +332,74 @@ def backward(
             blk = _attend(layer, act.pose_stack, act.features, act.neighbor_idx, start, stop, scratch)
         k, m = blk.attn_out.shape[:2]
         rows = slice(start, stop)
-        # The max's subgradient: d_x_hat goes to the slot holding x_hat; more
-        # hits than (row, channel) pairs means an exact tie, kept at its lowest slot.
-        d_attn_out = np.equal(blk.attn_out, act.aggregated[rows], out=scratch("d_attn_out", (k, m, c)))
-        if np.count_nonzero(d_attn_out) > m * c:
-            d_attn_out[1:] *= ~np.logical_or.accumulate(d_attn_out, axis=0)[:-1]
+        x_hat = act.aggregated[rows]
+        # The max's subgradient: d_x_hat goes to the slot holding x_hat, marked in a bool mask;
+        # more hits than (row, channel) pairs means an exact tie, kept at its lowest slot.
+        hit = np.equal(blk.attn_out, x_hat, out=scratch("hit", (k, m, c), bool))
+        if np.count_nonzero(hit) > m * c:
+            hit[1:] &= ~np.logical_or.accumulate(hit, axis=0)[:-1]
+        # The mask, as 1.0 and 0.0, times d_x_hat: a slot off the max holds 0.0 * d_x_hat.
+        d_attn_out = scratch("d_attn_out", (k, m, c))
+        np.copyto(d_attn_out, hit)
         d_attn_out *= d_xhat[rows]
         d_values = scratch("d_values", (k, m, c))
         np.matmul(_rows(blk.attention), _rows(d_attn_out), out=_rows(d_values))
         # Softmax backward, in place: d_scores = (d_attn - <d_attn, attn>) * attn, then scaled.
         # <d_attn, attn> over the slots j is <d_attn_out, attn_out> over the channels, and
-        # d_attn_out is nonzero only where attn_out equals x_hat.
+        # d_attn_out is nonzero only where attn_out equals x_hat.  This row dot goes into the
+        # buffer of the softmax's shift, which a recomputed block no longer needs.
         d_scores = scratch("d_scores", (k, m, k))
         np.matmul(_rows(blk.values), d_attn_out.transpose(1, 2, 0), out=_rows(d_scores))
-        d_scores -= np.matmul(_rows(d_attn_out), act.aggregated[rows, :, None])[..., 0]
+        rowdot = scratch("shift", (m, k))
+        np.matmul(_rows(d_attn_out), x_hat[:, :, None], out=rowdot[:, :, None])
+        d_scores -= rowdot
         d_scores *= blk.attention
         d_scores *= scale
-        # Kernel and neighbour-feature gradients: the score path's product plus the values path.
+        # Kernel gradient: the score path's product plus the values path, whose product
+        # goes into the spent d_attn_out buffer.
         d_kernel = scratch("d_kernel", (k, m, c))
         np.matmul(d_scores.transpose(1, 2, 0), _rows(blk.neighbor_features), out=_rows(d_kernel))
-        d_xn = scratch("d_xn", (k, m, c))
-        np.matmul(_rows(d_scores), _rows(blk.kernel), out=_rows(d_xn))
         d_kernel += np.multiply(d_values, blk.neighbor_features, out=d_attn_out)
-        d_xn += np.multiply(d_values, blk.kernel, out=d_values)
-        d_kernel = d_kernel.reshape(-1, c)
-        d_pre = np.matmul(d_kernel, layer.mlp_w2.T, out=scratch("d_pre", (k * m, h)))
+        flat_kernel = d_kernel.reshape(-1, c)
+        d_pre = np.matmul(flat_kernel, layer.mlp_w2.T, out=scratch("d_pre", (k * m, h)))
         # Leaky-rectifier derivative as mask arithmetic: 1 where the unit is positive, else the slope.
-        d_pre *= np.maximum(blk.mlp_hidden.reshape(d_pre.shape) > 0.0, LEAKY_SLOPE)
-        # Bias gradients sum over the slots first, one leading-axis pass, then over the rows.
+        flat_hidden = blk.mlp_hidden.reshape(d_pre.shape)
+        leak = np.greater(flat_hidden, 0.0, out=scratch("slope", d_pre.shape))
+        d_pre *= np.maximum(leak, LEAKY_SLOPE, out=leak)
+        # Bias gradients sum over the slots first, one leading-axis pass into a spent buffer,
+        # then over the rows.
         block_grads[start] = {
             "mlp_w1": blk.pose_stack.reshape(-1, 8).T @ d_pre,
-            "mlp_b1": d_pre.reshape(blk.mlp_hidden.shape).sum(axis=0).sum(axis=0),
-            "mlp_w2": blk.mlp_hidden.reshape(d_pre.shape).T @ d_kernel,
-            "mlp_b2": d_kernel.reshape(blk.kernel.shape).sum(axis=0).sum(axis=0),
+            "mlp_b1": np.add.reduce(np.add.reduce(d_pre.reshape(k, m, h), axis=0, out=leak[:m]), axis=0),
+            "mlp_w2": flat_hidden.T @ flat_kernel,
+            "mlp_b2": np.add.reduce(np.add.reduce(d_kernel, axis=0, out=d_attn_out[0]), axis=0),
         }
-        bins = scratch("bins", (k, m, c), np.int64)
-        np.add(act.neighbor_idx[rows].T[:, :, None] * c, np.arange(c), out=bins)
-        if lane not in d_nbr:
-            d_nbr[lane] = np.zeros(n * c)
-        d_nbr[lane] += np.bincount(bins.ravel(), weights=d_xn.ravel(), minlength=n * c)
+        if not input_grad:
+            return
+        # Neighbour-feature gradient: the score path's product plus the values path, binned.
+        d_xn = scratch("d_xn", (k, m, c))
+        np.matmul(_rows(d_scores), _rows(blk.kernel), out=_rows(d_xn))
+        d_xn += np.multiply(d_values, blk.kernel, out=d_values)
+        # Point i's channel bins are i c .. i c + c - 1; the spent d_kernel buffer, read as
+        # int64, holds the edges' bins.
+        bins = np.add(act.neighbor_idx[rows].T[:, :, None] * c, channels, out=d_kernel.view(np.int64))
+        # A bincount holds no -0.0, so a lane's first block sum starts its vector with the bits
+        # of zeros plus that sum.
+        sums = np.bincount(bins.ravel(), weights=d_xn.ravel(), minlength=n * c)
+        if lane in d_nbr:
+            d_nbr[lane] += sums
+        else:
+            d_nbr[lane] = sums
 
     run_blocks(n, _CHUNK_ROWS, step, last_first=True)
     grads = {}
     for start in sorted(block_grads, reverse=True):
         grads = {name: grads[name] + g if grads else g for name, g in block_grads[start].items()}
-    for lane in sorted(d_nbr):
-        d_x += d_nbr[lane].reshape(n, c)
     grads["fuse_w"] = g_fuse_w
     grads["fuse_b"] = g_fuse_b
+    if not input_grad:
+        return grads, None
+    d_x = d_fused[:, c:] - d_xhat
+    for lane in sorted(d_nbr):
+        d_x += d_nbr[lane].reshape(n, c)
     return grads, d_x
-

@@ -337,8 +337,9 @@ def _cloud_gradient(layers, acts, g_w, g_b, d_feats, names):
     """One cloud's gradient of every parameter as one vector, in the order of ``names``."""
     grads = {"head.weight": g_w, "head.bias": g_b}
     d_x = d_feats
+    # Layer 0's input gradient would be the input descriptor's, which nothing learns from.
     for i in reversed(range(len(layers))):
-        layer_grads, d_x = backward(layers[i], d_x, acts[i])
+        layer_grads, d_x = backward(layers[i], d_x, acts[i], input_grad=i > 0)
         grads.update((f"layer{i}.{name}", g) for name, g in layer_grads.items())
     return np.concatenate([grads[name].ravel() for name in names])
 

@@ -493,6 +493,12 @@ class TestEinsumOracle:
                 got = grads[name]
                 assert got.shape == ref.shape, name
                 assert np.abs(got - ref).max() <= 1e-12, name
+            # Without the input gradient the parameter gradients keep their bits.
+            no_input_grads, no_d_x = backward(layer, d_out, act, input_grad=False)
+            assert no_d_x is None
+            assert list(no_input_grads) == list(grads)
+            for name, got in no_input_grads.items():
+                assert got.tobytes() == grads[name].tobytes(), name
         # Every forward quantity is per row, so the block size leaves the output's bits alone.
         assert all(out.tobytes() == outputs[0].tobytes() for out in outputs)
 
@@ -665,6 +671,57 @@ class TestEinsumOracle:
             with pytest.raises(InvalidArgumentError):
                 layer_forward(layer, pose, feats, idx)
 
+    def test_one_slot_rows_with_more_channels_pass_the_finite_checks(self, monkeypatch):
+        # With k = 1 the score check's mask is narrower than the x_hat check's, and 40 rows
+        # in one block are enough for numpy's vector loops; every value is finite.  Lane
+        # buffers start zeroed, so a mask entry that a check leaves unwritten reads False.
+        monkeypatch.setattr(np, "empty", np.zeros)
+        rng = np.random.default_rng(41)
+        n, k, c_in = 40, 1, 5
+        layer = _random_layer(rng, c_in, 3, 2)
+        pose, feats = rng.standard_normal((n, k, 8)), rng.standard_normal((n, c_in))
+        idx = rng.integers(0, n, (n, k))
+        d_out = rng.standard_normal((n, 2))
+        ref_out, inter = einsum_layer_forward(layer, pose, feats, idx)
+        ref_grads, ref_d_x = einsum_backward(layer, d_out, inter)
+        out, act = layer_forward(layer, pose, feats, idx)
+        grads, d_x = backward(layer, d_out, act)
+        assert np.abs(out - ref_out).max() <= 1e-12
+        assert np.abs(d_x - ref_d_x).max() <= 1e-12
+        for name, ref in ref_grads.items():
+            assert np.abs(grads[name] - ref).max() <= 1e-12, name
+
+
+class TestBlockCalls:
+    def test_block_code_calls_no_python_reduction_wrappers(self, rng):
+        # The per-block rule of sipf.lanes: a block's code calls ufuncs and C-level methods,
+        # not the Python functions behind ndarray.max, .sum and .all (numpy's _methods
+        # module).  The call-level range check may call them.  A 64-point call is one block,
+        # run in this thread.
+        methods = sys.modules.get("numpy._core._methods") or sys.modules["numpy.core._methods"]
+        block_code = {"_attend", "aggregate", "step"}
+        ran, offenders = set(), []
+
+        def profile(frame, event, arg):
+            if event != "call":
+                return
+            ran.add(frame.f_code.co_name)
+            caller = frame.f_back.f_code.co_name if frame.f_back is not None else None
+            if caller in block_code and frame.f_code.co_filename == methods.__file__:
+                offenders.append((caller, frame.f_code.co_name))
+
+        for c_in in (3, 16):
+            layer, inputs, d_out = _layer_problem(rng, 64, 20, c_in, 16)
+            sys.setprofile(profile)
+            try:
+                _, act = layer_forward(layer, *inputs)
+                backward(layer, d_out, act)
+                backward(layer, d_out, act, input_grad=False)
+            finally:
+                sys.setprofile(None)
+        assert block_code <= ran
+        assert offenders == []
+
 
 def _layer_problem(rng, n, k, c_in, c_out):
     """A random layer with inputs and an output gradient."""
@@ -802,7 +859,7 @@ class TestLanes:
     @pytest.mark.parametrize("chunk", [1, 7, 40])
     def test_lane_one_runs_on_the_executor_in_its_own_arrays(self, monkeypatch, chunk):
         # Lane 1 runs on the executor's thread whenever it holds a block, and makes its block
-        # arrays there, once each however many blocks it runs: forward's 8 and backward's 15.
+        # arrays there, once each however many blocks it runs: forward's 10 and backward's 17.
         # Every returned array has the bits of a run whose lane 1 runs in the calling thread.
         monkeypatch.setattr(riattn, "_CHUNK_ROWS", chunk)
         problem = _layer_problem(np.random.default_rng(17), 40, 6, 4, 3)
@@ -827,7 +884,7 @@ class TestLanes:
         on_executor = {name: v.tobytes() for name, v in _result_arrays(*_forward_backward(*problem)).items()}
         # Forward and backward each run lane 0 here and, given a second block, lane 1 on the executor.
         assert sorted(ran_on) == [(0, "caller")] * 2 + [(1, "sipf-lane")] * 2 * (chunk < 40)
-        assert allocated_here.count(False) == (8 + 15) * (chunk < 40) and any(allocated_here)
+        assert allocated_here.count(False) == (10 + 17) * (chunk < 40) and any(allocated_here)
 
         class Inline:
             def submit(self, fn):

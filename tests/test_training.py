@@ -418,6 +418,26 @@ class TestTrainToy:
         assert len(seen) == 7
         assert len(set(seen)) == len(seen)
 
+    def test_first_layer_is_asked_for_no_input_gradient(self, monkeypatch):
+        # Each cloud's backward pass runs layer 1, whose input gradient feeds layer 0, then
+        # layer 0, whose input gradient would be the input descriptor's and is not asked for.
+        calls = []
+        real = training.backward
+
+        def recorded(layer, d_output, act, **kwargs):
+            calls.append((layer, kwargs))
+            grads, d_x = real(layer, d_output, act, **kwargs)
+            assert (d_x is None) == (kwargs == {"input_grad": False})
+            return grads, d_x
+
+        monkeypatch.setattr(training, "backward", recorded)
+        train_toy(make_wingtip_dataset(2, 32, 0.0, 100), self._short_config(epochs=1))
+        # Two clouds, one epoch: two backward passes of two layers each.
+        assert [kwargs for _, kwargs in calls] == [{"input_grad": True}, {"input_grad": False}] * 2
+        layer1, layer0 = calls[0][0], calls[1][0]
+        assert layer1 is not layer0
+        assert all(layer is (layer1, layer0)[i % 2] for i, (layer, _) in enumerate(calls))
+
 
 def _stacked_case(mode):
     """Three clouds of unequal size with their graphs and primary axes, k = 8, and a rotation."""
