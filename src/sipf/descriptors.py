@@ -114,26 +114,23 @@ def _norm(parts):
     return np.sqrt(out, out=out)
 
 
-def _pair_rows(out, p, a, q, b, d, prod, name_pair=None):
+def _pair_rows(out, p, a, q, b, d, prod, name_pair):
     """Pair features (|d|, cos(a, d), cos(b, d), cos(a, b)), d = q - p, into ``out[0]`` .. ``out[3]``; returns ``out``.
 
     The vectors are (3, ...) coordinate planes.  Each squared norm and cosine takes one three-plane
     product into ``prod`` and sums it in the order of ``_norm`` and ``geometry.dot3``: (x0² + x1²) + x2²,
     and (x0 y0 + x2 y2) + x1 y1 + 0.  ``d`` receives q - p.  A coincident pair raises the message that
-    ``name_pair`` makes of the closest pair's (row, col), before d is divided; without ``name_pair``
-    nothing is checked here and such a pair's d is divided by the floor instead, which raises no
-    floating-point error, so its caller must check ``out[0]`` before it reads the pair.
+    ``name_pair`` makes of the first closest pair's (row, col), before d is divided; ``np.fmin`` skips a
+    NaN norm as a comparison does.
     """
     np.subtract(q, p, out=d)
     square = np.multiply(d, d, out=prod)
     norm = np.add(square[0], square[1], out=out[0])
     norm += square[2]
     np.sqrt(norm, out=norm)
-    if name_pair is None:
-        d /= np.maximum(norm, COINCIDENT_DISTANCE_FLOOR, out=prod[0])
-    else:
-        _check_pairs(norm, name_pair)
-        d /= norm
+    if np.fmin.reduce(norm, axis=None, initial=np.inf) < COINCIDENT_DISTANCE_FLOOR:
+        raise CoincidentPointError(name_pair(np.unravel_index(int(norm.argmin()), norm.shape)))
+    d /= norm
     for o, (x, y) in zip(out[1:], ((a, d), (b, d), (a, b))):
         product = np.multiply(x, y, out=prod)
         np.add(product[0], product[2], out=o)
@@ -143,13 +140,6 @@ def _pair_rows(out, p, a, q, b, d, prod, name_pair=None):
     np.maximum(cos, -1.0, out=cos)
     np.minimum(cos, 1.0, out=cos)
     return out
-
-
-def _check_pairs(norm, name_pair):
-    """Raise the message ``name_pair`` makes of the first closest (row, col) if a norm is below the
-    floor.  ``np.fmin`` skips a NaN as a comparison does."""
-    if np.fmin.reduce(norm, axis=None, initial=np.inf) < COINCIDENT_DISTANCE_FLOOR:
-        raise CoincidentPointError(name_pair(np.unravel_index(int(np.argmin(norm)), norm.shape)))
 
 
 # Kept rows per block of the field, at most: a block's arrays stay in cache through every step.
@@ -170,33 +160,44 @@ def _block_rows(n):
     return max(1, -(-n // blocks))
 
 
-def _field_rows(planes, own, shadow, ref, mask, rows, idx, arrays):
+def _field_rows(planes, own, mask, rows, idx, alloc, size):
     """The component-major (8, m, k) field of the kept rows ``rows``, whose neighbours are ``idx``.
 
-    ``planes`` holds the (6, N) stacked coordinate planes of the points and primary axes; ``own``
-    and ``shadow`` hold the block's (6, m, 1) planes of its points and of their shadow points and
-    axes, and ``ref`` its (4, m, 1) pairs pair(p_r, p_r'), which this block checks (None for
-    ``MASK_PPF``).  ``arrays`` are the block's (9, m, k) work planes, (8, m, k) field and (m, k)
-    mask.  Each step writes whole (m, k) planes, and the cosines are ``_pair_rows``' einsum-ordered
-    dots.  The neighbours' points and axes are one gather with mode "wrap", which writes into the
-    work planes without numpy's buffered copy.  None wraps: ``NeighborGraph`` keeps every index in
-    [0, N), and ``_check_rows`` checks that the points and axes have N rows.
+    ``planes`` holds the (12, N) stacked coordinate planes of the points, primary axes, shadow
+    points and shadow axes, and ``own`` the block's (12, m, 1) planes of them at its rows.  The
+    block works in the arrays of its lane's allocator ``alloc``, which fit the longest block, of
+    ``size`` rows; a shorter block writes into their first part.  They are its (9, m, k) work
+    planes, (8, m, k) field and (m, k) mask, and the (10, m) planes of its rows' pair(p_r, p_r')
+    and of that pair's d and products.  Each step writes whole planes, and the cosines are
+    ``_pair_rows``' einsum-ordered dots.
+
+    The checks run in this order: the neighbour pairs, then (but for ``MASK_PPF``, which reads no
+    shadow) the rows' shadows, then the shadows against the neighbours; each names the block's
+    first closest pair in row-major order.  The neighbours' points and axes are one gather with
+    mode "wrap", which writes into the work planes without numpy's buffered copy.  None wraps:
+    ``NeighborGraph`` keeps every index in [0, N), and ``_check_rows`` checks that the points and
+    axes have N rows.
     """
-    work, f, zero = arrays
-    gathered = np.take(planes, idx, axis=1, out=work[:6], mode="wrap")
+    m, k = idx.shape
+    work = alloc("work", (9 * size * k,))[:9 * m * k].reshape(9, m, k)
+    f = alloc("f", (8 * size * k,))[:8 * m * k].reshape(8, m, k)
+    gathered = planes[:6].take(idx, axis=1, out=work[:6], mode="wrap")
     p_j, a_j = gathered[:3], gathered[3:]
+    p_r, a_r, p_s, a_s = own[:3], own[3:6], own[6:9], own[9:]
 
     def pair(rc):
         return f"coincident pair at index ({int(rows[rc[0]])}, {int(idx[rc])})"
 
     # The products go to planes not yet written: f's shadow block, then p_j once d is made of it.
-    _pair_rows(f[:4], own[:3], own[3:], p_j, a_j, work[6:], f[4:7], pair)
+    _pair_rows(f[:4], p_r, a_r, p_j, a_j, work[6:], f[4:7], pair)
     if mask == MASK_PPF:
         f[4:] = 0.0
         return f
-    _check_pairs(ref[0], lambda rc: f"shadow coincides with point {int(rows[rc[0]])}")
-    diff = _pair_rows(f[4:], p_j, a_j, shadow[:3], shadow[3:], work[6:], work[:3], pair)
-    np.subtract(ref, diff, out=diff)
+    ref = alloc("ref", (10 * size,))[:10 * m].reshape(10, m, 1)
+    _pair_rows(ref[:4], p_r, a_r, p_s, a_s, ref[4:7], ref[7:],
+               lambda rc: f"shadow coincides with point {int(rows[rc[0]])}")
+    diff = _pair_rows(f[4:], p_j, a_j, p_s, a_s, work[6:], work[:3], pair)
+    np.subtract(ref[:4], diff, out=diff)
     # Every work plane is free now.
     square = np.multiply(diff, diff, out=work[:4])
     norm = np.add(square[0], square[1], out=work[4])
@@ -207,6 +208,7 @@ def _field_rows(planes, own, shadow, ref, mask, rows, idx, arrays):
         diff[0] = norm
         diff[1:] = 0.0
     else:
+        zero = alloc("zero", (size * k,), bool)[:m * k].reshape(m, k)
         np.logical_not(np.greater_equal(norm, _ZERO_DIFF_TOL, out=zero), out=zero)
         diff /= np.maximum(norm, _ZERO_DIFF_TOL, out=norm)
         np.copyto(diff, 0.0, where=zero)
@@ -225,88 +227,29 @@ def _check_rows(points, axes, graph, shadow):
         )
 
 
-def _planes(out, points, axes):
-    """The (6, N) coordinate planes of (N, 3) points and axes, stacked in ``out``."""
-    np.copyto(out[:3], points.T)
-    np.copyto(out[3:], axes.T)
+def _planes(out, points, axes, shadow_points, shadow_axes):
+    """The (12, N) coordinate planes of (N, 3) points, primary axes, shadow points and shadow axes,
+    stacked in ``out``."""
+    for i, part in enumerate((points, axes, shadow_points, shadow_axes)):
+        np.copyto(out[3 * i:3 * i + 3], part.T)
     return out
 
 
-def _new_array(name, shape, dtype=np.float64):
-    """The allocator of a run without a lane: every array is new."""
-    return np.empty(shape, dtype)
-
-
-def _field_blocks(graph, valid):
-    """The block runner of ``sipf_field`` and ``field_deviations``: selects the rows of the graph
-    that ``valid`` keeps.  Returns ``valid`` as a boolean mask, or None when it keeps every row,
-    and ``run(planes, shadow, mask, consume, alloc=None)``.
-
-    ``run`` computes the kept rows of the field whose inputs are ``planes`` and ``shadow``, the
-    (6, N) stacked coordinate planes of the points and primary axes and of the shadow points and
-    axes, in blocks of ``_block_rows`` rows, and hands each block's component-major (8, m, k) field,
-    in its lane's buffers, to ``consume(start, rows, idx, f)``: ``start`` numbers the block's first
-    kept row, ``rows`` selects its rows of an (N, ...) array (a slice when every row is kept) and
-    ``idx`` holds their neighbours.  Without ``alloc`` the blocks run on the two lanes of
-    ``sipf.lanes.run_blocks``; with a lane's allocator ``alloc`` they run first to last in the
-    calling thread, in that lane's buffers, as a step that already runs on a lane must: its own
-    ``run_blocks`` call would queue its lane 1 behind itself on the one executor thread.  Each
-    lane's arrays fit its longest block; a shorter block writes into their first part.
-
-    pair(p_r, p_r') is computed once a run for every kept row, in the work array of ``alloc`` (a
-    new one without it), and each block checks its rows of it.  Errors follow ``run_blocks``' rule:
-    a run raises the first error of its lowest failing block.  Within a block the neighbour-pair
-    check comes before the shadow checks, and the pair named is the block's first closest one in
-    row-major order.  The block size depends only on the kept rows, so the error does not depend
-    on the lanes or the host.  Under a floating-point error state that raises on underflow or
-    overflow (``np.errstate``), such an error in the reference pairs (from a shadow offset or axis
-    component below about 1e-154 or above 1e154) is raised before the first block runs.
-    """
+def _kept_rows(graph, valid):
+    """The rows of the graph that ``valid`` keeps: ``valid`` as a boolean mask, or None when it
+    keeps every row, the kept rows' numbers and their neighbours."""
     idx = graph.indices
-    n, k = idx.shape
-    rows = np.arange(n)
+    rows = np.arange(len(idx))
     if valid is not None:
         valid = np.asarray(valid, dtype=bool)
-        if valid.shape != (n,):
-            raise InvalidArgumentError(f"valid mask must have shape ({n},), got {valid.shape}")
+        if valid.shape != rows.shape:
+            raise InvalidArgumentError(f"valid mask must have shape {rows.shape}, got {valid.shape}")
         if valid.all():
             valid = None
         else:
             rows = rows[valid]
             idx = idx[rows]
-    kept = len(rows)
-    size = _block_rows(kept)
-    # The work array holds a block's nine work planes or the reference pairs' d and products.
-    work_size = max(9 * size * k, 6 * kept)
-
-    def run(planes, shadow, mask, consume, alloc=None):
-        call_alloc = alloc or _new_array
-        own, own_shadow, ref = planes, shadow, None
-        if valid is not None:
-            own = np.take(planes, rows, axis=1, out=call_alloc("own", (6, kept)), mode="wrap")
-            own_shadow = np.take(shadow, rows, axis=1, out=call_alloc("own_shadow", (6, kept)), mode="wrap")
-        if mask != MASK_PPF:
-            # In a lane, the reference pairs' d and products take the first part of its work array.
-            work = (np.empty(6 * kept) if alloc is None else alloc("work", (work_size,)))[:6 * kept].reshape(6, kept)
-            ref = _pair_rows(call_alloc("ref", (4, kept)), own[:3], own[3:], own_shadow[:3], own_shadow[3:],
-                             work[:3], work[3:])
-
-        def step(lane, alloc, start, stop):
-            block, m = slice(start, stop), stop - start
-            arrays = (alloc("work", (work_size,))[:9 * m * k].reshape(9, m, k),
-                      alloc("f", (8 * size * k,))[:8 * m * k].reshape(8, m, k),
-                      alloc("zero", (size * k,), bool)[:m * k].reshape(m, k))
-            f = _field_rows(planes, own[:, block, None], own_shadow[:, block, None],
-                            None if ref is None else ref[:, block, None], mask, rows[block], idx[block], arrays)
-            consume(start, block if valid is None else rows[block], idx[block], f)
-
-        if alloc is None:
-            run_blocks(kept, size, step)
-        else:
-            for start in range(0, max(kept, 1), size):
-                step(0, alloc, start, min(start + size, kept))
-
-    return valid, run
+    return valid, rows, idx
 
 
 def sipf_field(
@@ -325,27 +268,34 @@ def sipf_field(
     flagged invalid in ``valid`` are skipped and left zero; their values must
     not be consumed.
 
-    pair(p_r, p_r') is computed once per row and broadcast over its k neighbours, on (3, m, k)
-    coordinate planes with (x0 y0 + x2 y2) + x1 y1 cosines: bitwise the per-edge formulas with
-    ``np.linalg.norm`` norms and ``np.einsum`` cosines on (..., 3) rows; the tests check it.
+    pair(p_r, p_r') is computed once per row, in the row's block, and broadcast over its k
+    neighbours, on (3, m, k) coordinate planes with (x0 y0 + x2 y2) + x1 y1 cosines: bitwise the
+    per-edge formulas with ``np.linalg.norm`` norms and ``np.einsum`` cosines on (..., 3) rows;
+    the tests check it.
 
-    The kept rows run in ``_field_blocks``' equal blocks on the two lanes.
-    Each block writes the transpose of its (8, m, k) field into its own rows
-    of the output, so no bit depends on the blocks or the lanes.
+    The kept rows run in ``_block_rows``' equal blocks on the two lanes of
+    ``sipf.lanes.run_blocks``, each block one ``_field_rows`` call in its
+    lane's arrays.  Each block writes the transpose of its (8, m, k) field
+    into its own rows of the output, so no bit depends on the blocks or the
+    lanes.  A failing call raises the first error of its lowest failing
+    block, so the error does not depend on the lanes or the host either.
     """
     if mask not in DESCRIPTOR_MASKS:
         raise InvalidArgumentError(f"unknown descriptor mask {mask!r}")
     axes = np.asarray(axes, dtype=np.float64)
     _check_rows(cloud.points, axes, graph, shadow)
-    valid, run = _field_blocks(graph, valid)
+    valid, rows, idx = _kept_rows(graph, valid)
+    n, size = len(graph), _block_rows(len(rows))
+    planes = _planes(np.empty((12, n)), cloud.points, axes, shadow.points, shadow.axes)
+    own = planes if valid is None else planes.take(rows, axis=1)
     out = (np.empty if valid is None else np.zeros)((*graph.indices.shape, 8))
 
-    def fill(start, rows, idx, f):
-        out[rows] = f.transpose(1, 2, 0)
+    def step(lane, alloc, start, stop):
+        block = slice(start, stop)
+        f = _field_rows(planes, own[:, block, None], mask, rows[block], idx[block], alloc, size)
+        out[block if valid is None else rows[block]] = f.transpose(1, 2, 0)
 
-    n = len(graph)
-    run(_planes(np.empty((6, n)), cloud.points, axes), _planes(np.empty((6, n)), shadow.points, shadow.axes),
-        mask, fill)
+    run_blocks(len(rows), size, step)
     return out
 
 
@@ -360,11 +310,15 @@ def field_deviations(points, axes, graph: NeighborGraph, shadow: ShadowCloud, ba
     of the unrotated inputs.  An edge is usable when ``valid`` keeps its reference point and its
     neighbour.
 
-    The trials are the lanes' units: trial t is block [t, t + 1) of one ``run_blocks`` call, and
-    it runs the field's blocks first to last in its lane's buffers, so each lane makes its arrays
-    once a call.  Each block reduces its field to one maximum, so no (N, k, 8) field is made; a
-    maximum is exact, so a result does not depend on the blocks or the lanes, and a NaN deviation
-    on a usable edge gives NaN.  Of the trials that fail, the lowest one's error is raised.
+    The trials are the lanes' units: trial t is block [t, t + 1) of one ``run_blocks`` call.  It
+    runs ``sipf_field``'s blocks, each one ``_field_rows`` call with its own pair(p_r, p_r'), first
+    to last in its lane's arrays, so each lane makes its arrays once a call.  A trial calls no
+    ``run_blocks`` of its own, which would queue its lane 1 behind the trial's lane on the one
+    executor thread.  Each block reduces its field to one maximum, so no (N, k, 8) field is made;
+    a maximum is exact, so a result does not depend on the blocks or the lanes, and a NaN
+    deviation on a usable edge gives NaN.  A trial raises the first error of its first failing
+    block, and of the trials that fail, the lowest one's error is raised: the error
+    ``sipf_field`` raises for the trial's inputs.
     """
     points = np.asarray(points, dtype=np.float64)
     axes = np.asarray(axes, dtype=np.float64)
@@ -375,29 +329,26 @@ def field_deviations(points, axes, graph: NeighborGraph, shadow: ShadowCloud, ba
     if base.shape != (*graph.indices.shape, 8):
         raise InvalidArgumentError(f"base field must be {(*graph.indices.shape, 8)}, got {base.shape}")
     _check_rows(points, axes, graph, shadow)
-    valid, run = _field_blocks(graph, valid)
-    n = len(graph)
-    unrotated = None if rotate_shadow else _planes(np.empty((6, n)), shadow.points, shadow.axes)
+    valid, rows, idx = _kept_rows(graph, valid)
+    n, size = len(graph), _block_rows(len(rows))
     out = np.empty(len(rotations))
 
     def trial(lane, alloc, t, stop):
         m = rotations[t]
-        planes = _planes(alloc("planes", (6, n)), points @ m, axes @ m)
-        if unrotated is None:
-            shadow_planes = _planes(alloc("shadow_planes", (6, n)), shadow.points @ m, shadow.axes @ m)
-        else:
-            shadow_planes = unrotated
+        shadow_parts = (shadow.points @ m, shadow.axes @ m) if rotate_shadow else (shadow.points, shadow.axes)
+        planes = _planes(alloc("planes", (12, n)), points @ m, axes @ m, *shadow_parts)
+        own = planes if valid is None else planes.take(rows, axis=1, out=alloc("own", (12, len(rows))), mode="wrap")
         maxima = []
-
-        def reduce(start, rows, idx, f):
-            dev = np.abs(np.subtract(f, base[rows].transpose(2, 0, 1), out=f), out=f)
+        for start in range(0, max(len(rows), 1), size):
+            block = slice(start, start + size)
+            f = _field_rows(planes, own[:, block, None], MASK_SIPF, rows[block], idx[block], alloc, size)
+            own_base = base[block if valid is None else rows[block]]
+            dev = np.abs(np.subtract(f, own_base.transpose(2, 0, 1), out=f), out=f)
             if valid is not None:
-                np.copyto(dev, 0.0, where=~valid[idx])  # edges to a dropped neighbour; deviations are >= 0
+                np.copyto(dev, 0.0, where=~valid[idx[block]])  # edges to a dropped neighbour; deviations are >= 0
             maxima.append(np.maximum.reduce(dev, axis=None, initial=0.0))
-
-        run(planes, shadow_planes, MASK_SIPF, reduce, alloc)
-        # np.max keeps a NaN, where a comparison with NaN would drop it.
-        out[t] = np.max(maxima)
+        # A maximum keeps a NaN, where a comparison with NaN would drop it.
+        out[t] = np.maximum.reduce(maxima)
 
     if len(rotations):
         run_blocks(len(rotations), 1, trial)

@@ -24,20 +24,21 @@ name asked for in another shape is made again, so a stage whose last block
 is shorter (the field's) asks for the full shape and writes into its first
 part.  A call shares no buffer with another, nor one lane with the other.
 
-Per-block code makes few numpy calls, each a ufunc or a C-level array
-method (``np.take``, ``np.copyto``, ``ufunc.reduce``), not one of numpy's
-Python-level wrappers (``np.clip``, ``np.any``, ``ndarray.max``), and keeps
-its Python between calls short.  A lane holds the GIL for everything but
-the work inside numpy's calls, and while it does the other lane waits, so a
-block's fixed cost stalls both lanes.  A field block's fixed cost, timed on
-1-row blocks of a 20-neighbour field in one thread, fell from about 190 to
-about 96 microseconds (medians of six processes a side, 2-CPU x86-64 host)
-when its 100 or so calls, many of them wrappers, became about 50 ufunc
-calls and C-level methods.  An attention block's, timed on 1-row blocks of
-a 256-point 16-channel layer with 20 neighbours, fell from about 35 to about
-30 microseconds forward and from about 74 to about 71 backward, recompute
-included (best of ten rounds, three processes, same host), when its
-reductions and finite checks became ufunc reduces into lane buffers.
+Per-block code makes few numpy calls, each a ufunc or a C-level function or
+array method (``ndarray.take``, ``np.copyto``, ``ufunc.reduce``), not one of
+numpy's Python-level wrappers (``np.take``, ``np.clip``, ``np.any``,
+``ndarray.max``), and keeps its Python between calls short.  A lane holds
+the GIL for everything but the work inside numpy's calls, and while it does
+the other lane waits, so a block's fixed cost stalls both lanes.  A field
+block's fixed cost, timed on 1-row blocks of a 20-neighbour field in one
+thread, fell from about 190 to about 96 microseconds (medians of six
+processes a side, 2-CPU x86-64 host) when its 100 or so calls, many of them
+wrappers, became about 50 ufunc calls and C-level methods.  An attention
+block's, timed on 1-row blocks of a 256-point 16-channel layer with 20
+neighbours, fell from about 35 to about 30 microseconds forward and from
+about 74 to about 71 backward, recompute included (best of ten rounds, three
+processes, same host), when its reductions and finite checks became ufunc
+reduces into lane buffers.
 
 ``_run_lanes`` joins both lanes before it returns or raises.  A lane stops at
 its first error, and of the two lanes' errors the lower block's is raised.

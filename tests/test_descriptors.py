@@ -1,6 +1,7 @@
 import concurrent.futures
 import sys
 import threading
+import types
 import warnings
 
 import numpy as np
@@ -456,14 +457,18 @@ class TestFieldInputs:
                 assert np.array_equal(coincident_pairs(cloud, graph), pairs_below(floor))
 
 
-def _coincidence_case(pairs=(), shadows=(), shadow_on_neighbor=None):
+def _coincidence_case(pairs=(), shadows=(), shadow_on_neighbor=None, near_origin=None):
     """A 40-point cloud, k = 4, in which each (i, j, exact) of ``pairs`` puts point j on point i,
     each (i, exact) of ``shadows`` puts point i's shadow on it, and ``shadow_on_neighbor`` = r
-    puts row r's shadow on its first neighbour; not ``exact`` means one ulp away."""
+    puts row r's shadow on its first neighbour; not ``exact`` means one ulp away.
+    ``near_origin`` = i puts point i at (1e-160, 0, 0) and its shadow at (2e-160, 0, 0), so the
+    square of its reference pair's length underflows."""
     rng = np.random.default_rng(41)
     pts = rng.uniform(-1.0, 1.0, (40, 3))
     for i, j, exact in pairs:
         pts[j] = pts[i] if exact else [np.nextafter(pts[i, 0], 2.0), *pts[i, 1:]]
+    if near_origin is not None:
+        pts[near_origin] = [1e-160, 0.0, 0.0]
     cloud = PointCloud(points=pts)
     graph = knn_graph(cloud, 4)
     axes = random_axes(rng, 40)
@@ -473,6 +478,8 @@ def _coincidence_case(pairs=(), shadows=(), shadow_on_neighbor=None):
         shadow_pts[i] = pts[i] if exact else [np.nextafter(pts[i, 0], 2.0), *pts[i, 1:]]
     if shadow_on_neighbor is not None:
         shadow_pts[shadow_on_neighbor] = pts[graph.indices[shadow_on_neighbor, 0]]
+    if near_origin is not None:
+        shadow_pts[near_origin] = [2e-160, 0.0, 0.0]
     shadow = ShadowCloud(points=shadow_pts, axes=axes @ rotation.matrix)
     return cloud, axes, graph, shadow
 
@@ -493,9 +500,9 @@ class TestFieldBlocks:
 
     @pytest.mark.parametrize("rows", [1, 7])
     def test_lane_one_runs_on_the_executor_in_its_own_arrays(self, monkeypatch, rows):
-        # Lane 1 runs on the executor's thread and makes the three arrays its blocks ask for
-        # there (work planes, field and mask), once each however many blocks it runs.  The field has the bits of a run
-        # whose lane 1 runs in the calling thread.
+        # Lane 1 runs on the executor's thread and makes the four arrays its blocks ask for there
+        # (work planes, field, the rows' reference pairs and mask), once each however many blocks
+        # it runs.  The field has the bits of a run whose lane 1 runs in the calling thread.
         monkeypatch.setattr(descriptors, "_FIELD_ROWS", rows)
         case = _field_case(np.random.default_rng(17), 40, 6, FRAME_MODE_BARYCENTER)
         caller = threading.current_thread()
@@ -518,7 +525,7 @@ class TestFieldBlocks:
         monkeypatch.setattr(np, "empty", recorded_empty)
         on_executor = sipf_field(*case)
         assert sorted(ran_on) == [(0, "caller"), (1, "sipf-lane")]
-        assert allocated_here.count(False) == 3 and any(allocated_here)
+        assert allocated_here.count(False) == 4 and any(allocated_here)
 
         class Inline:
             def submit(self, fn):
@@ -535,21 +542,27 @@ class TestFieldBlocks:
     )
     def test_blocks_are_equal_and_cover_the_rows_once(self, monkeypatch, n, sizes):
         # The fewest blocks of at most 1,024 rows, of one size but a last one at most a few rows
-        # shorter, in the blocks of the lanes and of a lane's allocator alike.
+        # shorter, in the blocks of sipf_field's lanes and of a field_deviations trial alike.
         blocks = []
 
-        def recorded(*args):
-            rows = args[5]
+        def recorded(planes, own, mask, rows, idx, alloc, size):
+            assert size == sizes[0]
             blocks.append(rows.tolist())
             return np.zeros((8, len(rows), 1))
 
         monkeypatch.setattr(descriptors, "_field_rows", recorded)
         graph = NeighborGraph(k=1, indices=np.zeros((n, 1), dtype=np.int64))
-        _, run = descriptors._field_blocks(graph, None)
+        zeros = np.zeros((n, 3))
+        # sipf_field reads only a cloud's points, and a PointCloud needs two.
+        cloud, shadow = types.SimpleNamespace(points=zeros), ShadowCloud(points=zeros, axes=zeros)
         assert descriptors._block_rows(n) == sizes[0]
-        for alloc in (None, lanes._buffers()):
+        calls = [
+            lambda: sipf_field(cloud, zeros, graph, shadow),
+            lambda: field_deviations(zeros, zeros, graph, shadow, np.zeros((n, 1, 8)), np.eye(3)[None]),
+        ]
+        for call in calls:
             blocks.clear()
-            run(np.zeros((6, n)), np.zeros((6, n)), MASK_SIPF, lambda *args: None, alloc)
+            call()
             blocks.sort()
             assert [len(rows) for rows in blocks] == sizes
             assert sum(blocks, []) == list(range(n))
@@ -678,13 +691,29 @@ class TestFieldBlocks:
             sipf_field(cloud, axes, graph, shadow)
         assert str(excinfo.value) == f"coincident pair at index (10, {graph.indices[10, 0]})"
 
+    @pytest.mark.parametrize("rows", [1, 7, 40])
+    def test_the_plain_pair_mask_reads_no_shadow(self, monkeypatch, rows):
+        # A shadow on its point fails the full field, but the plain pair field computes no
+        # reference pair: it has the oracle's bits and a zero shadow block, and raises no
+        # floating-point error either.
+        monkeypatch.setattr(descriptors, "_FIELD_ROWS", rows)
+        case = _coincidence_case(shadows=[(25, True)])
+        with pytest.raises(CoincidentPointError, match=r"^shadow coincides with point 25$"):
+            sipf_field(*case, mask=MASK_SIPF)
+        with np.errstate(all="raise"):
+            field = sipf_field(*case, mask=MASK_PPF)
+        assert np.array_equal(_bits(field), _bits(reference_sipf_field(*case, mask=MASK_PPF)))
+        assert not field[..., 4:].any()
+
     @pytest.mark.parametrize(
         "case, message",
         [
             (dict(shadows=[(25, True)]), "shadow coincides with point 25"),
-            # The shadows on points 30 and 33, in later blocks, make reference pairs of length 0,
-            # which the call computes with every other one before its first block runs.
+            # The shadows on points 30 and 33 make reference pairs of length 0 in later blocks;
+            # the lowest failing block's error is raised.
             (dict(pairs=[(8, 9, True)], shadows=[(30, True)]), "coincident pair at index (8, 9)"),
+            # Point 30's reference pair underflows, in a later block.
+            (dict(pairs=[(8, 9, True)], near_origin=30), "coincident pair at index (8, 9)"),
             (dict(shadows=[(33, True)], shadow_on_neighbor=10), "coincident pair at index (10, 21)"),
             (dict(), None),
         ],
@@ -835,13 +864,13 @@ class TestFieldDeviations:
         monkeypatch.setattr(np, "empty", recorded_empty)
         _deviations(case, base, valid, rotations)
         assert sorted(ran_on) == [(0, True, [1, 3, 5]), (1, False, [0, 2, 4])]
-        # A trial's stacked planes of the points and axes and of the shadow; with rows dropped,
-        # those of the kept rows; the work array, which first holds the reference pairs' d and
-        # products; the reference pairs; a block's field and zero-difference mask, flat.
+        # A trial's stacked planes of the points, axes, shadow points and shadow axes, and with
+        # rows dropped those of the kept rows; a block's work planes, field, reference pairs with
+        # their d and products, and zero-difference mask, flat.
         kept = n - len(dropped)
-        arrays = [(6, n), (6, n), (max(9 * size * 5, 6 * kept),), (4, kept), (8 * size * 5,), (size * 5,)]
+        arrays = [(12, n), (9 * size * 5,), (8 * size * 5,), (10 * size,), (size * 5,)]
         if dropped:
-            arrays += [(6, kept), (6, kept)]
+            arrays += [(12, kept)]
         assert sorted(shape for on_caller, shape in made if on_caller) == sorted(arrays + [(6,)])
         assert sorted(shape for on_caller, shape in made if not on_caller) == sorted(arrays)
 
@@ -871,6 +900,40 @@ class TestFieldDeviations:
             field_deviations(cloud.points, axes[:39], graph, shadow, base, one)
         with pytest.raises(InvalidArgumentError, match=r"rotations must be \(T, 3, 3\), got \(3, 3\)"):
             field_deviations(cloud.points, axes, graph, shadow, base, np.eye(3))
+
+
+class TestBlockCalls:
+    def test_block_code_calls_no_python_wrappers(self, monkeypatch):
+        # The per-block rule of sipf.lanes: a field block's code calls ufuncs and C-level methods,
+        # not the Python functions of numpy's _methods and fromnumeric modules (ndarray.max,
+        # np.take, np.max).  A 40-row field is one block, run in this thread; so is a one-trial
+        # field_deviations call, whose trial runs its 7-row blocks first to last.
+        modules = [sys.modules.get(f"numpy._core.{name}") or sys.modules[f"numpy.core.{name}"]
+                   for name in ("_methods", "fromnumeric")]
+        wrappers = {module.__file__ for module in modules}
+        block_code = {"_field_rows", "_pair_rows", "step", "trial"}
+        ran, offenders = set(), []
+
+        def profile(frame, event, arg):
+            if event != "call":
+                return
+            ran.add(frame.f_code.co_name)
+            caller = frame.f_back.f_code.co_name if frame.f_back is not None else None
+            if caller in block_code and frame.f_code.co_filename in wrappers:
+                offenders.append((caller, frame.f_code.co_name))
+
+        case, base, valid, rotations = _deviation_case(40)
+        sys.setprofile(profile)
+        try:
+            for mask in DESCRIPTOR_MASKS:
+                for keep in (None, valid):
+                    sipf_field(*case, mask=mask, valid=keep)
+            monkeypatch.setattr(descriptors, "_FIELD_ROWS", 7)
+            _deviations(case, base, valid, rotations)
+        finally:
+            sys.setprofile(None)
+        assert block_code <= ran
+        assert offenders == []
 
 
 class TestDegeneracyDetectors:
