@@ -50,16 +50,19 @@ import numpy as np
 
 from .errors import InvalidArgumentError, InvalidInputError, ParseError
 from .geometry import PointCloud
-from .lanes import run_blocks
+from .lanes import Workspace, run_blocks
 
 __all__ = ["load_cloud", "format_rows", "write_text_atomic"]
 
 # Rows formatted per pass of the kernel, one chunk a block of the two lanes.
-# Each lane's work buffers take about 3.5 MB for the ten-column features
-# table, small beside its ~17 MB text at 5k points.  At 512 rows the two
+# Each lane's work buffers take about 3.6 MB for the ten-column features
+# table, small beside its ~17 MB text at 5k points, and stay in _WORKSPACE
+# between calls: one set for each thread that has formatted (the executor's
+# included), none for a thread that never formats.  At 512 rows the two
 # lanes were slower than one: the GIL changed hands around ~40 small numpy
 # calls a chunk.
 _CSV_CHUNK_ROWS = 2048
+_WORKSPACE = Workspace()
 
 # Every field is _FIELD bytes, six uint64 words: byte 0 the sign, 1-5 the lead
 # "0.000" of d in [-4, -1], 6 + 2i digit i with a point slot at 7 + 2i after
@@ -170,6 +173,11 @@ def _exponent_error(ph, pl):
     return high.astype(np.intp) - low.astype(np.intp)
 
 
+def _clamp(d):
+    """d clipped to [_D_MIN, _D_MAX] in place (it holds no nan)."""
+    return np.minimum(np.maximum(d, _D_MIN, out=d), _D_MAX, out=d)
+
+
 def _decimal(x):
     """17-digit decimal of each double: (digits, d, fast).
 
@@ -181,12 +189,12 @@ def _decimal(x):
     zero = a == 0.0
     fast = (a >= 1e-6) & (a < 1e17)  # False for nan
     a = np.fmin(np.fmax(a, 1e-6), 1e17)  # fmax and fmin drop nan
-    d = np.clip(np.floor(np.log10(a)), _D_MIN, _D_MAX).astype(np.intp)
+    d = _clamp(np.floor(np.log10(a))).astype(np.intp)
     ph, pl = _exact_scaled(a, d)
     # log10 misses the exponent by at most one, next to a power of ten.
     step = _exponent_error(ph, pl) * fast
-    redo = np.flatnonzero(step)
-    d[redo] = np.clip(d[redo] + step[redo], _D_MIN, _D_MAX)
+    redo = step.nonzero()[0]
+    d[redo] = _clamp(d[redo] + step[redo])
     ph[redo], pl[redo] = _exact_scaled(a[redo], d[redo])
     fast[redo] = _exponent_error(ph[redo], pl[redo]) == 0
     # ph >= 2**53 is an even integer, so ph + pl rounds half to even on pl
@@ -226,12 +234,12 @@ def _fields(x, line_end, out, groups, words):
         groups[row + 1] = half - high * np.uint32(10**4)
     significant = np.ones(len(n), dtype=np.intp)
     for c in range(1, 5):
-        np.maximum(significant, np.take(counts[c], groups[c]), out=significant)
+        np.maximum(significant, counts[c].take(groups[c]), out=significant)
     layout = np.where(fast, (d - _D_MIN) * 17 + significant - 1, _FALLBACK)
     layout += line_end + (np.signbit(x) & fast).astype(np.intp) * _LAYOUT_BLOCK
     # The indices are in range; mode="clip" lets take write ``out`` unbuffered.
-    np.take(layout_rows, layout, axis=0, out=out, mode="clip")
-    out &= np.take(digit_words, groups.T, out=words, mode="clip")
+    layout_rows.take(layout, axis=0, out=out, mode="clip")
+    out &= digit_words.take(groups.T, out=words, mode="clip")
     return layout, fast
 
 
@@ -241,16 +249,22 @@ def format_rows(*columns, header: str = "") -> str:
     Each column block is an (n,) or (n, c) array, all with the same n; a
     bare 2-D table is one block.  A chunk copies its rows of every block
     into one (rows, columns) float64 buffer of its lane, so the caller forms
-    no whole table.  17 significant digits round-trip any double bitwise,
-    and an integer below 10**17 in magnitude, such as an index column,
-    prints as ``%d`` would print it.  The text is byte for byte that of the
-    ``%`` operator.  The vectorised kernel of the module docstring writes
-    every value with a decimal exponent in [-6, 16], and ±0;
-    ``"%.17g" % v`` writes the others.
+    no whole table.  17 significant digits round-trip any double bitwise.
+    Every block is read as float64, so an integer prints as ``%d`` would
+    print it only for |v| <= 2**53, which holds any index column; 2**53 + 1
+    prints as 9007199254740992, its nearest double.  The text is byte for
+    byte that of ``"%.17g" % float(v)``.  The vectorised kernel of the
+    module docstring writes every value with a decimal exponent in [-6, 16],
+    and ±0; ``"%.17g" % v`` writes the others.
 
     Chunks of ``_CSV_CHUNK_ROWS`` rows run on the two lanes of
-    ``sipf.lanes.run_blocks``, each lane in buffers it makes for its first
-    chunk, and each chunk is decoded into its own slot of the parts list.
+    ``sipf.lanes.run_blocks`` in the module's ``_WORKSPACE``, and each chunk
+    is decoded into its own slot of the parts list.  The lane buffers stay
+    between calls, one set for each thread that runs a lane (the caller's
+    for lane 0, the executor's for lane 1): about 3.6 MB a lane for the
+    ten-column features table, none for a thread that never formats.  A
+    later call with the same width and chunk row count reuses them; another
+    makes them anew.
     ``header`` is the first part, so the caller's header is joined in place
     instead of being prepended to a second copy of the text.
     """
@@ -277,14 +291,14 @@ def format_rows(*columns, header: str = "") -> str:
         layout, fast = _fields(table.ravel(), line_end[:k], fields, groups[:, :k], scratch[:k])
         raw = fields.view(np.uint8).ravel()
         kept = np.not_equal(raw, 0, out=scratch.view(bool).ravel()[: len(raw)])
-        if fast.all():
+        if np.logical_and.reduce(fast):
             text = alloc("text", (size * _MAX_TEXT,), np.uint8)
-            chunk = np.compress(kept, raw, out=text[: np.count_nonzero(kept)])
+            chunk = raw.compress(kept, out=text[: np.count_nonzero(kept)])
         else:
-            chunk = _insert_fallbacks(np.compress(kept, raw), table, layout, fast)
+            chunk = _insert_fallbacks(raw.compress(kept), table, layout, fast)
         parts[1 + start // _CSV_CHUNK_ROWS] = str(memoryview(chunk), "ascii")
 
-    run_blocks(n_rows, _CSV_CHUNK_ROWS, fill)
+    run_blocks(n_rows, _CSV_CHUNK_ROWS, fill, workspace=_WORKSPACE)
     return "".join(parts)
 
 

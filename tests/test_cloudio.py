@@ -1,7 +1,10 @@
 import os
+import signal
 import stat
 import sys
 import tempfile
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sipf import cloudio
+from sipf import cloudio, lanes
 from sipf.cloudio import _CSV_CHUNK_ROWS, format_rows, load_cloud, write_text_atomic
 from sipf.errors import InvalidArgumentError, InvalidInputError, ParseError
 
@@ -367,6 +370,14 @@ class TestFormatting:
         assert text == f"{printed},3,0.5\n4,{printed},-0\n"
         assert text == oracle_rows(table)
 
+    def test_integers_print_as_percent_d_up_to_2_53(self):
+        # Every block is read as float64: |v| <= 2**53 prints as %d prints it, and 2**53 + 1,
+        # which no double holds, prints as its nearest double.
+        exact = [2**53, -(2**53), 2**53 - 1]
+        assert format_rows(np.array(exact)) == "".join("%d\n" % v for v in exact)
+        assert format_rows(np.array([2**53 + 1])) == "9007199254740992\n"
+        assert "%d" % (2**53 + 1) == "9007199254740993"
+
     def test_index_columns_are_not_truncated(self):
         # Fractional and out-of-range values print in full, not cut to an integer.
         table = np.array([[2.7, -0.5, 2.0**53 + 2], [1e17, -3.25, 1.0]])
@@ -541,6 +552,137 @@ class TestFormattingParity:
         values = _bit_patterns(raw)
         table = np.concatenate([values, np.zeros((-len(values)) % 4)]).reshape(-1, 4)
         assert format_rows(table) == oracle_rows(table)
+
+
+def _features_table(rng, n_rows, width):
+    """A fast-path table shaped like the features CSV: two index columns, then floats."""
+    floats = rng.uniform(1e-3, 1.0, (n_rows, width - 2)) * rng.choice([-1.0, 1.0], (n_rows, width - 2))
+    return np.column_stack([rng.integers(0, 5000, size=(n_rows, 2)), floats])
+
+
+def _wait_for_child(pid, seconds=60):
+    """The child's exit status; a child still running after ``seconds`` is killed and fails."""
+    status = None
+    try:
+        deadline = time.monotonic() + seconds
+        while status is None and time.monotonic() < deadline:
+            done, wait_status = os.waitpid(pid, os.WNOHANG)
+            status = wait_status if done else None
+            time.sleep(0.01)
+    finally:
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    assert status is not None, f"the forked child did not finish within {seconds} s"
+    return status
+
+
+class TestBlockCalls:
+    # One chunk on this thread, then three chunks: two on this thread's lane, one on the executor's.
+    @pytest.mark.parametrize("n_rows", [100, 2 * _CSV_CHUNK_ROWS + 1])
+    def test_chunk_code_calls_no_python_wrappers(self, rng, n_rows):
+        # The per-block rule of sipf.lanes: a fast-path chunk calls ufuncs and C-level methods,
+        # not the Python functions of numpy's _methods and fromnumeric modules (np.take,
+        # np.clip, ndarray.all).  Both lanes' threads are profiled.
+        modules = [sys.modules.get(f"numpy._core.{name}") or sys.modules[f"numpy.core.{name}"]
+                   for name in ("_methods", "fromnumeric")]
+        wrappers = {module.__file__ for module in modules}
+        block_code = {"fill", "_fields", "_decimal", "_exact_scaled", "_exponent_error"}
+        ran, offenders = set(), []
+
+        def profile(frame, event, arg):
+            if event != "call":
+                return
+            ran.add(frame.f_code.co_name)
+            caller = frame.f_back.f_code.co_name if frame.f_back is not None else None
+            if caller in block_code and frame.f_code.co_filename in wrappers:
+                offenders.append((caller, frame.f_code.co_name))
+
+        table = _features_table(rng, n_rows, 10)
+        lanes._executor.submit(sys.setprofile, profile).result()
+        sys.setprofile(profile)
+        try:
+            text = format_rows(table)
+        finally:
+            sys.setprofile(None)
+            lanes._executor.submit(sys.setprofile, None).result()
+        assert block_code <= ran and "_insert_fallbacks" not in ran
+        assert offenders == []
+        assert text == oracle_rows(table)
+
+
+class TestWorkspace:
+    """format_rows' lane arrays outlive a call: one set for each thread that runs a lane."""
+
+    def test_a_second_call_of_the_same_shape_makes_no_array(self, rng, monkeypatch):
+        caller = threading.current_thread()
+        made = []
+        empty = np.empty
+
+        def recorded_empty(*args, **kwargs):
+            made.append(threading.current_thread() is caller)
+            return empty(*args, **kwargs)
+
+        n_rows = 2 * _CSV_CHUNK_ROWS + 1
+        format_rows(_features_table(rng, n_rows, 9))
+        table = _features_table(rng, n_rows, 10)
+        monkeypatch.setattr(np, "empty", recorded_empty)
+        # Another width makes each lane's five arrays anew, each on its lane's thread ...
+        text = format_rows(table)
+        assert sorted(made) == [False] * 5 + [True] * 5
+        # ... and a second call of that shape makes none on either thread.
+        made.clear()
+        assert format_rows(table) == text == oracle_rows(table)
+        assert made == []
+
+    def test_threads_give_the_serial_bytes(self):
+        # More threads than cores format tables of other widths and chunk row counts, switching
+        # often: each runs lane 0 in its own arrays, and every lane 1 runs in the executor's.
+        rng = np.random.default_rng(12)
+        shapes = [(2 * _CSV_CHUNK_ROWS + 1, 10), (3 * _CSV_CHUNK_ROWS, 4), (_CSV_CHUNK_ROWS + 7, 7), (1000, 10)]
+        tables = [_features_table(rng, n_rows, width) for n_rows, width in shapes]
+        serial = [oracle_rows(table) for table in tables]
+        mismatches, done = [], []
+
+        def run(i):
+            for _ in range(5):
+                if format_rows(tables[i]) != serial[i]:
+                    mismatches.append(i)
+            done.append(i)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(tables))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(done) == list(range(len(tables)))
+        assert mismatches == []
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_writes_the_parents_bytes(self, rng):
+        # The child inherits this thread's filled arrays and gets a new executor, whose arrays
+        # it makes anew; a table of another width then remakes this thread's.
+        table = _features_table(rng, 2 * _CSV_CHUNK_ROWS + 1, 10)
+        text = format_rows(table)
+        narrow = oracle_rows(table[:, :7])
+        with warnings.catch_warnings():
+            # Python 3.12 on warns that forking a process with threads may deadlock.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if format_rows(table) == text and format_rows(table[:, :7]) == narrow else 2
+            finally:
+                os._exit(code)
+        status = _wait_for_child(pid)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 
 
 class TestAtomicWriteMode:

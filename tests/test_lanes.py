@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sipf import lanes
-from sipf.lanes import _buffers, _lanes, _run_lanes, run_blocks
+from sipf.lanes import Workspace, _buffers, _lanes, _run_lanes, run_blocks
 
 
 def _blocks(n):
@@ -185,10 +185,69 @@ def test_run_blocks_makes_each_lanes_arrays_once_on_its_own_thread(monkeypatch):
         assert all(any(t is thread and m is a for t, m in made) for a in arrays)
         assert arrays[1].dtype == np.int64
     assert first[0][0][1][0] is not first[1][0][1][0]
-    # A second call makes its own arrays again: no buffer is shared between calls.
+    # Without a workspace, a second call makes its own arrays again: it shares none with the first.
     second, made = run()
     assert len(made) == 5
     assert all(a is not b for lane in (0, 1) for a, b in zip(first[lane][0][1], second[lane][0][1]))
+
+
+def _workspace_arrays(workspace, n=4, shape=(3,)):
+    """{lane: (thread, [array of each block])} of one ``run_blocks`` call in ``workspace``."""
+    got = {0: [], 1: []}
+
+    def step(lane, alloc, start, stop):
+        got[lane].append((threading.current_thread(), alloc("a", shape)))
+
+    run_blocks(n, 1, step, workspace=workspace)
+    return {lane: (blocks[0][0], [a for _, a in blocks]) for lane, blocks in got.items()}
+
+
+def test_workspace_arrays_outlive_the_call(monkeypatch):
+    workspace = Workspace()
+    first = _workspace_arrays(workspace)
+    made = []
+    empty = np.empty
+
+    def recorded_empty(*args, **kwargs):
+        made.append(args)
+        return empty(*args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", recorded_empty)
+    again = _workspace_arrays(workspace)
+    # A later call on the same threads gets each lane's arrays of the call before, and makes none.
+    assert made == []
+    for lane in (0, 1):
+        thread, arrays = first[lane]
+        assert again[lane][0] is thread and all(a is arrays[0] for a in arrays + again[lane][1])
+    assert first[0][1][0] is not first[1][1][0]
+    # Another shape makes each lane's array anew, once; another workspace shares none of them.
+    reshaped = _workspace_arrays(workspace, shape=(4,))
+    assert len(made) == 2 and all(reshaped[lane][1][0] is not first[lane][1][0] for lane in (0, 1))
+    other = _workspace_arrays(Workspace(), shape=(4,))
+    assert all(other[lane][1][0] is not reshaped[lane][1][0] for lane in (0, 1))
+
+
+def test_workspace_lane_zero_is_the_callers_and_lane_one_the_executors():
+    workspace = Workspace()
+    calls = []
+
+    def call():
+        calls.append(_workspace_arrays(workspace))
+
+    for _ in range(2):
+        thread = threading.Thread(target=call)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    call()
+    # Each calling thread runs lane 0 in arrays of its own; every lane 1 runs on the one
+    # executor thread, in its arrays.
+    lane_zero = [c[0] for c in calls]
+    assert len({id(thread) for thread, _ in lane_zero}) == 3
+    assert len({id(arrays[0]) for _, arrays in lane_zero}) == 3
+    lane_one = [c[1] for c in calls]
+    assert all(thread.name.startswith("sipf-lane") and thread is lane_one[0][0] for thread, _ in lane_one)
+    assert all(arrays[0] is lane_one[0][1][0] for _, arrays in lane_one)
 
 
 def test_forked_child_gets_its_own_executor():
