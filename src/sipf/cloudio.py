@@ -55,13 +55,17 @@ from .lanes import Workspace, run_blocks
 __all__ = ["load_cloud", "format_rows", "write_text_atomic"]
 
 # Rows formatted per pass of the kernel, one chunk a block of the two lanes.
-# Each lane's work buffers take about 3.6 MB for the ten-column features
-# table, small beside its ~17 MB text at 5k points, and stay in _WORKSPACE
-# between calls: one set for each thread that has formatted (the executor's
-# included), none for a thread that never formats.  At 512 rows the two
-# lanes were slower than one: the GIL changed hands around ~40 small numpy
-# calls a chunk.
+# Each lane's work buffers take about 350 KB a column, 3.6 MB for the
+# ten-column features table, small beside its ~17 MB text at 5k points.  At
+# 512 rows the two lanes were slower than one: the GIL changed hands around
+# ~40 small numpy calls a chunk.
 _CSV_CHUNK_ROWS = 2048
+# A table of at most _KEPT_COLUMNS columns formats in _WORKSPACE, whose lane
+# buffers stay between calls, so a process that formats again does not
+# page-fault them again: at most 3.6 MB a lane for each thread that has
+# formatted (the executor's included), held until the thread ends, and none
+# for a thread that never formats.  A wider table's buffers go with its call.
+_KEPT_COLUMNS = 10
 _WORKSPACE = Workspace()
 
 # Every field is _FIELD bytes, six uint64 words: byte 0 the sign, 1-5 the lead
@@ -258,13 +262,15 @@ def format_rows(*columns, header: str = "") -> str:
     and ±0; ``"%.17g" % v`` writes the others.
 
     Chunks of ``_CSV_CHUNK_ROWS`` rows run on the two lanes of
-    ``sipf.lanes.run_blocks`` in the module's ``_WORKSPACE``, and each chunk
-    is decoded into its own slot of the parts list.  The lane buffers stay
-    between calls, one set for each thread that runs a lane (the caller's
-    for lane 0, the executor's for lane 1): about 3.6 MB a lane for the
-    ten-column features table, none for a thread that never formats.  A
-    later call with the same width and chunk row count reuses them; another
-    makes them anew.
+    ``sipf.lanes.run_blocks``, and each chunk is decoded into its own slot
+    of the parts list.  A lane's buffers take about 350 KB a column.  For a
+    table of at most ``_KEPT_COLUMNS`` (10) columns, such as the features
+    table, they come from the module's ``_WORKSPACE`` and stay between
+    calls, one set for each thread that runs a lane (the caller's for lane
+    0, the executor's for lane 1) until that thread ends: at most 3.6 MB a
+    lane, none for a thread that never formats.  A later call with the same
+    width and chunk row count reuses them; another makes them anew.  A wider
+    table's buffers are the call's own and go when it returns.
     ``header`` is the first part, so the caller's header is joined in place
     instead of being prepended to a second copy of the text.
     """
@@ -298,7 +304,7 @@ def format_rows(*columns, header: str = "") -> str:
             chunk = _insert_fallbacks(raw.compress(kept), table, layout, fast)
         parts[1 + start // _CSV_CHUNK_ROWS] = str(memoryview(chunk), "ascii")
 
-    run_blocks(n_rows, _CSV_CHUNK_ROWS, fill, workspace=_WORKSPACE)
+    run_blocks(n_rows, _CSV_CHUNK_ROWS, fill, workspace=_WORKSPACE if n_cols <= _KEPT_COLUMNS else None)
     return "".join(parts)
 
 

@@ -30,14 +30,17 @@ instead, whose arrays outlive the call: each thread holds its own named
 arrays, so lane 0 uses the calling thread's and lane 1 the executor
 thread's, and a later call that asks for a name and shape on that thread
 gets the same memory.  Concurrent callers never share an array: each has
-its own lane 0, and the executor runs one lane 1 at a time.  Only the CSV
-writer ``format_rows`` keeps a workspace, one for the module, so a process
-that writes a CSV again does not allocate and page-fault ~3.6 MB a lane
-again; a thread that never formats holds none of it.  The attention layer
-keeps per-call buffers because its forward hands lane 0's last block to the
-activation record it returns.  The field and ``field_deviations`` keep
-them too: a workspace there raised scan-encode's peak RSS by about 5 MB
-for a gain under 1 %.
+its own lane 0, and the executor runs one lane 1 at a time.  Nothing frees
+a thread's arrays before the thread ends.  Only the CSV writer
+``format_rows`` keeps a workspace, one for the module and only for tables
+of at most ten columns, so a process that writes a features CSV again does
+not allocate and page-fault ~3.6 MB a lane again; a thread that never
+formats holds none of it.  A one-shot ``sipf features`` process formats
+once and gains nothing from it.  The attention layer keeps per-call
+buffers because its forward hands lane 0's last block to the activation
+record it returns.  The field and ``field_deviations`` keep them too: a
+workspace there raised scan-encode's peak RSS by about 5 MB for a gain
+under 1 %.
 
 Per-block code makes few numpy calls, each a ufunc or a C-level function or
 array method (``ndarray.take``, ``np.copyto``, ``ufunc.reduce``), not one of

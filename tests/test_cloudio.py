@@ -635,6 +635,23 @@ class TestWorkspace:
         assert format_rows(table) == text == oracle_rows(table)
         assert made == []
 
+    def test_a_table_wider_than_the_kept_columns_makes_its_arrays_each_call(self, rng, monkeypatch):
+        made = []
+        empty = np.empty
+
+        def recorded_empty(*args, **kwargs):
+            made.append(args)
+            return empty(*args, **kwargs)
+
+        table = _features_table(rng, 2 * _CSV_CHUNK_ROWS + 1, cloudio._KEPT_COLUMNS + 1)
+        text = format_rows(table)
+        monkeypatch.setattr(np, "empty", recorded_empty)
+        # Each lane makes its five arrays in every call: none outlives the call.
+        for _ in range(2):
+            made.clear()
+            assert format_rows(table) == text == oracle_rows(table)
+            assert len(made) == 10
+
     def test_threads_give_the_serial_bytes(self):
         # More threads than cores format tables of other widths and chunk row counts, switching
         # often: each runs lane 0 in its own arrays, and every lane 1 runs in the executor's.
